@@ -47,8 +47,6 @@ from .runtime import (
     FutureFailed,
     MacActor,
     ShutdownReport,
-    future_get,
-    new_actor,
     synced,
 )
 from .scheduler import (
@@ -95,11 +93,9 @@ __all__ = [
     "audit_events",
     "enabled_steps",
     "explore_all",
-    "future_get",
     "initial_config",
     "iter_requests",
     "lock_union",
-    "new_actor",
     "parse_program",
     "pretty_print",
     "read_jsonl",

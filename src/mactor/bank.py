@@ -322,7 +322,6 @@ def run_scenario(
     *,
     work_us: int = 0,
     work_mode: str = "sleep",
-    strategy: str = "scan",
     event_log: Optional[EventLog] = None,
     canary: Optional[ReentrancyCanary] = None,
 ) -> BenchReport:
@@ -339,7 +338,6 @@ def run_scenario(
     actor = MacActor(
         lambda: BankTeller(accounts, work=work, canary=canary),
         workers=workers,
-        strategy=strategy,
         event_log=event_log,
     )
     requests = list(iter_requests(w))

@@ -3,18 +3,21 @@
 A :class:`MacActor` owns a pool of workers (each wrapping one user-supplied
 behavior object and one thread) and a queue of pending messages.  ``send``
 enqueues a message together with its (label, value) sync entries and returns
-a write-once :class:`Future` immediately.  A dispatcher thread applies the
-selection rule from :mod:`mactor.scheduler`: a message starts only when its
-sync entries are disjoint from everything currently executing and from every
-earlier pending message that overlaps it, and only when an idle worker
-supports it.  Workers are handed messages in FIFO order of their idleness.
+a write-once :class:`Future` immediately.  The queue is a
+:class:`mactor.scheduler.LockTable`, which answers the selection rule of
+:func:`mactor.scheduler.select`: a message starts only when its sync entries
+are disjoint from everything currently executing and from every earlier
+pending message that overlaps it, and only when an idle worker supports it.
+Workers are handed messages in FIFO order of their idleness.
 
-Locking discipline: one mutex (with a condition variable) guards the queues,
-the worker sets and the busy-data aggregate.  The dispatcher parks on the
-condition and is woken by sends, completions, worker additions and shutdown,
-so nothing busy-waits.  User code runs on worker threads with no internal
-lock held.  A message's future is resolved before its sync entries are
-released, so a conflicting successor always observes the completed effects.
+Locking discipline: one mutex guards the lock table and the worker sets.
+There is no dispatcher thread.  Dispatch runs inline, under that mutex, at
+the end of every ``send``, every completion and every ``add_worker``, the
+only events that can make a message startable, so an actor runs exactly one
+thread per worker and nothing busy-waits.  User code runs on worker threads
+with no internal lock held.  A message's future is resolved before its sync
+entries are released, so a conflicting successor always observes the
+completed effects.
 
 Blocking on a future from a worker thread of the same actor that the awaited
 message needs is a deadlock, as with any pool; keep ``Future.get`` on
@@ -23,7 +26,6 @@ application threads.
 
 from __future__ import annotations
 
-import heapq
 import json
 import queue
 import threading
@@ -32,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .scheduler import QueuedMessage, SyncEntry, select, sync_set_of
+from .scheduler import LockTable, QueuedMessage, SyncEntry, select, sync_set_of
 
 
 class FutureFailed(Exception):
@@ -50,10 +52,15 @@ class Future:
     RESOLVED = "resolved"
     FAILED = "failed"
 
-    __slots__ = ("_cond", "_state", "_value", "_diagnostic", "_cause")
+    __slots__ = ("_claim", "_latch", "_state", "_value", "_diagnostic", "_cause")
 
     def __init__(self):
-        self._cond = threading.Condition()
+        # Two plain locks cost far less to build than a Condition.  The one
+        # call that settles takes ``_claim``; ``_latch`` stays held until
+        # then, and each blocked reader takes it and passes it on.
+        self._claim = threading.Lock()
+        self._latch = threading.Lock()
+        self._latch.acquire()
         self._state = Future.PENDING
         self._value = None
         self._diagnostic: Optional[str] = None
@@ -72,34 +79,28 @@ class Future:
         Raises TimeoutError if the deadline passes first and FutureFailed
         (with the original exception chained) if the message failed.
         """
-        with self._cond:
-            if not self._cond.wait_for(lambda: self._state != Future.PENDING, timeout):
+        if self._state == Future.PENDING:
+            if not self._latch.acquire(timeout=-1 if timeout is None else max(timeout, 0)):
                 raise TimeoutError(f"future not resolved within {timeout}s")
-            if self._state == Future.FAILED:
-                raise FutureFailed(self._diagnostic) from self._cause
-            return self._value
+            self._latch.release()
+        if self._state == Future.FAILED:
+            raise FutureFailed(self._diagnostic) from self._cause
+        return self._value
 
     def resolve(self, value) -> None:
-        with self._cond:
-            if self._state != Future.PENDING:
-                raise RuntimeError("future already settled")
-            self._state = Future.RESOLVED
-            self._value = value
-            self._cond.notify_all()
+        self._settle(Future.RESOLVED, value, None, None)
 
     def fail(self, diagnostic: str, cause: Optional[BaseException] = None) -> None:
-        with self._cond:
-            if self._state != Future.PENDING:
-                raise RuntimeError("future already settled")
-            self._state = Future.FAILED
-            self._diagnostic = diagnostic
-            self._cause = cause
-            self._cond.notify_all()
+        self._settle(Future.FAILED, None, diagnostic, cause)
 
-
-def future_get(future: Future, timeout: Optional[float] = None):
-    """Module-level alias for Future.get."""
-    return future.get(timeout)
+    def _settle(self, state: str, value, diagnostic, cause) -> None:
+        if not self._claim.acquire(blocking=False):
+            raise RuntimeError("future already settled")
+        self._value = value
+        self._diagnostic = diagnostic
+        self._cause = cause
+        self._state = state
+        self._latch.release()
 
 
 # --------------------------------------------------------------------------
@@ -172,14 +173,15 @@ class ShutdownReport:
     drained: bool
     executed: int
     failed: int
-    cancelled: int
+    cancelled: int  # unstarted messages failed by shutdown
 
 
 @dataclass(frozen=True)
 class AuditSnapshot:
-    busy_data: frozenset
+    busy_data: frozenset  # entries the lock table holds for running messages
     running: tuple  # sync set of each executing message
-    ok: bool  # busy_data equals the union and the parts are pairwise disjoint
+    startable: tuple  # (idle worker id, priority) pairs that select would start
+    ok: bool  # busy_data is the disjoint union of running, and startable is empty
 
 
 class _Worker:
@@ -193,7 +195,7 @@ class _Worker:
             for name in dir(behavior)
             if not name.startswith("_") and callable(getattr(behavior, name))
         )
-        self.inbox: queue.Queue = queue.Queue()
+        self.inbox: queue.SimpleQueue = queue.SimpleQueue()
         self.thread: Optional[threading.Thread] = None
         self.current: Optional[QueuedMessage] = None
 
@@ -202,11 +204,9 @@ class MacActor:
     """A group of workers sharing one message queue and one identity.
 
     ``behavior_factory`` is called once per initial worker; the instances it
-    returns receive the messages.  ``strategy`` picks the queue layout:
-    "scan" keeps a single pending queue that the selection rule walks, and
-    "locked" additionally parks blocked messages on a separate queue that is
-    flushed back whenever a worker frees.  The two are observably
-    equivalent; "locked" exists so that equivalence can be demonstrated.
+    returns receive the messages.  The actor starts one thread per worker
+    and no other: messages are dispatched inline by the thread that sends,
+    completes or adds a worker.
     """
 
     def __init__(
@@ -214,45 +214,30 @@ class MacActor:
         behavior_factory: Callable[[], object],
         workers: int = 1,
         *,
-        strategy: str = "scan",
-        count_unsupported: bool = True,
         event_log: Optional[EventLog] = None,
         name: str = "mac",
     ):
         if workers < 1:
             raise ValueError("an actor needs at least one worker")
-        if strategy not in ("scan", "locked"):
-            raise ValueError(f"unknown strategy {strategy!r}")
         self._name = name
-        self._strategy = strategy
-        self._count_unsupported = count_unsupported
         self._log = event_log
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._pending: deque[QueuedMessage] = deque()
-        self._locked: deque[QueuedMessage] = deque()
-        self._available: deque[_Worker] = deque()
+        self._cond = threading.Condition(self._lock)  # signals drain only
+        self._table = LockTable()
+        self._idle: deque[_Worker] = deque()
         self._busy: dict[int, _Worker] = {}
-        self._busy_data: set[SyncEntry] = set()
         self._workers: list[_Worker] = []
         self._sync_specs: dict[str, tuple] = {}
         self._next_priority = 0
         self._next_worker_id = 0
-        self._dirty = False
         self._draining = False
-        self._stopped = False
         self._report: Optional[ShutdownReport] = None
         self._executed = 0
         self._failed = 0
         self._rejected = 0
-        self._iterations = 0
         self._max_concurrent = 0
         for _ in range(workers):
             self._spawn_worker(behavior_factory())
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name=f"{name}-dispatch", daemon=True
-        )
-        self._dispatcher.start()
 
     # ---- public surface
 
@@ -277,11 +262,10 @@ class MacActor:
             sync = sync_set_of(labels, args) if labels else frozenset()
         fut = Future()
         with self._lock:
-            if self._draining or self._stopped:
+            rejected = self._draining
+            if rejected:
                 self._rejected += 1
-                rejected = True
             else:
-                rejected = False
                 msg = QueuedMessage(
                     method=method,
                     args=args,
@@ -291,7 +275,7 @@ class MacActor:
                     priority=self._next_priority,
                 )
                 self._next_priority += 1
-                self._pending.append(msg)
+                self._table.add(msg)
                 if self._log:
                     self._log.record(
                         "enqueue",
@@ -299,8 +283,7 @@ class MacActor:
                         priority=msg.priority,
                         sync=_sync_payload(sync),
                     )
-                self._dirty = True
-                self._cond.notify_all()
+                self._dispatch()
         if rejected:
             fut.fail("actor shut down; send rejected")
         return fut
@@ -308,75 +291,80 @@ class MacActor:
     def add_worker(self, behavior) -> int:
         """Grow the pool by one idle worker; pending messages are re-examined."""
         with self._lock:
-            if self._draining or self._stopped:
+            if self._draining:
                 raise RuntimeError("actor shut down")
             worker = self._spawn_worker(behavior)
-            self._dirty = True
-            self._cond.notify_all()
+            self._dispatch()
             return worker.id
 
     def shutdown(self, drain: bool = True) -> ShutdownReport:
-        """Stop the actor.  drain=True runs everything already queued first;
-        drain=False fails the pending futures.  Idempotent: repeated calls
-        return the first report."""
+        """Stop the actor.  Idempotent: repeated calls return the first report.
+
+        drain=True runs everything already queued that can run.  Once no
+        message is running nothing left can ever start (sends and new
+        workers are refused from here on), so each leftover future fails
+        with the reason: no worker supports its method, or an earlier
+        message that heads one of its keys can never start.  drain=False
+        fails every pending future at once; running messages finish.
+        """
         with self._lock:
             if self._report is not None:
                 return self._report
             self._draining = True
-            self._cond.notify_all()
             if drain:
-                self._cond.wait_for(
-                    lambda: not self._pending and not self._locked and not self._busy
-                )
-                cancelled: list[QueuedMessage] = []
+                self._cond.wait_for(lambda: not self._busy)
+                leftover = [(msg, self._why_stuck(msg)) for msg in self._table.pending()]
             else:
-                cancelled = list(self._locked) + list(self._pending)
-                self._locked.clear()
-                self._pending.clear()
-            self._stopped = True
-            self._dirty = True
-            self._cond.notify_all()
-        for msg in cancelled:
-            msg.future.fail("actor shut down")
-        for worker in list(self._workers):
+                leftover = [(msg, "actor shut down") for msg in self._table.pending()]
+            self._table.drop_pending()
+        for msg, diagnostic in leftover:
+            msg.future.fail(diagnostic)
+        for worker in self._workers:
             worker.inbox.put(None)
-        self._dispatcher.join()
-        for worker in list(self._workers):
-            if worker.thread is not None:
-                worker.thread.join()
+        for worker in self._workers:
+            worker.thread.join()
         with self._lock:
-            report = ShutdownReport(
+            self._report = ShutdownReport(
                 drained=drain,
                 executed=self._executed,
                 failed=self._failed,
-                cancelled=len(cancelled),
+                cancelled=len(leftover),
             )
-            self._report = report
-        return report
+            return self._report
 
     def audit(self) -> AuditSnapshot:
-        """Consistent snapshot of the lock aggregate, for invariant checks."""
+        """Consistent snapshot of the lock aggregate, for invariant checks.
+
+        Besides disjointness it checks that dispatch left nothing undone:
+        ``select`` over the pending queue finds no message for any idle
+        worker.
+        """
         with self._lock:
             running = tuple(w.current.sync for w in self._busy.values() if w.current)
-            busy = frozenset(self._busy_data)
+            busy = self._table.held()
+            pending = self._table.pending()
+            startable = tuple(
+                (w.id, msg.priority)
+                for w in self._idle
+                if (msg := select(w.supported, busy, pending)) is not None
+            )
         union: set = set()
         total = 0
         for entries in running:
             union |= entries
             total += len(entries)
-        ok = union == busy and len(union) == total
-        return AuditSnapshot(busy_data=busy, running=running, ok=ok)
+        ok = union == busy and len(union) == total and not startable
+        return AuditSnapshot(busy_data=busy, running=running, startable=startable, ok=ok)
 
     def stats(self) -> dict:
         with self._lock:
             return {
                 "workers": len(self._workers),
-                "pending": len(self._pending) + len(self._locked),
+                "pending": len(self._table),
                 "busy": len(self._busy),
                 "executed": self._executed,
                 "failed": self._failed,
                 "rejected": self._rejected,
-                "dispatch_iterations": self._iterations,
                 "max_concurrent": self._max_concurrent,
             }
 
@@ -397,70 +385,38 @@ class MacActor:
             daemon=True,
         )
         self._workers.append(worker)
-        self._available.append(worker)
+        self._idle.append(worker)
         worker.thread.start()
         return worker
 
-    def _queue_view(self) -> Sequence[QueuedMessage]:
-        if self._strategy == "locked" and self._locked:
-            return list(heapq.merge(self._locked, self._pending, key=lambda m: m.priority))
-        return self._pending
-
-    def _remove_message(self, msg: QueuedMessage) -> None:
-        if self._pending and self._pending[0] is msg:
-            self._pending.popleft()
-        elif self._locked and self._locked[0] is msg:
-            self._locked.popleft()
-        else:
-            try:
-                self._pending.remove(msg)
-            except ValueError:
-                self._locked.remove(msg)
-
-    def _dispatch_pass(self) -> None:
-        # Runs with the lock held.
-        while self._available:
-            view = self._queue_view()
-            if not view:
-                break
-            chosen = None
-            chosen_worker = None
-            for worker in self._available:  # FIFO order over idle workers
-                msg = select(
-                    worker.supported,
-                    self._busy_data,
-                    view,
-                    count_unsupported=self._count_unsupported,
-                )
+    def _dispatch(self) -> None:
+        # Runs with the lock held.  Idle workers are asked in FIFO order of
+        # idleness; the first that supports a ready message gets the
+        # earliest one it supports.
+        table, idle = self._table, self._idle
+        while idle:
+            for worker in idle:
+                msg = table.take(worker.supported)
                 if msg is not None:
-                    chosen, chosen_worker = msg, worker
                     break
-            if chosen is None:
-                break
-            self._remove_message(chosen)
-            self._available.remove(chosen_worker)
-            self._busy[chosen_worker.id] = chosen_worker
-            chosen_worker.current = chosen
-            self._busy_data |= chosen.sync
-            self._max_concurrent = max(self._max_concurrent, len(self._busy))
-            chosen_worker.inbox.put(chosen)
-        if self._strategy == "locked" and self._pending:
-            # Everything still pending is blocked right now; park it on the
-            # locked queue until a completion or arrival flushes it back.
-            self._locked.extend(self._pending)
-            self._pending.clear()
+            else:
+                return
+            idle.remove(worker)
+            self._busy[worker.id] = worker
+            worker.current = msg
+            if len(self._busy) > self._max_concurrent:
+                self._max_concurrent = len(self._busy)
+            worker.inbox.put(msg)
 
-    def _dispatch_loop(self) -> None:
-        with self._cond:
-            while True:
-                self._iterations += 1
-                self._dispatch_pass()
-                self._dirty = False
-                if self._stopped:
-                    return
-                self._cond.wait_for(lambda: self._dirty or self._stopped)
-                if self._stopped:
-                    return
+    def _why_stuck(self, msg: QueuedMessage) -> str:
+        # Only called once nothing runs and nothing can start.
+        if not any(msg.signature in w.supported for w in self._workers):
+            return f"no worker supports {msg.method!r}"
+        key, head = self._table.blocker(msg)
+        return (
+            f"shadowed by priority {head.priority} ({head.method!r}) "
+            f"on key ({key.label!r}, {key.value!r}), which can never start"
+        )
 
     def _worker_loop(self, worker: _Worker) -> None:
         while True:
@@ -479,7 +435,10 @@ class MacActor:
             result = None
             try:
                 result = getattr(worker.behavior, msg.method)(*msg.args)
-            except Exception as exc:  # user code failed; locks still release
+            except BaseException as exc:
+                # Not re-raised: a worker thread receives no interrupts, and a
+                # SystemExit here would only end this thread with the
+                # message's entries held.  The future carries it instead.
                 error = exc
             if self._log:
                 self._log.record(
@@ -505,21 +464,11 @@ class MacActor:
             )
             del self._busy[worker.id]
             worker.current = None
-            self._available.append(worker)
-            self._busy_data -= msg.sync
+            self._idle.append(worker)
+            self._table.complete(msg)
             if failed:
                 self._failed += 1
             self._executed += 1
-            if self._strategy == "locked" and self._locked:
-                merged = list(
-                    heapq.merge(self._locked, self._pending, key=lambda m: m.priority)
-                )
-                self._pending = deque(merged)
-                self._locked.clear()
-            self._dirty = True
-            self._cond.notify_all()
-
-
-def new_actor(behavior_factory: Callable[[], object], workers: int, **kwargs) -> MacActor:
-    """Create a running actor; convenience wrapper over MacActor()."""
-    return MacActor(behavior_factory, workers, **kwargs)
+            self._dispatch()
+            if self._draining and not self._busy:
+                self._cond.notify_all()

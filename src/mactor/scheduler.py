@@ -10,12 +10,17 @@ supports.  Skipped messages shadow later ones even when they were skipped
 for signature reasons alone; that literal reading is what guarantees that
 conflicting messages start in their enqueue order.
 
-Everything here is pure and operates on immutable snapshots.  Callers that
-share queues between threads take their own locks around the call.
+``select`` is pure and operates on immutable snapshots; it is the one
+specification of which message may start.  :class:`LockTable` keeps the
+same answer incrementally for a queue that changes one message at a time.
+Neither takes a lock: callers that share them between threads hold their
+own lock around every call.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import Container, Hashable, Iterable, Optional, Sequence
 
@@ -98,3 +103,126 @@ def lock_union(lock_sets: Iterable[frozenset[SyncEntry]]) -> frozenset[SyncEntry
     for entries in lock_sets:
         out |= entries
     return frozenset(out)
+
+
+class LockTable:
+    """The pending queue of one group, kept so that :func:`select` is cheap.
+
+    Under the strict rule a message may start exactly when it heads the FIFO
+    of every one of its sync entries: an earlier message on the same entry,
+    running or skipped, would otherwise be in the accumulated set.  So the
+    table keeps one FIFO per entry, in priority order, and a running message
+    stays at the head of its FIFOs until :meth:`complete`.  A pending
+    message counts the entries on which it is not yet at the head; the ones
+    at zero sit in a heap ordered by priority, and :meth:`take` returns the
+    first of them whose signature is supported, which is what ``select``
+    returns over the same pending queue and held set.
+
+    ``add`` costs O(|sync| + log n), ``complete`` O(|sync| log n), and
+    ``take`` O(log n) when the earliest ready message is supported (O(n)
+    otherwise).  Messages must be added in increasing priority order.
+    """
+
+    __slots__ = ("_fifos", "_blocked", "_ready", "_pending")
+
+    def __init__(self):
+        self._fifos: dict[SyncEntry, deque[QueuedMessage]] = {}
+        self._blocked: dict[int, int] = {}  # priority -> entries not yet at the head
+        self._ready: list[tuple[int, QueuedMessage]] = []  # heap of unblocked pending
+        self._pending: dict[int, QueuedMessage] = {}  # not yet started, in priority order
+
+    def __len__(self) -> int:
+        return len(self._pending)
+
+    def pending(self) -> list[QueuedMessage]:
+        """Messages not yet started, in priority (queue) order."""
+        return list(self._pending.values())
+
+    def held(self) -> frozenset[SyncEntry]:
+        """Entries held by running messages (the ``held`` of ``select``)."""
+        return frozenset(
+            key for key, fifo in self._fifos.items() if fifo[0].priority not in self._pending
+        )
+
+    def add(self, msg: QueuedMessage) -> None:
+        blocked = 0
+        for key in msg.sync:
+            fifo = self._fifos.get(key)
+            if fifo is None:
+                self._fifos[key] = deque((msg,))
+            else:
+                fifo.append(msg)
+                blocked += 1
+        self._pending[msg.priority] = msg
+        if blocked:
+            self._blocked[msg.priority] = blocked
+        else:
+            heapq.heappush(self._ready, (msg.priority, msg))
+
+    def peek(self, supported: Container) -> Optional[QueuedMessage]:
+        """What :meth:`take` would return, without starting it."""
+        ready = self._ready
+        if not ready:
+            return None
+        if ready[0][1].signature in supported:
+            return ready[0][1]
+        best = None
+        for priority, msg in ready:
+            if msg.signature in supported and (best is None or priority < best.priority):
+                best = msg
+        return best
+
+    def take(self, supported: Container) -> Optional[QueuedMessage]:
+        """Start and return the message ``select`` picks for an idle object
+        supporting ``supported``, or None.  It stays at the head of its
+        entries' FIFOs until :meth:`complete`."""
+        msg = self.peek(supported)
+        if msg is None:
+            return None
+        ready = self._ready
+        if ready[0][1] is msg:
+            heapq.heappop(ready)
+        else:
+            ready.remove((msg.priority, msg))
+            heapq.heapify(ready)
+        del self._pending[msg.priority]
+        return msg
+
+    def complete(self, msg: QueuedMessage) -> None:
+        """Release a running message's entries; the next message in each of
+        its FIFOs moves up, and becomes ready once it heads all of them."""
+        for key in msg.sync:
+            fifo = self._fifos[key]
+            head = fifo.popleft()
+            assert head is msg, "completed a message that was not running"
+            if not fifo:
+                del self._fifos[key]
+                continue
+            nxt = fifo[0].priority
+            left = self._blocked[nxt] - 1
+            if left:
+                self._blocked[nxt] = left
+            else:
+                del self._blocked[nxt]
+                heapq.heappush(self._ready, (nxt, fifo[0]))
+
+    def blocker(self, msg: QueuedMessage) -> Optional[tuple[SyncEntry, QueuedMessage]]:
+        """The first entry on which a pending ``msg`` is not at the head, with
+        the message that heads it; None when ``msg`` is ready."""
+        for key in sorted(msg.sync, key=repr):
+            head = self._fifos[key][0]
+            if head is not msg:
+                return key, head
+        return None
+
+    def drop_pending(self) -> None:
+        """Remove every message not yet started; running messages keep
+        their entries until they complete."""
+        self._fifos = {
+            key: deque((fifo[0],))
+            for key, fifo in self._fifos.items()
+            if fifo[0].priority not in self._pending
+        }
+        self._blocked.clear()
+        self._ready.clear()
+        self._pending.clear()

@@ -149,13 +149,6 @@ def test_zero_balance_withdraw_only():
     assert report.shutdown.executed == 100
 
 
-def test_locked_strategy_matches_oracle_too():
-    w = Workload(accounts=8, requests=1500, seed=21)
-    log = EventLog()
-    report = run_scenario(w, workers=4, strategy="locked", event_log=log)
-    assert report.ordering is not None and report.ordering.ok
-
-
 def test_too_few_requests_rejected():
     with pytest.raises(ValueError):
         run_scenario(Workload(accounts=10, requests=5), workers=1)

@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 
@@ -9,8 +10,6 @@ from mactor import (
     FutureFailed,
     MacActor,
     SyncEntry,
-    future_get,
-    new_actor,
     synced,
 )
 
@@ -69,7 +68,7 @@ def test_future_same_value_across_threads():
     lock = threading.Lock()
 
     def reader():
-        value = future_get(f, timeout=5)
+        value = f.get(timeout=5)
         with lock:
             seen.append(value)
 
@@ -116,7 +115,7 @@ def test_zero_workers_rejected():
 
 def test_single_worker_runs_in_send_order(cleanup):
     log = []
-    actor = new_actor(lambda: Recorder(log), 1)
+    actor = MacActor(lambda: Recorder(log), 1)
     cleanup(actor)
     futures = [actor.send("free", (i,)) for i in range(25)]
     actor.shutdown(drain=True)
@@ -221,21 +220,24 @@ def test_first_idle_worker_takes_the_message(cleanup):
     assert log[0][2] == 0  # the first-created worker served it
 
 
-def test_dispatcher_parks_without_busy_waiting(cleanup):
+def test_one_thread_per_worker_and_blocked_messages_start_in_send_order(cleanup):
     log = []
     gate = threading.Event()
-    actor = MacActor(lambda: Recorder(log, gate=gate), 1)
+    before = set(threading.enumerate())
+    actor = MacActor(lambda: Recorder(log, gate=gate), 3, name="threads-probe")
     cleanup(actor)
-    actor.send("locked", (5, "hold"))
-    for i in range(4):  # all conflict with the running message
-        actor.send("locked", (5, i))
+    started = set(threading.enumerate()) - before
+    assert sorted(t.name for t in started) == [f"threads-probe-w{i}" for i in range(3)]
+    hold = actor.send("locked", (5, "hold"))
+    blocked = [actor.send("locked", (5, i)) for i in range(6)]  # all conflict with it
     time.sleep(0.1)
-    before = actor.stats()["dispatch_iterations"]
-    time.sleep(0.25)
-    after = actor.stats()["dispatch_iterations"]
-    assert after == before  # parked, not spinning
+    assert actor.stats()["busy"] == 1 and not any(f.done() for f in blocked)
     gate.set()
     actor.shutdown(drain=True)
+    assert hold.get(timeout=1) and all(f.get(timeout=1) for f in blocked)
+    order = [args[1] for (m, args, _, _, _) in log if m == "locked"]
+    assert order == ["hold", *range(6)]
+    assert all(not t.is_alive() for t in started)
 
 
 def test_audit_holds_under_load(cleanup):
@@ -284,13 +286,49 @@ def test_unsupported_method_shadows_conflicting_messages(cleanup):
     actor.shutdown(drain=True)
 
 
-def test_relaxed_mode_ignores_unsupported_shadow(cleanup):
+def test_drain_fails_messages_no_worker_can_start(cleanup):
     log = []
-    actor = MacActor(lambda: Recorder(log), 2, count_unsupported=False)
+    actor = MacActor(lambda: Recorder(log), 2)
     cleanup(actor)
-    actor.send("ghost", (0,), sync_data=[SyncEntry("a", 1)])
-    real = actor.send("locked", (1, "after"))
-    assert real.get(timeout=5) is not None
+    ghost = actor.send("ghost", (0,), sync_data=[SyncEntry("a", 1)])
+    shadowed = actor.send("locked", (1, "after"))
+    free = actor.send("free", ("runs",))
+    closer = threading.Thread(target=actor.shutdown, daemon=True)
+    closer.start()
+    closer.join(timeout=2)
+    assert not closer.is_alive(), "shutdown(drain=True) hung on an unstartable message"
+    assert free.get(timeout=1) is not None
+    with pytest.raises(FutureFailed, match="no worker supports 'ghost'"):
+        ghost.get(timeout=1)
+    with pytest.raises(FutureFailed, match=r"shadowed by priority 0 .*'a', 1"):
+        shadowed.get(timeout=1)
+    report = actor.shutdown()
+    assert report.executed == 1 and report.cancelled == 2
+
+
+def test_system_exit_in_user_code_fails_future_and_keeps_worker(cleanup):
+    class Quitter:
+        @synced("a")
+        def quit(self, key):
+            raise SystemExit("bye")
+
+        @synced("a")
+        def poke(self, key):
+            return key
+
+    actor = MacActor(Quitter, workers=1)
+    cleanup(actor)
+    gone = actor.send("quit", (3,))
+    after = actor.send("poke", (3,))  # same entry, same and only worker
+    assert after.get(timeout=2) == 3
+    with pytest.raises(FutureFailed, match="SystemExit: bye") as err:
+        gone.get(timeout=1)
+    assert isinstance(err.value.__cause__, SystemExit)
+    closer = threading.Thread(target=actor.shutdown, daemon=True)
+    closer.start()
+    closer.join(timeout=2)
+    assert not closer.is_alive(), "shutdown(drain=True) hung after a SystemExit"
+    assert actor.shutdown().failed == 1
 
 
 def test_drain_shutdown_counts_everything(cleanup):
@@ -386,8 +424,7 @@ def test_sync_derivation_from_annotations(cleanup):
     assert enq["sync"] == [["a", 1], ["a", 2]]
 
 
-@pytest.mark.parametrize("strategy", ["scan", "locked"])
-def test_strategies_reach_identical_results(cleanup, strategy):
+def test_per_key_results_follow_send_order(cleanup):
     class Adder:
         data = None
 
@@ -401,7 +438,7 @@ def test_strategies_reach_identical_results(cleanup, strategy):
             return value
 
     shared = {}
-    actor = MacActor(lambda: Adder(shared), workers=3, strategy=strategy)
+    actor = MacActor(lambda: Adder(shared), workers=3)
     cleanup(actor)
     futures = [actor.send("bump", (i % 5, 1)) for i in range(500)]
     actor.shutdown(drain=True)
@@ -412,3 +449,51 @@ def test_strategies_reach_identical_results(cleanup, strategy):
         per_key.setdefault(i % 5, []).append(f.get(timeout=1))
     for key, values in per_key.items():
         assert values == list(range(1, 101))
+
+
+def test_inline_dispatch_from_many_threads_loses_no_update(cleanup):
+    """Senders and completing workers all dispatch; with a short switch
+    interval and more workers than CPUs, per-key counts still come out
+    exact and each key's results are one running count in send order."""
+
+    class Adder:
+        def __init__(self, shared):
+            self.shared = shared
+
+        @synced("k", None)
+        def bump(self, key, by):
+            value = self.shared.get(key, 0) + by
+            self.shared[key] = value
+            return value
+
+    shared = {}
+    actor = MacActor(lambda: Adder(shared), workers=8)
+    cleanup(actor)
+    results = [[] for _ in range(3)]
+
+    def sender(out):
+        out.extend((i % 4, actor.send("bump", (i % 4, 1))) for i in range(600))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        senders = [threading.Thread(target=sender, args=(out,)) for out in results]
+        for t in senders:
+            t.start()
+        for t in senders:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in senders)
+        actor.shutdown(drain=True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert shared == {k: 450 for k in range(4)}
+    per_key = {}
+    for out in results:
+        mine = {}
+        for key, f in out:
+            mine.setdefault(key, []).append(f.get(timeout=1))
+        for key, values in mine.items():
+            assert values == sorted(values)  # one sender's messages keep send order
+            per_key.setdefault(key, []).extend(values)
+    assert all(sorted(values) == list(range(1, 451)) for values in per_key.values())
+    assert actor.audit().ok

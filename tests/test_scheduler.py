@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mactor import EMPTY_LOCKS, QueuedMessage, SyncEntry, lock_union, select, sync_set_of
+from mactor.scheduler import LockTable
 
 
 def entry(label, value):
@@ -177,3 +178,66 @@ def test_select_is_pure(supported, held, queue):
     second = select(supported, held, queue)
     assert first is second
     assert all(m.sync == n.sync for m, n in zip(queue, queue))
+
+
+# ---- the lock table against select
+
+WORKER_KINDS = (frozenset({"a", "b"}), frozenset({"a"}), frozenset({"b"}))
+# "ghost" is a method no worker supports; a key list may repeat an entry
+table_ops_st = st.lists(
+    st.one_of(
+        st.tuples(st.just("send"), st.sampled_from(["a", "b", "ghost"]), st.lists(entries_st, max_size=3)),
+        st.tuples(st.just("start"), st.integers(0, 7)),
+        st.tuples(st.just("complete"), st.integers(0, 7)),
+        st.tuples(st.just("add_worker"), st.sampled_from(WORKER_KINDS)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(WORKER_KINDS), min_size=1, max_size=2), table_ops_st)
+def test_lock_table_matches_select(workers, ops):
+    """After every send, start, completion or new worker, the table offers
+    each worker exactly what select picks over a plain list of the pending
+    messages, with the running messages' entries held."""
+    table, pending, running = LockTable(), [], []
+    workers = list(workers)
+    for i, op in enumerate(ops):
+        if op[0] == "send":
+            message = QueuedMessage(op[1], (), None, frozenset(op[2]), op[1], i)
+            table.add(message)
+            pending.append(message)
+        elif op[0] == "start":
+            supported = workers[op[1] % len(workers)]
+            chosen = select(supported, lock_union(m.sync for m in running), pending)
+            assert table.take(supported) is chosen
+            if chosen is not None:
+                pending.remove(chosen)
+                running.append(chosen)
+        elif op[0] == "complete" and running:
+            table.complete(running.pop(op[1] % len(running)))
+        elif op[0] == "add_worker":
+            workers.append(op[1])
+        held = lock_union(m.sync for m in running)
+        assert table.held() == held
+        assert table.pending() == pending and len(table) == len(pending)
+        for supported in workers:
+            assert table.peek(supported) is select(supported, held, pending)
+
+
+def test_lock_table_blocker_and_drop_pending():
+    table = LockTable()
+    running = msg(0, {entry(L, 1)})
+    ghost = msg(1, {entry(L, 2)}, signature="ghost")
+    transfer = msg(2, {entry(L, 1), entry(L, 2)})
+    for m in (running, ghost, transfer):
+        table.add(m)
+    assert table.take({"s"}) is running
+    assert table.blocker(ghost) is None
+    assert table.blocker(transfer) == (entry(L, 1), running)
+    assert table.pending() == [ghost, transfer]
+    table.drop_pending()
+    assert table.held() == {entry(L, 1)} and len(table) == 0
+    table.complete(running)
+    assert table.held() == frozenset() and table.take({"s", "ghost"}) is None
