@@ -1,7 +1,16 @@
 """Exhaustive interleaving exploration with invariant checking.
 
 Breadth-first search over :func:`mactor.interp.enabled_steps`, deduplicating
-states by their canonical form.  Two invariants are checked along the way:
+states by :meth:`Configuration.canonical`.  That key is a short flat tuple
+of ints: every component of a state (statement, closure, object, group,
+heap, queues, futures) is interned once per program into a small number
+(hash-consing), a component is keyed the first time it appears and reused
+by every later state that shares it, and a successor reuses its parent's
+part for every dict the step did not replace.  So keying a successor costs
+about what the step changed, and the visited set holds and compares flat
+int tuples.  Values are keyed with their types, so a state holding ``True``
+is not merged with one holding ``1``.  Two invariants are checked along the
+way:
 
 * lock disjointness: inside every group, the lock sets held by distinct
   objects never intersect;
@@ -90,7 +99,7 @@ def explore_all(
     # key -> (parent key, label); the root has no parent
     parents: dict = {root_key: None}
     seen_terminal: set = set()
-    frontier: deque = deque([(config, 0)])
+    frontier: deque = deque([(config, root_key, 0)])
 
     def trace_to(key) -> tuple[StepLabel, ...]:
         steps: list[StepLabel] = []
@@ -100,9 +109,8 @@ def explore_all(
         return tuple(reversed(steps))
 
     while frontier:
-        current, dist = frontier.popleft()
+        current, key, dist = frontier.popleft()
         report.states += 1
-        key = current.canonical()
         if "theorem1" in checks:
             problem = _check_lock_disjointness(current)
             if problem:
@@ -132,5 +140,5 @@ def explore_all(
             if succ_key in parents:
                 continue
             parents[succ_key] = (key, label)
-            frontier.append((succ, dist + 1))
+            frontier.append((succ, succ_key, dist + 1))
     return report

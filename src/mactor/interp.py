@@ -18,7 +18,8 @@ the diagnostic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, field, replace as dc_replace
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .scheduler import (
@@ -124,6 +125,16 @@ class Hole(Expr):
 class Closure:
     env: dict  # var name -> Value; includes 'this' and, in message bodies, 'dest'
     stmts: tuple[Stmt, ...]
+    # interned keys of the closure and of its env, set by
+    # ProgramIndex.closure_id on first use
+    _id: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    _env_id: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def with_stmts(self, stmts: tuple) -> "Closure":
+        """This environment running ``stmts``; the env's key carries over."""
+        out = Closure(self.env, stmts)
+        object.__setattr__(out, "_env_id", self._env_id)
+        return out
 
 
 Thread = tuple  # of Closure; empty tuple means idle
@@ -136,6 +147,8 @@ class ObjectState:
     ifaces: frozenset[str]
     locks: frozenset[SyncEntry]
     fields: dict  # field name -> Value
+    # interned key, set by ProgramIndex.object_id on first use
+    _id: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,8 +181,44 @@ class _EvalFault(Exception):
         self.diagnostic = diagnostic
 
 
+class _Id(int):
+    """Number of an interned key.  An int, but of its own type, so that
+    :meth:`ProgramIndex.expand` can tell it from the plain ints in a key."""
+
+    __slots__ = ()
+
+
+_ref_id = attrgetter("id")
+
+
+def _by_id(refs: dict, *keys) -> tuple:
+    """``(id, key...)`` for each entry of a dict keyed by ObjRef or FutRef,
+    in id order; ``keys`` are iterables over the dict's values."""
+    return tuple(sorted(zip(map(_ref_id, refs), *keys)))
+
+
+# Machine values are keyed as themselves next to their types, because
+# Python equality merges True with 1 and False with 0.  ObjRef and FutRef
+# compare by class and id, so a reference never equals the int of its id.
+
+def _items_key(d: dict) -> tuple:
+    """Key of a name -> value dict (an environment or the fields)."""
+    values = d.values()
+    return tuple(sorted(zip(d, map(type, values), values)))
+
+
 class ProgramIndex:
-    """Lookup tables derived once from a resolved program."""
+    """Lookup tables derived once from a resolved program, and the intern
+    table behind :meth:`Configuration.canonical`.
+
+    Interning (hash-consing) maps each distinct component key to a small
+    :class:`_Id`, so a state key is a flat tuple of ints that hashes and
+    compares in C.  Statements are numbered once, when first met; closures
+    and object states cache their number; heap, queues, futures and each
+    group are interned as parts, and a configuration reuses the part of its
+    parent for every dict a step did not replace.  The table lives and dies
+    with its index: numbers from two indexes are not comparable.
+    """
 
     def __init__(self, program: Program):
         self.program = program
@@ -188,6 +237,102 @@ class ProgramIndex:
             )
             for c in program.classes
         }
+        self._ids: dict = {}  # key -> _Id
+        self._keys: list = []  # _Id -> key
+        # id() of each statement met so far -> its number, by structure, so
+        # structurally equal statements share a number.  Numbering happens
+        # on first sight, not here, to keep set-up cheap; _numbered holds
+        # each statement so that its id() is not reused.
+        self._stmt_ids: dict[int, _Id] = {}
+        self._numbered: list[Stmt] = []
+
+    # ---- interning
+
+    def intern(self, key) -> _Id:
+        found = self._ids.get(key)
+        if found is None:
+            found = self._ids[key] = _Id(len(self._keys))
+            self._keys.append(key)
+        return found
+
+    def expand(self, key):
+        """``key`` with every interned number replaced by the structure it
+        stands for: comparable across indexes, and slow."""
+        if type(key) is _Id:
+            return self.expand(self._keys[key])
+        if type(key) is tuple:
+            return tuple([self.expand(k) for k in key])
+        return key
+
+    def _stmt_key(self, s: Stmt):
+        # First sight of a statement.  The heads the step rules build for a
+        # caller waiting on a synchronous call, then holding its result,
+        # are new objects every time: keyed by structure, never numbered.
+        value = s.value if type(s) is Assign else None
+        if type(value) is Hole:
+            return ("hole", s.target)
+        if type(value) is ValueLit:
+            return ("value", s.target, type(value.value), value.value)
+        number = self._stmt_ids[id(s)] = self.intern(s)
+        self._numbered.append(s)
+        return number
+
+    def closure_id(self, c: Closure) -> _Id:
+        found = c._id
+        if found is None:
+            env = c._env_id
+            if env is None:
+                env = self.intern(_items_key(c.env))
+                object.__setattr__(c, "_env_id", env)
+            code = tuple(map(self._stmt_ids.get, map(id, c.stmts)))
+            if None in code:
+                code = tuple(
+                    [k if k is not None else self._stmt_key(s) for k, s in zip(code, c.stmts)]
+                )
+            found = self.intern((env, code))
+            object.__setattr__(c, "_id", found)
+        return found
+
+    def object_id(self, st: ObjectState) -> _Id:
+        found = st._id
+        if found is None:
+            locks = frozenset([(e.label, type(e.value), e.value) for e in st.locks])
+            found = self.intern(
+                (st.cls, st.myactor.id, st.ifaces, locks, _items_key(st.fields))
+            )
+            object.__setattr__(st, "_id", found)
+        return found
+
+    def heap_id(self, heap: dict) -> _Id:
+        return self.intern(_by_id(heap, map(self.object_id, heap.values())))
+
+    def queues_id(self, queues: dict) -> _Id:
+        # A message's signature and sync set follow from its method and args.
+        return self.intern(
+            _by_id(
+                queues,
+                [
+                    tuple(
+                        [
+                            (m.priority, m.method, tuple(map(type, m.args)), m.args, m.future.id)
+                            for m in q
+                        ]
+                    )
+                    for q in queues.values()
+                ],
+            )
+        )
+
+    def futures_id(self, futures: dict) -> _Id:
+        values = futures.values()
+        return self.intern(_by_id(futures, map(type, values), values))
+
+    def group_id(self, actor: int, group: dict) -> _Id:
+        closure_id = self.closure_id
+        threads = [tuple(map(closure_id, t)) for t in group.values()]
+        return self.intern((actor, _by_id(group, threads)))
+
+    # ---- program lookups
 
     def supported(self, cls: Optional[str]) -> frozenset[MethodSig]:
         if cls is None:
@@ -225,6 +370,8 @@ class Configuration:
         "next_priority",
         "fault",
         "_canon",
+        "_groups",
+        "_base",
     )
 
     def __init__(
@@ -251,6 +398,9 @@ class Configuration:
         self.next_priority = next_priority
         self.fault = fault
         self._canon = None
+        self._groups: Optional[dict] = None  # id(group dict) -> its interned part
+        # nearest ancestor whose key is known, until this key is computed
+        self._base: Optional[Configuration] = None
 
     def evolve(self, **changes) -> "Configuration":
         kwargs = dict(
@@ -266,59 +416,65 @@ class Configuration:
             fault=self.fault,
         )
         kwargs.update(changes)
-        return Configuration(**kwargs)
+        out = Configuration(**kwargs)
+        out._base = self if self._canon is not None else self._base
+        return out
 
-    # Canonical form: nested tuples with dict entries sorted, usable as a
-    # visited-set key during exploration and for equality in tests.
     def canonical(self):
+        """Key of this state for the explorer's visited set.
+
+        ``(fault, heap, queues, futures, group..., next_obj, next_fut,
+        next_priority)``, with one interned part per group; all but
+        ``fault`` are ints.  Two configurations of one ProgramIndex have
+        equal keys exactly when they are structurally equal, values compared
+        with their type (``True`` is not ``1``).
+        """
         if self._canon is None:
-            heap = tuple(
-                (
-                    o.id,
-                    st.cls,
-                    st.myactor.id,
-                    st.ifaces,
-                    st.locks,
-                    tuple(sorted(st.fields.items())),
-                )
-                for o, st in sorted(self.heap.items(), key=lambda kv: kv[0].id)
-            )
-            queues = tuple(
-                (a.id, q) for a, q in sorted(self.queues.items(), key=lambda kv: kv[0].id)
-            )
-            futures = tuple(
-                (f.id, v if v is not PENDING else "<pending>")
-                for f, v in sorted(self.futures.items(), key=lambda kv: kv[0].id)
-            )
-            actors = tuple(
-                (
-                    a.id,
-                    tuple(
-                        (o.id, tuple((tuple(sorted(c.env.items())), c.stmts) for c in thread))
-                        for o, thread in sorted(group.items(), key=lambda kv: kv[0].id)
-                    ),
-                )
-                for a, group in sorted(self.actors.items(), key=lambda kv: kv[0].id)
-            )
+            index = self.index
+            base = self._base
+            if base is None:
+                heap = queues = futures = None
+                known: dict = {}
+            else:
+                heap = base._canon[1] if base.heap is self.heap else None
+                queues = base._canon[2] if base.queues is self.queues else None
+                futures = base._canon[3] if base.futures is self.futures else None
+                known = base._groups
+                self._base = None
+            groups = {}
+            for a, group in self.actors.items():
+                part = known.get(id(group))
+                groups[id(group)] = index.group_id(a.id, group) if part is None else part
+            self._groups = groups
             self._canon = (
                 self.fault,
-                heap,
-                queues,
-                futures,
-                actors,
+                index.heap_id(self.heap) if heap is None else heap,
+                index.queues_id(self.queues) if queues is None else queues,
+                index.futures_id(self.futures) if futures is None else futures,
+                # a group's part holds its id, so ordering parts by number
+                # is as canonical as ordering them by group id
+                *sorted(groups.values()),
                 self.next_obj,
                 self.next_fut,
                 self.next_priority,
             )
         return self._canon
 
+    def _structure(self):
+        key = self.index.expand(self.canonical())
+        # group parts are in the order of their numbers, which is the order
+        # an index first met them; sorted, they are in group id order
+        return key[:4] + tuple(sorted(key[4:-3])) + key[-3:]
+
+    # Equality is structural, also between configurations of separate
+    # initial_config calls, whose interned numbers differ.
     def __eq__(self, other) -> bool:
         if not isinstance(other, Configuration):
             return NotImplemented
-        return self.canonical() == other.canonical()
+        return self._structure() == other._structure()
 
     def __hash__(self) -> int:
-        return hash(self.canonical())
+        return hash(self._structure())
 
     # ---- inspection helpers
 
@@ -619,7 +775,9 @@ def _with_thread(config: Configuration, actor: ObjRef, obj: ObjRef, thread: Thre
 def _with_top(
     config: Configuration, label: StepLabel, thread: Thread, env: dict, stmts: tuple, **more
 ) -> Configuration:
-    new_thread = thread[:-1] + (Closure(env, stmts),)
+    top = thread[-1]
+    new_top = top.with_stmts(stmts) if env is top.env else Closure(env, stmts)
+    new_thread = thread[:-1] + (new_top,)
     return _with_thread(config, label.actor, label.obj, new_thread, **more)
 
 
@@ -676,7 +834,7 @@ def _sync_call(config, label, thread, top, s) -> Configuration:
         callee_env[p.name] = v
     for d in mdef.locals:
         callee_env[d.name] = default_value(d.type)
-    waiting = Closure(top.env, (Assign(s.target, Hole()),) + top.stmts[1:])
+    waiting = top.with_stmts((Assign(s.target, Hole()),) + top.stmts[1:])
     new_thread = thread[:-1] + (waiting, Closure(callee_env, mdef.body))
     return _with_thread(config, label.actor, label.obj, new_thread)
 
@@ -691,7 +849,7 @@ def _sync_return(config, label, thread, top, s) -> Configuration:
         "caller is not waiting on a synchronous call",
     )
     v = _eval(config, top.env, s.value)
-    resumed = Closure(below.env, (Assign(head.target, ValueLit(v)),) + below.stmts[1:])
+    resumed = below.with_stmts((Assign(head.target, ValueLit(v)),) + below.stmts[1:])
     new_thread = thread[:-2] + (resumed,)
     return _with_thread(config, label.actor, label.obj, new_thread)
 

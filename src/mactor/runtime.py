@@ -88,19 +88,26 @@ class Future:
         return self._value
 
     def resolve(self, value) -> None:
-        self._settle(Future.RESOLVED, value, None, None)
+        if not self._settle(Future.RESOLVED, value, None, None):
+            raise RuntimeError("future already settled")
 
     def fail(self, diagnostic: str, cause: Optional[BaseException] = None) -> None:
-        self._settle(Future.FAILED, None, diagnostic, cause)
-
-    def _settle(self, state: str, value, diagnostic, cause) -> None:
-        if not self._claim.acquire(blocking=False):
+        if not self._settle(Future.FAILED, None, diagnostic, cause):
             raise RuntimeError("future already settled")
+
+    def _settle(self, state: str, value, diagnostic, cause) -> bool:
+        """Settle unless already settled; True if this call settled.  The
+        actor settles through here, because a caller may have settled the
+        future first, and the actor must go on to free the message's
+        entries."""
+        if not self._claim.acquire(blocking=False):
+            return False
         self._value = value
         self._diagnostic = diagnostic
         self._cause = cause
         self._state = state
         self._latch.release()
+        return True
 
 
 # --------------------------------------------------------------------------
@@ -160,11 +167,6 @@ def synced(*labels: Optional[str]) -> Callable:
     return mark
 
 
-def sync_labels_of(behavior, method: str) -> Optional[tuple]:
-    fn = getattr(type(behavior), method, None)
-    return getattr(fn, "_sync_labels", None)
-
-
 # --------------------------------------------------------------------------
 # the actor
 
@@ -185,16 +187,18 @@ class AuditSnapshot:
 
 
 class _Worker:
-    __slots__ = ("id", "behavior", "supported", "inbox", "thread", "current")
+    __slots__ = ("id", "behavior", "labels", "supported", "inbox", "thread", "current")
 
     def __init__(self, worker_id: int, behavior):
         self.id = worker_id
         self.behavior = behavior
-        self.supported = frozenset(
-            name
+        # public method name -> its @synced labels, or None
+        self.labels: dict[str, Optional[tuple]] = {
+            name: getattr(method, "_sync_labels", None)
             for name in dir(behavior)
-            if not name.startswith("_") and callable(getattr(behavior, name))
-        )
+            if not name.startswith("_") and callable(method := getattr(behavior, name))
+        }
+        self.supported = frozenset(self.labels)
         self.inbox: queue.SimpleQueue = queue.SimpleQueue()
         self.thread: Optional[threading.Thread] = None
         self.current: Optional[QueuedMessage] = None
@@ -227,7 +231,7 @@ class MacActor:
         self._idle: deque[_Worker] = deque()
         self._busy: dict[int, _Worker] = {}
         self._workers: list[_Worker] = []
-        self._sync_specs: dict[str, tuple] = {}
+        self._sync_specs: dict[str, Optional[tuple]] = {}  # method -> @synced labels
         self._next_priority = 0
         self._next_worker_id = 0
         self._draining = False
@@ -236,8 +240,12 @@ class MacActor:
         self._failed = 0
         self._rejected = 0
         self._max_concurrent = 0
-        for _ in range(workers):
-            self._spawn_worker(behavior_factory())
+        try:
+            for _ in range(workers):
+                self._spawn_worker(behavior_factory())
+        except BaseException:
+            self.shutdown(drain=False)  # stop the workers already started
+            raise
 
     # ---- public surface
 
@@ -289,7 +297,11 @@ class MacActor:
         return fut
 
     def add_worker(self, behavior) -> int:
-        """Grow the pool by one idle worker; pending messages are re-examined."""
+        """Grow the pool by one idle worker; pending messages are re-examined.
+
+        Raises ValueError if the behavior's ``@synced`` labels on a method
+        differ from those of a worker already in the pool.
+        """
         with self._lock:
             if self._draining:
                 raise RuntimeError("actor shut down")
@@ -306,8 +318,16 @@ class MacActor:
         with the reason: no worker supports its method, or an earlier
         message that heads one of its keys can never start.  drain=False
         fails every pending future at once; running messages finish.
+
+        Raises RuntimeError when called from one of this actor's workers,
+        which would wait for its own message to finish.
         """
         with self._lock:
+            if any(w.thread is threading.current_thread() for w in self._workers):
+                raise RuntimeError(
+                    f"{self._name}: shutdown() called from one of the actor's own "
+                    "worker threads, which would wait for itself"
+                )
             if self._report is not None:
                 return self._report
             self._draining = True
@@ -318,7 +338,7 @@ class MacActor:
                 leftover = [(msg, "actor shut down") for msg in self._table.pending()]
             self._table.drop_pending()
         for msg, diagnostic in leftover:
-            msg.future.fail(diagnostic)
+            msg.future._settle(Future.FAILED, None, diagnostic, None)
         for worker in self._workers:
             worker.inbox.put(None)
         for worker in self._workers:
@@ -372,12 +392,18 @@ class MacActor:
 
     def _spawn_worker(self, behavior) -> _Worker:
         worker = _Worker(self._next_worker_id, behavior)
+        # send derives sync sets from these labels whichever worker runs the
+        # message, so workers that share a method must label it alike
+        labels, specs = worker.labels, self._sync_specs
+        if self._workers and not labels.items() <= specs.items():
+            clash = sorted(m for m, l in labels.items() if specs.get(m, l) != l)
+            if clash:
+                raise ValueError(
+                    f"@synced labels of {', '.join(map(repr, clash))} differ from "
+                    "those of the actor's other workers"
+                )
+        specs.update(labels)
         self._next_worker_id += 1
-        if not self._sync_specs:
-            for method in worker.supported:
-                labels = sync_labels_of(behavior, method)
-                if labels is not None:
-                    self._sync_specs[method] = labels
         worker.thread = threading.Thread(
             target=self._worker_loop,
             args=(worker,),
@@ -452,9 +478,10 @@ class MacActor:
             # Resolve before releasing the sync entries, so whoever runs next
             # on this data can already read the result.
             if error is None:
-                msg.future.resolve(result)
+                msg.future._settle(Future.RESOLVED, result, None, None)
             else:
-                msg.future.fail(f"{type(error).__name__}: {error}", cause=error)
+                diagnostic = f"{type(error).__name__}: {error}"
+                msg.future._settle(Future.FAILED, None, diagnostic, error)
             self._free_worker(worker, msg, failed=error is not None)
 
     def _free_worker(self, worker: _Worker, msg: QueuedMessage, failed: bool) -> None:

@@ -497,3 +497,96 @@ def test_inline_dispatch_from_many_threads_loses_no_update(cleanup):
             per_key.setdefault(key, []).extend(values)
     assert all(sorted(values) == list(range(1, 451)) for values in per_key.values())
     assert actor.audit().ok
+
+
+# ---- futures the caller settles, shutdown from a worker, mismatched labels
+
+def test_caller_settling_a_running_future_keeps_the_worker(cleanup):
+    started = threading.Event()
+    release = threading.Event()
+
+    class Slow:
+        @synced("k")
+        def work(self, key):
+            started.set()
+            release.wait(5)
+            return key
+
+    actor = MacActor(Slow, workers=1)
+    cleanup(actor)
+    first = actor.send("work", (1,))
+    second = actor.send("work", (1,))  # waits on the same key
+    assert started.wait(5)
+    first.fail("caller gave up")
+    release.set()
+    assert second.get(timeout=2) == 1
+    with pytest.raises(FutureFailed, match="caller gave up"):
+        first.get(timeout=0)
+    assert actor.shutdown(drain=True).executed == 2
+
+
+def test_shutdown_passes_over_leftovers_the_caller_settled(cleanup):
+    release = threading.Event()
+
+    class Slow:
+        @synced("k")
+        def work(self, key):
+            release.wait(5)
+            return key
+
+    actor = MacActor(Slow, workers=1)
+    cleanup(actor)
+    running = actor.send("work", (1,))
+    queued = actor.send("work", (1,))
+    queued.resolve("mine")
+    timer = threading.Timer(0.2, release.set)
+    timer.start()
+    report = actor.shutdown(drain=False)
+    timer.join()
+    assert report.cancelled == 1
+    assert queued.get(timeout=0) == "mine"
+    assert running.get(timeout=0) == 1
+
+
+@pytest.mark.parametrize("drain", [True, False])
+def test_shutdown_from_own_worker_raises(drain):
+    holder = {}
+
+    class Stopper:
+        def stop(self):
+            holder["actor"].shutdown(drain=drain)
+
+    actor = MacActor(Stopper, workers=1)
+    holder["actor"] = actor
+    with pytest.raises(FutureFailed, match="own worker threads"):
+        actor.send("stop").get(timeout=2)
+    report = actor.shutdown(drain=True)
+    assert report.executed == 1 and report.failed == 1
+
+
+def test_worker_with_different_sync_labels_rejected(cleanup):
+    class ByKey:
+        @synced("k", None)
+        def bump(self, key, by):
+            return by
+
+    class Unlabelled:
+        def bump(self, key, by):
+            return by
+
+    class Other:
+        def audit(self):
+            return "ok"
+
+    actor = MacActor(ByKey, workers=1)
+    cleanup(actor)
+    with pytest.raises(ValueError, match="'bump'"):
+        actor.add_worker(Unlabelled())
+    assert actor.add_worker(Other()) == 1  # shares no method, so it may join
+    assert actor.stats()["workers"] == 2
+    assert actor.send("bump", (1, 5)).get(timeout=5) == 5
+
+    kinds = iter([ByKey, Unlabelled])
+    with pytest.raises(ValueError, match="'bump'"):
+        MacActor(lambda: next(kinds)(), workers=2, name="mixed")
+    assert not [t for t in threading.enumerate() if t.name.startswith("mixed-")]
