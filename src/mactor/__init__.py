@@ -51,7 +51,6 @@ from .runtime import (
 )
 from .scheduler import (
     EMPTY_LOCKS,
-    LockSet,
     QueuedMessage,
     SyncEntry,
     lock_union,
@@ -72,7 +71,6 @@ __all__ = [
     "FutRef",
     "Future",
     "FutureFailed",
-    "LockSet",
     "MacActor",
     "Mix",
     "ObjRef",

@@ -557,10 +557,11 @@ def _eval(config: Configuration, env: dict, e: Expr) -> Value:
             if not isinstance(left, bool) or not isinstance(right, bool):
                 raise _EvalFault("'&&' applied to non-boolean operands")
             return left and right
+        # values of different types are never equal: true is not 1
         if op == "==":
-            return left == right
+            return type(left) is type(right) and left == right
         if op == "!=":
-            return left != right
+            return type(left) is not type(right) or left != right
         # arithmetic and ordering are integer-only; bool is not an Int here
         if isinstance(left, bool) or isinstance(right, bool) or not (
             isinstance(left, int) and isinstance(right, int)

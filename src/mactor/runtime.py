@@ -8,7 +8,9 @@ a write-once :class:`Future` immediately.  The queue is a
 :func:`mactor.scheduler.select`: a message starts only when its sync entries
 are disjoint from everything currently executing and from every earlier
 pending message that overlaps it, and only when an idle worker supports it.
-Workers are handed messages in FIFO order of their idleness.
+A worker that finishes a message first takes the earliest ready message it
+supports and runs it itself; other ready messages go to idle workers in FIFO
+order of their idleness.
 
 Locking discipline: one mutex guards the lock table and the worker sets.
 There is no dispatcher thread.  Dispatch runs inline, under that mutex, at
@@ -274,14 +276,7 @@ class MacActor:
             if rejected:
                 self._rejected += 1
             else:
-                msg = QueuedMessage(
-                    method=method,
-                    args=args,
-                    future=fut,
-                    sync=sync,
-                    signature=method,
-                    priority=self._next_priority,
-                )
+                msg = QueuedMessage(method, args, fut, sync, method, self._next_priority)
                 self._next_priority += 1
                 self._table.add(msg)
                 if self._log:
@@ -418,7 +413,8 @@ class MacActor:
     def _dispatch(self) -> None:
         # Runs with the lock held.  Idle workers are asked in FIFO order of
         # idleness; the first that supports a ready message gets the
-        # earliest one it supports.
+        # earliest one it supports.  A finishing worker has already taken
+        # its own next message, if any, before this runs (see _free_worker).
         table, idle = self._table, self._idle
         while idle:
             for worker in idle:
@@ -445,10 +441,8 @@ class MacActor:
         )
 
     def _worker_loop(self, worker: _Worker) -> None:
-        while True:
-            msg = worker.inbox.get()
-            if msg is None:
-                return
+        msg = worker.inbox.get()
+        while msg is not None:
             if self._log:
                 self._log.record(
                     "dispatch",
@@ -482,20 +476,30 @@ class MacActor:
             else:
                 diagnostic = f"{type(error).__name__}: {error}"
                 msg.future._settle(Future.FAILED, None, diagnostic, error)
-            self._free_worker(worker, msg, failed=error is not None)
+            msg = self._free_worker(worker, msg, failed=error is not None)
+            if msg is None:
+                msg = worker.inbox.get()
 
-    def _free_worker(self, worker: _Worker, msg: QueuedMessage, failed: bool) -> None:
+    def _free_worker(
+        self, worker: _Worker, msg: QueuedMessage, failed: bool
+    ) -> Optional[QueuedMessage]:
+        """Release ``msg``'s entries and return the next message the worker
+        runs itself, or None once it is idle.  Continuing with local work
+        spares a wake-up and a thread switch per message when a completion
+        readies exactly one message, as on a hot key."""
         with self._lock:
             assert self._busy.get(worker.id) is worker and worker.current is msg, (
                 "worker freed twice or with the wrong message"
             )
-            del self._busy[worker.id]
-            worker.current = None
-            self._idle.append(worker)
             self._table.complete(msg)
             if failed:
                 self._failed += 1
             self._executed += 1
+            nxt = worker.current = self._table.take(worker.supported)
+            if nxt is None:
+                del self._busy[worker.id]
+                self._idle.append(worker)
             self._dispatch()
             if self._draining and not self._busy:
                 self._cond.notify_all()
+            return nxt

@@ -21,25 +21,20 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
-from typing import Container, Hashable, Iterable, Optional, Sequence
+from typing import Container, Hashable, Iterable, NamedTuple, Optional, Sequence
 
 
-@dataclass(frozen=True, slots=True)
-class SyncEntry:
+class SyncEntry(NamedTuple):
     """A lock claim on one piece of data under one user-chosen label."""
 
     label: str
     value: Hashable
 
 
-LockSet = frozenset  # of SyncEntry
-
 EMPTY_LOCKS: frozenset[SyncEntry] = frozenset()
 
 
-@dataclass(frozen=True, slots=True)
-class QueuedMessage:
+class QueuedMessage(NamedTuple):
     """One pending asynchronous invocation.
 
     ``signature`` is any hashable token the idle object's supported set can
@@ -72,8 +67,6 @@ def select(
     supported: Container,
     held: Iterable[SyncEntry],
     queue: Sequence[QueuedMessage],
-    *,
-    count_unsupported: bool = True,
 ) -> Optional[QueuedMessage]:
     """Pick the message an idle object may activate, or None.
 
@@ -83,17 +76,12 @@ def select(
     ``supported``.  Every skipped message's sync set is added to the
     accumulator before moving on, so an ineligible message blocks every
     later message that overlaps it.  The queue is never mutated.
-
-    ``count_unsupported=False`` is a non-normative relaxation: messages
-    skipped purely because their signature is unsupported then cast no
-    shadow.  The default follows the strict rule.
     """
     shadow = set(held)
     for msg in queue:
         if shadow.isdisjoint(msg.sync) and msg.signature in supported:
             return msg
-        if count_unsupported or not shadow.isdisjoint(msg.sync):
-            shadow |= msg.sync
+        shadow |= msg.sync
     return None
 
 

@@ -247,6 +247,19 @@ def test_bad_guard_faults():
     assert final.fault is not None and "guard" in final.fault
 
 
+def test_equality_needs_matching_types():
+    p = prog(
+        "{ IC o; IC z; Bool b; Bool c; Bool d; Bool n; Bool m;"
+        " b = 1 == true; c = 0 != false; d = 2 == 2;"
+        " o = new K(); n = o == null; m = z == null; }"
+    )
+    final, _ = run(initial_config(p), "fifo", fuel=200)
+    assert final.fault is None
+    env = final.main_env()
+    assert env["b"] is False and env["c"] is True and env["d"] is True
+    assert env["n"] is False and env["m"] is True
+
+
 def test_step_rejects_unenabled_label(employee_bank):
     c = initial_config(employee_bank)
     labels = enabled_steps(c)

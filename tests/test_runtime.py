@@ -1,8 +1,17 @@
 import sys
 import threading
 import time
+from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from mactor import (
     EventLog,
@@ -238,6 +247,48 @@ def test_one_thread_per_worker_and_blocked_messages_start_in_send_order(cleanup)
     order = [args[1] for (m, args, _, _, _) in log if m == "locked"]
     assert order == ["hold", *range(6)]
     assert all(not t.is_alive() for t in started)
+
+
+def test_finishing_worker_runs_the_message_it_unblocks(cleanup):
+    log = []
+    gate = threading.Event()
+    tags = iter(range(2))
+    actor = MacActor(lambda: Recorder(log, tag=next(tags), gate=gate), 2)
+    cleanup(actor)
+    hold = actor.send("locked", (5, "hold"))
+    blocked = [actor.send("locked", (5, i)) for i in range(6)]
+    gate.set()
+    actor.shutdown(drain=True)
+    assert hold.get(timeout=1) and all(f.get(timeout=1) for f in blocked)
+    served = [(args[1], tag) for (m, args, tag, _, _) in log if m == "locked"]
+    assert served == [(p, 0) for p in ["hold", *range(6)]]
+
+
+def test_ready_message_the_finisher_lacks_goes_to_an_idle_worker(cleanup):
+    log = []
+    gate = threading.Event()
+
+    class Special:
+        @synced("a", None)
+        def special(self, key, payload):
+            log.append(("special", (key, payload), "special", 0, 0))
+            return payload
+
+    actor = MacActor(lambda: Recorder(log, tag="recorder", gate=gate), 1)
+    cleanup(actor)
+    actor.add_worker(Special())
+    hold = actor.send("locked", (5, "hold"))
+    special = actor.send("special", (5, "x"))
+    after = actor.send("locked", (5, "after"))
+    assert actor.audit().ok
+    gate.set()
+    for fut in (hold, special, after):
+        fut.get(timeout=5)
+        assert actor.audit().ok
+    actor.shutdown(drain=True)
+    assert actor.audit().ok
+    served = [(args[1], tag) for (_, args, tag, _, _) in log]
+    assert served == [("hold", "recorder"), ("x", "special"), ("after", "recorder")]
 
 
 def test_audit_holds_under_load(cleanup):
@@ -590,3 +641,186 @@ def test_worker_with_different_sync_labels_rejected(cleanup):
     with pytest.raises(ValueError, match="'bump'"):
         MacActor(lambda: next(kinds)(), workers=2, name="mixed")
     assert not [t for t in threading.enumerate() if t.name.startswith("mixed-")]
+
+
+# ---- stateful: the guarantees after every send, completion, failure,
+# caller settlement and new worker, then at shutdown
+
+KEYS = [SyncEntry("k", i) for i in range(3)]
+
+
+class _Sent:
+    __slots__ = ("mid", "keys", "future", "release", "outcome", "caller", "ran")
+
+    def __init__(self, mid, keys):
+        self.mid = mid  # also its priority: every send is accepted until shutdown
+        self.keys = keys
+        self.future = None
+        self.release = threading.Event()  # the test decides when it completes
+        self.outcome = "return"  # or "raise", "exit"
+        self.caller = None  # "resolve" or "fail" when the test settled the future
+        self.ran = False
+
+
+class _Probe:
+    def __init__(self, machine):
+        self._machine = machine
+
+
+class _WorkOnly(_Probe):
+    def work(self, mid):
+        return self._machine.run(mid)
+
+
+class _SideOnly(_Probe):
+    def side(self, mid):
+        return self._machine.run(mid)
+
+
+class _Both(_WorkOnly, _SideOnly):
+    pass
+
+
+class RuntimeMachine(RuleBasedStateMachine):
+    """Every message waits on its own event, so the test decides when each
+    one completes and how; after each step the runtime is left to settle
+    and the guarantees are checked.  ``drain`` is drawn first and used by
+    the shutdown that ends every run."""
+
+    def __init__(self):
+        super().__init__()
+        self.lock = threading.Lock()  # guards the fields the workers write
+        self.msgs: list[_Sent] = []
+        self.starts: list[int] = []
+        self.inside: set[int] = set()  # started, waiting for their release
+        self.returned = 0
+        self.released = 0
+        self.errors: list[str] = []
+        self.workers = 2
+        self.drain = False
+        self.actor = MacActor(lambda: _WorkOnly(self), workers=2, name="stateful")
+        self.interval = sys.getswitchinterval()  # restored by teardown
+        sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+
+    def run(self, mid):
+        sent = self.msgs[mid]
+        with self.lock:
+            for earlier in self.msgs[:mid]:
+                if earlier.keys & sent.keys and not earlier.future.done():
+                    self.errors.append(f"{mid} started before the future of {earlier.mid}")
+            self.starts.append(mid)
+            self.inside.add(mid)
+        sent.release.wait(10)
+        with self.lock:
+            self.inside.discard(mid)
+            self.returned += 1
+            sent.ran = True
+        if sent.outcome == "raise":
+            raise ValueError(f"boom {mid}")
+        if sent.outcome == "exit":
+            raise SystemExit(f"exit {mid}")
+        return mid
+
+    def settle(self):
+        """Wait until every released message has returned and been freed
+        and every busy worker is inside a message."""
+        deadline = time.monotonic() + 5
+        while True:
+            with self.lock:
+                stats = self.actor.stats()
+                if (
+                    self.returned == self.released == stats["executed"]
+                    and stats["busy"] == len(self.inside)
+                ):
+                    return
+            assert time.monotonic() < deadline, "the runtime did not settle"
+            time.sleep(0.001)
+
+    @initialize(drain=st.booleans())
+    def choose_shutdown(self, drain):
+        self.drain = drain
+
+    @rule(method=st.sampled_from(["work", "side"]), keys=st.sets(st.sampled_from(KEYS), max_size=2))
+    def send(self, method, keys):
+        sent = _Sent(len(self.msgs), frozenset(keys))
+        with self.lock:
+            self.msgs.append(sent)
+        sent.future = self.actor.send(method, (sent.mid,), sync_data=keys)
+        self.settle()
+
+    @precondition(lambda self: self.inside)
+    @rule(data=st.data(), outcome=st.sampled_from(["return", "raise", "exit"]))
+    def complete(self, data, outcome):
+        sent = self.msgs[data.draw(st.sampled_from(sorted(self.inside)))]
+        sent.outcome = outcome
+        self.released += 1
+        sent.release.set()
+        self.settle()
+
+    @precondition(lambda self: any(not self.msgs[m].future.done() for m in self.inside))
+    @rule(data=st.data(), how=st.sampled_from(["resolve", "fail"]))
+    def caller_settles(self, data, how):
+        mids = sorted(m for m in self.inside if not self.msgs[m].future.done())
+        sent = self.msgs[data.draw(st.sampled_from(mids))]
+        getattr(sent.future, how)("by the caller")
+        sent.caller = how
+
+    @precondition(lambda self: self.workers < 4)
+    @rule(kind=st.sampled_from([_WorkOnly, _SideOnly, _Both]))
+    def add_worker(self, kind):
+        self.actor.add_worker(kind(self))
+        self.workers += 1
+        self.settle()
+
+    @invariant()
+    def guarantees_hold(self):
+        assert self.actor.audit().ok
+        assert not self.errors, self.errors
+        position = {mid: i for i, mid in enumerate(self.starts)}
+        for first, later in combinations(self.msgs, 2):
+            if first.keys & later.keys and later.mid in position:
+                assert position.get(first.mid, len(position)) < position[later.mid]
+        for sent in self.msgs:
+            if not sent.ran:
+                continue
+            if sent.caller == "resolve":
+                assert sent.future.get(timeout=0) == "by the caller"
+            elif sent.caller == "fail" or sent.outcome != "return":
+                kind = {"fail": "by the caller", "raise": "ValueError", "exit": "SystemExit"}
+                with pytest.raises(FutureFailed, match=kind[sent.caller or sent.outcome]):
+                    sent.future.get(timeout=0)
+            else:
+                assert sent.future.get(timeout=0) == sent.mid
+
+    def teardown(self):
+        try:
+            for sent in self.msgs:
+                sent.release.set()
+            closer = threading.Thread(target=self.actor.shutdown, args=(self.drain,), daemon=True)
+            closer.start()
+            closer.join(timeout=5)
+            assert not closer.is_alive(), f"shutdown(drain={self.drain}) hung"
+        finally:
+            sys.setswitchinterval(self.interval)
+        self.released = len(self.starts)  # the workers have stopped
+        self.settle()
+        self.guarantees_hold()
+        report = self.actor.shutdown()
+        assert report.executed == len(self.starts)
+        assert report.executed + report.cancelled == len(self.msgs)
+        cancelled = "no worker supports|shadowed by" if self.drain else "actor shut down"
+        for sent in self.msgs:
+            if not sent.ran:
+                with pytest.raises(FutureFailed, match=cancelled):
+                    sent.future.get(timeout=0)
+        with pytest.raises(FutureFailed, match="rejected"):
+            self.actor.send("work", (-1,)).get(timeout=0)
+
+
+RuntimeMachine.TestCase.settings = settings(
+    max_examples=100,
+    stateful_step_count=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+TestRuntimeMachine = RuntimeMachine.TestCase

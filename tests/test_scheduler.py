@@ -95,14 +95,12 @@ def test_queue_not_mutated():
 def test_unsupported_signature_never_returned_but_shadows():
     q = (msg(1, {entry(L, 1)}, signature="other"), msg(2, {entry(L, 1)}))
     assert select({"s"}, EMPTY_LOCKS, q) is None
-    # the relaxation lets the supported message through
-    assert select({"s"}, EMPTY_LOCKS, q, count_unsupported=False) is q[1]
 
 
 def test_relaxation_keeps_lock_shadows():
-    # skipped for a lock conflict: shadows regardless of the toggle
+    # skipped for a lock conflict: shadows the later message on that entry
     q = (msg(1, {entry(L, 1)}), msg(2, {entry(L, 1)}))
-    assert select({"s"}, {entry(L, 1)}, q, count_unsupported=False) is None
+    assert select({"s"}, {entry(L, 1)}, q) is None
 
 
 # ---- lock_union
