@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .bank import CSV_HEADER, Mix, Workload, sweep, write_csv
 from .explore import explore_all
@@ -102,8 +103,12 @@ def maci_main(argv=None) -> int:
         return 0
 
     checks = tuple(c for c in args.check.split(",") if c)
+    started = time.perf_counter()
     report = explore_all(config, args.depth, checks=checks)
+    elapsed = time.perf_counter() - started
     print(f"states: {report.states}")
+    print(f"time: {elapsed:.3f} s")
+    print(f"states/s: {report.states / elapsed:.0f}")
     print(f"terminals: {len(report.terminals)} (faulted: {report.faults})")
     print(f"truncated: {report.truncated}")
     for violation in report.violations:

@@ -20,6 +20,25 @@ way:
 Exploration stops at the first violation and reports the trace that exposed
 it.  ``select_fn`` is injectable so a deliberately broken selection rule can
 be shown to trip the checks.
+
+The search is reduced by ample sets (Godefroid, LNCS 1032, 1996): in each
+state, a step :func:`mactor.interp.safe_step` finds independent of every
+other object's steps is expanded alone, and only otherwise is every enabled
+step expanded.  A safe step whose successor faults, or whose successor is
+already visited, gets full expansion: the first so that the other objects'
+faults are still reached, the second so that a cycle cannot postpone them
+forever (the proviso for a breadth-first search, Bošnački & Holzmann, SPIN
+2005).  When the depth bound cuts nothing, the reduction keeps every
+non-faulted terminal state, every fault diagnostic and whether some state
+violates an invariant.  It drops
+interleavings, so a faulted terminal may be reached with less progress of
+the other objects, and the trace to a violation may differ.
+
+``select_fn`` must be prefix-stable: when it picks a message from a queue,
+it picks the same message from that queue with more messages appended.
+``scheduler.select`` is, and so is any rule that scans in queue order and
+looks only at the messages before the one it picks.  That is what makes
+a send by the main block commute with every SCHED-MSG.
 """
 
 from __future__ import annotations
@@ -28,7 +47,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .interp import Configuration, StepLabel, enabled_steps, step
+from .interp import Configuration, StepLabel, enabled_steps, safe_step, step
 from .scheduler import select as default_select
 
 
@@ -86,11 +105,15 @@ def explore_all(
     select_fn: Callable = default_select,
     checks: tuple[str, ...] = ("theorem1", "order"),
 ) -> ExploreReport:
-    """Visit every configuration reachable within ``depth`` steps.
+    """Search the configurations reachable within ``depth`` steps, with
+    the reduction the module describes.
 
-    Returns the number of distinct states, the terminal configurations
-    (quiescent or faulted), whether the depth bound cut anything off, and
-    the first invariant violation found, if any, with its trace.
+    Returns the number of distinct states the reduced search visited, the
+    terminal configurations it met (quiescent or faulted), whether the
+    depth bound cut anything off, and the first invariant violation found,
+    if any, with its trace.  ``faults`` counts the distinct faulted
+    terminals met, not those of the full search.  ``select_fn`` must be
+    prefix-stable.
     """
     if depth <= 0:
         raise ValueError("depth must be positive")
@@ -127,6 +150,15 @@ def explore_all(
         if dist >= depth:
             report.truncated = True
             continue
+        # Ample set: a safe step alone, unless its successor is faulted,
+        # a dead end that would hide the other objects' faults, or already
+        # visited, which could close a cycle that never takes the other
+        # objects' steps (the BFS proviso).
+        pick = safe_step(current, labels)
+        if pick is not None:
+            picked = step(current, pick, select_fn)
+            if picked.fault is None and picked.canonical() not in parents:
+                labels = (pick,)
         for label in labels:
             if label.rule == "SCHED-MSG" and "order" in checks:
                 problem = _check_dispatch_order(current, label)
@@ -135,7 +167,7 @@ def explore_all(
                         Violation("order", problem, trace_to(key) + (label,))
                     )
                     return report
-            succ = step(current, label, select_fn)
+            succ = picked if label is pick else step(current, label, select_fn)
             succ_key = succ.canonical()
             if succ_key in parents:
                 continue

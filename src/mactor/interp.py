@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace as dc_replace
+from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -332,6 +333,35 @@ class ProgramIndex:
         threads = [tuple(map(closure_id, t)) for t in group.values()]
         return self.intern((actor, _by_id(group, threads)))
 
+    # ---- independence facts for the explorer, derived on first use
+
+    @cached_property
+    def stable_fields(self) -> dict[str, frozenset[str]]:
+        """Per class, the fields no statement of the class assigns.  Only
+        code of an object's own class runs with it as ``this``, so after
+        creation nothing changes these fields."""
+        out = {}
+        for c in self.program.classes:
+            written: set = set()
+            for m in c.methods:
+                env = {p.name for p in m.sig.params} | {d.name for d in m.locals}
+                written.update(
+                    s.target for s in _walk(m.body) if isinstance(s, Assign) and s.target not in env
+                )
+            out[c.name] = frozenset(d.name for d in c.params + c.attributes) - written
+        return out
+
+    @cached_property
+    def methods_send(self) -> bool:
+        """Whether any class method holds an asynchronous call.  If none
+        does, the main block is the program's only sender."""
+        return any(
+            isinstance(s, Assign) and isinstance(s.value, AsyncCall)
+            for c in self.program.classes
+            for m in c.methods
+            for s in _walk(m.body)
+        )
+
     # ---- program lookups
 
     def supported(self, cls: Optional[str]) -> frozenset[MethodSig]:
@@ -353,6 +383,16 @@ class ProgramIndex:
         if len(found) > 1:
             raise _EvalFault(f"ambiguous signature for '{method}' across interfaces")
         return next(iter(found))
+
+
+def _walk(stmts: Iterable[Stmt]) -> Iterable[Stmt]:
+    """Every statement of ``stmts``, nested ones included."""
+    for s in stmts:
+        yield s
+        if isinstance(s, If):
+            yield from _walk(s.then + s.orelse)
+        elif isinstance(s, While):
+            yield from _walk(s.body)
 
 
 class Configuration:
@@ -675,6 +715,67 @@ def _stmt_labels(
             return [StepLabel("SYNC-RETURN", actor, obj)]
         return [StepLabel("ASYNC-RETURN", actor, obj)]
     raise TypeError(f"unhandled statement {s!r}")
+
+
+# --------------------------------------------------------------------------
+# independence
+
+# Rules that change nothing but their own thread.  READ-FUT only runs on a
+# resolved future, and a future is written once.  SYNC-CALL also reads the
+# callee's class and group, which never change.
+_LOCAL_RULES = frozenset(
+    {"ASSIGN-LOCAL", "COND-TRUE", "COND-FALSE", "READ-FUT", "SYNC-CALL", "SYNC-RETURN"}
+)
+_CONSTANTS = (NullLit, BoolLit, IntLit, ValueLit, This)
+
+
+def safe_step(config: Configuration, labels: Sequence[StepLabel]) -> Optional[StepLabel]:
+    """The first of ``labels``, the steps enabled in ``config``, that
+    commutes with every step the other objects can take from here on, or
+    None.  Such a step stays enabled until it is taken, and taking it
+    first reaches every state, terminal and violation that taking it later
+    would.
+
+    Two kinds of step qualify, provided their expressions read only
+    literals, ``this``, names in the top closure's environment and fields
+    that :attr:`ProgramIndex.stable_fields` holds for the class of
+    ``this`` (never ``e?``, whose answer another object changes):
+
+    * a rule of ``_LOCAL_RULES``, which changes only its own thread;
+    * an ASYNC-CALL in a program whose class methods never send: its
+      sender is the main block, so no other step takes a future number or
+      priority, and it only appends to a queue, which leaves a prefix-stable
+      selection's answer alone.
+
+    The step may still fault; the caller checks its successor.
+    """
+    index = config.index
+    for label in labels:
+        rule = label.rule
+        if rule in _LOCAL_RULES or (rule == "ASYNC-CALL" and not index.methods_send):
+            top = config.actors[label.actor][label.obj][-1]
+            env = top.env
+            fields = index.stable_fields.get(config.heap[env["this"]].cls, frozenset())
+            if all(_stable(e, env, fields) for e in _head_exprs(top.stmts[0])):
+                return label
+    return None
+
+
+def _head_exprs(s: Stmt) -> tuple:
+    if isinstance(s, (If, While)):
+        return (s.cond,)
+    value = s.value  # Assign, GetStmt and Return
+    if isinstance(value, (SyncCall, AsyncCall)):
+        return (value.target,) + value.args
+    return (value,)
+
+
+def _stable(e: Expr, env: dict, fields: frozenset) -> bool:
+    if isinstance(e, Var):
+        return e.name in env or e.name in fields
+    if isinstance(e, BinOp):
+        return _stable(e.left, env, fields) and _stable(e.right, env, fields)
+    return isinstance(e, _CONSTANTS)
 
 
 # --------------------------------------------------------------------------

@@ -273,6 +273,9 @@ def test_maci_explore_cli(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "states:" in out and "truncated: False" in out
+    fields = dict(line.split(": ", 1) for line in out.splitlines())
+    assert float(fields["time"].removesuffix(" s")) > 0
+    assert float(fields["states/s"]) > 0
 
 
 def test_maci_reports_parse_errors(tmp_path, capsys):

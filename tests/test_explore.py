@@ -2,10 +2,13 @@ import random
 from collections import Counter, deque
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import PROGRAMS, load_config, load_program
 from mactor import PENDING, FutRef, explore_all, initial_config, parse_program, run
-from mactor.interp import ANONYMOUS, ObjRef, ValueLit, enabled_steps, step
+from mactor.explore import _check_dispatch_order, _check_lock_disjointness
+from mactor.interp import ANONYMOUS, Configuration, ObjRef, ValueLit, enabled_steps, step
+from mactor.scheduler import QueuedMessage, SyncEntry, select
 from mactor.syntax import Assign
 from progen import gen_program
 
@@ -62,6 +65,35 @@ class Teller(IV boss) implements IS {
 }
 { Actor<IS> b; Fut<Int> g; Fut<Int> x; Fut<Int> y;
   b = new actor Boss(); g = b!grow(); g.get; x = b!seta(); y = b!setb(); }
+"""
+
+# ck reads the field twice; only a write between the reads makes it return 1
+TORN_READ = """
+interface IS { Int seta(); Int ck(); Int grow(); }
+interface IV { Int wa(); Int read(); }
+class Boss implements IS, IV {
+  Int v;
+  Int wa() { v = 1; return 0; }
+  Int read() { return v; }
+  Int seta() { Int r; r = this.wa(); return r; }
+  Int ck() { Int x; Int y; x = this.read(); y = this.read(); return y - x; }
+  Int grow() { IS t; t = new Teller(this); return 0; }
+}
+class Teller(IV boss) implements IS {
+  Int seta() { Int r; r = boss.wa(); return r; }
+  Int ck() { Int x; Int y; x = boss.read(); y = boss.read(); return y - x; }
+  Int grow() { return 0; }
+}
+{ Actor<IS> b; Fut<Int> g; Fut<Int> s; Fut<Int> c;
+  b = new actor Boss(); g = b!grow(); g.get; s = b!seta(); c = b!ck(); }
+"""
+
+# the main block's next step and the other object's message fault with
+# different diagnostics
+TWO_FAULTS = """
+interface IB { Bool boom(); }
+class K implements IB { Bool boom() { Bool b; b = 1 && true; return b; } }
+{ Actor<IB> a; Fut<Bool> f; Int x; a = new actor K(); f = a!boom(); x = 1 + true; }
 """
 
 
@@ -260,16 +292,20 @@ def reference_key(c):
     return (c.fault, heap, queues, futures, groups, c.next_obj, c.next_fut, c.next_priority)
 
 
-def reference_explore(config, depth):
-    """Plain BFS keyed by reference_key: (states, truncated, faults,
-    terminal keys)."""
-    seen = {reference_key(config)}
+def reference_explore(config, depth, key=reference_key, select_fn=select):
+    """Plain BFS over every enabled step, deduplicating states by ``key``:
+    (states, truncated, faults, terminal reference keys, kind of the first
+    invariant violation met in BFS order or None).  It does not stop at a
+    violation."""
+    seen = {key(config)}
     frontier = deque([(config, 0)])
-    states, truncated, faults, terminals = 0, False, 0, Counter()
+    states, truncated, faults, terminals, violation = 0, False, 0, Counter(), None
     while frontier:
         current, dist = frontier.popleft()
         states += 1
-        labels = enabled_steps(current)
+        if violation is None and _check_lock_disjointness(current):
+            violation = "theorem1"
+        labels = enabled_steps(current, select_fn)
         if not labels:
             terminals[reference_key(current)] += 1
             faults += current.fault is not None
@@ -278,12 +314,15 @@ def reference_explore(config, depth):
             truncated = True
             continue
         for label in labels:
-            succ = step(current, label)
-            key = reference_key(succ)
-            if key not in seen:
-                seen.add(key)
+            if violation is None and label.rule == "SCHED-MSG":
+                if _check_dispatch_order(current, label):
+                    violation = "order"
+            succ = step(current, label, select_fn)
+            succ_key = key(succ)
+            if succ_key not in seen:
+                seen.add(succ_key)
                 frontier.append((succ, dist + 1))
-    return states, truncated, faults, terminals
+    return states, truncated, faults, terminals, violation
 
 
 def _differential_programs():
@@ -291,20 +330,86 @@ def _differential_programs():
         yield path.stem, load_program(path.stem), 60
     yield "unlabelled race", parse_program(UNLABELLED_RACE), 400
     yield "bool/int race", parse_program(BOOL_INT_RACE), 400
+    yield "torn read", parse_program(TORN_READ), 400
+    yield "two faults", parse_program(TWO_FAULTS), 60
     for seed in range(150):
         yield f"progen-{seed}", gen_program(random.Random(seed)), 20
 
 
 def test_interned_keys_explore_like_structural_reference():
+    # the full search, keyed once by the interned key and once structurally
     for name, program, depth in _differential_programs():
-        report = explore_all(initial_config(program), depth, checks=())
-        got = (
-            report.states,
-            report.truncated,
-            report.faults,
-            Counter(reference_key(cfg) for cfg in report.terminals),
-        )
-        assert got == reference_explore(initial_config(program), depth), name
+        interned = reference_explore(initial_config(program), depth, key=Configuration.canonical)
+        assert interned == reference_explore(initial_config(program), depth), name
+
+
+# ---- the reduced search against the full one
+
+
+def _fault_and_clean_terminals(keys):
+    faults = {k[0] for k in keys if k[0] is not None}
+    return faults, {k for k in keys if k[0] is None}
+
+
+def test_reduced_search_keeps_terminals_faults_and_verdict():
+    # Faulted terminals hold the other objects' progress, which the
+    # reduction may cut short, so for those only the diagnostics compare.
+    compared = faulty = violating = 0
+    for select_fn in (select, broken_select):
+        for name, program, depth in _differential_programs():
+            _, truncated, faults, terminals, violation = reference_explore(
+                initial_config(program), depth, select_fn=select_fn
+            )
+            if truncated:
+                continue
+            report = explore_all(initial_config(program), depth, select_fn=select_fn)
+            kind = report.violations[0].kind if report.violations else None
+            assert kind == violation, name
+            compared += 1
+            if kind is not None:
+                violating += 1
+                continue  # explore_all stopped at the violation
+            assert not report.truncated, name
+            reduced = Counter(reference_key(cfg) for cfg in report.terminals)
+            assert _fault_and_clean_terminals(reduced) == _fault_and_clean_terminals(terminals), name
+            faulty += faults > 0
+    assert compared >= 300 and faulty >= 200 and violating >= 1
+
+
+SPIN_AFTER_SEND = """
+interface IB { Int boom(); }
+class K implements IB { Int boom() { Int x; x = 1 + true; return x; } }
+{ Actor<IB> a; Fut<Int> f; a = new actor K(); f = a!boom(); while true { } }
+"""
+
+
+def test_spinning_main_block_does_not_hide_a_fault():
+    # the main block's loop step is safe and returns to the same state; only
+    # the proviso expands the other object's steps there
+    config = initial_config(parse_program(SPIN_AFTER_SEND))
+    report = explore_all(config, 50)
+    assert {cfg.fault for cfg in report.terminals} == {"'+' applied to non-integer operands"}
+    terminals = reference_explore(config, 50)[3]
+    assert _fault_and_clean_terminals(terminals)[0] == {"'+' applied to non-integer operands"}
+
+
+_syncs = st.frozensets(st.builds(SyncEntry, st.sampled_from("ab"), st.integers(0, 2)), max_size=2)
+
+
+@given(
+    st.frozensets(st.sampled_from(["s1", "s2"])),
+    _syncs,
+    st.lists(st.tuples(_syncs, st.sampled_from(["s1", "s2"])), max_size=8),
+)
+def test_selection_is_prefix_stable(supported, held, shapes):
+    # explore_all relies on this: appending to a queue never changes a
+    # message the selection already picks
+    queue = tuple(QueuedMessage(f"m{i}", (), None, sync, sig, i) for i, (sync, sig) in enumerate(shapes))
+    for select_fn in (select, broken_select):
+        for cut in range(len(queue)):
+            chosen = select_fn(supported, held, queue[:cut])
+            if chosen is not None:
+                assert select_fn(supported, held, queue) is chosen
 
 
 @pytest.mark.parametrize(
