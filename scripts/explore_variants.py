@@ -1,0 +1,73 @@
+"""State counts and times of ``explore_all`` on scaled bank programs.
+
+    python3 scripts/explore_variants.py
+
+Runs ``explore_all`` to completion on five variants of perfbench's
+generated bank program (``perfbench/workloads.py:explore_program``: tellers,
+withdrawals on accounts 1 and 2, accounts checked), each with seed 1 and
+best of 3 runs, with this process pinned to one CPU.  Every terminal must
+hold the values of the benchmark's sequential replay.  Prints the markdown
+table of README's ``explore_all`` section; exits 1 if a search truncates,
+faults, finds a violation or disagrees with the replay.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from mactor import explore_all, initial_config, parse_program  # noqa: E402
+from workloads import EXPLORE_DEPTH, ExploreSpec, explore_problems, explore_program  # noqa: E402
+
+SEED = 1  # amounts only; every seed gives the same state space
+REPEATS = 3
+VARIANTS = (
+    ExploreSpec(tellers=2, withdrawals=(2, 1), checks=(2,)),
+    ExploreSpec(tellers=3, withdrawals=(2, 1), checks=(2,)),
+    ExploreSpec(tellers=2, withdrawals=(3, 2), checks=(1, 2)),
+    ExploreSpec(tellers=3, withdrawals=(3, 2), checks=(1, 2)),
+    ExploreSpec(tellers=4, withdrawals=(3, 3), checks=(1, 2)),
+)
+
+
+def measure(spec: ExploreSpec) -> tuple:
+    """(report of the last run, best wall time in seconds, problems)."""
+    text, expected = explore_program(spec, SEED)
+    program = parse_program(text)
+    best = float("inf")
+    for _ in range(REPEATS):
+        config = initial_config(program)
+        t0 = time.perf_counter()
+        report = explore_all(config, EXPLORE_DEPTH)
+        best = min(best, time.perf_counter() - t0)
+    return report, best, explore_problems(report, expected)
+
+
+def label(spec: ExploreSpec) -> str:
+    def group(values):
+        return f"({','.join(map(str, values))})"
+
+    return f"{spec.tellers}, {group(spec.withdrawals)}, {group(spec.checks)}"
+
+
+def main() -> int:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    print("| variant | states | terminals | time |")
+    print("|---|---|---|---|")
+    ok = True
+    for spec in VARIANTS:
+        report, best, problems = measure(spec)
+        print(f"| {label(spec)} | {report.states:,} | {len(report.terminals)} | {best:.2f} s |", flush=True)
+        for problem in problems:
+            print(f"{label(spec)}: {problem}", file=sys.stderr)
+        ok = ok and not problems
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

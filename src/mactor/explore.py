@@ -24,15 +24,27 @@ be shown to trip the checks.
 The search is reduced by ample sets (Godefroid, LNCS 1032, 1996): in each
 state, a step :func:`mactor.interp.safe_step` finds independent of every
 other object's steps is expanded alone, and only otherwise is every enabled
-step expanded.  A safe step whose successor faults, or whose successor is
-already visited, gets full expansion: the first so that the other objects'
-faults are still reached, the second so that a cycle cannot postpone them
+step expanded.  Any safe step will do, so the object that took the step
+into a state is asked first (:func:`mactor.interp.object_steps`), and
+:func:`mactor.interp.enabled_steps` runs only when that object has no safe
+step or its safe step needs full expansion.  A safe step gets full
+expansion when its successor faults, so that the other objects' faults are
+still reached, or when its successor was already reached at a distance no
+greater than the current state's, so that a cycle cannot postpone them
 forever (the proviso for a breadth-first search, Bošnački & Holzmann, SPIN
-2005).  When the depth bound cuts nothing, the reduction keeps every
-non-faulted terminal state, every fault diagnostic and whether some state
-violates an invariant.  It drops
-interleavings, so a faulted terminal may be reached with less progress of
-the other objects, and the trace to a violation may differ.
+2005).  That is enough: BFS has met every state at distance at most d+1
+before it expands one at distance d, so a step kept alone always leads
+exactly one layer deeper; a cycle cannot go deeper on every edge, so every
+cycle keeps a fully expanded state.  A successor already one layer deeper
+closes a diamond, not a cycle, and the step stays alone.
+
+When the depth bound cuts nothing, the reduction keeps every non-faulted
+terminal state, every fault diagnostic and whether some state violates an
+invariant.  It drops interleavings, so a faulted terminal may be reached
+with less progress of the other objects, and the trace to a violation may
+differ.  Only SCHED-MSG takes locks, so lock disjointness is checked on the
+root and on the successors of SCHED-MSG steps, which are the first states
+with overlapping sets on any path.
 
 ``select_fn`` must be prefix-stable: when it picks a message from a queue,
 it picks the same message from that queue with more messages appended.
@@ -47,7 +59,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .interp import Configuration, StepLabel, enabled_steps, safe_step, step
+from .interp import Configuration, StepLabel, enabled_steps, object_steps, safe_step, step
 from .scheduler import select as default_select
 
 
@@ -114,51 +126,71 @@ def explore_all(
     if any, with its trace.  ``faults`` counts the distinct faulted
     terminals met, not those of the full search.  ``select_fn`` must be
     prefix-stable.
+
+    Each state asks the object that moved into it for a safe step first
+    and expands that step alone, unless its successor faults or was
+    already reached at a distance no greater than this state's.  A step
+    kept alone then always leads one layer deeper, and no cycle goes
+    deeper on every edge, so every cycle keeps a fully expanded state.
     """
     if depth <= 0:
         raise ValueError("depth must be positive")
     report = ExploreReport(states=0)
     root_key = config.canonical()
-    # key -> (parent key, label); the root has no parent
-    parents: dict = {root_key: None}
+    # key -> (parent key, label, BFS distance); the root has no parent
+    parents: dict = {root_key: (None, None, 0)}
     seen_terminal: set = set()
-    frontier: deque = deque([(config, root_key, 0)])
+    # (state, key, distance, the label that produced it)
+    frontier: deque = deque([(config, root_key, 0, None)])
 
     def trace_to(key) -> tuple[StepLabel, ...]:
         steps: list[StepLabel] = []
-        while parents[key] is not None:
-            key, label = parents[key]
+        key, label, _ = parents[key]
+        while key is not None:
             steps.append(label)
+            key, label, _ = parents[key]
         return tuple(reversed(steps))
 
     while frontier:
-        current, key, dist = frontier.popleft()
+        current, key, dist, mover = frontier.popleft()
         report.states += 1
-        if "theorem1" in checks:
+        # Only SCHED-MSG takes locks, so the first state with overlapping
+        # lock sets on any path is the root or a SCHED-MSG successor.
+        if "theorem1" in checks and (mover is None or mover.rule == "SCHED-MSG"):
             problem = _check_lock_disjointness(current)
             if problem:
                 report.violations.append(Violation("theorem1", problem, trace_to(key)))
                 return report
-        labels = enabled_steps(current, select_fn)
-        if not labels:
-            if key not in seen_terminal:
-                seen_terminal.add(key)
-                report.terminals.append(current)
-                if current.fault is not None:
-                    report.faults += 1
-            continue
+        labels = None
+        pick = None
+        if mover is not None:
+            pick = safe_step(current, object_steps(current, mover.actor, mover.obj, select_fn))
+        if pick is None:
+            labels = enabled_steps(current, select_fn)
+            if not labels:
+                if key not in seen_terminal:
+                    seen_terminal.add(key)
+                    report.terminals.append(current)
+                    if current.fault is not None:
+                        report.faults += 1
+                continue
+            pick = safe_step(current, labels)
         if dist >= depth:
             report.truncated = True
             continue
         # Ample set: a safe step alone, unless its successor is faulted,
-        # a dead end that would hide the other objects' faults, or already
-        # visited, which could close a cycle that never takes the other
-        # objects' steps (the BFS proviso).
-        pick = safe_step(current, labels)
+        # a dead end that would hide the other objects' faults, or was
+        # reached at a distance no greater than this state's, which could
+        # close a cycle that never takes the other objects' steps (the BFS
+        # proviso).  A successor one layer deeper closes only a diamond.
         if pick is not None:
             picked = step(current, pick, select_fn)
-            if picked.fault is None and picked.canonical() not in parents:
-                labels = (pick,)
+            if picked.fault is None:
+                seen = parents.get(picked.canonical())
+                if seen is None or seen[2] > dist:
+                    labels = (pick,)
+            if labels is None:
+                labels = enabled_steps(current, select_fn)
         for label in labels:
             if label.rule == "SCHED-MSG" and "order" in checks:
                 problem = _check_dispatch_order(current, label)
@@ -167,10 +199,10 @@ def explore_all(
                         Violation("order", problem, trace_to(key) + (label,))
                     )
                     return report
-            succ = picked if label is pick else step(current, label, select_fn)
+            succ = picked if label == pick else step(current, label, select_fn)
             succ_key = succ.canonical()
             if succ_key in parents:
                 continue
-            parents[succ_key] = (key, label)
-            frontier.append((succ, succ_key, dist + 1))
+            parents[succ_key] = (key, label, dist + 1)
+            frontier.append((succ, succ_key, dist + 1, label))
     return report

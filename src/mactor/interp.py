@@ -648,19 +648,30 @@ def enabled_steps(
         return []
     labels: list[StepLabel] = []
     for actor in sorted(config.actors, key=lambda r: r.id):
-        group = config.actors[actor]
-        for obj in sorted(group, key=lambda r: r.id):
-            thread = group[obj]
-            if not thread:
-                label = _sched_label(config, actor, obj, select_fn)
-                if label is not None:
-                    labels.append(label)
-                continue
-            top = thread[-1]
-            if not top.stmts:
-                continue  # the main closure after its last statement
-            labels.extend(_stmt_labels(config, actor, obj, thread, top))
+        for obj in sorted(config.actors[actor], key=lambda r: r.id):
+            labels.extend(object_steps(config, actor, obj, select_fn))
     return labels
+
+
+def object_steps(
+    config: Configuration,
+    actor: ObjRef,
+    obj: ObjRef,
+    select_fn: Callable = default_select,
+) -> list[StepLabel]:
+    """The steps of object ``obj`` of group ``actor`` among
+    :func:`enabled_steps`: at most one, since an object either schedules a
+    message or runs the head statement of its top closure."""
+    if config.fault is not None:
+        return []
+    thread = config.actors[actor][obj]
+    if not thread:
+        label = _sched_label(config, actor, obj, select_fn)
+        return [] if label is None else [label]
+    top = thread[-1]
+    if not top.stmts:
+        return []  # the main closure after its last statement
+    return _stmt_labels(config, actor, obj, thread, top)
 
 
 def _sched_label(
@@ -679,7 +690,7 @@ def _sched_label(
 
 def _stmt_labels(
     config: Configuration, actor: ObjRef, obj: ObjRef, thread: Thread, top: Closure
-) -> Iterable[StepLabel]:
+) -> list[StepLabel]:
     s = top.stmts[0]
     if isinstance(s, Assign):
         rhs = s.value
@@ -730,11 +741,12 @@ _CONSTANTS = (NullLit, BoolLit, IntLit, ValueLit, This)
 
 
 def safe_step(config: Configuration, labels: Sequence[StepLabel]) -> Optional[StepLabel]:
-    """The first of ``labels``, the steps enabled in ``config``, that
-    commutes with every step the other objects can take from here on, or
-    None.  Such a step stays enabled until it is taken, and taking it
-    first reaches every state, terminal and violation that taking it later
-    would.
+    """The first of ``labels``, steps enabled in ``config``, that commutes
+    with every step the other objects can take from here on, or None.
+    ``labels`` may be all of :func:`enabled_steps` or one object's
+    :func:`object_steps`.  Such a step stays enabled until it is taken, and
+    taking it first reaches every state, terminal and violation that taking
+    it later would.
 
     Two kinds of step qualify, provided their expressions read only
     literals, ``this``, names in the top closure's environment and fields

@@ -178,6 +178,7 @@ class ShutdownReport:
     executed: int
     failed: int
     cancelled: int  # unstarted messages failed by shutdown
+    running: tuple = ()  # (method, priority) of each message still running at the timeout
 
 
 @dataclass(frozen=True)
@@ -304,7 +305,7 @@ class MacActor:
             self._dispatch()
             return worker.id
 
-    def shutdown(self, drain: bool = True) -> ShutdownReport:
+    def shutdown(self, drain: bool = True, timeout: Optional[float] = None) -> ShutdownReport:
         """Stop the actor.  Idempotent: repeated calls return the first report.
 
         drain=True runs everything already queued that can run.  Once no
@@ -313,6 +314,12 @@ class MacActor:
         with the reason: no worker supports its method, or an earlier
         message that heads one of its keys can never start.  drain=False
         fails every pending future at once; running messages finish.
+
+        With a ``timeout`` (seconds), messages still running when it passes
+        are given up: their futures and those of every message still queued
+        fail with a diagnostic, their worker threads are left to end on
+        their own, and the report has ``drained=False`` and lists them in
+        ``running``.  Without one, shutdown waits for every message.
 
         Raises RuntimeError when called from one of this actor's workers,
         which would wait for its own message to finish.
@@ -327,23 +334,34 @@ class MacActor:
                 return self._report
             self._draining = True
             if drain:
-                self._cond.wait_for(lambda: not self._busy)
-                leftover = [(msg, self._why_stuck(msg)) for msg in self._table.pending()]
+                self._cond.wait_for(lambda: not self._busy, timeout)
+                gave_up = self._timed_out(timeout) if self._busy else None
+                leftover = [(msg, gave_up or self._why_stuck(msg)) for msg in self._table.pending()]
             else:
                 leftover = [(msg, "actor shut down") for msg in self._table.pending()]
             self._table.drop_pending()
         for msg, diagnostic in leftover:
             msg.future._settle(Future.FAILED, None, diagnostic, None)
+        with self._lock:
+            if not drain:
+                self._cond.wait_for(lambda: not self._busy, timeout)
+            stuck = list(self._busy.values())
+            running = [w.current for w in stuck]
+            gave_up = self._timed_out(timeout) if running else None
+        for msg in running:
+            msg.future._settle(Future.FAILED, None, gave_up, None)
         for worker in self._workers:
             worker.inbox.put(None)
         for worker in self._workers:
-            worker.thread.join()
+            if worker not in stuck:
+                worker.thread.join()
         with self._lock:
             self._report = ShutdownReport(
-                drained=drain,
+                drained=drain and not running,
                 executed=self._executed,
                 failed=self._failed,
                 cancelled=len(leftover),
+                running=tuple((msg.method, msg.priority) for msg in running),
             )
             return self._report
 
@@ -429,6 +447,12 @@ class MacActor:
             if len(self._busy) > self._max_concurrent:
                 self._max_concurrent = len(self._busy)
             worker.inbox.put(msg)
+
+    def _timed_out(self, timeout: Optional[float]) -> str:
+        running = ", ".join(
+            f"{w.current.method!r} (priority {w.current.priority})" for w in self._busy.values()
+        )
+        return f"{self._name}: shutdown gave up after {timeout}s with {running} still running"
 
     def _why_stuck(self, msg: QueuedMessage) -> str:
         # Only called once nothing runs and nothing can start.

@@ -393,6 +393,27 @@ def test_spinning_main_block_does_not_hide_a_fault():
     assert _fault_and_clean_terminals(terminals)[0] == {"'+' applied to non-integer operands"}
 
 
+# Both messages start with a field write, which is never safe, so the state
+# where both wait to be scheduled and the states after it are fully
+# expanded, and the two orders of the SCHED-MSGs meet again.
+RECONVERGING = """
+interface IW { Int work(Int n); }
+class W implements IW { Int v; Int work(Int n) { Int x; v = n; x = n + 1; x = x + 1; return x; } }
+{ Actor<IW> a; Actor<IW> b; Fut<Int> fa; Fut<Int> fb;
+  a = new actor W(); b = new actor W(); fa = a!work(1); fb = b!work(2); }
+"""
+
+
+def test_reconverging_branches_are_a_diamond_not_a_cycle():
+    # A local step whose successor the other branch already reached one
+    # layer deeper is still expanded alone.  Expanding fully on every
+    # visited successor visited 38 states here.
+    report = explore_all(initial_config(parse_program(RECONVERGING)), 100)
+    assert report.ok and not report.truncated
+    assert report.states < 38
+    assert terminal_future_values(report) == {(("fa", "3"), ("fb", "4"))}
+
+
 _syncs = st.frozensets(st.builds(SyncEntry, st.sampled_from("ab"), st.integers(0, 2)), max_size=2)
 
 

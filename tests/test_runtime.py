@@ -600,6 +600,48 @@ def test_shutdown_passes_over_leftovers_the_caller_settled(cleanup):
 
 
 @pytest.mark.parametrize("drain", [True, False])
+def test_shutdown_timeout_gives_up_on_stuck_user_code(drain):
+    release = threading.Event()
+
+    class Stuck:
+        @synced("k")
+        def hang(self, key):
+            release.wait(30)
+            return key
+
+    actor = MacActor(Stuck, workers=1)
+    try:
+        running = actor.send("hang", (1,))
+        queued = actor.send("hang", (1,))
+        deadline = time.time() + 5
+        while actor.stats()["busy"] == 0 and time.time() < deadline:
+            time.sleep(0.002)  # wait for the first message to start
+        reports = []
+        closer = threading.Thread(
+            target=lambda: reports.append(actor.shutdown(drain, timeout=0.2)), daemon=True
+        )
+        closer.start()
+        closer.join(timeout=5)
+        assert not closer.is_alive(), f"shutdown(drain={drain}, timeout=0.2) hung"
+        (report,) = reports
+        assert not report.drained and report.running == (("hang", 0),)
+        assert report.executed == 0 and report.cancelled == 1
+        with pytest.raises(FutureFailed, match=r"gave up after 0.2s with 'hang' \(priority 0\)"):
+            running.get(timeout=0)
+        with pytest.raises(FutureFailed, match="gave up" if drain else "actor shut down"):
+            queued.get(timeout=0)
+        assert actor.shutdown() is report
+    finally:
+        release.set()
+    # the given-up message still completes, and its worker still frees it
+    deadline = time.time() + 5
+    while actor.stats()["executed"] == 0 and time.time() < deadline:
+        time.sleep(0.002)
+    stats = actor.stats()
+    assert stats["executed"] == 1 and stats["busy"] == 0
+
+
+@pytest.mark.parametrize("drain", [True, False])
 def test_shutdown_from_own_worker_raises(drain):
     holder = {}
 
