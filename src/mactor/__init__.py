@@ -7,24 +7,13 @@ start, shared verbatim by the other two layers.  ``interp``/``explore`` run
 programs under a small-step machine, either along one schedule or over all
 interleavings with invariant checks; ``runtime``/``bank`` realize the same
 scheduling with real threads and measure it.
+
+The bank benchmark harness (workloads, the replay oracle, the event-log
+audit, ``run_scenario``) is imported from ``mactor.bank``; only its
+``BankTeller`` behavior is exported here.
 """
 
-from .bank import (
-    BankTeller,
-    BenchReport,
-    Mix,
-    OrderingAudit,
-    ReentrancyCanary,
-    SimulatedWork,
-    Workload,
-    audit_events,
-    iter_requests,
-    read_jsonl,
-    replay_oracle,
-    run_scenario,
-    sweep,
-    write_csv,
-)
+from .bank import BankTeller
 from .explore import ExploreReport, Violation, explore_all
 from .interp import (
     Configuration,
@@ -49,22 +38,13 @@ from .runtime import (
     ShutdownReport,
     synced,
 )
-from .scheduler import (
-    EMPTY_LOCKS,
-    QueuedMessage,
-    SyncEntry,
-    lock_union,
-    select,
-    sync_set_of,
-)
+from .scheduler import QueuedMessage, SyncEntry, select, sync_set_of
 from .syntax import Program, pretty_print
 
 __all__ = [
     "AuditSnapshot",
     "BankTeller",
-    "BenchReport",
     "Configuration",
-    "EMPTY_LOCKS",
     "EventLog",
     "ExploreReport",
     "FuelExhausted",
@@ -72,39 +52,26 @@ __all__ = [
     "Future",
     "FutureFailed",
     "MacActor",
-    "Mix",
     "ObjRef",
-    "OrderingAudit",
     "PENDING",
     "ParseError",
     "Program",
     "QueuedMessage",
-    "ReentrancyCanary",
     "ResolutionError",
     "ShutdownReport",
-    "SimulatedWork",
     "StepLabel",
     "StepNotEnabled",
     "SyncEntry",
     "Violation",
-    "Workload",
-    "audit_events",
     "enabled_steps",
     "explore_all",
     "initial_config",
-    "iter_requests",
-    "lock_union",
     "parse_program",
     "pretty_print",
-    "read_jsonl",
-    "replay_oracle",
     "resolve",
     "run",
-    "run_scenario",
     "select",
     "step",
-    "sweep",
     "sync_set_of",
     "synced",
-    "write_csv",
 ]

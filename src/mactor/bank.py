@@ -4,9 +4,10 @@ The service keeps a map of account balances shared by every teller in the
 group.  Each operation locks the accounts it touches under label "a" (and
 account creation serializes under label "c"), so conflicting requests run
 one at a time and in send order while independent accounts proceed in
-parallel.  The harness generates seeded workloads, replays them sequentially
-as a ground-truth oracle, measures throughput across worker counts, and
-audits the runtime event log for interval disjointness and priority order.
+parallel.  The harness generates seeded workloads, drives them through the
+actor from one closed-loop client, replays them sequentially as a
+ground-truth oracle, and audits the runtime event log for interval
+disjointness and priority order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .runtime import EventLog, MacActor, ShutdownReport, synced
 
@@ -49,49 +50,32 @@ class ReentrancyCanary:
                 self._inside.discard(acc)
 
 
-class SimulatedWork:
-    """Fixed per-message cost.  "sleep" yields the interpreter so workers
-    overlap; "spin" burns the GIL and will not scale across threads."""
-
-    def __init__(self, micros: int, mode: str = "sleep"):
-        if mode not in ("sleep", "spin"):
-            raise ValueError(f"unknown work mode {mode!r}")
-        self.micros = micros
-        self.mode = mode
-
-    def __call__(self) -> None:
-        if self.micros <= 0:
-            return
-        if self.mode == "sleep":
-            time.sleep(self.micros / 1_000_000)
-        else:
-            deadline = time.perf_counter_ns() + self.micros * 1_000
-            while time.perf_counter_ns() < deadline:
-                pass
-
-
 class BankTeller:
     """One worker's view of the shared account book.
 
     All tellers of an actor share the same ``accounts`` dict; the sync
     labels on the methods are what make that safe.  A withdrawal that would
-    overdraw returns False and leaves the balance alone.
+    overdraw returns False and leaves the balance alone.  ``work_us`` adds
+    a fixed sleep to each withdraw, deposit, transfer and check, standing
+    in for real work.
     """
 
     def __init__(
         self,
         accounts: dict,
         *,
-        work: Optional[SimulatedWork] = None,
+        work_us: int = 0,
         canary: Optional[ReentrancyCanary] = None,
     ):
         self.accounts = accounts
-        self._work = work
+        self._work_s = work_us / 1_000_000
         self._canary = canary
 
     def _pause(self) -> None:
-        if self._work is not None:
-            self._work()
+        # Sleeping yields the interpreter, so the simulated work of
+        # different workers overlaps.
+        if self._work_s > 0:
+            time.sleep(self._work_s)
 
     @synced("c", None)
     def create_account(self, token: int, initial: int) -> int:
@@ -186,6 +170,11 @@ class Workload:
     mix: Mix = DEFAULT_MIX
     seed: int = 0
     initial_balance: int = 10_000
+
+    def __post_init__(self):
+        for name in ("accounts", "requests", "batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, not {getattr(self, name)}")
 
 
 def iter_requests(w: Workload) -> Iterator[Request]:
@@ -300,6 +289,12 @@ def audit_events(events: Iterable[dict]) -> OrderingAudit:
 # --------------------------------------------------------------------------
 # benchmark runs
 
+# Requests a client of run_scenario keeps in flight, as perfbench's drive
+# does.  Bounding how far the sender gets ahead of the workers makes the
+# measured throughput that of the service, not of the sender.
+WINDOW = 64
+
+
 @dataclass
 class BenchReport:
     volume: int
@@ -309,40 +304,38 @@ class BenchReport:
     shutdown: ShutdownReport
     ordering: Optional[OrderingAudit] = None
 
-    def csv_row(self) -> str:
-        return f"{self.volume},{self.workers},{self.wall_ms:.3f},{self.throughput_mps:.1f}"
-
-
-CSV_HEADER = "volume,workers,time_ms,throughput_mps"
-
 
 def run_scenario(
     w: Workload,
     workers: int,
     *,
     work_us: int = 0,
-    work_mode: str = "sleep",
     event_log: Optional[EventLog] = None,
     canary: Optional[ReentrancyCanary] = None,
 ) -> BenchReport:
     """Run one workload on a fresh bank actor and verify it.
 
-    Every future must resolve, final balances must equal the sequential
-    replay oracle, and (when an event log is attached) the ordering audit
-    must be clean.  Any mismatch raises AuditError.
+    One client keeps at most ``WINDOW`` requests in flight: it waits for
+    the oldest future, then sends the next request.  Every future must
+    resolve, final balances must equal the sequential replay oracle, and
+    (when an event log is attached) the ordering audit must be clean.  Any
+    mismatch raises AuditError.
     """
     if w.requests < w.accounts:
         raise ValueError("need at least one request per account")
     accounts = {acc: w.initial_balance for acc in range(1, w.accounts + 1)}
-    work = SimulatedWork(work_us, work_mode) if work_us > 0 else None
     actor = MacActor(
-        lambda: BankTeller(accounts, work=work, canary=canary),
+        lambda: BankTeller(accounts, work_us=work_us, canary=canary),
         workers=workers,
         event_log=event_log,
     )
     requests = list(iter_requests(w))
     started = time.perf_counter()
-    futures = [actor.send(method, args) for method, args in requests]
+    futures = []
+    for i, (method, args) in enumerate(requests):
+        if i >= WINDOW:
+            futures[i - WINDOW].get()
+        futures.append(actor.send(method, args))
     shutdown = actor.shutdown(drain=True)
     wall = time.perf_counter() - started
     for fut in futures:
@@ -373,47 +366,3 @@ def run_scenario(
         ordering=ordering,
     )
 
-
-def sweep(
-    volumes: Sequence[int],
-    worker_counts: Sequence[int],
-    base: Workload,
-    *,
-    work_us: int = 0,
-    work_mode: str = "sleep",
-    audit_log_stem: Optional[str] = None,
-) -> list[BenchReport]:
-    """Cartesian product of request volumes and worker counts.
-
-    The workload for each cell reuses ``base`` with its request count
-    replaced, so a fixed seed yields identical request streams run to run.
-    With ``audit_log_stem`` each run writes ``<stem>-<volume>-<workers>.jsonl``.
-    """
-    if not volumes or not worker_counts:
-        raise ValueError("volumes and worker counts must be non-empty")
-    reports = []
-    for volume in volumes:
-        for workers in worker_counts:
-            w = Workload(
-                accounts=base.accounts,
-                requests=volume,
-                batch=base.batch,
-                mix=base.mix,
-                seed=base.seed,
-                initial_balance=base.initial_balance,
-            )
-            log = EventLog() if audit_log_stem else None
-            report = run_scenario(
-                w, workers, work_us=work_us, work_mode=work_mode, event_log=log
-            )
-            if log is not None:
-                log.write_jsonl(f"{audit_log_stem}-{volume}-{workers}.jsonl")
-            reports.append(report)
-    return reports
-
-
-def write_csv(reports: Iterable[BenchReport], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for report in reports:
-            fh.write(report.csv_row() + "\n")

@@ -1,21 +1,23 @@
 """Command line front ends.
 
 ``maci`` runs or exhaustively explores ``.mac`` programs; ``macbench``
-measures the bank service across request volumes and worker counts and
-writes a CSV report.
+measures the bank service across request volumes and worker counts, with
+``bank.WINDOW`` requests in flight, and writes a CSV report.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 
-from .bank import CSV_HEADER, Mix, Workload, sweep, write_csv
-from .explore import explore_all
+from .bank import Mix, Workload, run_scenario
+from .explore import CHECKS, explore_all
 from .interp import FutRef, FuelExhausted, initial_config, run
 from .parser import ParseError, ResolutionError, parse_program
+from .runtime import EventLog
 
 
 def _load(path: str):
@@ -59,7 +61,7 @@ def maci_main(argv=None) -> int:
     p_explore.add_argument("file")
     p_explore.add_argument("--depth", type=int, default=1000)
     p_explore.add_argument(
-        "--check", default="theorem1,order", help="comma-separated: theorem1,order"
+        "--check", default=",".join(CHECKS), help=f"comma-separated: {','.join(CHECKS)}"
     )
 
     args = parser.parse_args(argv)
@@ -104,7 +106,10 @@ def maci_main(argv=None) -> int:
 
     checks = tuple(c for c in args.check.split(",") if c)
     started = time.perf_counter()
-    report = explore_all(config, args.depth, checks=checks)
+    try:
+        report = explore_all(config, args.depth, checks=checks)
+    except ValueError as exc:
+        p_explore.error(str(exc))
     elapsed = time.perf_counter() - started
     print(f"states: {report.states}")
     print(f"time: {elapsed:.3f} s")
@@ -127,7 +132,6 @@ def macbench_main(argv=None) -> int:
     parser.add_argument("--workers", default="1,2,4")
     parser.add_argument("--batch", type=int, default=10)
     parser.add_argument("--work-us", type=int, default=100)
-    parser.add_argument("--work-mode", choices=("sleep", "spin"), default="sleep")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--initial-balance", type=int, default=10_000)
     parser.add_argument("--mix-withdraw", type=float, default=0.4)
@@ -149,17 +153,24 @@ def macbench_main(argv=None) -> int:
         seed=args.seed,
         initial_balance=args.initial_balance,
     )
+    # Every cell keeps the seed, so reruns send identical request streams.
+    cells = [dataclasses.replace(base, requests=volume) for volume in volumes]
     stem = None
     if args.audit_log:
         stem = args.audit_log[:-6] if args.audit_log.endswith(".jsonl") else args.audit_log
-    reports = sweep(
-        volumes, workers, base,
-        work_us=args.work_us, work_mode=args.work_mode, audit_log_stem=stem,
-    )
-    write_csv(reports, args.out)
-    print(CSV_HEADER)
-    for report in reports:
-        print(report.csv_row())
+    rows = ["volume,workers,time_ms,throughput_mps"]
+    for w in cells:
+        for count in workers:
+            log = EventLog() if stem else None
+            report = run_scenario(w, count, work_us=args.work_us, event_log=log)
+            if log is not None:
+                log.write_jsonl(f"{stem}-{w.requests}-{count}.jsonl")
+            rows.append(
+                f"{w.requests},{count},{report.wall_ms:.3f},{report.throughput_mps:.1f}"
+            )
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(rows) + "\n")
+    print("\n".join(rows))
     print(f"wrote {args.out}")
     return 0
 

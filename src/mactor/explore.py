@@ -60,7 +60,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .interp import Configuration, StepLabel, enabled_steps, object_steps, safe_step, step
-from .scheduler import select as default_select
+from .scheduler import lock_union, select as default_select
+
+# The invariants explore_all can check; see the module docstring.
+CHECKS = ("theorem1", "order")
 
 
 @dataclass(frozen=True)
@@ -86,12 +89,7 @@ class ExploreReport:
 def _check_lock_disjointness(config: Configuration) -> Optional[str]:
     for actor, group in config.actors.items():
         lock_sets = [config.heap[o].locks for o in group]
-        union: set = set()
-        total = 0
-        for entries in lock_sets:
-            union |= entries
-            total += len(entries)
-        if len(union) != total:
+        if len(lock_union(lock_sets)) != sum(map(len, lock_sets)):
             return f"overlapping lock sets inside group {actor}"
     return None
 
@@ -115,7 +113,7 @@ def explore_all(
     depth: int,
     *,
     select_fn: Callable = default_select,
-    checks: tuple[str, ...] = ("theorem1", "order"),
+    checks: tuple[str, ...] = CHECKS,
 ) -> ExploreReport:
     """Search the configurations reachable within ``depth`` steps, with
     the reduction the module describes.
@@ -132,9 +130,17 @@ def explore_all(
     already reached at a distance no greater than this state's.  A step
     kept alone then always leads one layer deeper, and no cycle goes
     deeper on every edge, so every cycle keeps a fully expanded state.
+
+    ``checks`` names the invariants to check, a subset of ``CHECKS``; an
+    unknown name raises ValueError rather than silently checking nothing.
     """
     if depth <= 0:
         raise ValueError("depth must be positive")
+    unknown = [c for c in checks if c not in CHECKS]
+    if unknown:
+        raise ValueError(
+            f"unknown check {', '.join(map(repr, unknown))}; known: {', '.join(CHECKS)}"
+        )
     report = ExploreReport(states=0)
     root_key = config.canonical()
     # key -> (parent key, label, BFS distance); the root has no parent

@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .scheduler import LockTable, QueuedMessage, SyncEntry, select, sync_set_of
+from .scheduler import LockTable, QueuedMessage, SyncEntry, lock_union, select, sync_set_of
 
 
 class FutureFailed(Exception):
@@ -381,12 +381,8 @@ class MacActor:
                 for w in self._idle
                 if (msg := select(w.supported, busy, pending)) is not None
             )
-        union: set = set()
-        total = 0
-        for entries in running:
-            union |= entries
-            total += len(entries)
-        ok = union == busy and len(union) == total and not startable
+        union = lock_union(running)
+        ok = union == busy and len(union) == sum(map(len, running)) and not startable
         return AuditSnapshot(busy_data=busy, running=running, startable=startable, ok=ok)
 
     def stats(self) -> dict:

@@ -18,18 +18,15 @@ from mactor import (
     MacActor,
     QueuedMessage,
     SyncEntry,
-    Workload,
-    audit_events,
     enabled_steps,
     explore_all,
     initial_config,
     parse_program,
     pretty_print,
-    read_jsonl,
-    run_scenario,
     select,
     step,
 )
+from mactor.bank import Workload, audit_events, read_jsonl, run_scenario
 
 SEED_COUNT = 20
 LIN_WORKLOADS = [

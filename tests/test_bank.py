@@ -1,21 +1,17 @@
 import pytest
 
 from conftest import PROGRAMS, load_config
-from mactor import (
-    BankTeller,
-    EventLog,
-    MacActor,
+from mactor import BankTeller, EventLog, MacActor, explore_all
+from mactor.bank import (
+    WINDOW,
     Mix,
     ReentrancyCanary,
     Workload,
     audit_events,
-    explore_all,
     iter_requests,
     read_jsonl,
     replay_oracle,
     run_scenario,
-    sweep,
-    write_csv,
 )
 from mactor.cli import macbench_main, maci_main
 
@@ -79,6 +75,15 @@ def test_workload_distributed_evenly():
     for _, args in iter_requests(w):
         counts[args[0]] = counts.get(args[0], 0) + 1
     assert all(count == 100 for count in counts.values())
+
+
+@pytest.mark.parametrize(
+    "sizes", [dict(batch=0), dict(accounts=0), dict(requests=0), dict(batch=-1)]
+)
+def test_workload_rejects_nonpositive_sizes(sizes):
+    # Only constructs: iterating a batch-0 workload used to loop forever.
+    with pytest.raises(ValueError, match=next(iter(sizes))):
+        Workload(**{"accounts": 2, "requests": 3, **sizes})
 
 
 def test_different_seeds_differ():
@@ -147,6 +152,24 @@ def test_zero_balance_withdraw_only():
     )
     report = run_scenario(w, workers=2)
     assert report.shutdown.executed == 100
+
+
+def test_closed_loop_keeps_at_most_window_in_flight():
+    """A worker logs ``complete`` before it settles the future the client
+    waits on, so when a request is enqueued at most WINDOW requests,
+    itself included, have not completed."""
+    log = EventLog()
+    w = Workload(accounts=8, requests=2000, seed=4)
+    run_scenario(w, workers=1, work_us=100, event_log=log)
+    enqueued = completed = ahead = 0
+    for ev in log.events():
+        if ev["event"] == "enqueue":
+            enqueued += 1
+            ahead = max(ahead, enqueued - completed)
+        elif ev["event"] == "complete":
+            completed += 1
+    assert enqueued == completed == 2000
+    assert ahead <= WINDOW
 
 
 def test_too_few_requests_rejected():
@@ -231,18 +254,21 @@ def test_audit_round_trips_through_jsonl(tmp_path):
 
 # ---- sweep and CSV
 
-def test_sweep_cardinality_and_csv(tmp_path):
-    base = Workload(accounts=4, requests=100, seed=3)
-    reports = sweep([100, 200], [1, 2], base)
-    assert len(reports) == 4
-    assert [(r.volume, r.workers) for r in reports] == [
-        (100, 1), (100, 2), (200, 1), (200, 2)
-    ]
+def test_sweep_cardinality_and_csv(tmp_path, capsys):
+    """macbench runs every volume with every worker count, volume-major,
+    and writes one CSV row per run under a fixed header."""
     out = tmp_path / "report.csv"
-    write_csv(reports, out)
+    rc = macbench_main([
+        "--accounts", "4", "--requests", "100,200", "--workers", "1,2",
+        "--work-us", "0", "--seed", "3", "--out", str(out),
+    ])
+    assert rc == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "volume,workers,time_ms,throughput_mps"
     assert len(lines) == 5
+    assert [tuple(map(int, line.split(",")[:2])) for line in lines[1:]] == [
+        (100, 1), (100, 2), (200, 1), (200, 2)
+    ]
 
 
 def test_same_seed_same_stream():
@@ -278,6 +304,13 @@ def test_maci_explore_cli(capsys):
     assert float(fields["states/s"]) > 0
 
 
+def test_maci_explore_rejects_unknown_check(capsys):
+    with pytest.raises(SystemExit) as stop:
+        maci_main(["explore", str(PROGRAMS / "bank_small.mac"), "--check", "theorem1,ordr"])
+    assert stop.value.code != 0
+    assert "unknown check 'ordr'" in capsys.readouterr().err
+
+
 def test_maci_reports_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.mac"
     bad.write_text("interface I { Bool m(; }\n{ }")
@@ -298,5 +331,6 @@ def test_macbench_cli(tmp_path, capsys):
     assert rc == 0
     lines = out_csv.read_text().strip().splitlines()
     assert len(lines) == 5
+    assert capsys.readouterr().out.splitlines()[:5] == lines
     assert (tmp_path / "audit-200-1.jsonl").exists()
     assert audit_events(read_jsonl(tmp_path / "audit-400-2.jsonl")).ok

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mactor import EMPTY_LOCKS, QueuedMessage, SyncEntry, lock_union, select, sync_set_of
-from mactor.scheduler import LockTable
+from mactor import QueuedMessage, SyncEntry, select, sync_set_of
+from mactor.scheduler import EMPTY_LOCKS, LockTable, lock_union
 
 
 def entry(label, value):
