@@ -175,6 +175,10 @@ class Workload:
         for name in ("accounts", "requests", "batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, not {getattr(self, name)}")
+        if self.requests < self.accounts:
+            raise ValueError(
+                f"requests ({self.requests}) must be at least accounts ({self.accounts})"
+            )
 
 
 def iter_requests(w: Workload) -> Iterator[Request]:
@@ -321,8 +325,6 @@ def run_scenario(
     (when an event log is attached) the ordering audit must be clean.  Any
     mismatch raises AuditError.
     """
-    if w.requests < w.accounts:
-        raise ValueError("need at least one request per account")
     accounts = {acc: w.initial_balance for acc in range(1, w.accounts + 1)}
     actor = MacActor(
         lambda: BankTeller(accounts, work_us=work_us, canary=canary),

@@ -8,13 +8,12 @@ measures the bank service across request volumes and worker counts, with
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
 
 from .bank import Mix, Workload, run_scenario
-from .explore import CHECKS, explore_all
+from .explore import explore_all
 from .interp import FutRef, FuelExhausted, initial_config, run
 from .parser import ParseError, ResolutionError, parse_program
 from .runtime import EventLog
@@ -46,6 +45,14 @@ def _print_futures(config) -> None:
             print(f"  {name} = {stored!r}")
 
 
+def _counts(text: str) -> list[int]:
+    """A comma-separated list of counts, each at least 1."""
+    counts = [int(v) for v in text.split(",")]
+    if min(counts) < 1:
+        raise argparse.ArgumentTypeError(f"every count must be at least 1, not {min(counts)}")
+    return counts
+
+
 def maci_main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="maci", description="MAC program interpreter")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -60,9 +67,6 @@ def maci_main(argv=None) -> int:
     p_explore = sub.add_parser("explore", help="visit all interleavings up to a depth")
     p_explore.add_argument("file")
     p_explore.add_argument("--depth", type=int, default=1000)
-    p_explore.add_argument(
-        "--check", default=",".join(CHECKS), help=f"comma-separated: {','.join(CHECKS)}"
-    )
 
     args = parser.parse_args(argv)
     program = _load(args.file)
@@ -104,10 +108,9 @@ def maci_main(argv=None) -> int:
         _print_futures(final)
         return 0
 
-    checks = tuple(c for c in args.check.split(",") if c)
     started = time.perf_counter()
     try:
-        report = explore_all(config, args.depth, checks=checks)
+        report = explore_all(config, args.depth)
     except ValueError as exc:
         p_explore.error(str(exc))
     elapsed = time.perf_counter() - started
@@ -127,9 +130,9 @@ def maci_main(argv=None) -> int:
 def macbench_main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="macbench", description="bank service benchmark")
     parser.add_argument("--accounts", type=int, default=64)
-    parser.add_argument("--requests", default="100000",
+    parser.add_argument("--requests", type=_counts, default="100000",
                         help="request volume; comma-separated for a sweep")
-    parser.add_argument("--workers", default="1,2,4")
+    parser.add_argument("--workers", type=_counts, default="1,2,4")
     parser.add_argument("--batch", type=int, default=10)
     parser.add_argument("--work-us", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
@@ -142,25 +145,29 @@ def macbench_main(argv=None) -> int:
     parser.add_argument("--audit-log", help="write per-run JSONL logs using this stem")
     args = parser.parse_args(argv)
 
-    volumes = [int(v) for v in str(args.requests).split(",")]
-    workers = [int(v) for v in args.workers.split(",")]
     mix = Mix(args.mix_withdraw, args.mix_deposit, args.mix_transfer, args.mix_check)
-    base = Workload(
-        accounts=args.accounts,
-        requests=volumes[0],
-        batch=args.batch,
-        mix=mix,
-        seed=args.seed,
-        initial_balance=args.initial_balance,
-    )
-    # Every cell keeps the seed, so reruns send identical request streams.
-    cells = [dataclasses.replace(base, requests=volume) for volume in volumes]
+    # Every cell is built, and so checked, before the first one runs.  Every
+    # cell keeps the seed, so reruns send identical request streams.
+    try:
+        cells = [
+            Workload(
+                accounts=args.accounts,
+                requests=volume,
+                batch=args.batch,
+                mix=mix,
+                seed=args.seed,
+                initial_balance=args.initial_balance,
+            )
+            for volume in args.requests
+        ]
+    except ValueError as exc:
+        parser.error(str(exc))
     stem = None
     if args.audit_log:
         stem = args.audit_log[:-6] if args.audit_log.endswith(".jsonl") else args.audit_log
     rows = ["volume,workers,time_ms,throughput_mps"]
     for w in cells:
-        for count in workers:
+        for count in args.workers:
             log = EventLog() if stem else None
             report = run_scenario(w, count, work_us=args.work_us, event_log=log)
             if log is not None:

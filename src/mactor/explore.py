@@ -62,10 +62,6 @@ from typing import Callable, Optional
 from .interp import Configuration, StepLabel, enabled_steps, object_steps, safe_step, step
 from .scheduler import lock_union, select as default_select
 
-# The invariants explore_all can check; see the module docstring.
-CHECKS = ("theorem1", "order")
-
-
 @dataclass(frozen=True)
 class Violation:
     kind: str  # "theorem1" | "order"
@@ -113,7 +109,6 @@ def explore_all(
     depth: int,
     *,
     select_fn: Callable = default_select,
-    checks: tuple[str, ...] = CHECKS,
 ) -> ExploreReport:
     """Search the configurations reachable within ``depth`` steps, with
     the reduction the module describes.
@@ -130,17 +125,9 @@ def explore_all(
     already reached at a distance no greater than this state's.  A step
     kept alone then always leads one layer deeper, and no cycle goes
     deeper on every edge, so every cycle keeps a fully expanded state.
-
-    ``checks`` names the invariants to check, a subset of ``CHECKS``; an
-    unknown name raises ValueError rather than silently checking nothing.
     """
     if depth <= 0:
         raise ValueError("depth must be positive")
-    unknown = [c for c in checks if c not in CHECKS]
-    if unknown:
-        raise ValueError(
-            f"unknown check {', '.join(map(repr, unknown))}; known: {', '.join(CHECKS)}"
-        )
     report = ExploreReport(states=0)
     root_key = config.canonical()
     # key -> (parent key, label, BFS distance); the root has no parent
@@ -162,7 +149,7 @@ def explore_all(
         report.states += 1
         # Only SCHED-MSG takes locks, so the first state with overlapping
         # lock sets on any path is the root or a SCHED-MSG successor.
-        if "theorem1" in checks and (mover is None or mover.rule == "SCHED-MSG"):
+        if mover is None or mover.rule == "SCHED-MSG":
             problem = _check_lock_disjointness(current)
             if problem:
                 report.violations.append(Violation("theorem1", problem, trace_to(key)))
@@ -198,7 +185,7 @@ def explore_all(
             if labels is None:
                 labels = enabled_steps(current, select_fn)
         for label in labels:
-            if label.rule == "SCHED-MSG" and "order" in checks:
+            if label.rule == "SCHED-MSG":
                 problem = _check_dispatch_order(current, label)
                 if problem:
                     report.violations.append(

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field, replace as dc_replace
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .scheduler import (
     EMPTY_LOCKS,
@@ -57,6 +57,7 @@ from .syntax import (
     Type,
     Var,
     While,
+    walk_stmts,
 )
 
 
@@ -152,8 +153,7 @@ class ObjectState:
     _id: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
-class StepLabel:
+class StepLabel(NamedTuple):
     """Identity of one enabled rule instance."""
 
     rule: str
@@ -346,9 +346,11 @@ class ProgramIndex:
             for m in c.methods:
                 env = {p.name for p in m.sig.params} | {d.name for d in m.locals}
                 written.update(
-                    s.target for s in _walk(m.body) if isinstance(s, Assign) and s.target not in env
+                    s.target
+                    for s in walk_stmts(m.body)
+                    if isinstance(s, Assign) and s.target not in env
                 )
-            out[c.name] = frozenset(d.name for d in c.params + c.attributes) - written
+            out[c.name] = frozenset(d.name for d in c.fields) - written
         return out
 
     @cached_property
@@ -359,7 +361,7 @@ class ProgramIndex:
             isinstance(s, Assign) and isinstance(s.value, AsyncCall)
             for c in self.program.classes
             for m in c.methods
-            for s in _walk(m.body)
+            for s in walk_stmts(m.body)
         )
 
     # ---- program lookups
@@ -385,21 +387,10 @@ class ProgramIndex:
         return next(iter(found))
 
 
-def _walk(stmts: Iterable[Stmt]) -> Iterable[Stmt]:
-    """Every statement of ``stmts``, nested ones included."""
-    for s in stmts:
-        yield s
-        if isinstance(s, If):
-            yield from _walk(s.then + s.orelse)
-        elif isinstance(s, While):
-            yield from _walk(s.body)
-
-
 class Configuration:
     """One machine state.  Treat as immutable; steps build new ones."""
 
     __slots__ = (
-        "program",
         "index",
         "heap",
         "queues",
@@ -416,7 +407,6 @@ class Configuration:
 
     def __init__(
         self,
-        program: Program,
         index: ProgramIndex,
         heap: dict,
         queues: dict,
@@ -427,7 +417,6 @@ class Configuration:
         next_priority: int,
         fault: Optional[str] = None,
     ):
-        self.program = program
         self.index = index
         self.heap = heap  # ObjRef -> ObjectState
         self.queues = queues  # ObjRef (group id) -> tuple[QueuedMessage, ...]
@@ -444,7 +433,6 @@ class Configuration:
 
     def evolve(self, **changes) -> "Configuration":
         kwargs = dict(
-            program=self.program,
             index=self.index,
             heap=self.heap,
             queues=self.queues,
@@ -552,7 +540,6 @@ def initial_config(program: Program) -> Configuration:
     }
     actors = {ANONYMOUS: {ANONYMOUS: (Closure(env, program.main_body),)}}
     return Configuration(
-        program=program,
         index=index,
         heap=heap,
         queues={},
@@ -800,80 +787,23 @@ def step(
 ) -> Configuration:
     """Apply one enabled rule instance; returns the successor configuration.
 
-    A label that is not enabled raises StepNotEnabled.  Evaluation errors in
-    the program surface as a faulted successor configuration.
+    A label that is not enabled raises StepNotEnabled: ``label`` must be the
+    step :func:`object_steps` gives its object, which is the only statement
+    of the rules' premises.  Evaluation errors in the program surface as a
+    faulted successor configuration.
     """
-    if config.fault is not None:
-        raise StepNotEnabled("configuration is faulted")
     group = config.actors.get(label.actor)
     if group is None or label.obj not in group:
         raise StepNotEnabled(f"no process for {label.obj} in {label.actor}")
+    if label not in object_steps(config, label.actor, label.obj, select_fn):
+        raise StepNotEnabled(f"{label} is not enabled")
     thread = group[label.obj]
+    top = thread[-1] if thread else None  # SCHED-MSG runs on an idle object
+    head = top.stmts[0] if top else None
     try:
-        return _apply(config, label, thread, select_fn)
+        return _RULES[label.rule](config, label, thread, top, head)
     except _EvalFault as fault:
         return config.evolve(fault=fault.diagnostic)
-
-
-def _apply(
-    config: Configuration, label: StepLabel, thread: Thread, select_fn: Callable
-) -> Configuration:
-    rule = label.rule
-    if rule == "SCHED-MSG":
-        return _sched_msg(config, label, thread, select_fn)
-    if not thread or not thread[-1].stmts:
-        raise StepNotEnabled(f"{label.rule}: object {label.obj} has nothing to run")
-    top = thread[-1]
-    s = top.stmts[0]
-
-    if rule in ("ASSIGN-LOCAL", "ASSIGN-FIELD"):
-        if not isinstance(s, Assign) or isinstance(
-            s.value, (SyncCall, AsyncCall, NewObject, NewActor)
-        ):
-            raise StepNotEnabled("no plain assignment at the head")
-        v = _eval(config, top.env, s.value)
-        return _assign(config, label, thread, s.target, v, top.stmts[1:])
-
-    if rule in ("COND-TRUE", "COND-FALSE"):
-        if isinstance(s, If):
-            taken = _eval_guard(config, top.env, s.cond)
-            _require(rule == ("COND-TRUE" if taken else "COND-FALSE"), "guard value changed")
-            branch = s.then if taken else s.orelse
-            return _with_top(config, label, thread, top.env, branch + top.stmts[1:])
-        if isinstance(s, While):
-            taken = _eval_guard(config, top.env, s.cond)
-            _require(rule == ("COND-TRUE" if taken else "COND-FALSE"), "guard value changed")
-            rest = s.body + top.stmts if taken else top.stmts[1:]
-            return _with_top(config, label, thread, top.env, rest)
-        raise StepNotEnabled("no conditional at the head")
-
-    if rule == "READ-FUT":
-        _require(isinstance(s, GetStmt), "no get at the head")
-        v = _eval(config, top.env, s.value)
-        if not isinstance(v, FutRef):
-            raise _EvalFault("'.get' applied to a non-future value")
-        if config.futures[v] is PENDING:
-            raise StepNotEnabled("future is unresolved")
-        return _with_top(config, label, thread, top.env, top.stmts[1:])
-
-    if rule == "SYNC-CALL":
-        return _sync_call(config, label, thread, top, s)
-    if rule == "SYNC-RETURN":
-        return _sync_return(config, label, thread, top, s)
-    if rule == "ASYNC-CALL":
-        return _async_call(config, label, thread, top, s)
-    if rule == "ASYNC-RETURN":
-        return _async_return(config, label, thread, top, s)
-    if rule == "NEW-ACTOB":
-        return _new_actob(config, label, thread, top, s)
-    if rule == "NEW-ACTOR":
-        return _new_actor(config, label, thread, top, s)
-    raise StepNotEnabled(f"unknown rule '{rule}'")
-
-
-def _require(ok: bool, why: str) -> None:
-    if not ok:
-        raise StepNotEnabled(why)
 
 
 # ---- rule bodies
@@ -923,8 +853,27 @@ def _assign(
     return out.evolve(heap=heap)
 
 
+def _plain_assign(config, label, thread, top, s) -> Configuration:
+    v = _eval(config, top.env, s.value)
+    return _assign(config, label, thread, s.target, v, top.stmts[1:])
+
+
+def _cond(config, label, thread, top, s) -> Configuration:
+    taken = _eval_guard(config, top.env, s.cond)
+    if isinstance(s, If):
+        rest = (s.then if taken else s.orelse) + top.stmts[1:]
+    else:
+        rest = s.body + top.stmts if taken else top.stmts[1:]
+    return _with_top(config, label, thread, top.env, rest)
+
+
+def _read_fut(config, label, thread, top, s) -> Configuration:
+    if not isinstance(_eval(config, top.env, s.value), FutRef):
+        raise _EvalFault("'.get' applied to a non-future value")
+    return _with_top(config, label, thread, top.env, top.stmts[1:])
+
+
 def _sync_call(config, label, thread, top, s) -> Configuration:
-    _require(isinstance(s, Assign) and isinstance(s.value, SyncCall), "no sync call at the head")
     call: SyncCall = s.value
     callee = _eval(config, top.env, call.target)
     if callee is None:
@@ -954,22 +903,15 @@ def _sync_call(config, label, thread, top, s) -> Configuration:
 
 
 def _sync_return(config, label, thread, top, s) -> Configuration:
-    _require(isinstance(s, Return), "no return at the head")
-    _require(len(thread) >= 2, "synchronous return needs a caller below")
+    # the caller below waits with a Hole at its head, put there by SYNC-CALL
     below = thread[-2]
-    head = below.stmts[0] if below.stmts else None
-    _require(
-        isinstance(head, Assign) and isinstance(head.value, Hole),
-        "caller is not waiting on a synchronous call",
-    )
     v = _eval(config, top.env, s.value)
-    resumed = below.with_stmts((Assign(head.target, ValueLit(v)),) + below.stmts[1:])
+    resumed = below.with_stmts((Assign(below.stmts[0].target, ValueLit(v)),) + below.stmts[1:])
     new_thread = thread[:-2] + (resumed,)
     return _with_thread(config, label.actor, label.obj, new_thread)
 
 
 def _async_call(config, label, thread, top, s) -> Configuration:
-    _require(isinstance(s, Assign) and isinstance(s.value, AsyncCall), "no async call at the head")
     call: AsyncCall = s.value
     target = _eval(config, top.env, call.target)
     if target is None:
@@ -1007,10 +949,7 @@ def _async_call(config, label, thread, top, s) -> Configuration:
 
 
 def _async_return(config, label, thread, top, s) -> Configuration:
-    _require(isinstance(s, Return), "no return at the head")
-    _require(len(thread) == 1, "asynchronous return happens at the bottom of the stack")
-    dest = top.env.get("dest")
-    _require(isinstance(dest, FutRef), "no destination future in scope")
+    dest = top.env["dest"]  # the resolver keeps return out of the main block
     v = _eval(config, top.env, s.value)
     assert config.futures[dest] is PENDING, "future written twice"
     futures = dict(config.futures)
@@ -1022,7 +961,6 @@ def _async_return(config, label, thread, top, s) -> Configuration:
 
 
 def _new_actob(config, label, thread, top, s) -> Configuration:
-    _require(isinstance(s, Assign) and isinstance(s.value, NewObject), "no new at the head")
     new: NewObject = s.value
     cls = config.index.classes.get(new.class_name)
     if cls is None:
@@ -1051,7 +989,6 @@ def _new_actob(config, label, thread, top, s) -> Configuration:
 
 
 def _new_actor(config, label, thread, top, s) -> Configuration:
-    _require(isinstance(s, Assign) and isinstance(s.value, NewActor), "no new actor at the head")
     new: NewActor = s.value
     cls = config.index.classes.get(new.class_name)
     if cls is None:
@@ -1094,17 +1031,12 @@ def _init_object(index: ProgramIndex, cls: ClassDecl, args: Sequence, owner: Obj
     )
 
 
-def _sched_msg(config, label, thread, select_fn) -> Configuration:
-    _require(not thread, "object is not idle")
+def _sched_msg(config, label, *_) -> Configuration:
     actor, obj = label.actor, label.obj
-    queue = config.queues.get(actor)
-    _require(bool(queue), "queue is empty")
-    held = config.group_locks(actor)
-    supported = config.index.supported(config.heap[obj].cls)
-    msg = select_fn(supported, held, queue)
-    _require(msg is not None and msg.priority == label.priority, "message is not selectable")
+    queue = config.queues[actor]
+    msg = next(m for m in queue if m.priority == label.priority)
     queues = dict(config.queues)
-    queues[actor] = tuple(m for m in queue if m.priority != msg.priority)
+    queues[actor] = tuple(m for m in queue if m is not msg)
     mdef = config.index.class_methods[config.heap[obj].cls][msg.method]
     env: dict = {"this": obj, "dest": msg.future}
     for p, v in zip(mdef.sig.params, msg.args):
@@ -1116,6 +1048,22 @@ def _sched_msg(config, label, thread, select_fn) -> Configuration:
     return _with_thread(
         config, actor, obj, (Closure(env, mdef.body),), queues=queues, heap=heap
     )
+
+
+_RULES = {
+    "ASSIGN-LOCAL": _plain_assign,
+    "ASSIGN-FIELD": _plain_assign,
+    "COND-TRUE": _cond,
+    "COND-FALSE": _cond,
+    "READ-FUT": _read_fut,
+    "SYNC-CALL": _sync_call,
+    "SYNC-RETURN": _sync_return,
+    "ASYNC-CALL": _async_call,
+    "ASYNC-RETURN": _async_return,
+    "NEW-ACTOB": _new_actob,
+    "NEW-ACTOR": _new_actor,
+    "SCHED-MSG": _sched_msg,
+}
 
 
 # --------------------------------------------------------------------------

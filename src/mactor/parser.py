@@ -46,6 +46,7 @@ from .syntax import (
     Var,
     VarDecl,
     While,
+    walk_stmts,
 )
 
 
@@ -452,16 +453,6 @@ def _walk_exprs(e: Expr):
             yield from _walk_exprs(a)
 
 
-def _walk_stmts(body: tuple[Stmt, ...]):
-    for s in body:
-        yield s
-        if isinstance(s, If):
-            yield from _walk_stmts(s.then)
-            yield from _walk_stmts(s.orelse)
-        elif isinstance(s, While):
-            yield from _walk_stmts(s.body)
-
-
 class _Resolver:
     def __init__(self, program: Program):
         self.program = program
@@ -538,7 +529,7 @@ class _Resolver:
             if name not in self.ifaces:
                 self.fail(f"class '{cls.name}' implements undeclared interface '{name}'")
         field_names: set[str] = set()
-        for d in cls.params + cls.attributes:
+        for d in cls.fields:
             self.check_name(d.name, f"field of class '{cls.name}'")
             if d.name in field_names:
                 self.fail(f"duplicate field '{d.name}' in class '{cls.name}'")
@@ -581,7 +572,7 @@ class _Resolver:
     def check_returns(self, body: tuple[Stmt, ...], where: str) -> None:
         if not body or not isinstance(body[-1], Return):
             self.fail(f"{where} must end with a return statement")
-        for s in _walk_stmts(body):
+        for s in walk_stmts(body):
             if isinstance(s, Return) and s is not body[-1]:
                 self.fail(f"{where} has a return before the final statement")
 
@@ -593,7 +584,7 @@ class _Resolver:
                 self.fail(f"duplicate variable '{d.name}' in main")
             scope.add(d.name)
             self.check_type(d.type, "main")
-        for s in _walk_stmts(self.program.main_body):
+        for s in walk_stmts(self.program.main_body):
             if isinstance(s, Return):
                 self.fail("return is not allowed in the main block")
         self.check_body(self.program.main_body, scope, "main", allow_this=False)
@@ -601,7 +592,7 @@ class _Resolver:
     # ---- statement and expression checks
 
     def check_body(self, body: tuple[Stmt, ...], scope: set[str], where: str, allow_this: bool) -> None:
-        for s in _walk_stmts(body):
+        for s in walk_stmts(body):
             if isinstance(s, Assign):
                 if s.target not in scope:
                     self.fail(f"assignment to undeclared variable '{s.target}' in {where}")

@@ -12,6 +12,7 @@ which keeps round-tripping through :func:`pretty_print` an exact identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 
 # --------------------------------------------------------------------------
@@ -177,6 +178,16 @@ class While(Stmt):
 @dataclass(frozen=True, slots=True)
 class Return(Stmt):
     value: Expr
+
+
+def walk_stmts(stmts: tuple[Stmt, ...]) -> Iterator[Stmt]:
+    """Every statement of ``stmts``, nested ones included, in source order."""
+    for s in stmts:
+        yield s
+        if isinstance(s, If):
+            yield from walk_stmts(s.then + s.orelse)
+        elif isinstance(s, While):
+            yield from walk_stmts(s.body)
 
 
 # --------------------------------------------------------------------------

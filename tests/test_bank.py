@@ -304,13 +304,6 @@ def test_maci_explore_cli(capsys):
     assert float(fields["states/s"]) > 0
 
 
-def test_maci_explore_rejects_unknown_check(capsys):
-    with pytest.raises(SystemExit) as stop:
-        maci_main(["explore", str(PROGRAMS / "bank_small.mac"), "--check", "theorem1,ordr"])
-    assert stop.value.code != 0
-    assert "unknown check 'ordr'" in capsys.readouterr().err
-
-
 def test_maci_reports_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.mac"
     bad.write_text("interface I { Bool m(; }\n{ }")
@@ -334,3 +327,28 @@ def test_macbench_cli(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[:5] == lines
     assert (tmp_path / "audit-200-1.jsonl").exists()
     assert audit_events(read_jsonl(tmp_path / "audit-400-2.jsonl")).ok
+
+
+@pytest.mark.parametrize(
+    "bad, why",
+    [
+        (["--requests", "100,3"], "requests (3) must be at least accounts (4)"),
+        (["--batch", "0"], "batch must be at least 1"),
+        (["--workers", "1,0"], "every count must be at least 1"),
+        (["--workers", "1,x"], "invalid _counts value"),
+    ],
+    ids=["volume-below-accounts", "batch-0", "workers-0", "workers-not-int"],
+)
+def test_macbench_rejects_bad_arguments_before_any_cell(bad, why, tmp_path, capsys, monkeypatch):
+    # A bad later cell used to end in a traceback after the earlier cells
+    # had run, and no CSV was written.
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr("mactor.cli.run_scenario", no_cell)
+    out_csv = tmp_path / "r.csv"
+    with pytest.raises(SystemExit) as stop:
+        macbench_main(["--accounts", "4", "--workers", "1", "--out", str(out_csv), *bad])
+    assert stop.value.code == 2
+    assert why in capsys.readouterr().err
+    assert not out_csv.exists()

@@ -214,14 +214,6 @@ def test_depth_must_be_positive(bank_small):
         explore_all(initial_config(bank_small), 0)
 
 
-def test_unknown_check_name_is_rejected(bank_small):
-    # a misspelt name used to check nothing, so broken_select passed as ok
-    with pytest.raises(ValueError, match="'order1'"):
-        explore_all(
-            initial_config(bank_small), 500, select_fn=broken_select, checks=("theorem1", "order1")
-        )
-
-
 def test_bool_and_int_in_one_slot_stay_distinct():
     # in Python True == 1, and states that differ only there must not merge
     p = parse_program(BOOL_INT_RACE)

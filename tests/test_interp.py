@@ -7,6 +7,7 @@ from mactor import (
     FuelExhausted,
     FutRef,
     PENDING,
+    StepLabel,
     StepNotEnabled,
     enabled_steps,
     initial_config,
@@ -14,7 +15,7 @@ from mactor import (
     run,
     step,
 )
-from mactor.interp import ANONYMOUS, Closure
+from mactor.interp import ANONYMOUS, Closure, object_steps
 
 COUNTER = """
 interface IC { Int inc(Int x); }
@@ -266,6 +267,59 @@ def test_step_rejects_unenabled_label(employee_bank):
     bad = labels[0].__class__("ASYNC-RETURN", labels[0].actor, labels[0].obj)
     with pytest.raises(StepNotEnabled):
         step(c, bad)
+
+
+RULES = (
+    "ASSIGN-LOCAL",
+    "ASSIGN-FIELD",
+    "COND-TRUE",
+    "COND-FALSE",
+    "READ-FUT",
+    "SYNC-CALL",
+    "SYNC-RETURN",
+    "ASYNC-CALL",
+    "ASYNC-RETURN",
+    "NEW-ACTOB",
+    "NEW-ACTOR",
+    "SCHED-MSG",
+)
+
+
+@pytest.mark.parametrize("name", ["bank_small", "worked_queue"])
+def test_step_takes_exactly_the_label_object_steps_gives(name):
+    # Every rule name, crossed with every method name and queued priority
+    # in sight, is refused except the one enabled label; step used to
+    # accept ASSIGN-FIELD on a local write and calls naming another method.
+    program = load_program(name)
+    methods = {None} | {m.sig.name for c in program.classes for m in c.methods}
+    frontier = [initial_config(program)]
+    seen = {frontier[0].canonical()}
+    visited = 0
+    while frontier and visited < 300:
+        config = frontier.pop(0)
+        visited += 1
+        faulted = config.evolve(fault="stopped")
+        priorities = {None, config.next_priority} | {
+            m.priority for q in config.queues.values() for m in q
+        }
+        for actor, group in config.actors.items():
+            for obj in group:
+                enabled = object_steps(config, actor, obj)
+                for label in enabled:
+                    succ = step(config, label)
+                    with pytest.raises(StepNotEnabled):
+                        step(faulted, label)
+                    if succ.canonical() not in seen:
+                        seen.add(succ.canonical())
+                        frontier.append(succ)
+                for rule in RULES:
+                    for method in methods:
+                        for priority in priorities:
+                            label = StepLabel(rule, actor, obj, method, priority)
+                            if label not in enabled:
+                                with pytest.raises(StepNotEnabled):
+                                    step(config, label)
+    assert visited >= 100
 
 
 # ---- free objects

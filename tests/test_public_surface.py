@@ -1,4 +1,7 @@
-"""Pins ``mactor.__all__``, so the top-level surface grows only on purpose."""
+"""Pins ``mactor.__all__``, so the top-level surface grows only on purpose,
+and the names perfbench imports and patches."""
+
+import importlib
 
 import mactor
 
@@ -60,3 +63,20 @@ def test_every_public_name_resolves():
 
 def test_perfbench_imports_are_public():
     assert PERFBENCH_IMPORTS <= set(mactor.__all__)
+
+
+# What perfbench/layers.py patches by name to time the layers.
+PERFBENCH_PATCH_POINTS = (
+    ("mactor.runtime", "select"),
+    ("mactor.explore", "enabled_steps"),
+    ("mactor.explore", "step"),
+    ("mactor.interp", "Configuration.canonical"),
+)
+
+
+def test_perfbench_patch_points_exist():
+    for module, path in PERFBENCH_PATCH_POINTS:
+        target = importlib.import_module(module)
+        for part in path.split("."):
+            target = getattr(target, part)
+        assert callable(target), f"{module}.{path}"
