@@ -149,6 +149,13 @@ class Mix:
     transfer: float = 0.1
     check: float = 0.1
 
+    def __post_init__(self):
+        shares = (self.withdraw, self.deposit, self.transfer, self.check)
+        if min(shares) < 0:
+            raise ValueError(f"mix shares must not be negative: {shares}")
+        if abs(sum(shares) - 1) > 1e-9:
+            raise ValueError(f"mix shares must sum to 1, not {sum(shares)}")
+
 
 DEFAULT_MIX = Mix()
 

@@ -12,7 +12,7 @@ import json
 import sys
 import time
 
-from .bank import Mix, Workload, run_scenario
+from .bank import Workload, run_scenario
 from .explore import explore_all
 from .interp import FutRef, FuelExhausted, initial_config, run
 from .parser import ParseError, ResolutionError, parse_program
@@ -45,6 +45,14 @@ def _print_futures(config) -> None:
             print(f"  {name} = {stored!r}")
 
 
+def _positive(text: str) -> int:
+    """A count of at least 1."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {count}")
+    return count
+
+
 def _counts(text: str) -> list[int]:
     """A comma-separated list of counts, each at least 1."""
     counts = [int(v) for v in text.split(",")]
@@ -61,12 +69,12 @@ def maci_main(argv=None) -> int:
     p_run.add_argument("file")
     p_run.add_argument("--policy", choices=("fifo", "random"), default="fifo")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--fuel", type=int, default=100_000)
+    p_run.add_argument("--fuel", type=_positive, default=100_000)
     p_run.add_argument("--trace", help="write one JSON object per step to this file")
 
     p_explore = sub.add_parser("explore", help="visit all interleavings up to a depth")
     p_explore.add_argument("file")
-    p_explore.add_argument("--depth", type=int, default=1000)
+    p_explore.add_argument("--depth", type=_positive, default=1000)
 
     args = parser.parse_args(argv)
     program = _load(args.file)
@@ -109,10 +117,7 @@ def maci_main(argv=None) -> int:
         return 0
 
     started = time.perf_counter()
-    try:
-        report = explore_all(config, args.depth)
-    except ValueError as exc:
-        p_explore.error(str(exc))
+    report = explore_all(config, args.depth)
     elapsed = time.perf_counter() - started
     print(f"states: {report.states}")
     print(f"time: {elapsed:.3f} s")
@@ -133,31 +138,17 @@ def macbench_main(argv=None) -> int:
     parser.add_argument("--requests", type=_counts, default="100000",
                         help="request volume; comma-separated for a sweep")
     parser.add_argument("--workers", type=_counts, default="1,2,4")
-    parser.add_argument("--batch", type=int, default=10)
     parser.add_argument("--work-us", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--initial-balance", type=int, default=10_000)
-    parser.add_argument("--mix-withdraw", type=float, default=0.4)
-    parser.add_argument("--mix-deposit", type=float, default=0.4)
-    parser.add_argument("--mix-transfer", type=float, default=0.1)
-    parser.add_argument("--mix-check", type=float, default=0.1)
     parser.add_argument("--out", default="report.csv")
     parser.add_argument("--audit-log", help="write per-run JSONL logs using this stem")
     args = parser.parse_args(argv)
 
-    mix = Mix(args.mix_withdraw, args.mix_deposit, args.mix_transfer, args.mix_check)
     # Every cell is built, and so checked, before the first one runs.  Every
     # cell keeps the seed, so reruns send identical request streams.
     try:
         cells = [
-            Workload(
-                accounts=args.accounts,
-                requests=volume,
-                batch=args.batch,
-                mix=mix,
-                seed=args.seed,
-                initial_balance=args.initial_balance,
-            )
+            Workload(accounts=args.accounts, requests=volume, seed=args.seed)
             for volume in args.requests
         ]
     except ValueError as exc:

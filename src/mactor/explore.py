@@ -22,12 +22,13 @@ it.  ``select_fn`` is injectable so a deliberately broken selection rule can
 be shown to trip the checks.
 
 The search is reduced by ample sets (Godefroid, LNCS 1032, 1996): in each
-state, a step :func:`mactor.interp.safe_step` finds independent of every
-other object's steps is expanded alone, and only otherwise is every enabled
-step expanded.  Any safe step will do, so the object that took the step
-into a state is asked first (:func:`mactor.interp.object_steps`), and
-:func:`mactor.interp.enabled_steps` runs only when that object has no safe
-step or its safe step needs full expansion.  A safe step gets full
+state, a step that :func:`mactor.interp.is_safe` judges independent of
+every other object's steps is expanded alone, and only otherwise is every
+enabled step expanded.  Any safe step will do, and an object has at most
+one step, so the object that took the step into a state is asked for its
+step first (:func:`mactor.interp.object_step`), and
+:func:`mactor.interp.enabled_steps` runs only when that step is missing or
+not safe, or needs full expansion.  A safe step gets full
 expansion when its successor faults, so that the other objects' faults are
 still reached, or when its successor was already reached at a distance no
 greater than the current state's, so that a cycle cannot postpone them
@@ -59,7 +60,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .interp import Configuration, StepLabel, enabled_steps, object_steps, safe_step, step
+from .interp import Configuration, StepLabel, enabled_steps, is_safe, object_step, step
 from .scheduler import lock_union, select as default_select
 
 @dataclass(frozen=True)
@@ -75,11 +76,15 @@ class ExploreReport:
     terminals: list[Configuration] = field(default_factory=list)
     violations: list[Violation] = field(default_factory=list)
     truncated: bool = False
-    faults: int = 0
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def faults(self) -> int:
+        """Faulted terminals met, by the reduced search."""
+        return sum(c.fault is not None for c in self.terminals)
 
 
 def _check_lock_disjointness(config: Configuration) -> Optional[str]:
@@ -120,11 +125,14 @@ def explore_all(
     terminals met, not those of the full search.  ``select_fn`` must be
     prefix-stable.
 
-    Each state asks the object that moved into it for a safe step first
-    and expands that step alone, unless its successor faults or was
-    already reached at a distance no greater than this state's.  A step
-    kept alone then always leads one layer deeper, and no cycle goes
-    deeper on every edge, so every cycle keeps a fully expanded state.
+    Each state asks the object that moved into it for its one step
+    (:func:`mactor.interp.object_step`) first.  If
+    :func:`mactor.interp.is_safe` accepts that step, or else the first
+    enabled step it accepts, that step is expanded alone, unless its
+    successor faults or was already reached at a distance no greater than
+    this state's.  A step kept alone then always leads one layer deeper,
+    and no cycle goes deeper on every edge, so every cycle keeps a fully
+    expanded state.
     """
     if depth <= 0:
         raise ValueError("depth must be positive")
@@ -132,7 +140,6 @@ def explore_all(
     root_key = config.canonical()
     # key -> (parent key, label, BFS distance); the root has no parent
     parents: dict = {root_key: (None, None, 0)}
-    seen_terminal: set = set()
     # (state, key, distance, the label that produced it)
     frontier: deque = deque([(config, root_key, 0, None)])
 
@@ -155,19 +162,13 @@ def explore_all(
                 report.violations.append(Violation("theorem1", problem, trace_to(key)))
                 return report
         labels = None
-        pick = None
-        if mover is not None:
-            pick = safe_step(current, object_steps(current, mover.actor, mover.obj, select_fn))
-        if pick is None:
+        pick = None if mover is None else object_step(current, mover.actor, mover.obj, select_fn)
+        if pick is None or not is_safe(current, pick):
             labels = enabled_steps(current, select_fn)
             if not labels:
-                if key not in seen_terminal:
-                    seen_terminal.add(key)
-                    report.terminals.append(current)
-                    if current.fault is not None:
-                        report.faults += 1
+                report.terminals.append(current)
                 continue
-            pick = safe_step(current, labels)
+            pick = next((label for label in labels if is_safe(current, label)), None)
         if dist >= depth:
             report.truncated = True
             continue

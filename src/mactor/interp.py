@@ -512,9 +512,6 @@ class Configuration:
         thread = self.actors[anon][anon]
         return dict(thread[0].env) if thread else {}
 
-    def resolved_futures(self) -> dict:
-        return {f: v for f, v in self.futures.items() if v is not PENDING}
-
     def group_locks(self, actor: ObjRef) -> frozenset[SyncEntry]:
         return lock_union(self.heap[o].locks for o in self.actors[actor])
 
@@ -636,29 +633,31 @@ def enabled_steps(
     labels: list[StepLabel] = []
     for actor in sorted(config.actors, key=lambda r: r.id):
         for obj in sorted(config.actors[actor], key=lambda r: r.id):
-            labels.extend(object_steps(config, actor, obj, select_fn))
+            label = object_step(config, actor, obj, select_fn)
+            if label is not None:
+                labels.append(label)
     return labels
 
 
-def object_steps(
+def object_step(
     config: Configuration,
     actor: ObjRef,
     obj: ObjRef,
     select_fn: Callable = default_select,
-) -> list[StepLabel]:
-    """The steps of object ``obj`` of group ``actor`` among
-    :func:`enabled_steps`: at most one, since an object either schedules a
-    message or runs the head statement of its top closure."""
+) -> Optional[StepLabel]:
+    """The step of object ``obj`` of group ``actor`` among
+    :func:`enabled_steps`, or None.  An object has at most one: an idle
+    object schedules the message ``select_fn`` picks, and a busy one runs
+    the head statement of its top closure."""
     if config.fault is not None:
-        return []
+        return None
     thread = config.actors[actor][obj]
     if not thread:
-        label = _sched_label(config, actor, obj, select_fn)
-        return [] if label is None else [label]
+        return _sched_label(config, actor, obj, select_fn)
     top = thread[-1]
     if not top.stmts:
-        return []  # the main closure after its last statement
-    return _stmt_labels(config, actor, obj, thread, top)
+        return None  # the main closure after its last statement
+    return _stmt_label(config, actor, obj, thread, top)
 
 
 def _sched_label(
@@ -675,43 +674,39 @@ def _sched_label(
     return StepLabel("SCHED-MSG", actor, obj, msg.method, msg.priority)
 
 
-def _stmt_labels(
+def _stmt_label(
     config: Configuration, actor: ObjRef, obj: ObjRef, thread: Thread, top: Closure
-) -> list[StepLabel]:
+) -> Optional[StepLabel]:
     s = top.stmts[0]
     if isinstance(s, Assign):
         rhs = s.value
         if isinstance(rhs, SyncCall):
-            return [StepLabel("SYNC-CALL", actor, obj, rhs.method)]
+            return StepLabel("SYNC-CALL", actor, obj, rhs.method)
         if isinstance(rhs, AsyncCall):
-            return [StepLabel("ASYNC-CALL", actor, obj, rhs.method)]
+            return StepLabel("ASYNC-CALL", actor, obj, rhs.method)
         if isinstance(rhs, NewObject):
-            return [StepLabel("NEW-ACTOB", actor, obj)]
+            return StepLabel("NEW-ACTOB", actor, obj)
         if isinstance(rhs, NewActor):
-            return [StepLabel("NEW-ACTOR", actor, obj)]
+            return StepLabel("NEW-ACTOR", actor, obj)
         rule = "ASSIGN-LOCAL" if s.target in top.env else "ASSIGN-FIELD"
-        return [StepLabel(rule, actor, obj)]
+        return StepLabel(rule, actor, obj)
     if isinstance(s, GetStmt):
+        # a bad expression or a non-future is enabled, and the step faults
         try:
             v = _eval(config, top.env, s.value)
         except _EvalFault:
-            return [StepLabel("READ-FUT", actor, obj)]  # step will fault
-        if not isinstance(v, FutRef):
-            return [StepLabel("READ-FUT", actor, obj)]  # step will fault
-        if config.futures[v] is PENDING:
-            return []  # blocked until the future resolves
-        return [StepLabel("READ-FUT", actor, obj)]
+            v = None
+        if isinstance(v, FutRef) and config.futures[v] is PENDING:
+            return None  # blocked until the future resolves
+        return StepLabel("READ-FUT", actor, obj)
     if isinstance(s, (If, While)):
-        cond = s.cond
         try:
-            value = _eval_guard(config, top.env, cond)
+            value = _eval_guard(config, top.env, s.cond)
         except _EvalFault:
-            return [StepLabel("COND-TRUE", actor, obj)]  # step will fault
-        return [StepLabel("COND-TRUE" if value else "COND-FALSE", actor, obj)]
+            value = True  # the step faults
+        return StepLabel("COND-TRUE" if value else "COND-FALSE", actor, obj)
     if isinstance(s, Return):
-        if len(thread) > 1:
-            return [StepLabel("SYNC-RETURN", actor, obj)]
-        return [StepLabel("ASYNC-RETURN", actor, obj)]
+        return StepLabel("SYNC-RETURN" if len(thread) > 1 else "ASYNC-RETURN", actor, obj)
     raise TypeError(f"unhandled statement {s!r}")
 
 
@@ -727,13 +722,11 @@ _LOCAL_RULES = frozenset(
 _CONSTANTS = (NullLit, BoolLit, IntLit, ValueLit, This)
 
 
-def safe_step(config: Configuration, labels: Sequence[StepLabel]) -> Optional[StepLabel]:
-    """The first of ``labels``, steps enabled in ``config``, that commutes
-    with every step the other objects can take from here on, or None.
-    ``labels`` may be all of :func:`enabled_steps` or one object's
-    :func:`object_steps`.  Such a step stays enabled until it is taken, and
-    taking it first reaches every state, terminal and violation that taking
-    it later would.
+def is_safe(config: Configuration, label: StepLabel) -> bool:
+    """Whether ``label``, a step enabled in ``config``, commutes with every
+    step the other objects can take from here on.  Such a step stays
+    enabled until it is taken, and taking it first reaches every state,
+    terminal and violation that taking it later would.
 
     Two kinds of step qualify, provided their expressions read only
     literals, ``this``, names in the top closure's environment and fields
@@ -749,15 +742,13 @@ def safe_step(config: Configuration, labels: Sequence[StepLabel]) -> Optional[St
     The step may still fault; the caller checks its successor.
     """
     index = config.index
-    for label in labels:
-        rule = label.rule
-        if rule in _LOCAL_RULES or (rule == "ASYNC-CALL" and not index.methods_send):
-            top = config.actors[label.actor][label.obj][-1]
-            env = top.env
-            fields = index.stable_fields.get(config.heap[env["this"]].cls, frozenset())
-            if all(_stable(e, env, fields) for e in _head_exprs(top.stmts[0])):
-                return label
-    return None
+    rule = label.rule
+    if not (rule in _LOCAL_RULES or (rule == "ASYNC-CALL" and not index.methods_send)):
+        return False
+    top = config.actors[label.actor][label.obj][-1]
+    env = top.env
+    fields = index.stable_fields.get(config.heap[env["this"]].cls, frozenset())
+    return all(_stable(e, env, fields) for e in _head_exprs(top.stmts[0]))
 
 
 def _head_exprs(s: Stmt) -> tuple:
@@ -788,14 +779,14 @@ def step(
     """Apply one enabled rule instance; returns the successor configuration.
 
     A label that is not enabled raises StepNotEnabled: ``label`` must be the
-    step :func:`object_steps` gives its object, which is the only statement
+    step :func:`object_step` gives its object, which is the only statement
     of the rules' premises.  Evaluation errors in the program surface as a
     faulted successor configuration.
     """
     group = config.actors.get(label.actor)
     if group is None or label.obj not in group:
         raise StepNotEnabled(f"no process for {label.obj} in {label.actor}")
-    if label not in object_steps(config, label.actor, label.obj, select_fn):
+    if label != object_step(config, label.actor, label.obj, select_fn):
         raise StepNotEnabled(f"{label} is not enabled")
     thread = group[label.obj]
     top = thread[-1] if thread else None  # SCHED-MSG runs on an idle object
@@ -960,75 +951,37 @@ def _async_return(config, label, thread, top, s) -> Configuration:
     return _with_thread(config, label.actor, obj, (), futures=futures, heap=heap)
 
 
-def _new_actob(config, label, thread, top, s) -> Configuration:
-    new: NewObject = s.value
+def _new(config, label, thread, top, s) -> Configuration:
+    """NEW-ACTOB and NEW-ACTOR: ``new C(..)`` joins the caller's group, and
+    ``new actor C(..)`` is the first object of a fresh group."""
+    new = s.value
     cls = config.index.classes.get(new.class_name)
     if cls is None:
         raise _EvalFault(f"unknown class '{new.class_name}'")
     if len(new.args) != len(cls.params):
         raise _EvalFault(f"constructor of '{new.class_name}' arity mismatch")
-    args = [_eval(config, top.env, a) for a in new.args]
-    owner = config.heap[top.env["this"]].myactor
-    obj = ObjRef(config.next_obj)
-    state = _init_object(config.index, cls, args, owner)
-    heap = dict(config.heap)
-    heap[obj] = state
-    actors = dict(config.actors)
-    group = dict(actors[owner])
-    group[obj] = ()
-    actors[owner] = group
-    out = _assign(
-        config.evolve(heap=heap, actors=actors, next_obj=config.next_obj + 1),
-        label,
-        thread,
-        s.target,
-        obj,
-        top.stmts[1:],
-    )
-    return out
-
-
-def _new_actor(config, label, thread, top, s) -> Configuration:
-    new: NewActor = s.value
-    cls = config.index.classes.get(new.class_name)
-    if cls is None:
-        raise _EvalFault(f"unknown class '{new.class_name}'")
-    if len(new.args) != len(cls.params):
-        raise _EvalFault(f"constructor of '{new.class_name}' arity mismatch")
-    args = [_eval(config, top.env, a) for a in new.args]
-    group_id = ObjRef(config.next_obj)
-    # The creation event is consumed on the spot: the fresh group starts with
-    # its first object initialized, idle, and an empty queue.
-    state = _init_object(config.index, cls, args, group_id)
-    heap = dict(config.heap)
-    heap[group_id] = state
-    queues = dict(config.queues)
-    queues[group_id] = ()
-    actors = dict(config.actors)
-    actors[group_id] = {group_id: ()}
-    return _assign(
-        config.evolve(heap=heap, queues=queues, actors=actors, next_obj=config.next_obj + 1),
-        label,
-        thread,
-        s.target,
-        group_id,
-        top.stmts[1:],
-    )
-
-
-def _init_object(index: ProgramIndex, cls: ClassDecl, args: Sequence, owner: ObjRef) -> ObjectState:
-    fields: dict = {}
-    for d, v in zip(cls.params, args):
-        fields[d.name] = v
+    fields = {d.name: _eval(config, top.env, a) for d, a in zip(cls.params, new.args)}
     for d in cls.attributes:
         fields[d.name] = default_value(d.type)
-    return ObjectState(
+    obj = ObjRef(config.next_obj)
+    is_actor = label.rule == "NEW-ACTOR"
+    owner = obj if is_actor else config.heap[top.env["this"]].myactor
+    heap = dict(config.heap)
+    heap[obj] = ObjectState(
         cls=cls.name,
         myactor=owner,
-        ifaces=index.class_ifaces[cls.name],
+        ifaces=config.index.class_ifaces[cls.name],
         locks=EMPTY_LOCKS,
         fields=fields,
     )
+    actors = dict(config.actors)
+    actors[owner] = {**actors.get(owner, {}), obj: ()}
+    changes = dict(heap=heap, actors=actors, next_obj=config.next_obj + 1)
+    if is_actor:
+        # The creation event is consumed on the spot: the fresh group
+        # starts with its first object initialized, idle, and an empty queue.
+        changes["queues"] = {**config.queues, obj: ()}
+    return _assign(config.evolve(**changes), label, thread, s.target, obj, top.stmts[1:])
 
 
 def _sched_msg(config, label, *_) -> Configuration:
@@ -1060,8 +1013,8 @@ _RULES = {
     "SYNC-RETURN": _sync_return,
     "ASYNC-CALL": _async_call,
     "ASYNC-RETURN": _async_return,
-    "NEW-ACTOB": _new_actob,
-    "NEW-ACTOR": _new_actor,
+    "NEW-ACTOB": _new,
+    "NEW-ACTOR": _new,
     "SCHED-MSG": _sched_msg,
 }
 
@@ -1069,12 +1022,9 @@ _RULES = {
 # --------------------------------------------------------------------------
 # driving
 
-Policy = object  # "fifo" | "random" | sequence of StepLabel | callable
-
-
 def run(
     config: Configuration,
-    policy: Policy = "fifo",
+    policy: str | Sequence[StepLabel] = "fifo",
     *,
     seed: Optional[int] = None,
     fuel: int = 100_000,
@@ -1084,9 +1034,8 @@ def run(
 
     Policies: "fifo" picks the first label in deterministic order (lowest
     group id, lowest object id), "random" draws uniformly from the enabled
-    set using ``seed``, a sequence of labels replays a script (stopping when
-    the script ends), and a callable receives (labels, config) and returns
-    one of the labels.  Stops at quiescence (no enabled steps, including
+    set using ``seed``, and a sequence of labels replays a script (stopping
+    when the script ends).  Stops at quiescence (no enabled steps, including
     fault states); if the fuel budget runs out first, raises FuelExhausted
     carrying the partial trace.
     """
@@ -1112,8 +1061,6 @@ def run(
             chosen = labels[0]
         elif policy == "random":
             chosen = rng.choice(labels)
-        elif callable(policy):
-            chosen = policy(labels, current)
         else:
             raise ValueError(f"unknown policy {policy!r}")
         current = step(current, chosen, select_fn)

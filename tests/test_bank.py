@@ -86,6 +86,17 @@ def test_workload_rejects_nonpositive_sizes(sizes):
         Workload(**{"accounts": 2, "requests": 3, **sizes})
 
 
+@pytest.mark.parametrize(
+    "shares",
+    [(-1, 0.4, 0.1, 0.1), (2, 0.4, 0.1, 0.1), (0.4, 0.4, 0.1, 0.0)],
+    ids=["negative", "over-one", "under-one"],
+)
+def test_mix_rejects_negative_shares_and_a_sum_other_than_one(shares):
+    # (-1, .4, .1, .1) used to make every request a check
+    with pytest.raises(ValueError, match="mix shares"):
+        Mix(*shares)
+
+
 def test_different_seeds_differ():
     a = list(iter_requests(Workload(accounts=4, requests=100, seed=1)))
     b = list(iter_requests(Workload(accounts=4, requests=100, seed=2)))
@@ -294,6 +305,21 @@ def test_maci_run_fuel_exhausted(capsys):
     assert rc == 2 and "fuel exhausted" in out
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [["run", "--fuel", "0"], ["run", "--fuel", "-3"], ["explore", "--depth", "0"]],
+    ids=["fuel-0", "fuel-negative", "depth-0"],
+)
+def test_maci_rejects_nonpositive_budgets(bad, capsys):
+    # run used to end in a ValueError traceback
+    command, *flag = bad
+    with pytest.raises(SystemExit) as stop:
+        maci_main([command, str(PROGRAMS / "bank_small.mac"), *flag])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: maci " + command) and "must be at least 1" in err
+
+
 def test_maci_explore_cli(capsys):
     rc = maci_main(["explore", str(PROGRAMS / "bank_small.mac"), "--depth", "500"])
     out = capsys.readouterr().out
@@ -333,11 +359,10 @@ def test_macbench_cli(tmp_path, capsys):
     "bad, why",
     [
         (["--requests", "100,3"], "requests (3) must be at least accounts (4)"),
-        (["--batch", "0"], "batch must be at least 1"),
         (["--workers", "1,0"], "every count must be at least 1"),
         (["--workers", "1,x"], "invalid _counts value"),
     ],
-    ids=["volume-below-accounts", "batch-0", "workers-0", "workers-not-int"],
+    ids=["volume-below-accounts", "workers-0", "workers-not-int"],
 )
 def test_macbench_rejects_bad_arguments_before_any_cell(bad, why, tmp_path, capsys, monkeypatch):
     # A bad later cell used to end in a traceback after the earlier cells
