@@ -39,11 +39,25 @@ exactly one layer deeper; a cycle cannot go deeper on every edge, so every
 cycle keeps a fully expanded state.  A successor already one layer deeper
 closes a diamond, not a cycle, and the step stays alone.
 
-When the depth bound cuts nothing, the reduction keeps every non-faulted
-terminal state, every fault diagnostic and whether some state violates an
-invariant.  It drops interleavings, so a faulted terminal may be reached
-with less progress of the other objects, and the trace to a violation may
-differ.  Only SCHED-MSG takes locks, so lock disjointness is checked on the
+A state that expands every enabled step is also reduced by symmetry (Ip &
+Dill, FMSD 1996; combined with ample sets as in Emerson, Jha & Peled,
+TACAS 1997).  In the paper's actors the workers of a group are usually
+copies, hired by a loop of ``new C(..)`` and referred to by nothing.  Two
+idle objects of a group are interchangeable when neither is the group's
+first object (whose id names the group), their interned records (class,
+group, interfaces, locks and fields) are equal, and no value of the state
+refers to either: no environment, field, lock, queued argument, future or
+``ValueLit`` head (:meth:`Configuration.mentioned`).  Swapping two such
+objects maps the state to itself, so only the one with the lower id
+schedules a message; the other would only reach a renamed copy of the
+same states.
+
+When the depth bound cuts nothing, the reduced search keeps every
+non-faulted terminal state up to a renaming of interchangeable objects
+(exactly, where no two objects were interchangeable), every fault
+diagnostic and whether some state violates an invariant.  It drops
+interleavings, so a faulted terminal may be reached with less progress of
+the other objects, and the trace to a violation may differ.  Only SCHED-MSG takes locks, so lock disjointness is checked on the
 root and on the successors of SCHED-MSG steps, which are the first states
 with overlapping sets on any path.
 
@@ -109,6 +123,28 @@ def _check_dispatch_order(config: Configuration, label: StepLabel) -> Optional[s
     return None
 
 
+def _one_per_interchangeable(config: Configuration, labels):
+    """``labels`` less every SCHED-MSG that an interchangeable object
+    with a lower id also takes (the module describes when two objects are
+    interchangeable).  An object's interned record holds its group, and
+    equal records pick the same message, so the kept label makes the same
+    order check as the dropped ones.  Which objects a state refers to is
+    asked only when two records are equal."""
+    index = config.index
+    heap = config.heap
+    alike: dict = {}
+    for label in labels:
+        if label.rule == "SCHED-MSG" and label.obj != label.actor:
+            alike.setdefault(index.object_id(heap[label.obj]), []).append(label.obj)
+    if all(len(objs) < 2 for objs in alike.values()):
+        return labels
+    mentioned = config.mentioned()
+    dropped = set()
+    for objs in alike.values():
+        dropped.update([o for o in objs if o.id not in mentioned][1:])
+    return [label for label in labels if label.obj not in dropped]
+
+
 def explore_all(
     config: Configuration,
     depth: int,
@@ -132,7 +168,9 @@ def explore_all(
     successor faults or was already reached at a distance no greater than
     this state's.  A step kept alone then always leads one layer deeper,
     and no cycle goes deeper on every edge, so every cycle keeps a fully
-    expanded state.
+    expanded state.  A full expansion drops the SCHED-MSGs of
+    interchangeable objects but the lowest-id one's, so the terminals are
+    those of the full search up to renaming such objects.
     """
     if depth <= 0:
         raise ValueError("depth must be positive")
@@ -185,6 +223,8 @@ def explore_all(
                     labels = (pick,)
             if labels is None:
                 labels = enabled_steps(current, select_fn)
+        if len(labels) > 1:
+            labels = _one_per_interchangeable(current, labels)
         for label in labels:
             if label.rule == "SCHED-MSG":
                 problem = _check_dispatch_order(current, label)

@@ -246,6 +246,7 @@ class ProgramIndex:
         # each statement so that its id() is not reused.
         self._stmt_ids: dict[int, _Id] = {}
         self._numbered: list[Stmt] = []
+        self._mentions: dict[_Id, frozenset[int]] = {}
 
     # ---- interning
 
@@ -264,6 +265,26 @@ class ProgramIndex:
         if type(key) is tuple:
             return tuple([self.expand(k) for k in key])
         return key
+
+    def mentions(self, number: _Id) -> frozenset[int]:
+        """Ids of the objects that the key behind ``number`` holds as
+        values: in an environment, a field, a lock, a queued argument, a
+        future or a ``ValueLit`` head.  Heap, group and ``myactor`` keys
+        are plain ints there, so they do not count."""
+        found = self._mentions.get(number)
+        if found is None:
+            found = self._mentions[number] = frozenset(self._refs_in(self._keys[number]))
+        return found
+
+    def _refs_in(self, key):
+        t = type(key)
+        if t is ObjRef:
+            yield key.id
+        elif t is _Id:
+            yield from self.mentions(key)
+        elif t is tuple or t is frozenset:
+            for k in key:
+                yield from self._refs_in(k)
 
     def _stmt_key(self, s: Stmt):
         # First sight of a statement.  The heads the step rules build for a
@@ -487,6 +508,11 @@ class Configuration:
                 self.next_priority,
             )
         return self._canon
+
+    def mentioned(self) -> frozenset[int]:
+        """Ids of the objects some value of this state refers to: the
+        union of :meth:`ProgramIndex.mentions` over the key's parts."""
+        return frozenset().union(*map(self.index.mentions, self.canonical()[1:-3]))
 
     def _structure(self):
         key = self.index.expand(self.canonical())

@@ -1,11 +1,14 @@
+import itertools
 import random
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import PROGRAMS, load_config, load_program
 from mactor import PENDING, FutRef, explore_all, initial_config, parse_program, run
+from mactor import explore as explore_module
 from mactor.explore import _check_dispatch_order, _check_lock_disjointness
 from mactor.interp import ANONYMOUS, Configuration, ObjRef, ValueLit, enabled_steps, step
 from mactor.scheduler import QueuedMessage, SyncEntry, select
@@ -96,6 +99,70 @@ class K implements IB { Bool boom() { Bool b; b = 1 && true; return b; } }
 { Actor<IB> a; Fut<Bool> f; Int x; a = new actor K(); f = a!boom(); x = 1 + true; }
 """
 
+# Workers hired by grow(n) are copies that nothing refers to, until reg()
+# hands one to the leader: ask() then answers 1 on that worker and 2 on
+# the other, so the two workers are no longer interchangeable.
+ESCAPE = """
+interface IW { Int reg(); Int ask(); Int grow(Int n); }
+interface IL { Int keep(IW w); Bool isLast(IW w); }
+class L implements IW, IL {
+  IW last;
+  Int keep(IW w) { last = w; return 1; }
+  Bool isLast(IW w) { return last == w; }
+  Int reg() { return 0; }
+  Int ask() { return 0; }
+  Int grow(Int n) { IW t; Int m; m = 0; while m < n { t = new W(this); m = m + 1; } return n; }
+}
+class W(IL lead) implements IW {
+  Int reg() { Int r; r = lead.keep(this); return r; }
+  Int ask() { Bool b; Int r; b = lead.isLast(this); if b { r = 1; } else { r = 2; } return r; }
+  Int grow(Int n) { return 0; }
+}
+{ Actor<IW> b; Fut<Int> g; Fut<Int> f1; Fut<Int> f2;
+  b = new actor L(); g = b!grow(2); g.get; f1 = b!reg(); f1.get; f2 = b!ask(); }
+"""
+
+
+def counting_workers(workers: int, hits: int, wait: bool = False) -> str:
+    """A leader that answers hit() with 0 and ``workers`` copies that
+    answer with the number of hits they served; ``hits`` sends in a row,
+    each waited for when ``wait``."""
+    futs = " ".join(f"Fut<Int> h{i};" for i in range(1, hits + 1))
+    send = "h{0} = b!hit(); h{0}.get;" if wait else "h{0} = b!hit();"
+    sends = " ".join(send.format(i) for i in range(1, hits + 1))
+    return f"""
+interface IH {{ Int hit(); Int grow(Int n); }}
+class L implements IH {{
+  Int hit() {{ return 0; }}
+  Int grow(Int n) {{ IH t; Int m; m = 0; while m < n {{ t = new W(); m = m + 1; }} return n; }}
+}}
+class W implements IH {{
+  Int served;
+  Int hit() {{ served = served + 1; return served; }}
+  Int grow(Int n) {{ return 0; }}
+}}
+{{ Actor<IH> b; Fut<Int> g; {futs}
+  b = new actor L(); g = b!grow({workers}); g.get; {sends} }}
+"""
+
+
+# after h1, the worker that served it has served = 1 and the other 0
+COUNTING = counting_workers(2, 2, wait=True)
+
+# two workers of one class, built with different fields
+DISTINCT_FIELDS = """
+interface IH { Int hit(); Int grow(); }
+class L implements IH {
+  Int hit() { return 0; }
+  Int grow() { IH t; t = new W(1); t = new W(2); return 0; }
+}
+class W(Int k) implements IH {
+  Int hit() { return k; }
+  Int grow() { return 0; }
+}
+{ Actor<IH> b; Fut<Int> g; Fut<Int> h; b = new actor L(); g = b!grow(); g.get; h = b!hit(); }
+"""
+
 
 def broken_select(supported, held, queue, **_):
     """Selection with the conflict checks removed: first supported message
@@ -135,6 +202,40 @@ def test_bank_small_explores_clean(bank_small):
     for cfg in report.terminals:
         boss = cfg.main_env()["bank"]
         assert cfg.heap[boss].fields == {"bal1": 40, "bal2": 60}
+
+
+def future_values(report, *names):
+    return {tuple(cfg.futures[cfg.main_env()[n]] for n in names) for cfg in report.terminals}
+
+
+def test_a_worker_whose_reference_escaped_is_not_cut():
+    # (1, 2): one worker registers, the other is asked
+    report = explore_all(initial_config(parse_program(ESCAPE)), 400)
+    assert report.ok and not report.truncated
+    assert future_values(report, "f1", "f2") == {(0, 0), (0, 2), (1, 0), (1, 1), (1, 2)}
+
+
+def test_workers_with_different_counts_are_not_cut():
+    # (1, 1): each worker serves one hit
+    report = explore_all(initial_config(parse_program(COUNTING)), 400)
+    assert report.ok and not report.truncated
+    assert future_values(report, "h1", "h2") == {(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)}
+
+
+def test_workers_with_different_fields_are_not_cut():
+    report = explore_all(initial_config(parse_program(DISTINCT_FIELDS)), 400)
+    assert report.ok and not report.truncated
+    assert future_values(report, "h") == {(0,), (1,), (2,)}
+
+
+def test_states_do_not_grow_with_the_worker_count():
+    # Without the cut, every permutation of which worker served which hit
+    # is kept: 304 states at 2 workers, 1,815 at 4.
+    states = [
+        explore_all(initial_config(parse_program(counting_workers(n, 3))), 400).states
+        for n in (2, 4)
+    ]
+    assert states[1] <= 1.5 * states[0], states
 
 
 def test_single_object_no_labels_trivially_disjoint():
@@ -231,72 +332,86 @@ def test_bool_and_int_in_one_slot_stay_distinct():
 # ---- the interned keys against a plain structural reference
 
 
-def _ref_value(v):
-    if isinstance(v, bool):
-        return ("bool", v)
-    if isinstance(v, (ObjRef, FutRef)):
-        return (type(v).__name__, v.id)
-    if v is PENDING:
-        return ("pending",)
-    return v
+def reference_key(c, rename=None):
+    """Structural state key: every dict sorted, every value tagged.
+    ``rename`` maps object ids to the ids to key those objects by."""
+    rename = rename or {}
 
+    def obj(ref):
+        return rename.get(ref.id, ref.id)
 
-def _ref_items(d):
-    return tuple(sorted((name, _ref_value(v)) for name, v in d.items()))
+    def value(v):
+        if isinstance(v, bool):
+            return ("bool", v)
+        if isinstance(v, ObjRef):
+            return ("ObjRef", obj(v))
+        if isinstance(v, FutRef):
+            return ("FutRef", v.id)
+        if v is PENDING:
+            return ("pending",)
+        return v
 
+    def items(d):
+        return tuple(sorted((name, value(v)) for name, v in d.items()))
 
-def _ref_stmt(s):
-    if isinstance(s, Assign) and isinstance(s.value, ValueLit):
-        return ("value", s.target, _ref_value(s.value.value))
-    return s
+    def stmt(s):
+        if isinstance(s, Assign) and isinstance(s.value, ValueLit):
+            return ("value", s.target, value(s.value.value))
+        return s
 
+    def by_obj(d):
+        return sorted((obj(r), v) for r, v in d.items())
 
-def _by_ref(d):
-    return sorted(d.items(), key=lambda kv: kv[0].id)
-
-
-def reference_key(c):
-    """Structural state key: every dict sorted, every value tagged."""
     heap = tuple(
         (
-            o.id,
+            o,
             st.cls,
-            st.myactor.id,
+            obj(st.myactor),
             st.ifaces,
-            frozenset((e.label, _ref_value(e.value)) for e in st.locks),
-            _ref_items(st.fields),
+            frozenset((e.label, value(e.value)) for e in st.locks),
+            items(st.fields),
         )
-        for o, st in _by_ref(c.heap)
+        for o, st in by_obj(c.heap)
     )
     queues = tuple(
-        (
-            a.id,
-            tuple((m.priority, m.method, tuple(map(_ref_value, m.args)), m.future.id) for m in q),
-        )
-        for a, q in _by_ref(c.queues)
+        (a, tuple((m.priority, m.method, tuple(map(value, m.args)), m.future.id) for m in q))
+        for a, q in by_obj(c.queues)
     )
-    futures = tuple((f.id, _ref_value(v)) for f, v in _by_ref(c.futures))
+    futures = tuple((f.id, value(v)) for f, v in sorted(c.futures.items(), key=lambda kv: kv[0].id))
     groups = tuple(
         (
-            a.id,
+            a,
             tuple(
-                (
-                    o.id,
-                    tuple((_ref_items(cl.env), tuple(map(_ref_stmt, cl.stmts))) for cl in thread),
-                )
-                for o, thread in _by_ref(group)
+                (o, tuple((items(cl.env), tuple(map(stmt, cl.stmts))) for cl in thread))
+                for o, thread in by_obj(group)
             ),
         )
-        for a, group in _by_ref(c.actors)
+        for a, group in by_obj(c.actors)
     )
     return (c.fault, heap, queues, futures, groups, c.next_obj, c.next_fut, c.next_priority)
 
 
-def reference_explore(config, depth, key=reference_key, select_fn=select):
+def symmetric_key(c):
+    """What ``c`` is up to renaming, inside each group, the objects of one
+    class other than the group's first: its fault and the set of its
+    ``reference_key``s under every such renaming."""
+    alike = defaultdict(list)
+    for actor, group in c.actors.items():
+        for o in group:
+            if o != actor:
+                alike[actor.id, c.heap[o].cls].append(o.id)
+    ids = list(alike.values())
+    return c.fault, frozenset(
+        reference_key(c, {old: new for olds, news in zip(ids, perm) for old, new in zip(olds, news)})
+        for perm in itertools.product(*map(itertools.permutations, ids))
+    )
+
+
+def reference_explore(config, depth, key=reference_key, select_fn=select, terminal_key=reference_key):
     """Plain BFS over every enabled step, deduplicating states by ``key``:
-    (states, truncated, faults, terminal reference keys, kind of the first
-    invariant violation met in BFS order or None).  It does not stop at a
-    violation."""
+    (states, truncated, faults, a Counter of the terminals' ``terminal_key``,
+    kind of the first invariant violation met in BFS order or None).  It
+    does not stop at a violation."""
     seen = {key(config)}
     frontier = deque([(config, 0)])
     states, truncated, faults, terminals, violation = 0, False, 0, Counter(), None
@@ -307,7 +422,7 @@ def reference_explore(config, depth, key=reference_key, select_fn=select):
             violation = "theorem1"
         labels = enabled_steps(current, select_fn)
         if not labels:
-            terminals[reference_key(current)] += 1
+            terminals[terminal_key(current)] += 1
             faults += current.fault is not None
             continue
         if dist >= depth:
@@ -332,6 +447,9 @@ def _differential_programs():
     yield "bool/int race", parse_program(BOOL_INT_RACE), 400
     yield "torn read", parse_program(TORN_READ), 400
     yield "two faults", parse_program(TWO_FAULTS), 60
+    yield "escape", parse_program(ESCAPE), 400
+    yield "counting workers", parse_program(COUNTING), 400
+    yield "distinct fields", parse_program(DISTINCT_FIELDS), 400
     for seed in range(150):
         yield f"progen-{seed}", gen_program(random.Random(seed)), 20
 
@@ -351,10 +469,18 @@ def _fault_and_clean_terminals(keys):
     return faults, {k for k in keys if k[0] is None}
 
 
+def explore_without_symmetry(config, depth, select_fn):
+    """``explore_all`` with the cut of interchangeable objects switched off."""
+    with mock.patch.object(explore_module, "_one_per_interchangeable", lambda config, labels: labels):
+        return explore_all(config, depth, select_fn=select_fn)
+
+
 def test_reduced_search_keeps_terminals_faults_and_verdict():
     # Faulted terminals hold the other objects' progress, which the
     # reduction may cut short, so for those only the diagnostics compare.
-    compared = faulty = violating = 0
+    # Where the cut of interchangeable objects changes the state count,
+    # non-faulted terminals compare up to renaming those objects.
+    compared = faulty = violating = symmetric = 0
     for select_fn in (select, broken_select):
         for name, program, depth in _differential_programs():
             _, truncated, faults, terminals, violation = reference_explore(
@@ -370,10 +496,17 @@ def test_reduced_search_keeps_terminals_faults_and_verdict():
                 violating += 1
                 continue  # explore_all stopped at the violation
             assert not report.truncated, name
-            reduced = Counter(reference_key(cfg) for cfg in report.terminals)
+            key = reference_key
+            if explore_without_symmetry(initial_config(program), depth, select_fn).states != report.states:
+                symmetric += 1
+                key = symmetric_key
+                terminals = reference_explore(
+                    initial_config(program), depth, select_fn=select_fn, terminal_key=key
+                )[3]
+            reduced = Counter(key(cfg) for cfg in report.terminals)
             assert _fault_and_clean_terminals(reduced) == _fault_and_clean_terminals(terminals), name
             faulty += faults > 0
-    assert compared >= 300 and faulty >= 200 and violating >= 1
+    assert compared >= 300 and faulty >= 200 and violating >= 1 and symmetric >= 4
 
 
 SPIN_AFTER_SEND = """
