@@ -39,6 +39,20 @@ exactly one layer deeper; a cycle cannot go deeper on every edge, so every
 cycle keeps a fully expanded state.  A successor already one layer deeper
 closes a diamond, not a cycle, and the step stays alone.
 
+The dependency relation knows fields, values and locks (the ample set's
+condition C1, Peled, CAV 1993).  A step that reads a field of ``this``
+that can still change, or writes one, is safe only when no other object's
+thread, no queued message and no message those may still send can write
+what it reads, or touch what it writes, before it.  ``is_safe`` finds
+their accesses by one abstract walk over the code each of them may run,
+cached per thread and per message: locals, arguments and stable fields
+keep their values, so ``acc == 1`` and ``acc == 2`` take different
+branches.  A queued message of the stepping object's own group whose sync
+set overlaps that object's locks cannot start before the object returns,
+so it is not asked; under a ``select_fn`` that ignores held locks it could,
+but only into a state whose lock sets overlap, which the search reports as
+a theorem1 violation.
+
 A state that expands every enabled step is also reduced by symmetry (Ip &
 Dill, FMSD 1996; combined with ample sets as in Emerson, Jha & Peled,
 TACAS 1997).  In the paper's actors the workers of a group are usually

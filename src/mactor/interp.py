@@ -247,6 +247,7 @@ class ProgramIndex:
         self._stmt_ids: dict[int, _Id] = {}
         self._numbered: list[Stmt] = []
         self._mentions: dict[_Id, frozenset[int]] = {}
+        self._accesses: dict = {}
 
     # ---- interning
 
@@ -373,6 +374,42 @@ class ProgramIndex:
                 )
             out[c.name] = frozenset(d.name for d in c.fields) - written
         return out
+
+    @cached_property
+    def method_classes(self) -> dict[str, tuple[str, ...]]:
+        """Per method name, the classes that define a method of that name."""
+        out: dict = {}
+        for c in self.program.classes:
+            for m in c.methods:
+                out.setdefault(m.sig.name, []).append(c.name)
+        return {name: tuple(classes) for name, classes in out.items()}
+
+    def accesses(self, config: "Configuration", part) -> Optional[frozenset]:
+        """The field accesses that ``part`` of ``config`` may still make, as
+        :class:`_AccessWalk` finds them, or None for any access.  ``part`` is
+        a thread, whose closures run on, or a queued message, which any
+        class that has its method may run.  Cached like :meth:`mentions`;
+        the key holds the heap's part, because one object id can name
+        objects of different classes in different states."""
+        heap = config.canonical()[1]
+        message = type(part) is QueuedMessage
+        if message:
+            key = (heap, part.method, tuple(map(type, part.args)), part.args)
+        else:
+            key = (heap, *map(self.closure_id, part))
+        found = self._accesses.get(key, False)
+        if found is False:
+            walk = _AccessWalk(config)
+            try:
+                if message:
+                    walk.any_object(part.method, part.args)
+                else:
+                    walk.thread(part)
+                found = frozenset(walk.found)
+            except _Unbounded:
+                found = None
+            self._accesses[key] = found
+        return found
 
     @cached_property
     def methods_send(self) -> bool:
@@ -600,42 +637,43 @@ def _eval(config: Configuration, env: dict, e: Expr) -> Value:
             return fields[e.name]
         raise _EvalFault(f"unbound variable '{e.name}'")
     if isinstance(e, BinOp):
-        left = _eval(config, env, e.left)
-        right = _eval(config, env, e.right)
-        op = e.op
-        if op == "&&":
-            if not isinstance(left, bool) or not isinstance(right, bool):
-                raise _EvalFault("'&&' applied to non-boolean operands")
-            return left and right
-        # values of different types are never equal: true is not 1
-        if op == "==":
-            return type(left) is type(right) and left == right
-        if op == "!=":
-            return type(left) is not type(right) or left != right
-        # arithmetic and ordering are integer-only; bool is not an Int here
-        if isinstance(left, bool) or isinstance(right, bool) or not (
-            isinstance(left, int) and isinstance(right, int)
-        ):
-            raise _EvalFault(f"'{op}' applied to non-integer operands")
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op in _INT_CMP:
-            if op == "<":
-                return left < right
-            if op == "<=":
-                return left <= right
-            if op == ">":
-                return left > right
-            return left >= right
-        raise _EvalFault(f"unknown operator '{op}'")
+        return _binop(e.op, _eval(config, env, e.left), _eval(config, env, e.right))
     if isinstance(e, Resolved):
         v = _eval(config, env, e.target)
         if not isinstance(v, FutRef):
             raise _EvalFault("'?' applied to a non-future value")
         return config.futures[v] is not PENDING
     raise _EvalFault(f"expression {type(e).__name__} cannot be evaluated in place")
+
+
+def _binop(op: str, left: Value, right: Value) -> Value:
+    if op == "&&":
+        if not isinstance(left, bool) or not isinstance(right, bool):
+            raise _EvalFault("'&&' applied to non-boolean operands")
+        return left and right
+    # values of different types are never equal: true is not 1
+    if op == "==":
+        return type(left) is type(right) and left == right
+    if op == "!=":
+        return type(left) is not type(right) or left != right
+    # arithmetic and ordering are integer-only; bool is not an Int here
+    if isinstance(left, bool) or isinstance(right, bool) or not (
+        isinstance(left, int) and isinstance(right, int)
+    ):
+        raise _EvalFault(f"'{op}' applied to non-integer operands")
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op in _INT_CMP:
+        if op == "<":
+            return left < right
+        if op == "<=":
+            return left <= right
+        if op == ">":
+            return left > right
+        return left >= right
+    raise _EvalFault(f"unknown operator '{op}'")
 
 
 def _eval_guard(config: Configuration, env: dict, e: Expr) -> bool:
@@ -750,31 +788,60 @@ _CONSTANTS = (NullLit, BoolLit, IntLit, ValueLit, This)
 
 def is_safe(config: Configuration, label: StepLabel) -> bool:
     """Whether ``label``, a step enabled in ``config``, commutes with every
-    step the other objects can take from here on.  Such a step stays
-    enabled until it is taken, and taking it first reaches every state,
-    terminal and violation that taking it later would.
+    step the other objects can take before it.  Such a step stays enabled
+    until it is taken, and taking it first reaches every state, terminal
+    and violation that taking it later would.
 
-    Two kinds of step qualify, provided their expressions read only
-    literals, ``this``, names in the top closure's environment and fields
-    that :attr:`ProgramIndex.stable_fields` holds for the class of
-    ``this`` (never ``e?``, whose answer another object changes):
+    The step's expressions may read only literals, ``this``, names in the
+    top closure's environment and fields of ``this`` (never ``e?``, whose
+    answer another object changes).  Fields that
+    :attr:`ProgramIndex.stable_fields` holds for the class of ``this``
+    never change.  Three kinds of step qualify:
 
     * a rule of ``_LOCAL_RULES``, which changes only its own thread;
-    * an ASYNC-CALL in a program whose class methods never send: its
-      sender is the main block, so no other step takes a future number or
-      priority, and it only appends to a queue, which leaves a prefix-stable
-      selection's answer alone.
+    * an ASSIGN-FIELD, which also writes one field of ``this``;
+    * an ASYNC-CALL reading only stable fields, in a program whose class
+      methods never send: its sender is the main block, so no other step
+      takes a future number or priority, and it only appends to a queue,
+      which leaves a prefix-stable selection's answer alone.
+
+    A step that reads a field that is not stable, or writes one, qualifies
+    only when nothing else can write what it reads, or read or write what
+    it writes, before it is taken: no other object's thread, no queued
+    message and no message those may still send (:func:`_reached_first`,
+    which walks their code with :class:`_AccessWalk`).  The stepping
+    object's own thread does nothing else before the step.
+
+    A queued message of the stepping object's own group whose sync set
+    overlaps that object's locks is not asked.  ``scheduler.select`` passes
+    it over until the object's ASYNC-RETURN, which comes after the step.
+    Under a ``select_fn`` that ignores held locks it could start first,
+    but only into a state whose lock sets overlap.  The step changes no
+    lock, queue or idle object, so the search still reaches such a state
+    and reports a theorem1 violation there.  A message of another group is
+    always asked: lock sets are kept apart only inside a group, so it may
+    hold the same entry at the same time.
 
     The step may still fault; the caller checks its successor.
     """
     index = config.index
     rule = label.rule
-    if not (rule in _LOCAL_RULES or (rule == "ASYNC-CALL" and not index.methods_send)):
+    main_send = rule == "ASYNC-CALL" and not index.methods_send
+    if not (main_send or rule in _LOCAL_RULES or rule == "ASSIGN-FIELD"):
         return False
     top = config.actors[label.actor][label.obj][-1]
     env = top.env
-    fields = index.stable_fields.get(config.heap[env["this"]].cls, frozenset())
-    return all(_stable(e, env, fields) for e in _head_exprs(top.stmts[0]))
+    this = env["this"]
+    stable = index.stable_fields.get(config.heap[this].cls, frozenset())
+    head = top.stmts[0]
+    reads: set = set()
+    if not all(_field_reads(e, env, stable, reads) for e in _head_exprs(head)):
+        return False
+    if rule == "ASSIGN-FIELD":
+        return not _reached_first(config, label, this.id, reads, head.target)
+    if reads:
+        return not main_send and not _reached_first(config, label, this.id, reads, None)
+    return True
 
 
 def _head_exprs(s: Stmt) -> tuple:
@@ -786,12 +853,191 @@ def _head_exprs(s: Stmt) -> tuple:
     return (value,)
 
 
-def _stable(e: Expr, env: dict, fields: frozenset) -> bool:
+def _field_reads(e: Expr, env: dict, stable: frozenset, out: set) -> bool:
+    """Add to ``out`` the fields ``e`` reads that are not in ``stable``;
+    False when ``e`` holds anything but literals, names and operators."""
     if isinstance(e, Var):
-        return e.name in env or e.name in fields
+        if e.name not in env and e.name not in stable:
+            out.add(e.name)
+        return True
     if isinstance(e, BinOp):
-        return _stable(e.left, env, fields) and _stable(e.right, env, fields)
+        return _field_reads(e.left, env, stable, out) and _field_reads(e.right, env, stable, out)
     return isinstance(e, _CONSTANTS)
+
+
+def _reached_first(
+    config: Configuration, label: StepLabel, this: int, reads: set, write: Optional[str]
+) -> bool:
+    """Whether, before ``label`` is taken, another object's thread, a
+    queued message or a message they may still send can write a field of
+    object ``this`` named in ``reads``, or read or write its field
+    ``write``.  Skips the queued messages :func:`is_safe` says it may."""
+    index = config.index
+    for group in config.actors.values():
+        for obj, thread in group.items():
+            if thread and obj != label.obj:
+                if _touches(index.accesses(config, thread), this, reads, write):
+                    return True
+    held = config.heap[label.obj].locks
+    for actor, queue in config.queues.items():
+        for msg in queue:
+            if actor == label.actor and not held.isdisjoint(msg.sync):
+                continue
+            if _touches(index.accesses(config, msg), this, reads, write):
+                return True
+    return False
+
+
+def _touches(accesses: Optional[frozenset], this: int, reads: set, write: Optional[str]) -> bool:
+    if accesses is None:
+        return True
+    for obj, name, wrote in accesses:
+        if (obj is None or obj == this) and (name == write or (wrote and name in reads)):
+            return True
+    return False
+
+
+_UNKNOWN = object()  # a value the walk below cannot know
+
+
+class _Unbounded(Exception):
+    """A walk met a method inside its own call: it may touch anything."""
+
+
+class _AccessWalk:
+    """The field accesses code may still make, as ``(object id or None,
+    field, written)`` triples in :attr:`found`; None stands for any object.
+
+    One abstract pass over the statements.  Locals, arguments and stable
+    fields of a known ``this`` keep their values, so ``acc == 1`` and
+    ``acc == 2`` take different branches; every other value is
+    ``_UNKNOWN``.  A known guard takes one branch, an unknown one takes
+    both, and a local the branches leave with different values (by
+    identity, so ``True`` and ``1`` stay apart) becomes unknown.  A ``while`` walks its body once,
+    with the locals the body assigns unknown, so that any later iteration
+    is covered.  A synchronous call walks the callee's method, on every
+    class that has the method when the target is unknown; an asynchronous
+    call walks the sent method on every class that has it, run by an
+    unknown object.  A method met inside its own walk raises
+    :class:`_Unbounded`.
+    """
+
+    def __init__(self, config: Configuration):
+        self.index = config.index
+        self.heap = config.heap
+        self.found: set = set()
+        self._active: set = set()  # (class, method) being walked
+
+    def thread(self, thread: Thread) -> None:
+        """The rest of ``thread``: its top closure, then each caller below
+        it, which resumes with the returned value unknown."""
+        for closure in reversed(thread):
+            this = closure.env["this"]
+            self._stmts(closure.stmts, dict(closure.env), this, self.heap[this].cls)
+
+    def any_object(self, method: str, args: Sequence) -> None:
+        """``method`` run by an unknown object of any class that has it."""
+        for cls in self.index.method_classes.get(method, ()):
+            self._method(cls, method, _UNKNOWN, args)
+
+    def _method(self, cls: str, method: str, this, args: Sequence) -> None:
+        mdef = self.index.class_methods[cls].get(method)
+        if mdef is None or len(args) != mdef.sig.arity:
+            return  # the call faults
+        key = (cls, method)
+        if key in self._active:
+            raise _Unbounded
+        self._active.add(key)
+        env = {"this": this}
+        env.update(zip([p.name for p in mdef.sig.params], args))
+        for d in mdef.locals:
+            env[d.name] = default_value(d.type)
+        self._stmts(mdef.body, env, this, cls)
+        self._active.remove(key)
+
+    def _stmts(self, stmts: tuple, env: dict, this, cls: Optional[str]) -> None:
+        for s in stmts:
+            t = type(s)
+            if t is Assign:
+                self._assign(s, env, this, cls)
+            elif t is If:
+                taken = self._expr(s.cond, env, this, cls)
+                if taken is True:
+                    self._stmts(s.then, env, this, cls)
+                elif taken is False:
+                    self._stmts(s.orelse, env, this, cls)
+                else:
+                    other = dict(env)
+                    self._stmts(s.then, env, this, cls)
+                    self._stmts(s.orelse, other, this, cls)
+                    for name, v in other.items():
+                        if env[name] is not v:
+                            env[name] = _UNKNOWN
+            elif t is While:
+                if self._expr(s.cond, env, this, cls) is not False:
+                    assigned = [
+                        a.target
+                        for a in walk_stmts(s.body)
+                        if type(a) is Assign and a.target in env
+                    ]
+                    for name in assigned:
+                        env[name] = _UNKNOWN
+                    self._stmts(s.body, env, this, cls)
+                    for name in assigned:
+                        env[name] = _UNKNOWN
+            else:  # GetStmt and Return
+                self._expr(s.value, env, this, cls)
+
+    def _assign(self, s: Assign, env: dict, this, cls: Optional[str]) -> None:
+        value = s.value
+        t = type(value)
+        if t is SyncCall or t is AsyncCall:
+            target = self._expr(value.target, env, this, cls)
+            args = [self._expr(a, env, this, cls) for a in value.args]
+            if t is AsyncCall or target is _UNKNOWN:
+                self.any_object(value.method, args)
+            elif type(target) is ObjRef and self.heap[target].cls is not None:
+                self._method(self.heap[target].cls, value.method, target, args)
+            result = _UNKNOWN
+        elif t is NewObject or t is NewActor:
+            for a in value.args:
+                self._expr(a, env, this, cls)
+            result = _UNKNOWN
+        else:
+            result = self._expr(value, env, this, cls)
+        if s.target in env:
+            env[s.target] = result
+        else:
+            self.found.add((None if this is _UNKNOWN else this.id, s.target, True))
+
+    def _expr(self, e: Expr, env: dict, this, cls: Optional[str]):
+        t = type(e)
+        if t is Var:
+            name = e.name
+            if name in env:
+                return env[name]
+            if name in self.index.stable_fields.get(cls, ()):
+                return _UNKNOWN if this is _UNKNOWN else self.heap[this].fields[name]
+            self.found.add((None if this is _UNKNOWN else this.id, name, False))
+            return _UNKNOWN
+        if t is BinOp:
+            left = self._expr(e.left, env, this, cls)
+            right = self._expr(e.right, env, this, cls)
+            if left is _UNKNOWN or right is _UNKNOWN:
+                return _UNKNOWN
+            try:
+                return _binop(e.op, left, right)
+            except _EvalFault:
+                return _UNKNOWN  # the step faults
+        if t is IntLit or t is BoolLit or t is ValueLit:
+            return e.value
+        if t is NullLit:
+            return None
+        if t is This:
+            return this
+        if t is Resolved:
+            self._expr(e.target, env, this, cls)
+        return _UNKNOWN  # e? and the Hole of a waiting caller
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from conftest import PROGRAMS, load_config, load_program
 from mactor import PENDING, FutRef, explore_all, initial_config, parse_program, run
 from mactor import explore as explore_module
+from mactor import interp as interp_module
 from mactor.explore import _check_dispatch_order, _check_lock_disjointness
 from mactor.interp import ANONYMOUS, Configuration, ObjRef, ValueLit, enabled_steps, step
 from mactor.scheduler import QueuedMessage, SyncEntry, select
@@ -164,6 +165,128 @@ class W(Int k) implements IH {
 """
 
 
+# Field-level independence.  In each program below, look() reads fields of
+# the Boss twice and returns the difference, which is nonzero only when a
+# second writer runs between the two reads.  look() itself sends what leads
+# to that writer, just before or between the reads, so a search that
+# judges the reads independent of that message never runs the writer
+# between them and loses the nonzero answer.
+
+# The relay's group takes (a, 1) while the Boss holds (a, 1) in its own
+# group; the relay's go() sends the write back to the Boss's group.
+SHARED_ENTRY = """
+interface IG { Int look(sync<a> Int k); Int grow(); }
+interface IP { Int put(Int x); }
+interface IV { Int set(Int x); }
+interface IR { Int go(sync<a> Int k, IP g); }
+class Boss(IR rel) implements IG, IP, IV {
+  Int v;
+  Int set(Int x) { v = x; return 0; }
+  Int put(Int x) { Int r; r = this.set(x); return r; }
+  Int look(sync<a> Int k) {
+    Int x; Int y; Fut<Int> f; f = rel!go(k, this); x = v; y = v; return y - x;
+  }
+  Int grow() { IP t; t = new W(this); return 0; }
+}
+class W(IV boss) implements IP { Int put(Int x) { Int r; r = boss.set(x); return r; } }
+class R implements IR { Int go(sync<a> Int k, IP g) { Fut<Int> f; f = g!put(5); return 0; } }
+{ Actor<IR> r; Actor<IG> b; Fut<Int> g; Fut<Int> l;
+  r = new actor R(); b = new actor Boss(r); g = b!grow(); g.get; l = b!look(1); }
+"""
+
+# The writes sit behind field guards, one in an else branch and one in a
+# then branch, in a method the worker reaches by a sync call on its stable
+# field.
+GUARDED_WRITE = """
+interface IG { Int look(); Int grow(); }
+interface IP { Int poke(); }
+interface IV { Int hit(); }
+class Boss implements IG, IP, IV {
+  Int v; Int w;
+  Int hit() {
+    if v == 5 { } else { v = 5; }
+    if w == 0 { w = 10; } else { }
+    return 0;
+  }
+  Int poke() { Int r; r = this.hit(); return r; }
+  Int look() {
+    Int x; Int y; Int p; Int q; Fut<Int> f;
+    x = v; p = w; f = this!poke(); y = v; q = w; return (y - x) + (q - p);
+  }
+  Int grow() { IP t; t = new W(this); return 0; }
+}
+class W(IV boss) implements IP { Int poke() { Int r; r = boss.hit(); return r; } }
+{ Actor<IG> b; Fut<Int> g; Fut<Int> l; b = new actor Boss(); g = b!grow(); g.get; l = b!look(); }
+"""
+
+# The write is in a message that a third object, the relay, sends later.
+THIRD_SENDER = """
+interface IG { Int look(); Int grow(); }
+interface IP { Int put(Int x); }
+interface IV { Int set(Int x); }
+interface IR { Int go(IP g); }
+class Boss(IR rel) implements IG, IP, IV {
+  Int v;
+  Int set(Int x) { v = x; return 0; }
+  Int put(Int x) { Int r; r = this.set(x); return r; }
+  Int look() { Int x; Int y; Fut<Int> f; x = v; f = rel!go(this); y = v; return y - x; }
+  Int grow() { IP t; t = new W(this); return 0; }
+}
+class W(IV boss) implements IP { Int put(Int x) { Int r; r = boss.set(x); return r; } }
+class R implements IR { Int go(IP g) { Fut<Int> f; f = g!put(5); return 0; } }
+{ Actor<IR> r; Actor<IG> b; Fut<Int> g; Fut<Int> l;
+  r = new actor R(); b = new actor Boss(r); g = b!grow(); g.get; l = b!look(); }
+"""
+
+# Only the loop's third iteration writes.
+LOOP_WRITE = """
+interface IG { Int look(); Int grow(); }
+interface IP { Int spin(); }
+interface IV { Int set(); }
+class Boss implements IG, IP, IV {
+  Int v;
+  Int set() { v = 5; return 0; }
+  Int spin() {
+    Int r; Int i; i = 0;
+    while i < 3 { if i == 2 { r = this.set(); } else { } i = i + 1; }
+    return r;
+  }
+  Int look() { Int x; Int y; Fut<Int> f; x = v; f = this!spin(); y = v; return y - x; }
+  Int grow() { IP t; t = new W(this); return 0; }
+}
+class W(IV boss) implements IP {
+  Int spin() {
+    Int r; Int i; i = 0;
+    while i < 3 { if i == 2 { r = boss.set(); } else { } i = i + 1; }
+    return r;
+  }
+}
+{ Actor<IG> b; Fut<Int> g; Fut<Int> l; b = new actor Boss(); g = b!grow(); g.get; l = b!look(); }
+"""
+
+# The write is guarded by a field and by e? on a future of another group.
+RESOLVED_GUARD = """
+interface IG { Int look(); Int grow(); }
+interface IP { Int poke(Fut<Int> h); }
+interface IV { Int hit(Fut<Int> h); }
+interface IR { Int ping(); }
+class Boss(IR rel) implements IG, IP, IV {
+  Int v;
+  Int hit(Fut<Int> h) { if v == 0 { if h? { v = 5; } else { } } else { } return 0; }
+  Int poke(Fut<Int> h) { Int r; r = this.hit(h); return r; }
+  Int look() {
+    Int x; Int y; Fut<Int> h; Fut<Int> f;
+    x = v; h = rel!ping(); f = this!poke(h); y = v; return y - x;
+  }
+  Int grow() { IP t; t = new W(this); return 0; }
+}
+class W(IV boss) implements IP { Int poke(Fut<Int> h) { Int r; r = boss.hit(h); return r; } }
+class R implements IR { Int ping() { return 1; } }
+{ Actor<IR> r; Actor<IG> b; Fut<Int> g; Fut<Int> l;
+  r = new actor R(); b = new actor Boss(r); g = b!grow(); g.get; l = b!look(); }
+"""
+
+
 def broken_select(supported, held, queue, **_):
     """Selection with the conflict checks removed: first supported message
     wins regardless of held locks or earlier conflicting messages."""
@@ -226,6 +349,23 @@ def test_workers_with_different_fields_are_not_cut():
     report = explore_all(initial_config(parse_program(DISTINCT_FIELDS)), 400)
     assert report.ok and not report.truncated
     assert future_values(report, "h") == {(0,), (1,), (2,)}
+
+
+@pytest.mark.parametrize(
+    "source, answers",
+    [
+        (SHARED_ENTRY, {0, 5}),
+        (GUARDED_WRITE, {0, 5, 10, 15}),
+        (THIRD_SENDER, {0, 5}),
+        (LOOP_WRITE, {0, 5}),
+        (RESOLVED_GUARD, {0, 5}),
+    ],
+    ids=["shared entry", "guarded write", "third sender", "loop write", "resolved guard"],
+)
+def test_a_second_writer_between_two_reads_is_not_cut(source, answers):
+    report = explore_all(initial_config(parse_program(source)), 400)
+    assert report.ok and not report.truncated and report.faults == 0
+    assert {l for (l,) in future_values(report, "l")} == answers
 
 
 def test_states_do_not_grow_with_the_worker_count():
@@ -450,6 +590,11 @@ def _differential_programs():
     yield "escape", parse_program(ESCAPE), 400
     yield "counting workers", parse_program(COUNTING), 400
     yield "distinct fields", parse_program(DISTINCT_FIELDS), 400
+    yield "shared entry", parse_program(SHARED_ENTRY), 400
+    yield "guarded write", parse_program(GUARDED_WRITE), 400
+    yield "third sender", parse_program(THIRD_SENDER), 400
+    yield "loop write", parse_program(LOOP_WRITE), 400
+    yield "resolved guard", parse_program(RESOLVED_GUARD), 400
     for seed in range(150):
         yield f"progen-{seed}", gen_program(random.Random(seed)), 20
 
@@ -475,12 +620,19 @@ def explore_without_symmetry(config, depth, select_fn):
         return explore_all(config, depth, select_fn=select_fn)
 
 
+def explore_without_field_rule(config, depth, select_fn):
+    """``explore_all`` with no step that reads or writes a field that is
+    not stable taken alone."""
+    with mock.patch.object(interp_module, "_reached_first", lambda *_: True):
+        return explore_all(config, depth, select_fn=select_fn)
+
+
 def test_reduced_search_keeps_terminals_faults_and_verdict():
     # Faulted terminals hold the other objects' progress, which the
     # reduction may cut short, so for those only the diagnostics compare.
     # Where the cut of interchangeable objects changes the state count,
     # non-faulted terminals compare up to renaming those objects.
-    compared = faulty = violating = symmetric = 0
+    compared = faulty = violating = symmetric = field_level = 0
     for select_fn in (select, broken_select):
         for name, program, depth in _differential_programs():
             _, truncated, faults, terminals, violation = reference_explore(
@@ -489,6 +641,10 @@ def test_reduced_search_keeps_terminals_faults_and_verdict():
             if truncated:
                 continue
             report = explore_all(initial_config(program), depth, select_fn=select_fn)
+            field_level += (
+                explore_without_field_rule(initial_config(program), depth, select_fn).states
+                != report.states
+            )
             kind = report.violations[0].kind if report.violations else None
             assert kind == violation, name
             compared += 1
@@ -507,6 +663,7 @@ def test_reduced_search_keeps_terminals_faults_and_verdict():
             assert _fault_and_clean_terminals(reduced) == _fault_and_clean_terminals(terminals), name
             faulty += faults > 0
     assert compared >= 300 and faulty >= 200 and violating >= 1 and symmetric >= 4
+    assert field_level >= 8, field_level
 
 
 SPIN_AFTER_SEND = """
