@@ -15,11 +15,17 @@ order of their idleness.
 Locking discipline: one mutex guards the lock table and the worker sets.
 There is no dispatcher thread.  Dispatch runs inline, under that mutex, at
 the end of every ``send``, every completion and every ``add_worker``, the
-only events that can make a message startable, so an actor runs exactly one
-thread per worker and nothing busy-waits.  User code runs on worker threads
-with no internal lock held.  A message's future is resolved before its sync
-entries are released, so a conflicting successor always observes the
-completed effects.
+only events that can make a message startable, and only when some worker is
+idle, so an actor runs exactly one thread per worker and nothing
+busy-waits.  User code runs on worker threads with no internal lock held.
+A message's future is resolved before its sync entries are released, so a
+conflicting successor always observes the completed effects.
+
+A future is one plain lock, its latch, held from creation until the future
+settles; a reader blocks on it.  Settling is a claim made under one lock
+shared by all futures, held only while the settler checks that the future
+is still pending and writes its fields, so of several racing settlers
+exactly one wins.  The winner releases the latch after leaving that lock.
 
 Blocking on a future from a worker thread of the same actor that the awaited
 message needs is a deadlock, as with any pool; keep ``Future.get`` on
@@ -36,7 +42,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .scheduler import LockTable, QueuedMessage, SyncEntry, lock_union, select, sync_set_of
+from .scheduler import (
+    EMPTY_LOCKS,
+    LockTable,
+    QueuedMessage,
+    SyncEntry,
+    lock_union,
+    select,
+    sync_set_of,
+)
 
 
 class FutureFailed(Exception):
@@ -47,6 +61,11 @@ class FutureFailed(Exception):
         self.diagnostic = diagnostic
 
 
+# Held only while a settler checks and writes a future's fields, never while
+# calling out, so one lock serves every future in the process.
+_claim = threading.Lock()
+
+
 class Future:
     """Write-once result of an asynchronous send."""
 
@@ -54,15 +73,14 @@ class Future:
     RESOLVED = "resolved"
     FAILED = "failed"
 
-    __slots__ = ("_claim", "_latch", "_state", "_value", "_diagnostic", "_cause")
+    __slots__ = ("_latch", "_state", "_value", "_diagnostic", "_cause")
 
     def __init__(self):
-        # Two plain locks cost far less to build than a Condition.  The one
-        # call that settles takes ``_claim``; ``_latch`` stays held until
-        # then, and each blocked reader takes it and passes it on.
-        self._claim = threading.Lock()
-        self._latch = threading.Lock()
-        self._latch.acquire()
+        # One plain lock costs far less to build than a Condition.  The latch
+        # stays held until the settler that wins the claim (see _settle)
+        # releases it; each blocked reader takes it and passes it on.
+        self._latch = latch = threading.Lock()
+        latch.acquire()
         self._state = Future.PENDING
         self._value = None
         self._diagnostic: Optional[str] = None
@@ -102,12 +120,14 @@ class Future:
         actor settles through here, because a caller may have settled the
         future first, and the actor must go on to free the message's
         entries."""
-        if not self._claim.acquire(blocking=False):
-            return False
-        self._value = value
-        self._diagnostic = diagnostic
-        self._cause = cause
-        self._state = state
+        with _claim:
+            if self._state != Future.PENDING:
+                return False
+            self._value = value
+            self._diagnostic = diagnostic
+            self._cause = cause
+            # written last: a reader that sees a settled state sees the fields
+            self._state = state
         self._latch.release()
         return True
 
@@ -122,32 +142,50 @@ def _jsonable(value):
 
 
 class EventLog:
-    """Thread-safe append-only log of enqueue/dispatch/complete events."""
+    """Thread-safe append-only log of enqueue/dispatch/complete events.
+
+    ``record`` keeps a plain tuple; the dicts that ``events`` and
+    ``write_jsonl`` give are built only when the log is read.
+    """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._events: list[dict] = []
+        self._events: list[tuple] = []
 
-    def record(self, event: str, **fields) -> None:
-        entry = {"event": event, "t": time.perf_counter_ns()}
-        entry.update(fields)
+    def record(
+        self,
+        event: str,
+        method: str,
+        priority: int,
+        sync: frozenset[SyncEntry],
+        worker: Optional[int] = None,
+        failed: Optional[bool] = None,
+    ) -> None:
+        """Log one event of a message; ``worker`` is left out of the read
+        form when None (enqueue), and ``failed`` too (all but complete)."""
+        entry = (event, time.perf_counter_ns(), method, priority, worker, sync, failed)
         with self._lock:
             self._events.append(entry)
 
     def events(self) -> list[dict]:
         with self._lock:
-            return list(self._events)
+            events = list(self._events)
+        return [_event_dict(*entry) for entry in events]
 
     def write_jsonl(self, path) -> None:
-        with self._lock:
-            events = list(self._events)
         with open(path, "w", encoding="utf-8") as fh:
-            for entry in events:
+            for entry in self.events():
                 fh.write(json.dumps(entry, default=_jsonable) + "\n")
 
 
-def _sync_payload(sync: frozenset[SyncEntry]) -> list[list]:
-    return sorted([e.label, _jsonable(e.value)] for e in sync)
+def _event_dict(event, t, method, priority, worker, sync, failed) -> dict:
+    entry = {"event": event, "t": t, "method": method, "priority": priority}
+    if worker is not None:
+        entry["worker"] = worker
+    entry["sync"] = sorted([e.label, _jsonable(e.value)] for e in sync)
+    if failed is not None:
+        entry["failed"] = failed
+    return entry
 
 
 # --------------------------------------------------------------------------
@@ -270,24 +308,23 @@ class MacActor:
             sync = frozenset(sync_data)
         else:
             labels = self._sync_specs.get(method)
-            sync = sync_set_of(labels, args) if labels else frozenset()
+            sync = sync_set_of(labels, args) if labels else EMPTY_LOCKS
         fut = Future()
         with self._lock:
             rejected = self._draining
             if rejected:
                 self._rejected += 1
             else:
-                msg = QueuedMessage(method, args, fut, sync, method, self._next_priority)
-                self._next_priority += 1
-                self._table.add(msg)
+                priority = self._next_priority
+                self._next_priority = priority + 1
+                # tuple.__new__ skips the NamedTuple's Python-level __new__
+                self._table.add(
+                    tuple.__new__(QueuedMessage, (method, args, fut, sync, method, priority))
+                )
                 if self._log:
-                    self._log.record(
-                        "enqueue",
-                        method=method,
-                        priority=msg.priority,
-                        sync=_sync_payload(sync),
-                    )
-                self._dispatch()
+                    self._log.record("enqueue", method, priority, sync)
+                if self._idle:
+                    self._dispatch()
         if rejected:
             fut.fail("actor shut down; send rejected")
         return fut
@@ -461,33 +498,24 @@ class MacActor:
         )
 
     def _worker_loop(self, worker: _Worker) -> None:
-        msg = worker.inbox.get()
+        log, behavior, free = self._log, worker.behavior, self._free_worker
+        next_msg = worker.inbox.get
+        msg = next_msg()
         while msg is not None:
-            if self._log:
-                self._log.record(
-                    "dispatch",
-                    method=msg.method,
-                    priority=msg.priority,
-                    worker=worker.id,
-                    sync=_sync_payload(msg.sync),
-                )
+            if log:
+                log.record("dispatch", msg.method, msg.priority, msg.sync, worker.id)
             error: Optional[BaseException] = None
             result = None
             try:
-                result = getattr(worker.behavior, msg.method)(*msg.args)
+                result = getattr(behavior, msg.method)(*msg.args)
             except BaseException as exc:
                 # Not re-raised: a worker thread receives no interrupts, and a
                 # SystemExit here would only end this thread with the
                 # message's entries held.  The future carries it instead.
                 error = exc
-            if self._log:
-                self._log.record(
-                    "complete",
-                    method=msg.method,
-                    priority=msg.priority,
-                    worker=worker.id,
-                    sync=_sync_payload(msg.sync),
-                    failed=error is not None,
+            if log:
+                log.record(
+                    "complete", msg.method, msg.priority, msg.sync, worker.id, error is not None
                 )
             # Resolve before releasing the sync entries, so whoever runs next
             # on this data can already read the result.
@@ -496,9 +524,9 @@ class MacActor:
             else:
                 diagnostic = f"{type(error).__name__}: {error}"
                 msg.future._settle(Future.FAILED, None, diagnostic, error)
-            msg = self._free_worker(worker, msg, failed=error is not None)
+            msg = free(worker, msg, error is not None)
             if msg is None:
-                msg = worker.inbox.get()
+                msg = next_msg()
 
     def _free_worker(
         self, worker: _Worker, msg: QueuedMessage, failed: bool
@@ -519,7 +547,8 @@ class MacActor:
             if nxt is None:
                 del self._busy[worker.id]
                 self._idle.append(worker)
-            self._dispatch()
+            if self._idle:
+                self._dispatch()
             if self._draining and not self._busy:
                 self._cond.notify_all()
             return nxt

@@ -33,6 +33,8 @@ class SyncEntry(NamedTuple):
 
 EMPTY_LOCKS: frozenset[SyncEntry] = frozenset()
 
+_new_tuple = tuple.__new__
+
 
 class QueuedMessage(NamedTuple):
     """One pending asynchronous invocation.
@@ -60,7 +62,14 @@ def sync_set_of(labels: Sequence[Optional[str]], args: Sequence) -> frozenset[Sy
     """
     if len(labels) != len(args):
         raise ValueError(f"arity mismatch: {len(labels)} parameter(s), {len(args)} argument(s)")
-    return frozenset(SyncEntry(label, arg) for label, arg in zip(labels, args) if label is not None)
+    # The runtime calls this on every send: tuple.__new__ skips the
+    # NamedTuple's Python-level __new__, and a plain loop skips building a
+    # comprehension's function.
+    entries = []
+    for pair in zip(labels, args):
+        if pair[0] is not None:
+            entries.append(_new_tuple(SyncEntry, pair))
+    return frozenset(entries)
 
 
 def select(
@@ -164,13 +173,16 @@ class LockTable:
         """Start and return the message ``select`` picks for an idle object
         supporting ``supported``, or None.  It stays at the head of its
         entries' FIFOs until :meth:`complete`."""
-        msg = self.peek(supported)
-        if msg is None:
-            return None
         ready = self._ready
-        if ready[0][1] is msg:
+        if not ready:
+            return None
+        msg = ready[0][1]
+        if msg.signature in supported:
             heapq.heappop(ready)
         else:
+            msg = self.peek(supported)
+            if msg is None:
+                return None
             ready.remove((msg.priority, msg))
             heapq.heapify(ready)
         del self._pending[msg.priority]

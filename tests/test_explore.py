@@ -582,7 +582,7 @@ def reference_explore(config, depth, key=reference_key, select_fn=select, termin
 
 def _differential_programs():
     for path in sorted(PROGRAMS.glob("*.mac")):
-        yield path.stem, load_program(path.stem), 60
+        yield path.stem, load_program(path.stem), 400
     yield "unlabelled race", parse_program(UNLABELLED_RACE), 400
     yield "bool/int race", parse_program(BOOL_INT_RACE), 400
     yield "torn read", parse_program(TORN_READ), 400

@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 import time
@@ -88,6 +89,42 @@ def test_future_same_value_across_threads():
     for t in threads:
         t.join()
     assert seen == ["answer"] * 8
+
+
+def test_racing_settlers_exactly_one_wins():
+    """Eight threads released at once each try to settle one future: one
+    claim succeeds, the other seven raise, and every thread reads the
+    winner's outcome."""
+    for _ in range(200):
+        f = Future()
+        barrier = threading.Barrier(8)
+        won, lost, seen = [], [], [None] * 8
+
+        def settle(i):
+            barrier.wait(timeout=10)
+            try:
+                if i % 2:
+                    f.fail(f"settler {i}", cause=ValueError(i))
+                else:
+                    f.resolve(i)
+                won.append(i)
+            except RuntimeError:
+                lost.append(i)
+            try:
+                seen[i] = ("resolved", f.get(timeout=5))
+            except FutureFailed as err:
+                seen[i] = ("failed", err.diagnostic, err.__cause__.args)
+
+        threads = [threading.Thread(target=settle, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert len(won) == 1 and sorted(won + lost) == list(range(8))
+        (i,) = won
+        outcome = ("failed", f"settler {i}", (i,)) if i % 2 else ("resolved", i)
+        assert seen == [outcome] * 8
 
 
 # ---- behaviors used below
@@ -473,6 +510,64 @@ def test_sync_derivation_from_annotations(cleanup):
     actor.shutdown(drain=True)
     enq = next(e for e in log.events() if e["event"] == "enqueue")
     assert enq["sync"] == [["a", 1], ["a", 2]]
+
+
+def test_send_with_wrong_arity_raises_and_queues_nothing(cleanup):
+    class Pair:
+        @synced("a", None)
+        def put(self, key, value):
+            return value
+
+    actor = MacActor(Pair, workers=1)
+    cleanup(actor)
+    with pytest.raises(ValueError, match="arity mismatch"):
+        actor.send("put", (1,))
+    assert actor.stats()["pending"] == 0
+    assert actor.send("put", (1, 7)).get(timeout=5) == 7
+
+
+def test_event_log_reads_back_in_the_logged_format(cleanup, tmp_path):
+    """The log keeps tuples; reading it gives, per event, the dict with the
+    keys in this order, sync entries sorted and values that are not JSON
+    scalars as their repr, and write_jsonl writes those dicts."""
+
+    class Teller:
+        @synced("a", "a", None)
+        def move(self, src, dst, amount):
+            return amount
+
+        @synced("k")
+        def boom(self, key):
+            raise ValueError(key)
+
+    log = EventLog()
+    actor = MacActor(Teller, workers=1, event_log=log)
+    cleanup(actor)
+    assert actor.send("move", (2, 1, 5)).get(timeout=5) == 5
+    with pytest.raises(FutureFailed):
+        actor.send("boom", (("t", 3),)).get(timeout=5)
+    actor.shutdown(drain=True)
+
+    events = log.events()
+    move = {"method": "move", "priority": 0}
+    boom = {"method": "boom", "priority": 1}
+    move_sync, boom_sync = [["a", 1], ["a", 2]], [["k", "('t', 3)"]]
+    expected = [
+        {"event": "enqueue", "t": events[0]["t"], **move, "sync": move_sync},
+        {"event": "dispatch", "t": events[1]["t"], **move, "worker": 0, "sync": move_sync},
+        {"event": "complete", "t": events[2]["t"], **move, "worker": 0, "sync": move_sync,
+         "failed": False},
+        {"event": "enqueue", "t": events[3]["t"], **boom, "sync": boom_sync},
+        {"event": "dispatch", "t": events[4]["t"], **boom, "worker": 0, "sync": boom_sync},
+        {"event": "complete", "t": events[5]["t"], **boom, "worker": 0, "sync": boom_sync,
+         "failed": True},
+    ]
+    assert [list(e.items()) for e in events] == [list(e.items()) for e in expected]
+    assert all(isinstance(e["t"], int) for e in events)
+    assert [e["t"] for e in events] == sorted(e["t"] for e in events)
+    path = tmp_path / "events.jsonl"
+    log.write_jsonl(path)
+    assert path.read_text().splitlines() == [json.dumps(e) for e in expected]
 
 
 def test_per_key_results_follow_send_order(cleanup):
