@@ -44,8 +44,8 @@ condition C1, Peled, CAV 1993).  A step that reads a field of ``this``
 that can still change, or writes one, is safe only when no other object's
 thread, no queued message and no message those may still send can write
 what it reads, or touch what it writes, before it.  ``is_safe`` finds
-their accesses by one abstract walk over the code each of them may run,
-cached per thread and per message: locals, arguments and stable fields
+their accesses by one abstract walk over the code they may still run,
+read from the state it judges: locals, arguments and stable fields
 keep their values, so ``acc == 1`` and ``acc == 2`` take different
 branches.  A queued message of the stepping object's own group whose sync
 set overlaps that object's locks cannot start before the object returns,

@@ -246,8 +246,6 @@ class ProgramIndex:
         # each statement so that its id() is not reused.
         self._stmt_ids: dict[int, _Id] = {}
         self._numbered: list[Stmt] = []
-        self._mentions: dict[_Id, frozenset[int]] = {}
-        self._accesses: dict = {}
 
     # ---- interning
 
@@ -266,26 +264,6 @@ class ProgramIndex:
         if type(key) is tuple:
             return tuple([self.expand(k) for k in key])
         return key
-
-    def mentions(self, number: _Id) -> frozenset[int]:
-        """Ids of the objects that the key behind ``number`` holds as
-        values: in an environment, a field, a lock, a queued argument, a
-        future or a ``ValueLit`` head.  Heap, group and ``myactor`` keys
-        are plain ints there, so they do not count."""
-        found = self._mentions.get(number)
-        if found is None:
-            found = self._mentions[number] = frozenset(self._refs_in(self._keys[number]))
-        return found
-
-    def _refs_in(self, key):
-        t = type(key)
-        if t is ObjRef:
-            yield key.id
-        elif t is _Id:
-            yield from self.mentions(key)
-        elif t is tuple or t is frozenset:
-            for k in key:
-                yield from self._refs_in(k)
 
     def _stmt_key(self, s: Stmt):
         # First sight of a statement.  The heads the step rules build for a
@@ -383,33 +361,6 @@ class ProgramIndex:
             for m in c.methods:
                 out.setdefault(m.sig.name, []).append(c.name)
         return {name: tuple(classes) for name, classes in out.items()}
-
-    def accesses(self, config: "Configuration", part) -> Optional[frozenset]:
-        """The field accesses that ``part`` of ``config`` may still make, as
-        :class:`_AccessWalk` finds them, or None for any access.  ``part`` is
-        a thread, whose closures run on, or a queued message, which any
-        class that has its method may run.  Cached like :meth:`mentions`;
-        the key holds the heap's part, because one object id can name
-        objects of different classes in different states."""
-        heap = config.canonical()[1]
-        message = type(part) is QueuedMessage
-        if message:
-            key = (heap, part.method, tuple(map(type, part.args)), part.args)
-        else:
-            key = (heap, *map(self.closure_id, part))
-        found = self._accesses.get(key, False)
-        if found is False:
-            walk = _AccessWalk(config)
-            try:
-                if message:
-                    walk.any_object(part.method, part.args)
-                else:
-                    walk.thread(part)
-                found = frozenset(walk.found)
-            except _Unbounded:
-                found = None
-            self._accesses[key] = found
-        return found
 
     @cached_property
     def methods_send(self) -> bool:
@@ -547,9 +498,24 @@ class Configuration:
         return self._canon
 
     def mentioned(self) -> frozenset[int]:
-        """Ids of the objects some value of this state refers to: the
-        union of :meth:`ProgramIndex.mentions` over the key's parts."""
-        return frozenset().union(*map(self.index.mentions, self.canonical()[1:-3]))
+        """Ids of the objects some value of this state refers to: in an
+        environment, a field, a lock, a queued argument, a future or a
+        ``ValueLit`` head."""
+        values = list(self.futures.values())
+        for st in self.heap.values():
+            values += st.fields.values()
+            values += [e.value for e in st.locks]
+        for queue in self.queues.values():
+            for msg in queue:
+                values += msg.args
+        for group in self.actors.values():
+            for thread in group.values():
+                for closure in thread:
+                    values += closure.env.values()
+                    head = closure.stmts[0] if closure.stmts else None
+                    if type(head) is Assign and type(head.value) is ValueLit:
+                        values.append(head.value.value)
+        return frozenset([v.id for v in values if type(v) is ObjRef])
 
     def _structure(self):
         key = self.index.expand(self.canonical())
@@ -872,29 +838,23 @@ def _reached_first(
     queued message or a message they may still send can write a field of
     object ``this`` named in ``reads``, or read or write its field
     ``write``.  Skips the queued messages :func:`is_safe` says it may."""
-    index = config.index
-    for group in config.actors.values():
-        for obj, thread in group.items():
-            if thread and obj != label.obj:
-                if _touches(index.accesses(config, thread), this, reads, write):
-                    return True
-    held = config.heap[label.obj].locks
-    for actor, queue in config.queues.items():
-        for msg in queue:
-            if actor == label.actor and not held.isdisjoint(msg.sync):
-                continue
-            if _touches(index.accesses(config, msg), this, reads, write):
-                return True
-    return False
-
-
-def _touches(accesses: Optional[frozenset], this: int, reads: set, write: Optional[str]) -> bool:
-    if accesses is None:
+    walk = _AccessWalk(config)
+    try:
+        for group in config.actors.values():
+            for obj, thread in group.items():
+                if thread and obj != label.obj:
+                    walk.thread(thread)
+        held = config.heap[label.obj].locks
+        for actor, queue in config.queues.items():
+            for msg in queue:
+                if actor != label.actor or held.isdisjoint(msg.sync):
+                    walk.any_object(msg.method, msg.args)
+    except _Unbounded:
         return True
-    for obj, name, wrote in accesses:
-        if (obj is None or obj == this) and (name == write or (wrote and name in reads)):
-            return True
-    return False
+    return any(
+        (obj is None or obj == this) and (name == write or (wrote and name in reads))
+        for obj, name, wrote in walk.found
+    )
 
 
 _UNKNOWN = object()  # a value the walk below cannot know

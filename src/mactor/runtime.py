@@ -182,7 +182,12 @@ def _event_dict(event, t, method, priority, worker, sync, failed) -> dict:
     entry = {"event": event, "t": t, "method": method, "priority": priority}
     if worker is not None:
         entry["worker"] = worker
-    entry["sync"] = sorted([e.label, _jsonable(e.value)] for e in sync)
+    # one label may lock values that do not compare: numbers, strings and
+    # None sort apart
+    entry["sync"] = sorted(
+        [[e.label, _jsonable(e.value)] for e in sync],
+        key=lambda p: (p[0], p[1] is None, isinstance(p[1], str), p[1]),
+    )
     if failed is not None:
         entry["failed"] = failed
     return entry

@@ -320,6 +320,37 @@ def test_maci_rejects_nonpositive_budgets(bad, capsys):
     assert err.startswith("usage: maci " + command) and "must be at least 1" in err
 
 
+def test_maci_run_reports_a_fault(tmp_path, capsys):
+    program = tmp_path / "boom.mac"
+    program.write_text(
+        "interface IB { Bool boom(); }"
+        " class K implements IB { Bool boom() { Bool b; b = 1 && true; return b; } }"
+        " { Actor<IB> a; Fut<Bool> f; a = new actor K(); f = a!boom(); f.get; }"
+    )
+    rc = maci_main(["run", str(program)])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "fault: '&&' applied to non-boolean operands" in out
+    assert out.endswith("futures:\n  f = <pending>\n")
+
+
+@pytest.mark.parametrize(
+    "source, why",
+    [(None, "No such file or directory"), ("{ x = 1; }", "assignment to undeclared variable 'x'")],
+    ids=["missing-file", "resolution-error"],
+)
+def test_maci_reports_load_errors_in_one_line(source, why, tmp_path, capsys):
+    program = tmp_path / "p.mac"
+    if source is not None:
+        program.write_text(source)
+    with pytest.raises(SystemExit) as stop:
+        maci_main(["run", str(program)])
+    assert stop.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{program}: ") and why in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_maci_explore_cli(capsys):
     rc = maci_main(["explore", str(PROGRAMS / "bank_small.mac"), "--depth", "500"])
     out = capsys.readouterr().out

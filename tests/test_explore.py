@@ -286,12 +286,99 @@ class R implements IR { Int ping() { return 1; } }
   r = new actor R(); b = new actor Boss(r); g = b!grow(); g.get; l = b!look(); }
 """
 
+# The write is one level down a recursion.  The walk meets hit inside its
+# own call before it reaches the write, and a recursion touches anything.
+RECURSIVE_WRITE = """
+interface IG { Int look(); Int grow(); }
+interface IP { Int poke(); }
+interface IV { Int hit(Int n); }
+class Boss implements IG, IP, IV {
+  Int v;
+  Int hit(Int n) { Int r; if n == 0 { v = 5; r = 0; } else { r = this.hit(n - 1); } return r; }
+  Int poke() { Int r; r = this.hit(1); return r; }
+  Int look() { Int x; Int y; Fut<Int> f; x = v; f = this!poke(); y = v; return y - x; }
+  Int grow() { IP t; t = new W(this); return 0; }
+}
+class W(IV boss) implements IP { Int poke() { Int r; r = boss.hit(1); return r; } }
+{ Actor<IG> b; Fut<Int> g; Fut<Int> l; b = new actor Boss(); g = b!grow(); g.get; l = b!look(); }
+"""
+
+# The write stores a new object in the field that look() reads.
+NEW_WRITE = """
+interface IG { Int look(); Int grow(); }
+interface IP { Int poke(); }
+interface IV { Int hit(); }
+interface IK { Int nop(); }
+class Boss implements IG, IP, IV {
+  IK last;
+  Int hit() { last = new K(); return 0; }
+  Int poke() { Int r; r = this.hit(); return r; }
+  Int look() {
+    IK x; IK y; Int r; Fut<Int> f;
+    x = last; f = this!poke(); y = last; if x == y { r = 0; } else { r = 5; } return r;
+  }
+  Int grow() { IP t; t = new W(this); return 0; }
+}
+class W(IV boss) implements IP { Int poke() { Int r; r = boss.hit(); return r; } }
+class K implements IK { Int nop() { return 0; } }
+{ Actor<IG> b; Fut<Int> g; Fut<Int> l; b = new actor Boss(); g = b!grow(); g.get; l = b!look(); }
+"""
+
+# hit(5) misses the arity of W's hit, the first class that has the method;
+# the write is in the Boss's hit, the second.
+ARITY_MISS = """
+interface IG { Int look(); Int grow(); }
+interface IP { Int poke(); }
+interface IV { Int hit(Int n); }
+class W(IV boss) implements IP {
+  Int poke() { Int r; r = boss.hit(5); return r; }
+  Int hit(Int a, Int b) { return a; }
+}
+class Boss implements IG, IP, IV {
+  Int v;
+  Int hit(Int n) { v = n; return 0; }
+  Int poke() { Int r; r = this.hit(5); return r; }
+  Int look() { Int x; Int y; Fut<Int> f; x = v; f = this!poke(); y = v; return y - x; }
+  Int grow() { IP t; t = new W(this); return 0; }
+}
+{ Actor<IG> b; Fut<Int> g; Fut<Int> l; b = new actor Boss(); g = b!grow(); g.get; l = b!look(); }
+"""
+
+# The write follows a branch that never runs, since nothing sends reset(),
+# and whose operator faults.
+FAULTING_BRANCH = """
+interface IG { Int look(); Int grow(); }
+interface IP { Int poke(); }
+interface IV { Int hit(); }
+class Boss implements IG, IP, IV {
+  Int v; Int w;
+  Int hit() { Int r; if w == 0 { r = 0; } else { r = 1 + true; } v = 5; return r; }
+  Int reset() { w = 1; return 0; }
+  Int poke() { Int r; r = this.hit(); return r; }
+  Int look() { Int x; Int y; Fut<Int> f; x = v; f = this!poke(); y = v; return y - x; }
+  Int grow() { IP t; t = new W(this); return 0; }
+}
+class W(IV boss) implements IP { Int poke() { Int r; r = boss.hit(); return r; } }
+{ Actor<IG> b; Fut<Int> g; Fut<Int> l; b = new actor Boss(); g = b!grow(); g.get; l = b!look(); }
+"""
+
 
 def broken_select(supported, held, queue, **_):
     """Selection with the conflict checks removed: first supported message
     wins regardless of held locks or earlier conflicting messages."""
     for msg in queue:
         if msg.signature in supported:
+            return msg
+    return None
+
+
+def shadowless_select(supported, held, queue, **_):
+    """``scheduler.select`` without its shadow: the first supported message
+    disjoint from the held set.  It is prefix-stable and keeps lock sets
+    apart, but a message passed over no longer blocks a later one that
+    overlaps it."""
+    for msg in queue:
+        if held.isdisjoint(msg.sync) and msg.signature in supported:
             return msg
     return None
 
@@ -359,8 +446,22 @@ def test_workers_with_different_fields_are_not_cut():
         (THIRD_SENDER, {0, 5}),
         (LOOP_WRITE, {0, 5}),
         (RESOLVED_GUARD, {0, 5}),
+        (RECURSIVE_WRITE, {0, 5}),
+        (NEW_WRITE, {0, 5}),
+        (ARITY_MISS, {0, 5}),
+        (FAULTING_BRANCH, {0, 5}),
     ],
-    ids=["shared entry", "guarded write", "third sender", "loop write", "resolved guard"],
+    ids=[
+        "shared entry",
+        "guarded write",
+        "third sender",
+        "loop write",
+        "resolved guard",
+        "recursive write",
+        "new write",
+        "arity miss",
+        "faulting branch",
+    ],
 )
 def test_a_second_writer_between_two_reads_is_not_cut(source, answers):
     report = explore_all(initial_config(parse_program(source)), 400)
@@ -396,6 +497,19 @@ def test_broken_select_reports_violating_trace(bank_small):
     assert violation.kind in ("theorem1", "order")
     assert len(violation.trace) > 0
     assert violation.trace[-1].rule == "SCHED-MSG" or violation.kind == "theorem1"
+
+
+def test_shadowless_select_reports_an_order_violation(worked_queue):
+    # With m1 running, m3 waits on (l,1), and m4 must wait behind m3 on (l,2).
+    report = explore_all(initial_config(worked_queue), 400, select_fn=shadowless_select)
+    assert [v.kind for v in report.violations] == ["order"]
+    trace = report.violations[0].trace
+    assert trace[-1].rule == "SCHED-MSG"
+    before, _ = run(initial_config(worked_queue), trace[:-1], select_fn=shadowless_select)
+    assert _check_dispatch_order(before, trace[-1]) == report.violations[0].detail
+    assert _check_lock_disjointness(step(before, trace[-1], shadowless_select)) is None
+    verdict = reference_explore(initial_config(worked_queue), 400, select_fn=shadowless_select)[4]
+    assert verdict == "order"
 
 
 def test_unlabelled_race_really_branches():
@@ -595,6 +709,10 @@ def _differential_programs():
     yield "third sender", parse_program(THIRD_SENDER), 400
     yield "loop write", parse_program(LOOP_WRITE), 400
     yield "resolved guard", parse_program(RESOLVED_GUARD), 400
+    yield "recursive write", parse_program(RECURSIVE_WRITE), 400
+    yield "new write", parse_program(NEW_WRITE), 400
+    yield "arity miss", parse_program(ARITY_MISS), 400
+    yield "faulting branch", parse_program(FAULTING_BRANCH), 400
     for seed in range(150):
         yield f"progen-{seed}", gen_program(random.Random(seed)), 20
 
@@ -716,7 +834,7 @@ def test_selection_is_prefix_stable(supported, held, shapes):
     # explore_all relies on this: appending to a queue never changes a
     # message the selection already picks
     queue = tuple(QueuedMessage(f"m{i}", (), None, sync, sig, i) for i, (sync, sig) in enumerate(shapes))
-    for select_fn in (select, broken_select):
+    for select_fn in (select, broken_select, shadowless_select):
         for cut in range(len(queue)):
             chosen = select_fn(supported, held, queue[:cut])
             if chosen is not None:

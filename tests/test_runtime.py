@@ -22,6 +22,7 @@ from mactor import (
     SyncEntry,
     synced,
 )
+from mactor.bank import read_jsonl
 
 
 def make_actor(*args, **kwargs):
@@ -568,6 +569,29 @@ def test_event_log_reads_back_in_the_logged_format(cleanup, tmp_path):
     path = tmp_path / "events.jsonl"
     log.write_jsonl(path)
     assert path.read_text().splitlines() == [json.dumps(e) for e in expected]
+
+
+def test_event_log_reads_back_values_of_one_label_that_do_not_compare(cleanup, tmp_path):
+    """One label may lock an int and a str at once; their order in the log
+    is numbers first, and reading or writing the log does not raise."""
+
+    class Pair:
+        @synced("a", "a")
+        def link(self, key, name):
+            return key
+
+    log = EventLog()
+    actor = MacActor(Pair, workers=1, event_log=log)
+    cleanup(actor)
+    assert actor.send("link", (1, "x")).get(timeout=5) == 1
+    actor.shutdown(drain=True)
+
+    path = tmp_path / "events.jsonl"
+    log.write_jsonl(path)
+    events = read_jsonl(path)
+    assert events == log.events()
+    assert [e["event"] for e in events] == ["enqueue", "dispatch", "complete"]
+    assert all(e["sync"] == [["a", 1], ["a", "x"]] for e in events)
 
 
 def test_per_key_results_follow_send_order(cleanup):
