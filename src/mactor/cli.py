@@ -72,7 +72,14 @@ def maci_main(argv=None) -> int:
     p_run.add_argument("--fuel", type=_positive, default=100_000)
     p_run.add_argument("--trace", help="write one JSON object per step to this file")
 
-    p_explore = sub.add_parser("explore", help="visit all interleavings up to a depth")
+    p_explore = sub.add_parser(
+        "explore",
+        help="visit all interleavings up to a depth",
+        description="Search the interleavings up to a depth, checking the two invariants. "
+        "'states:' counts the states the reduced search stored; a run of safe steps "
+        "stores only the state it ends in, and --depth counts every step. "
+        "'states/s:' is that count over the search's time.",
+    )
     p_explore.add_argument("file")
     p_explore.add_argument("--depth", type=_positive, default=1000)
 

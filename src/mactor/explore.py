@@ -28,16 +28,34 @@ enabled step expanded.  Any safe step will do, and an object has at most
 one step, so the object that took the step into a state is asked for its
 step first (:func:`mactor.interp.object_step`), and
 :func:`mactor.interp.enabled_steps` runs only when that step is missing or
-not safe, or needs full expansion.  A safe step gets full
-expansion when its successor faults, so that the other objects' faults are
-still reached, or when its successor was already reached at a distance no
-greater than the current state's, so that a cycle cannot postpone them
-forever (the proviso for a breadth-first search, Bošnački & Holzmann, SPIN
-2005).  That is enough: BFS has met every state at distance at most d+1
-before it expands one at distance d, so a step kept alone always leads
-exactly one layer deeper; a cycle cannot go deeper on every edge, so every
-cycle keeps a fully expanded state.  A successor already one layer deeper
-closes a diamond, not a cycle, and the step stays alone.
+not safe, or needs full expansion.
+
+A safe step kept alone does not stop there: the same object keeps
+stepping while its next step is safe, and only the state where that run
+ends is keyed and stored, so the states between, which have one successor
+each, are neither keyed nor queued (statement merging, as in SPIN,
+Holzmann, IEEE TSE 1997; Lipton, CACM 1975, for why a run of steps that
+commute with everyone else may run atomically).  ``parents`` records the
+end state with the whole run of labels, and a trace expands the runs
+again.  A run ends at the first of these:
+
+* the object's next step is missing or ``is_safe`` rejects it;
+* the next step's successor faults; the run ends before it, so the state
+  where that step is taken gets full expansion (below);
+* the step just taken was the COND-TRUE of a ``while``, a loop's back
+  edge, so no cycle lies inside a run;
+* the run has reached the depth bound; a distance counts every step.
+
+The first step of a run gets full expansion instead when its successor
+faults, so that the other objects' faults are still reached, or when the
+run's end was already reached at a distance no greater than the current
+state's, so that a cycle cannot postpone them forever (the proviso for a
+breadth-first search, Bošnački & Holzmann, SPIN 2005).  An end reached at
+a greater distance was already stored, and the run closes a diamond.  That
+is enough: a state's distance is fixed when it is first seen, so a run
+kept alone always ends at a strictly greater distance than it starts; no
+cycle goes to a greater distance on every edge, so every cycle keeps a
+fully expanded state.
 
 The dependency relation knows fields, values and locks (the ample set's
 condition C1, Peled, CAV 1993).  A step that reads a field of ``this``
@@ -71,9 +89,10 @@ non-faulted terminal state up to a renaming of interchangeable objects
 (exactly, where no two objects were interchangeable), every fault
 diagnostic and whether some state violates an invariant.  It drops
 interleavings, so a faulted terminal may be reached with less progress of
-the other objects, and the trace to a violation may differ.  Only SCHED-MSG takes locks, so lock disjointness is checked on the
-root and on the successors of SCHED-MSG steps, which are the first states
-with overlapping sets on any path.
+the other objects, and the trace to a violation may differ.  Only
+SCHED-MSG takes locks, and no run of safe steps holds one, so lock
+disjointness is checked on the root and on the successors of SCHED-MSG
+steps, which are the first states with overlapping sets on any path.
 
 ``select_fn`` must be prefix-stable: when it picks a message from a queue,
 it picks the same message from that queue with more messages appended.
@@ -90,6 +109,7 @@ from typing import Callable, Optional
 
 from .interp import Configuration, StepLabel, enabled_steps, is_safe, object_step, step
 from .scheduler import lock_union, select as default_select
+from .syntax import While
 
 @dataclass(frozen=True)
 class Violation:
@@ -100,6 +120,8 @@ class Violation:
 
 @dataclass
 class ExploreReport:
+    # states the search stored and expanded; the states inside a merged
+    # run of safe steps are not stored, so they are not counted
     states: int
     terminals: list[Configuration] = field(default_factory=list)
     violations: list[Violation] = field(default_factory=list)
@@ -159,6 +181,34 @@ def _one_per_interchangeable(config: Configuration, labels):
     return [label for label in labels if label.obj not in dropped]
 
 
+def _safe_run(
+    config: Configuration,
+    label: StepLabel,
+    succ: Configuration,
+    budget: int,
+    select_fn: Callable,
+) -> tuple[tuple[StepLabel, ...], Configuration]:
+    """The run of safe steps that ``label``, a safe step of ``config`` with
+    the successor ``succ``, begins, and the state it ends in: the same
+    object steps on while its next step is safe, at most ``budget`` steps
+    in all.  The run stops before a step whose successor faults, and after
+    the COND-TRUE of a ``while``, so no cycle lies inside it."""
+    run = [label]
+    while len(run) < budget and not (
+        label.rule == "COND-TRUE"
+        and isinstance(config.actors[label.actor][label.obj][-1].stmts[0], While)
+    ):
+        label = object_step(succ, label.actor, label.obj, select_fn)
+        if label is None or not is_safe(succ, label):
+            break
+        after = step(succ, label, select_fn)
+        if after.fault is not None:
+            break
+        run.append(label)
+        config, succ = succ, after
+    return tuple(run), succ
+
+
 def explore_all(
     config: Configuration,
     depth: int,
@@ -168,40 +218,45 @@ def explore_all(
     """Search the configurations reachable within ``depth`` steps, with
     the reduction the module describes.
 
-    Returns the number of distinct states the reduced search visited, the
+    Returns the number of distinct states the reduced search stored, the
     terminal configurations it met (quiescent or faulted), whether the
     depth bound cut anything off, and the first invariant violation found,
-    if any, with its trace.  ``faults`` counts the distinct faulted
+    if any, with its full trace.  ``faults`` counts the distinct faulted
     terminals met, not those of the full search.  ``select_fn`` must be
     prefix-stable.
 
     Each state asks the object that moved into it for its one step
     (:func:`mactor.interp.object_step`) first.  If
     :func:`mactor.interp.is_safe` accepts that step, or else the first
-    enabled step it accepts, that step is expanded alone, unless its
-    successor faults or was already reached at a distance no greater than
-    this state's.  A step kept alone then always leads one layer deeper,
-    and no cycle goes deeper on every edge, so every cycle keeps a fully
-    expanded state.  A full expansion drops the SCHED-MSGs of
-    interchangeable objects but the lowest-id one's, so the terminals are
-    those of the full search up to renaming such objects.
+    enabled step it accepts, that step and the run of safe steps its
+    object takes after it (:func:`_safe_run`) are taken alone, and only
+    the run's end is stored, at this state's distance plus the run's
+    length.  The run ends at the object's first step that is missing,
+    unsafe or faulting, after a loop's back edge, or at the depth bound.
+    This state gets full expansion instead when the run's first step
+    faults or its end was already reached at a distance no greater than
+    this state's.  A run kept alone then always ends at a greater
+    distance, and no cycle goes to a greater distance on every edge, so
+    every cycle keeps a fully expanded state.  A full expansion drops the
+    SCHED-MSGs of interchangeable objects but the lowest-id one's, so the
+    terminals are those of the full search up to renaming such objects.
     """
     if depth <= 0:
         raise ValueError("depth must be positive")
     report = ExploreReport(states=0)
     root_key = config.canonical()
-    # key -> (parent key, label, BFS distance); the root has no parent
-    parents: dict = {root_key: (None, None, 0)}
-    # (state, key, distance, the label that produced it)
+    # key -> (parent key, the labels from the parent, distance); the root
+    # has no parent
+    parents: dict = {root_key: (None, (), 0)}
+    # (state, key, distance, the last label that produced it)
     frontier: deque = deque([(config, root_key, 0, None)])
 
     def trace_to(key) -> tuple[StepLabel, ...]:
-        steps: list[StepLabel] = []
-        key, label, _ = parents[key]
+        runs: list = []
         while key is not None:
-            steps.append(label)
-            key, label, _ = parents[key]
-        return tuple(reversed(steps))
+            key, run, _ = parents[key]
+            runs.append(run)
+        return tuple(label for run in reversed(runs) for label in run)
 
     while frontier:
         current, key, dist, mover = frontier.popleft()
@@ -224,17 +279,23 @@ def explore_all(
         if dist >= depth:
             report.truncated = True
             continue
-        # Ample set: a safe step alone, unless its successor is faulted,
-        # a dead end that would hide the other objects' faults, or was
-        # reached at a distance no greater than this state's, which could
-        # close a cycle that never takes the other objects' steps (the BFS
-        # proviso).  A successor one layer deeper closes only a diamond.
+        # Ample set: a run of safe steps alone, unless its first successor
+        # is faulted, a dead end that would hide the other objects' faults,
+        # or its end was reached at a distance no greater than this
+        # state's, which could close a cycle that never takes the other
+        # objects' steps (the proviso).  An end seen at a greater distance
+        # closes only a diamond.
         if pick is not None:
             picked = step(current, pick, select_fn)
             if picked.fault is None:
-                seen = parents.get(picked.canonical())
+                run, end = _safe_run(current, pick, picked, depth - dist, select_fn)
+                end_key = end.canonical()
+                seen = parents.get(end_key)
+                if seen is None:
+                    parents[end_key] = (key, run, dist + len(run))
+                    frontier.append((end, end_key, dist + len(run), run[-1]))
                 if seen is None or seen[2] > dist:
-                    labels = (pick,)
+                    continue
             if labels is None:
                 labels = enabled_steps(current, select_fn)
         if len(labels) > 1:
@@ -251,6 +312,6 @@ def explore_all(
             succ_key = succ.canonical()
             if succ_key in parents:
                 continue
-            parents[succ_key] = (key, label, dist + 1)
+            parents[succ_key] = (key, (label,), dist + 1)
             frontier.append((succ, succ_key, dist + 1, label))
     return report

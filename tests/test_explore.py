@@ -363,6 +363,18 @@ class W(IV boss) implements IP { Int poke() { Int r; r = boss.hit(); return r; }
 """
 
 
+# b counts to 12 in a local loop while a's message faults
+LOOP_BESIDE_FAULT = """
+interface IB { Int boom(); Int count(); }
+class K implements IB {
+  Int boom() { Int x; x = 1 + true; return x; }
+  Int count() { Int i; i = 0; while i < 12 { i = i + 1; } return i; }
+}
+{ Actor<IB> a; Actor<IB> b; Fut<Int> f; Fut<Int> c;
+  a = new actor K(); b = new actor K(); f = a!boom(); c = b!count(); }
+"""
+
+
 def broken_select(supported, held, queue, **_):
     """Selection with the conflict checks removed: first supported message
     wins regardless of held locks or earlier conflicting messages."""
@@ -404,7 +416,7 @@ def test_bank_small_explores_clean(bank_small):
     assert report.ok
     assert not report.truncated
     assert report.faults == 0
-    assert report.states > 100
+    assert report.states == 98
     valuations = terminal_future_values(report)
     assert len(valuations) == 1
     (only,) = valuations
@@ -553,6 +565,22 @@ def test_depth_bound_reported_as_truncation():
     assert report.truncated
     assert report.terminals == []
     assert report.ok
+
+
+def test_depth_cut_inside_a_run_of_safe_steps():
+    # Every step is safe, so the search takes runs of them, each ending
+    # after the loop's COND-TRUE; the last run is the loop exit and the
+    # statements after it.  A depth that cuts the program short cuts it
+    # inside a run.
+    config = initial_config(
+        parse_program("{ Int i; Int s; while i < 3 { i = i + 1; s = s + i; } s = s + s; s = s + 1; }")
+    )
+    final, trace = run(config, "fifo")
+    for depth in range(1, len(trace)):
+        report = explore_all(config, depth)
+        assert report.truncated and report.terminals == [], depth
+    report = explore_all(config, 4 * len(trace))
+    assert not report.truncated and report.terminals == [final]
 
 
 def test_tight_loop_collapses_to_one_state():
@@ -713,6 +741,7 @@ def _differential_programs():
     yield "new write", parse_program(NEW_WRITE), 400
     yield "arity miss", parse_program(ARITY_MISS), 400
     yield "faulting branch", parse_program(FAULTING_BRANCH), 400
+    yield "loop beside fault", parse_program(LOOP_BESIDE_FAULT), 400
     for seed in range(150):
         yield f"progen-{seed}", gen_program(random.Random(seed)), 20
 
@@ -799,6 +828,34 @@ def test_spinning_main_block_does_not_hide_a_fault():
     assert {cfg.fault for cfg in report.terminals} == {"'+' applied to non-integer operands"}
     terminals = reference_explore(config, 50)[3]
     assert _fault_and_clean_terminals(terminals)[0] == {"'+' applied to non-integer operands"}
+
+
+def test_a_local_loop_runs_beside_a_fault():
+    # The loop's steps are taken in runs, each ending after a COND-TRUE of
+    # the while; the fault of the other actor's message is still reached,
+    # and so is a terminal where the loop finished first.
+    report = explore_all(initial_config(parse_program(LOOP_BESIDE_FAULT)), 400)
+    assert {cfg.fault for cfg in report.terminals} == {"'+' applied to non-integer operands"}
+    assert 12 in {cfg.futures[cfg.main_env()["c"]] for cfg in report.terminals}
+
+
+@pytest.mark.parametrize("select_fn", [broken_select, shadowless_select])
+def test_violation_traces_replay(select_fn):
+    # A trace runs through every step, also those a merged run of safe
+    # steps took without storing the states between them.
+    replayed = 0
+    for name, program, depth in _differential_programs():
+        for violation in explore_all(initial_config(program), depth, select_fn=select_fn).violations:
+            before = initial_config(program)
+            for label in violation.trace[:-1]:
+                before = step(before, label, select_fn)
+            last = violation.trace[-1]
+            if violation.kind == "theorem1":
+                assert _check_lock_disjointness(step(before, last, select_fn)) == violation.detail, name
+            else:
+                assert _check_dispatch_order(before, last) == violation.detail, name
+            replayed += 1
+    assert replayed >= 1
 
 
 # Both messages start with a field write, which is never safe, so the state
