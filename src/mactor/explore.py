@@ -46,6 +46,15 @@ again.  A run ends at the first of these:
   edge, so no cycle lies inside a run;
 * the run has reached the depth bound; a distance counts every step.
 
+Each step is derived, judged and applied once.  A label the search
+applies was just given by ``object_step`` or ``enabled_steps`` on the same
+state, so it is applied without the public ``step``'s check that it is
+enabled.  A run that stops at its object's next step hands that step to
+the state where it ends, with whether it is safe and, when its successor
+faults, that successor; expanding the end state then asks neither
+``object_step`` nor ``is_safe`` again, and its scan of ``enabled_steps``
+for a safe step skips the one already judged unsafe.
+
 The first step of a run gets full expansion instead when its successor
 faults, so that the other objects' faults are still reached, or when the
 run's end was already reached at a distance no greater than the current
@@ -107,7 +116,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .interp import Configuration, StepLabel, enabled_steps, is_safe, object_step, step
+from .interp import Configuration, StepLabel, enabled_steps, is_safe, object_step
+# The search applies its labels unchecked (see above), and makes every
+# successor through this name, which perfbench's layers.py patches.
+from .interp import _apply as step
 from .scheduler import lock_union, select as default_select
 from .syntax import While
 
@@ -187,26 +199,34 @@ def _safe_run(
     succ: Configuration,
     budget: int,
     select_fn: Callable,
-) -> tuple[tuple[StepLabel, ...], Configuration]:
+) -> tuple[tuple[StepLabel, ...], Configuration, Optional[tuple]]:
     """The run of safe steps that ``label``, a safe step of ``config`` with
-    the successor ``succ``, begins, and the state it ends in: the same
-    object steps on while its next step is safe, at most ``budget`` steps
-    in all.  The run stops before a step whose successor faults, and after
-    the COND-TRUE of a ``while``, so no cycle lies inside it."""
+    the successor ``succ``, begins, the state it ends in, and what the run
+    learnt of that state: the same object steps on while its next step is
+    safe, at most ``budget`` steps in all.  The run stops before a step
+    whose successor faults, and after the COND-TRUE of a ``while``, so no
+    cycle lies inside it.
+
+    When the run stopped at the object's next step, the answer is that
+    step (or None), whether it is safe, and its faulted successor, if it
+    was taken: ``(label, safe, faulted)``.  The end state's expansion
+    starts from it and asks neither ``object_step`` nor ``is_safe`` again.
+    A run cut by the budget or at a loop's back edge did not ask, and its
+    answer is None."""
     run = [label]
     while len(run) < budget and not (
         label.rule == "COND-TRUE"
-        and isinstance(config.actors[label.actor][label.obj][-1].stmts[0], While)
+        and type(config.actors[label.actor][label.obj][-1].stmts[0]) is While
     ):
         label = object_step(succ, label.actor, label.obj, select_fn)
         if label is None or not is_safe(succ, label):
-            break
-        after = step(succ, label, select_fn)
+            return tuple(run), succ, (label, False, None)
+        after = step(succ, label)
         if after.fault is not None:
-            break
+            return tuple(run), succ, (label, True, after)
         run.append(label)
         config, succ = succ, after
-    return tuple(run), succ
+    return tuple(run), succ, None
 
 
 def explore_all(
@@ -226,7 +246,8 @@ def explore_all(
     prefix-stable.
 
     Each state asks the object that moved into it for its one step
-    (:func:`mactor.interp.object_step`) first.  If
+    (:func:`mactor.interp.object_step`) first, unless the run that ended
+    there already asked and carries the answer.  If
     :func:`mactor.interp.is_safe` accepts that step, or else the first
     enabled step it accepts, that step and the run of safe steps its
     object takes after it (:func:`_safe_run`) are taken alone, and only
@@ -240,6 +261,9 @@ def explore_all(
     every cycle keeps a fully expanded state.  A full expansion drops the
     SCHED-MSGs of interchangeable objects but the lowest-id one's, so the
     terminals are those of the full search up to renaming such objects.
+    The labels the search applies come from ``object_step`` or
+    ``enabled_steps`` on the same state, so they are not derived again
+    to check them, and each successor is made once.
     """
     if depth <= 0:
         raise ValueError("depth must be positive")
@@ -248,8 +272,9 @@ def explore_all(
     # key -> (parent key, the labels from the parent, distance); the root
     # has no parent
     parents: dict = {root_key: (None, (), 0)}
-    # (state, key, distance, the last label that produced it)
-    frontier: deque = deque([(config, root_key, 0, None)])
+    # (state, key, distance, the last label that produced it, the answer
+    # of the run that ended there, as _safe_run gives it, or None)
+    frontier: deque = deque([(config, root_key, 0, None, None)])
 
     def trace_to(key) -> tuple[StepLabel, ...]:
         runs: list = []
@@ -259,7 +284,7 @@ def explore_all(
         return tuple(label for run in reversed(runs) for label in run)
 
     while frontier:
-        current, key, dist, mover = frontier.popleft()
+        current, key, dist, mover, known = frontier.popleft()
         report.states += 1
         # Only SCHED-MSG takes locks, so the first state with overlapping
         # lock sets on any path is the root or a SCHED-MSG successor.
@@ -268,14 +293,23 @@ def explore_all(
             if problem:
                 report.violations.append(Violation("theorem1", problem, trace_to(key)))
                 return report
-        labels = None
-        pick = None if mover is None else object_step(current, mover.actor, mover.obj, select_fn)
-        if pick is None or not is_safe(current, pick):
+        labels = picked = None
+        if known is not None:
+            pick, safe, picked = known
+        elif mover is not None:
+            pick = object_step(current, mover.actor, mover.obj, select_fn)
+            safe = pick is not None and is_safe(current, pick)
+        else:
+            pick, safe = None, False
+        if not safe:
             labels = enabled_steps(current, select_fn)
             if not labels:
                 report.terminals.append(current)
                 continue
-            pick = next((label for label in labels if is_safe(current, label)), None)
+            unsafe = pick
+            pick = next(
+                (label for label in labels if label != unsafe and is_safe(current, label)), None
+            )
         if dist >= depth:
             report.truncated = True
             continue
@@ -286,14 +320,15 @@ def explore_all(
         # objects' steps (the proviso).  An end seen at a greater distance
         # closes only a diamond.
         if pick is not None:
-            picked = step(current, pick, select_fn)
+            if picked is None:
+                picked = step(current, pick)
             if picked.fault is None:
-                run, end = _safe_run(current, pick, picked, depth - dist, select_fn)
+                run, end, answer = _safe_run(current, pick, picked, depth - dist, select_fn)
                 end_key = end.canonical()
                 seen = parents.get(end_key)
                 if seen is None:
                     parents[end_key] = (key, run, dist + len(run))
-                    frontier.append((end, end_key, dist + len(run), run[-1]))
+                    frontier.append((end, end_key, dist + len(run), run[-1], answer))
                 if seen is None or seen[2] > dist:
                     continue
             if labels is None:
@@ -308,10 +343,10 @@ def explore_all(
                         Violation("order", problem, trace_to(key) + (label,))
                     )
                     return report
-            succ = picked if label == pick else step(current, label, select_fn)
+            succ = picked if label == pick else step(current, label)
             succ_key = succ.canonical()
             if succ_key in parents:
                 continue
             parents[succ_key] = (key, (label,), dist + 1)
-            frontier.append((succ, succ_key, dist + 1, label))
+            frontier.append((succ, succ_key, dist + 1, label, None))
     return report

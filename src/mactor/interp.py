@@ -18,9 +18,9 @@ the diagnostic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .scheduler import (
@@ -64,24 +64,40 @@ from .syntax import (
 # --------------------------------------------------------------------------
 # runtime values
 
-@dataclass(frozen=True, slots=True)
-class ObjRef:
+class _Ref(tuple):
+    """A reference: the tuple ``(tag, id)``, so that hashing and equality
+    run in C.  Each kind sets its own int ``_tag`` and repr ``_prefix``, so
+    references of two kinds never compare equal, a reference never equals
+    an int or a bool, and hashes do not depend on ``PYTHONHASHSEED``."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: int):
+        return tuple.__new__(cls, (cls._tag, id))
+
+    id = property(itemgetter(1))
+
+    def __repr__(self) -> str:
+        return f"{self._prefix}{self[1]}"
+
+    def __getnewargs__(self):  # copy and pickle rebuild from the id
+        return (self[1],)
+
+
+class ObjRef(_Ref):
     """Reference to an active object.  A group is identified by the
     reference of its first object, so actor references are ObjRefs too;
     whether a reference names a group is decided by the queue domain."""
 
-    id: int
+    __slots__ = ()
+    _tag = 0
+    _prefix = "obj"
 
-    def __repr__(self) -> str:
-        return f"obj{self.id}"
 
-
-@dataclass(frozen=True, slots=True)
-class FutRef:
-    id: int
-
-    def __repr__(self) -> str:
-        return f"fut{self.id}"
+class FutRef(_Ref):
+    __slots__ = ()
+    _tag = 1
+    _prefix = "fut"
 
 
 class _PendingType:
@@ -189,7 +205,7 @@ class _Id(int):
     __slots__ = ()
 
 
-_ref_id = attrgetter("id")
+_ref_id = _Ref.id.fget  # the id of an ObjRef or FutRef
 
 
 def _by_id(refs: dict, *keys) -> tuple:
@@ -200,7 +216,7 @@ def _by_id(refs: dict, *keys) -> tuple:
 
 # Machine values are keyed as themselves next to their types, because
 # Python equality merges True with 1 and False with 0.  ObjRef and FutRef
-# compare by class and id, so a reference never equals the int of its id.
+# compare by tag and id, so a reference never equals the int of its id.
 
 def _items_key(d: dict) -> tuple:
     """Key of a name -> value dict (an environment or the fields)."""
@@ -440,20 +456,32 @@ class Configuration:
         # nearest ancestor whose key is known, until this key is computed
         self._base: Optional[Configuration] = None
 
-    def evolve(self, **changes) -> "Configuration":
-        kwargs = dict(
-            index=self.index,
-            heap=self.heap,
-            queues=self.queues,
-            futures=self.futures,
-            actors=self.actors,
-            next_obj=self.next_obj,
-            next_fut=self.next_fut,
-            next_priority=self.next_priority,
-            fault=self.fault,
-        )
-        kwargs.update(changes)
-        out = Configuration(**kwargs)
+    def evolve(
+        self,
+        *,
+        heap: Optional[dict] = None,
+        queues: Optional[dict] = None,
+        futures: Optional[dict] = None,
+        actors: Optional[dict] = None,
+        next_obj: Optional[int] = None,
+        next_fut: Optional[int] = None,
+        next_priority: Optional[int] = None,
+        fault: Optional[str] = None,
+    ) -> "Configuration":
+        """This state with the given parts replaced; a part left None is
+        kept (no step sets a part to None)."""
+        out = object.__new__(Configuration)
+        out.index = self.index
+        out.heap = self.heap if heap is None else heap
+        out.queues = self.queues if queues is None else queues
+        out.futures = self.futures if futures is None else futures
+        out.actors = self.actors if actors is None else actors
+        out.next_obj = self.next_obj if next_obj is None else next_obj
+        out.next_fut = self.next_fut if next_fut is None else next_fut
+        out.next_priority = self.next_priority if next_priority is None else next_priority
+        out.fault = self.fault if fault is None else fault
+        out._canon = None
+        out._groups = None
         out._base = self if self._canon is not None else self._base
         return out
 
@@ -584,27 +612,25 @@ _INT_CMP = {"<", "<=", ">", ">="}
 
 
 def _eval(config: Configuration, env: dict, e: Expr) -> Value:
-    if isinstance(e, NullLit):
-        return None
-    if isinstance(e, BoolLit):
+    # expression classes are final, so their exact type is tested
+    t = type(e)
+    if t is Var:
+        name = e.name
+        if name in env:
+            return env[name]
+        fields = config.heap[env["this"]].fields
+        if name in fields:
+            return fields[name]
+        raise _EvalFault(f"unbound variable '{name}'")
+    if t is IntLit or t is BoolLit or t is ValueLit:
         return e.value
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, ValueLit):
-        return e.value
-    if isinstance(e, This):
-        return env["this"]
-    if isinstance(e, Var):
-        if e.name in env:
-            return env[e.name]
-        this = env["this"]
-        fields = config.heap[this].fields
-        if e.name in fields:
-            return fields[e.name]
-        raise _EvalFault(f"unbound variable '{e.name}'")
-    if isinstance(e, BinOp):
+    if t is BinOp:
         return _binop(e.op, _eval(config, env, e.left), _eval(config, env, e.right))
-    if isinstance(e, Resolved):
+    if t is NullLit:
+        return None
+    if t is This:
+        return env["this"]
+    if t is Resolved:
         v = _eval(config, env, e.target)
         if not isinstance(v, FutRef):
             raise _EvalFault("'?' applied to a non-future value")
@@ -708,19 +734,20 @@ def _stmt_label(
     config: Configuration, actor: ObjRef, obj: ObjRef, thread: Thread, top: Closure
 ) -> Optional[StepLabel]:
     s = top.stmts[0]
-    if isinstance(s, Assign):
-        rhs = s.value
-        if isinstance(rhs, SyncCall):
-            return StepLabel("SYNC-CALL", actor, obj, rhs.method)
-        if isinstance(rhs, AsyncCall):
-            return StepLabel("ASYNC-CALL", actor, obj, rhs.method)
-        if isinstance(rhs, NewObject):
+    t = type(s)  # statement and expression classes are final
+    if t is Assign:
+        rhs = type(s.value)
+        if rhs is SyncCall:
+            return StepLabel("SYNC-CALL", actor, obj, s.value.method)
+        if rhs is AsyncCall:
+            return StepLabel("ASYNC-CALL", actor, obj, s.value.method)
+        if rhs is NewObject:
             return StepLabel("NEW-ACTOB", actor, obj)
-        if isinstance(rhs, NewActor):
+        if rhs is NewActor:
             return StepLabel("NEW-ACTOR", actor, obj)
         rule = "ASSIGN-LOCAL" if s.target in top.env else "ASSIGN-FIELD"
         return StepLabel(rule, actor, obj)
-    if isinstance(s, GetStmt):
+    if t is GetStmt:
         # a bad expression or a non-future is enabled, and the step faults
         try:
             v = _eval(config, top.env, s.value)
@@ -729,13 +756,13 @@ def _stmt_label(
         if isinstance(v, FutRef) and config.futures[v] is PENDING:
             return None  # blocked until the future resolves
         return StepLabel("READ-FUT", actor, obj)
-    if isinstance(s, (If, While)):
+    if t is If or t is While:
         try:
             value = _eval_guard(config, top.env, s.cond)
         except _EvalFault:
             value = True  # the step faults
         return StepLabel("COND-TRUE" if value else "COND-FALSE", actor, obj)
-    if isinstance(s, Return):
+    if t is Return:
         return StepLabel("SYNC-RETURN" if len(thread) > 1 else "ASYNC-RETURN", actor, obj)
     raise TypeError(f"unhandled statement {s!r}")
 
@@ -1020,7 +1047,16 @@ def step(
         raise StepNotEnabled(f"no process for {label.obj} in {label.actor}")
     if label != object_step(config, label.actor, label.obj, select_fn):
         raise StepNotEnabled(f"{label} is not enabled")
-    thread = group[label.obj]
+    return _apply(config, label)
+
+
+def _apply(config: Configuration, label: StepLabel) -> Configuration:
+    """:func:`step` without its check: for a label that
+    :func:`object_step` or :func:`enabled_steps` has just given on
+    ``config``, which the explorer and :func:`run` apply without deriving
+    it again.  A SCHED-MSG label names its message by priority, so no
+    rule needs the selection."""
+    thread = config.actors[label.actor][label.obj]
     top = thread[-1] if thread else None  # SCHED-MSG runs on an idle object
     head = top.stmts[0] if top else None
     try:
@@ -1058,7 +1094,8 @@ def _assign(
     **more,
 ) -> Configuration:
     """Write ``target`` either in the local environment or, failing that, in
-    the fields of the closure's own object, then drop the statement."""
+    the fields of the closure's own object, then drop the statement.
+    ``more`` holds the other parts the step replaces, never the heap."""
     top = thread[-1]
     if target in top.env:
         env = dict(top.env)
@@ -1071,9 +1108,8 @@ def _assign(
     fields = dict(state.fields)
     fields[target] = value
     heap = dict(config.heap)
-    heap[this] = dc_replace(state, fields=fields)
-    out = _with_top(config, label, thread, top.env, rest, **more)
-    return out.evolve(heap=heap)
+    heap[this] = ObjectState(state.cls, state.myactor, state.ifaces, state.locks, fields)
+    return _with_top(config, label, thread, top.env, rest, heap=heap, **more)
 
 
 def _plain_assign(config, label, thread, top, s) -> Configuration:
@@ -1083,7 +1119,7 @@ def _plain_assign(config, label, thread, top, s) -> Configuration:
 
 def _cond(config, label, thread, top, s) -> Configuration:
     taken = _eval_guard(config, top.env, s.cond)
-    if isinstance(s, If):
+    if type(s) is If:
         rest = (s.then if taken else s.orelse) + top.stmts[1:]
     else:
         rest = s.body + top.stmts if taken else top.stmts[1:]
@@ -1157,17 +1193,16 @@ def _async_call(config, label, thread, top, s) -> Configuration:
     queues = dict(config.queues)
     queues[target] = queues[target] + (msg,)
     return _assign(
-        config.evolve(
-            futures=futures,
-            queues=queues,
-            next_fut=config.next_fut + 1,
-            next_priority=config.next_priority + 1,
-        ),
+        config,
         label,
         thread,
         s.target,
         fut,
         top.stmts[1:],
+        futures=futures,
+        queues=queues,
+        next_fut=config.next_fut + 1,
+        next_priority=config.next_priority + 1,
     )
 
 
@@ -1178,8 +1213,9 @@ def _async_return(config, label, thread, top, s) -> Configuration:
     futures = dict(config.futures)
     futures[dest] = v
     obj = label.obj
+    state = config.heap[obj]
     heap = dict(config.heap)
-    heap[obj] = dc_replace(heap[obj], locks=EMPTY_LOCKS)
+    heap[obj] = ObjectState(state.cls, state.myactor, state.ifaces, EMPTY_LOCKS, state.fields)
     return _with_thread(config, label.actor, obj, (), futures=futures, heap=heap)
 
 
@@ -1228,8 +1264,9 @@ def _sched_msg(config, label, *_) -> Configuration:
         env[p.name] = v
     for d in mdef.locals:
         env[d.name] = default_value(d.type)
+    state = config.heap[obj]
     heap = dict(config.heap)
-    heap[obj] = dc_replace(heap[obj], locks=msg.sync)
+    heap[obj] = ObjectState(state.cls, state.myactor, state.ifaces, msg.sync, state.fields)
     return _with_thread(
         config, actor, obj, (Closure(env, mdef.body),), queues=queues, heap=heap
     )
@@ -1295,7 +1332,7 @@ def run(
             chosen = rng.choice(labels)
         else:
             raise ValueError(f"unknown policy {policy!r}")
-        current = step(current, chosen, select_fn)
+        current = _apply(current, chosen)
         trace.append(chosen)
     if enabled_steps(current, select_fn):
         raise FuelExhausted(current, trace)

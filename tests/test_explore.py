@@ -11,7 +11,7 @@ from mactor import PENDING, FutRef, explore_all, initial_config, parse_program, 
 from mactor import explore as explore_module
 from mactor import interp as interp_module
 from mactor.explore import _check_dispatch_order, _check_lock_disjointness
-from mactor.interp import ANONYMOUS, Configuration, ObjRef, ValueLit, enabled_steps, step
+from mactor.interp import ANONYMOUS, Configuration, ObjRef, ValueLit, enabled_steps, object_step, step
 from mactor.scheduler import QueuedMessage, SyncEntry, select
 from mactor.syntax import Assign
 from progen import gen_program
@@ -751,6 +751,37 @@ def test_interned_keys_explore_like_structural_reference():
     for name, program, depth in _differential_programs():
         interned = reference_explore(initial_config(program), depth, key=Configuration.canonical)
         assert interned == reference_explore(initial_config(program), depth), name
+
+
+def _report_record(report):
+    return (
+        report.states,
+        report.truncated,
+        report.faults,
+        Counter(reference_key(c) for c in report.terminals),
+        [(v.kind, len(v.trace)) for v in report.violations],
+    )
+
+
+def test_every_label_the_explorer_applies_is_enabled():
+    # The explorer applies the labels it derived without the public step's
+    # check; each must still be the step object_step gives on that state,
+    # and no successor is made twice, also where a step faults.
+    apply = explore_module.step
+    for select_fn in (select, broken_select):
+
+        def checked(config, label, *rest):
+            assert label == object_step(config, label.actor, label.obj, select_fn), label
+            applied.append((config, label))
+            return apply(config, label, *rest)
+
+        for name, program, depth in _differential_programs():
+            plain = explore_all(initial_config(program), depth, select_fn=select_fn)
+            applied = []
+            with mock.patch.object(explore_module, "step", checked):
+                patched = explore_all(initial_config(program), depth, select_fn=select_fn)
+            assert _report_record(patched) == _report_record(plain), name
+            assert len({(id(c), label) for c, label in applied}) == len(applied), name
 
 
 # ---- the reduced search against the full one

@@ -1,11 +1,19 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import load_config, load_program
+import mactor
 from mactor import (
     FuelExhausted,
     FutRef,
+    ObjRef,
     PENDING,
     StepLabel,
     StepNotEnabled,
@@ -25,6 +33,49 @@ class K implements IC { Int inc(Int x) { return x + 1; } }
 
 def prog(main: str, decls: str = COUNTER):
     return parse_program(decls + main)
+
+
+# ---- references: what the state keys rely on
+
+
+def test_references_differ_by_kind_and_from_numbers():
+    # a state holding obj1 must never merge with one holding fut1, 1 or true
+    for n in (0, 1):
+        assert ObjRef(n) != FutRef(n) and not ObjRef(n) == FutRef(n)
+        for ref in (ObjRef(n), FutRef(n)):
+            for number in (n, bool(n)):
+                assert ref != number and number != ref and not ref == number
+    assert len({ObjRef(1): 0, FutRef(1): 0, 1: 0}) == 3
+
+
+def test_equal_ids_give_equal_references_and_hashes():
+    assert ObjRef(3) == ObjRef(3) and hash(ObjRef(3)) == hash(ObjRef(3))
+    assert FutRef(3) == FutRef(3) and hash(FutRef(3)) == hash(FutRef(3))
+    assert ObjRef(3) != ObjRef(4)
+
+
+def test_reference_id_and_repr():
+    assert ObjRef(7).id == 7 and FutRef(7).id == 7
+    assert repr(ObjRef(1)) == "obj1" and repr(FutRef(1)) == "fut1"
+    for ref in (ObjRef(2), FutRef(2)):
+        for same in (copy.deepcopy(ref), pickle.loads(pickle.dumps(ref))):
+            assert same == ref and type(same) is type(ref)
+
+
+def test_reference_hashes_do_not_depend_on_the_hash_seed():
+    src = str(Path(mactor.__file__).resolve().parent.parent)
+    code = "from mactor import FutRef, ObjRef; print(hash(ObjRef(3)), hash(FutRef(3)))"
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("1", "2")
+    }
+    assert len(outs) == 1
 
 
 # ---- initial configuration

@@ -2,6 +2,7 @@
 digest that a refactor of the machine must leave unchanged, and the state
 counts of the scaled bank variants."""
 
+import os
 import re
 import subprocess
 import sys
@@ -10,9 +11,9 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name: str) -> str:
+def run_script(name: str, env=None) -> str:
     done = subprocess.run(
-        [sys.executable, str(SCRIPTS / name)], capture_output=True, text=True, timeout=120
+        [sys.executable, str(SCRIPTS / name)], capture_output=True, text=True, timeout=120, env=env
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -22,6 +23,18 @@ def test_machine_digest_prints_a_sha256():
     out = run_script("machine_digest.py")
     assert re.search(r"^programs: \d+ \(runs: \d+\)$", out, re.M)
     assert re.search(r"^sha256: [0-9a-f]{64}$", out, re.M)
+
+
+def test_machine_digest_does_not_depend_on_the_hash_seed():
+    # the digest hashes reprs, and a set's repr follows string hashing
+    digests = {
+        re.search(r"^sha256: [0-9a-f]{64}$", out, re.M).group()
+        for out in (
+            run_script("machine_digest.py", {**os.environ, "PYTHONHASHSEED": seed})
+            for seed in ("0", "1")
+        )
+    }
+    assert len(digests) == 1
 
 
 def test_explore_variants_prints_every_variant():
