@@ -2,17 +2,23 @@
 
 The concrete grammar is Java-flavoured: braces, semicolons, ``sync<a>``
 before a parameter type, ``!`` for asynchronous calls and a postfix ``?``
-for the resolved test.  Whitespace is insignificant and ``//`` starts a
-line comment.  :func:`parse_program` raises :class:`ParseError` with line
-and column for token-level trouble and :class:`ResolutionError` for name
-problems (undeclared interfaces, duplicate names, missing method bodies,
-misplaced calls or returns).
+for the resolved test.  Sources are ASCII: identifiers are
+``[A-Za-z_][A-Za-z0-9_]*``, integers ``[0-9]+``, whitespace is space, tab,
+CR, LF, FF or VT and is insignificant, and ``//`` starts a comment that runs
+to the end of the line (only a comment may hold other characters).
+
+:func:`parse_program` raises :class:`ParseError` for token-level trouble
+and :class:`ResolutionError` for name problems (undeclared interfaces,
+duplicate names, missing method bodies, misplaced calls or returns).  A
+ParseError has a 1-based line and column; a column counts characters, so a
+tab is one column, and ``\\r\\n`` is one line break.  Tokens carry only their
+offset in the source: the line and column are computed from it when an
+error is raised.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .syntax import (
     ActorType,
@@ -75,129 +81,115 @@ KEYWORDS = frozenset(
 # Identifiers reserved for the machine's own bookkeeping.
 RESERVED_NAMES = frozenset({"this", "dest", "myactor"})
 
-
-class Token(NamedTuple):
-    kind: str  # "int" | "ident" | "kw" | "op" | "eof"
-    text: str
-    line: int
-    col: int
-
-
+# One match is the whitespace and comments before a token, then the token.
+# ``bad`` is the first character no token starts with; its match swallows
+# the rest of the source, so only ``eof`` can follow it.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>//[^\n]*)
-      | (?P<int>\d+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op>==|!=|<=|>=|&&|[{}()<>,;=.!?+\-])
-    """,
-    re.VERBOSE,
+    r"""(?:\s+|//[^\n]*)*
+      (?: (?P<int>\d+)
+        | (?P<kw>(?:%s)\b)
+        | (?P<ident>[A-Za-z_]\w*)
+        | (?P<op>==|!=|<=|>=|&&|[{}()<>,;=.!?+\-])
+        | (?P<eof>\Z)
+        | (?P<bad>.).*
+      )"""
+    % "|".join(sorted(KEYWORDS)),
+    re.ASCII | re.DOTALL | re.VERBOSE,
 )
+_KINDS = (None, *_TOKEN_RE.groupindex)  # group number -> token kind
 
 
-def tokenize(source: str, filename: str | None = None) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col, filename)
-        text = m.group()
-        kind = m.lastgroup
-        if kind == "int":
-            tokens.append(Token("int", text, line, col))
-        elif kind == "ident":
-            tokens.append(Token("kw" if text in KEYWORDS else "ident", text, line, col))
-        elif kind == "op":
-            tokens.append(Token("op", text, line, col))
-        # ws and comments are skipped, but still advance line/col
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rindex("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+def _error_at(source: str, offset: int, message: str, filename: str | None) -> ParseError:
+    line_start = source.rfind("\n", 0, offset) + 1
+    return ParseError(message, source.count("\n", 0, offset) + 1, offset - line_start + 1, filename)
+
+
+def tokenize(source: str, filename: str | None = None) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` tokens, ending in at least three ``eof``
+    tokens so that the parser looks two tokens ahead without a bounds check."""
+    tokens = [(_KINDS[m.lastindex], m[m.lastindex], m.start(m.lastindex)) for m in _TOKEN_RE.finditer(source)]
+    if len(tokens) > 1 and tokens[-2][0] == "bad":
+        _, char, offset = tokens[-2]
+        raise _error_at(source, offset, f"unexpected character {char!r}", filename)
+    return tokens + tokens[-1:] * 2
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], filename: str | None):
-        self.tokens = tokens
+    # A token's text fixes its kind: keywords and operators are reserved
+    # spellings and only eof has no text.  So a wanted keyword, operator or
+    # "get" is matched on the text alone.  The parser steps only over tokens
+    # it has matched, so it never passes the first eof and peek(2) stays
+    # inside the eof padding.
+
+    def __init__(self, source: str, filename: str | None):
+        self.source = source
+        self.tokens = tokenize(source, filename)
         self.pos = 0
         self.filename = filename
 
     # ---- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
+        return self.tokens[self.pos + ahead]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def error(self, message: str) -> ParseError:
+        return _error_at(self.source, self.tokens[self.pos][2], message, self.filename)
+
+    def unexpected(self, wanted: str) -> ParseError:
+        kind, text, _ = self.tokens[self.pos]
+        return self.error(f"expected {wanted}, found {text or kind!r}")
+
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos][1] == text
+
+    def accept(self, text: str) -> bool:
+        if self.tokens[self.pos][1] == text:
             self.pos += 1
-        return tok
+            return True
+        return False
 
-    def error(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.col, self.filename)
-
-    def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
-
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self.at(kind, text):
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, text):
-            want = text if text is not None else kind
-            raise self.error(f"expected {want!r}, found {tok.text or tok.kind!r}")
-        return self.advance()
+    def expect(self, text: str) -> None:
+        if self.tokens[self.pos][1] != text:
+            raise self.unexpected(repr(text))
+        self.pos += 1
 
     def expect_ident(self, what: str) -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.error(f"expected {what}, found {tok.text or tok.kind!r}")
-        self.advance()
-        return tok.text
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "ident":
+            raise self.unexpected(what)
+        self.pos += 1
+        return text
 
     # ---- declarations
 
     def program(self) -> Program:
         interfaces = []
-        while self.at("kw", "interface"):
+        while self.at("interface"):
             interfaces.append(self.interface_decl())
         classes = []
-        while self.at("kw", "class"):
+        while self.at("class"):
             classes.append(self.class_decl())
         main_vars, main_body = self.block(allow_decls=True)
-        if not self.at("eof"):
+        if self.peek()[0] != "eof":
             raise self.error("expected end of input")
         return Program(tuple(interfaces), tuple(classes), main_vars, main_body)
 
     def interface_decl(self) -> InterfaceDecl:
-        self.expect("kw", "interface")
+        self.expect("interface")
         name = self.expect_ident("interface name")
-        self.expect("op", "{")
+        self.expect("{")
         sigs = []
-        while not self.at("op", "}"):
+        while not self.at("}"):
             sigs.append(self.signature())
-            self.expect("op", ";")
-        self.expect("op", "}")
+            self.expect(";")
+        self.expect("}")
         return InterfaceDecl(name, tuple(sigs))
 
     def sync_label(self) -> str | None:
-        if self.accept("kw", "sync"):
-            self.expect("op", "<")
+        if self.accept("sync"):
+            self.expect("<")
             label = self.expect_ident("sync label")
-            self.expect("op", ">")
+            self.expect(">")
             return label
         return None
 
@@ -205,72 +197,72 @@ class _Parser:
         return_label = self.sync_label()
         return_type = self.type_ann()
         name = self.expect_ident("method name")
-        self.expect("op", "(")
+        self.expect("(")
         params = []
-        if not self.at("op", ")"):
+        if not self.at(")"):
             while True:
                 label = self.sync_label()
                 ptype = self.type_ann()
                 pname = self.expect_ident("parameter name")
                 params.append(Param(label, ptype, pname))
-                if not self.accept("op", ","):
+                if not self.accept(","):
                     break
-        self.expect("op", ")")
+        self.expect(")")
         return MethodSig(return_label, return_type, name, tuple(params))
 
     def type_ann(self) -> Type:
-        if self.accept("kw", "Bool"):
+        if self.accept("Bool"):
             return BOOL
-        if self.accept("kw", "Int"):
+        if self.accept("Int"):
             return INT
-        if self.accept("kw", "Fut"):
-            self.expect("op", "<")
+        if self.accept("Fut"):
+            self.expect("<")
             inner = self.type_ann()
-            self.expect("op", ">")
+            self.expect(">")
             return FutType(inner)
-        if self.accept("kw", "Actor"):
-            self.expect("op", "<")
+        if self.accept("Actor"):
+            self.expect("<")
             name = self.expect_ident("interface name")
-            self.expect("op", ">")
+            self.expect(">")
             return ActorType(name)
         name = self.expect_ident("type")
         return InterfaceType(name)
 
     def class_decl(self) -> ClassDecl:
-        self.expect("kw", "class")
+        self.expect("class")
         name = self.expect_ident("class name")
         params: list[VarDecl] = []
-        if self.accept("op", "("):
-            if not self.at("op", ")"):
+        if self.accept("("):
+            if not self.at(")"):
                 while True:
                     ptype = self.type_ann()
                     pname = self.expect_ident("parameter name")
                     params.append(VarDecl(ptype, pname))
-                    if not self.accept("op", ","):
+                    if not self.accept(","):
                         break
-            self.expect("op", ")")
-        self.expect("kw", "implements")
+            self.expect(")")
+        self.expect("implements")
         implements = [self.expect_ident("interface name")]
-        while self.accept("op", ","):
+        while self.accept(","):
             implements.append(self.expect_ident("interface name"))
-        self.expect("op", "{")
+        self.expect("{")
         attributes: list[VarDecl] = []
         methods: list[MethodDef] = []
-        while not self.at("op", "}"):
-            if self.at("kw", "sync"):
+        while not self.at("}"):
+            if self.at("sync"):
                 methods.append(self.method_def())
                 continue
             mark = self.pos
             dtype = self.type_ann()
             dname = self.expect_ident("name")
-            if self.accept("op", ";"):
+            if self.accept(";"):
                 attributes.append(VarDecl(dtype, dname))
-            elif self.at("op", "("):
+            elif self.at("("):
                 self.pos = mark
                 methods.append(self.method_def())
             else:
                 raise self.error("expected ';' or '(' in class body")
-        self.expect("op", "}")
+        self.expect("}")
         return ClassDecl(name, tuple(params), tuple(implements), tuple(attributes), tuple(methods))
 
     def method_def(self) -> MethodDef:
@@ -279,54 +271,57 @@ class _Parser:
         return MethodDef(sig, locals_, body)
 
     def _starts_decl(self) -> bool:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.text in ("Bool", "Int", "Fut", "Actor"):
+        kind, text, _ = self.peek()
+        if text in ("Bool", "Int", "Fut", "Actor"):
             return True
-        return tok.kind == "ident" and self.peek(1).kind == "ident"
+        return kind == "ident" and self.peek(1)[0] == "ident"
 
     def block(self, allow_decls: bool) -> tuple[tuple[VarDecl, ...], tuple[Stmt, ...]]:
-        self.expect("op", "{")
+        self.expect("{")
         decls: list[VarDecl] = []
         if allow_decls:
             while self._starts_decl():
                 dtype = self.type_ann()
                 dname = self.expect_ident("variable name")
-                self.expect("op", ";")
+                self.expect(";")
                 decls.append(VarDecl(dtype, dname))
         stmts: list[Stmt] = []
-        while not self.at("op", "}"):
+        while not self.at("}"):
             stmts.append(self.statement())
-        self.expect("op", "}")
+        self.expect("}")
         return tuple(decls), tuple(stmts)
 
     # ---- statements
 
     def statement(self) -> Stmt:
-        if self.accept("kw", "if"):
+        kind, text, _ = self.peek()
+        if text == "if":
+            self.pos += 1
             cond = self.expression()
             _, then = self.block(allow_decls=False)
-            self.expect("kw", "else")
+            self.expect("else")
             _, orelse = self.block(allow_decls=False)
             return If(cond, then, orelse)
-        if self.accept("kw", "while"):
+        if text == "while":
+            self.pos += 1
             cond = self.expression()
             _, body = self.block(allow_decls=False)
             return While(cond, body)
-        if self.accept("kw", "return"):
+        if text == "return":
+            self.pos += 1
             value = self.expression()
-            self.expect("op", ";")
+            self.expect(";")
             return Return(value)
-        if self.at("ident") and self.peek(1).kind == "op" and self.peek(1).text == "=":
-            target = self.advance().text
-            self.advance()  # '='
+        if kind == "ident" and self.peek(1)[1] == "=":
+            self.pos += 2
             value = self.expression()
-            self.expect("op", ";")
-            return Assign(target, value)
+            self.expect(";")
+            return Assign(text, value)
         # Only e.get remains; the postfix parser stops in front of ".get".
         value = self.expression()
-        if self.accept("op", "."):
-            self.expect("ident", "get")
-            self.expect("op", ";")
+        if self.accept("."):
+            self.expect("get")
+            self.expect(";")
             return GetStmt(value)
         raise self.error("expected a statement")
 
@@ -334,91 +329,82 @@ class _Parser:
 
     def expression(self) -> Expr:
         left = self.comparison()
-        while self.at("op", "&&"):
-            self.advance()
+        while self.accept("&&"):
             left = BinOp("&&", left, self.comparison())
         return left
 
     def comparison(self) -> Expr:
         left = self.additive()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ("==", "!=", "<", "<=", ">", ">="):
-            self.advance()
-            return BinOp(tok.text, left, self.additive())
+        op = self.peek()[1]
+        if op in ("==", "!=", "<", "<=", ">", ">="):
+            self.pos += 1
+            return BinOp(op, left, self.additive())
         return left
 
     def additive(self) -> Expr:
         left = self.postfix()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in ("+", "-"):
-                self.advance()
-                left = BinOp(tok.text, left, self.postfix())
-            else:
-                return left
+        while (op := self.peek()[1]) == "+" or op == "-":
+            self.pos += 1
+            left = BinOp(op, left, self.postfix())
+        return left
 
     def postfix(self) -> Expr:
         e = self.primary()
         while True:
-            if self.at("op", "."):
-                nxt = self.peek(1)
-                after = self.peek(2)
-                if nxt.kind == "ident" and nxt.text == "get" and not (
-                    after.kind == "op" and after.text == "("
-                ):
+            text = self.peek()[1]
+            if text == "." or text == "!":
+                if text == "." and self.peek(1)[1] == "get" and self.peek(2)[1] != "(":
                     return e  # leave ".get" for the statement parser
-                self.advance()
+                self.pos += 1
                 method = self.expect_ident("method name")
-                self.expect("op", "(")
+                self.expect("(")
                 args = self.call_args()
-                e = SyncCall(e, method, args)
-            elif self.at("op", "!"):
-                self.advance()
-                method = self.expect_ident("method name")
-                self.expect("op", "(")
-                args = self.call_args()
-                e = AsyncCall(e, method, args)
-            elif self.at("op", "?"):
-                self.advance()
+                e = SyncCall(e, method, args) if text == "." else AsyncCall(e, method, args)
+            elif text == "?":
+                self.pos += 1
                 e = Resolved(e)
             else:
                 return e
 
     def call_args(self) -> tuple[Expr, ...]:
         args: list[Expr] = []
-        if not self.at("op", ")"):
+        if not self.at(")"):
             while True:
                 args.append(self.expression())
-                if not self.accept("op", ","):
+                if not self.accept(","):
                     break
-        self.expect("op", ")")
+        self.expect(")")
         return tuple(args)
 
     def primary(self) -> Expr:
-        if self.accept("kw", "null"):
+        kind, text, _ = self.peek()
+        if kind == "ident":
+            self.pos += 1
+            return Var(text)
+        if kind == "int":
+            self.pos += 1
+            return IntLit(int(text))
+        if text == "null":
+            self.pos += 1
             return NullLit()
-        if self.accept("kw", "true"):
-            return BoolLit(True)
-        if self.accept("kw", "false"):
-            return BoolLit(False)
-        if self.accept("kw", "this"):
+        if text == "true" or text == "false":
+            self.pos += 1
+            return BoolLit(text == "true")
+        if text == "this":
+            self.pos += 1
             return This()
-        if self.at("int"):
-            return IntLit(int(self.advance().text))
-        if self.accept("kw", "new"):
-            is_actor = self.accept("kw", "actor") is not None
+        if self.accept("new"):
+            is_actor = self.accept("actor")
             name = self.expect_ident("class name")
             args: tuple[Expr, ...] = ()
-            if self.accept("op", "("):
+            if self.accept("("):
                 args = self.call_args()
             return NewActor(name, args) if is_actor else NewObject(name, args)
-        if self.accept("op", "("):
+        if self.accept("("):
             e = self.expression()
-            self.expect("op", ")")
+            self.expect(")")
             return e
-        if self.at("ident"):
-            return Var(self.advance().text)
-        raise self.error(f"expected an expression, found {self.peek().text or self.peek().kind!r}")
+        raise self.unexpected("an expression")
 
 
 def parse_program(source: str, filename: str | None = None) -> Program:
@@ -427,10 +413,10 @@ def parse_program(source: str, filename: str | None = None) -> Program:
     Raises ParseError for syntax trouble and ResolutionError when names,
     arities or statement placement rules are violated.
     """
-    tokens = tokenize(source, filename)
-    program = _Parser(tokens, filename).program()
+    program = _Parser(source, filename).program()
     resolve(program)
     return program
+
 
 
 # --------------------------------------------------------------------------

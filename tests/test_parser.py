@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from mactor.syntax import (
     BOOL,
     FutType,
     GetStmt,
+    IntLit,
     NewActor,
     Program,
     VarDecl,
@@ -63,6 +65,51 @@ def test_parse_error_position_and_rendering():
     assert err.value.line == 2
     assert err.value.col == 10
     assert str(err.value).startswith("broken.mac:2:10:")
+
+
+# (source, line, col, message): columns count characters from 1, a tab is
+# one column, "\r\n" is one line break, and end of input sits just past
+# the last character.
+ERROR_POSITIONS = [
+    ("{ }\n// a comment # here\n#", 3, 1, "unexpected character '#'"),
+    ("{ Int x; // set x\n  x = 1; // then # \n  x = 2 # 3; }", 3, 9, "unexpected character '#'"),
+    ("{ Int x;\tx = 1;\t@ }", 1, 17, "unexpected character '@'"),
+    ("{\r\n  Int x;\r\n  x$ = 1;\r\n}", 3, 4, "unexpected character '$'"),
+    ("{ Int x;\r x = 1; % }", 1, 18, "unexpected character '%'"),
+    ("{ Int x; x = 1; // no closing brace", 1, 36, "expected an expression, found 'eof'"),
+    ("", 1, 1, "expected '{', found 'eof'"),
+    ("// nothing here\n", 2, 1, "expected '{', found 'eof'"),
+    ("{ Int x; x = 12ab; }", 1, 16, "expected ';', found 'ab'"),
+    ("{ Int x; x = 1 * 2; }", 1, 16, "unexpected character '*'"),
+    ("{ Int x;\n x = 1;\x00 }", 2, 8, "unexpected character '\\x00'"),
+    ("{ Int x; x = 1.get; }", 1, 15, "expected ';', found '.'"),
+    ("{ Int x; x = ", 1, 14, "expected an expression, found 'eof'"),
+    # input ending where the parser looks one or two tokens ahead
+    ("{ x.", 1, 5, "expected method name, found 'eof'"),
+    ("{ Int x; x.get", 1, 15, "expected ';', found 'eof'"),
+    ("{ I", 1, 4, "expected a statement"),
+]
+
+
+@pytest.mark.parametrize("source,line,col,message", ERROR_POSITIONS)
+def test_parse_error_positions(source, line, col, message):
+    with pytest.raises(ParseError) as err:
+        parse_program(source)
+    assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+
+
+@pytest.mark.parametrize(
+    "source,col,char",
+    [
+        ("{ Int x; x = \u0663\u0664; }", 14, "\u0663"),  # Arabic-Indic digits
+        ("{ Int\u00a0x; }", 6, "\u00a0"),  # no-break space
+        ("{ Int x;\u2028}", 9, "\u2028"),  # line separator
+    ],
+)
+def test_non_ascii_digits_and_spaces_are_unexpected(source, col, char):
+    with pytest.raises(ParseError) as err:
+        parse_program(source)
+    assert (err.value.line, err.value.col, err.value.message) == (1, col, f"unexpected character {char!r}")
 
 
 def test_new_actor_rejected_on_interface_accepted_on_class():
@@ -165,6 +212,35 @@ def test_comments_and_whitespace_insensitivity():
         "interface I{Bool m(Int x);}// trailing\nclass C implements I{Bool m(Int x){return true;}}{}"
     )
     assert isinstance(p, Program)
+    # a comment may hold any character
+    p = parse_program("{ Int x; // caf\u00e9 \u0663\u00a0\n x = 3; }")
+    assert p.main_body == (Assign("x", IntLit(3)),)
+
+
+# Characters the lexical grammar uses, so most mutants get past the lexer.
+FUZZ_ALPHABET = "{}()<>,;=.!?+-&/_ \t\r\n09aeiktxACIF"
+
+
+def test_mutated_programs_raise_only_parse_or_resolution_errors():
+    # one character deleted, inserted or replaced: a malformed source is
+    # reported, never met with an IndexError or the like
+    rng = random.Random(17)
+    for seed in range(200):
+        source = pretty_print(gen_program(random.Random(seed)))
+        for _ in range(10):
+            i = rng.randrange(len(source) + 1)
+            op = rng.randrange(3)
+            ch = rng.choice(FUZZ_ALPHABET)
+            if op == 0:
+                mutant = source[:i] + source[i + 1 :]
+            elif op == 1:
+                mutant = source[:i] + ch + source[i:]
+            else:
+                mutant = source[:i] + ch + source[i + 1 :]
+            try:
+                parse_program(mutant)
+            except (ParseError, ResolutionError):
+                pass
 
 
 # ---- pretty printer
@@ -174,6 +250,19 @@ def test_round_trip_fixtures():
     for name in ("listing_bank", "employee_bank", "bank_small", "worked_queue", "loop"):
         p = parse_program(load_source(name))
         assert parse_program(pretty_print(p)) == p
+
+
+def test_round_trip_perfbench_bank_classes():
+    # the largest real input: the explore-bank classes plus a small main block
+    classes = (pathlib.Path(__file__).parents[1] / "perfbench" / "bank_classes.mac").read_text()
+    main = (
+        "{ Actor<ITeller> bank; Fut<Int> g; Fut<Bool> w0; Fut<Int> c1;\n"
+        "  bank = new actor Boss(100, 100); g = bank!grow(2); g.get;\n"
+        "  w0 = bank!wd(1, 30); c1 = bank!ck(2); }\n"
+    )
+    p = parse_program(classes + main)
+    assert [c.name for c in p.classes] == ["Boss", "Teller"]
+    assert parse_program(pretty_print(p)) == p
 
 
 def test_round_trip_generated_sample():
