@@ -12,20 +12,30 @@ A worker that finishes a message first takes the earliest ready message it
 supports and runs it itself; other ready messages go to idle workers in FIFO
 order of their idleness.
 
-Locking discipline: one mutex guards the lock table and the worker sets.
-There is no dispatcher thread.  Dispatch runs inline, under that mutex, at
-the end of every ``send``, every completion and every ``add_worker``, the
-only events that can make a message startable, and only when some worker is
-idle, so an actor runs exactly one thread per worker and nothing
-busy-waits.  User code runs on worker threads with no internal lock held.
-A message's future is resolved before its sync entries are released, so a
-conflicting successor always observes the completed effects.
+Locking discipline: one mutex, the actor lock, guards the lock table, the
+worker sets and the fields of the actor's futures.  There is no dispatcher
+thread.  Each message event takes that lock once: ``send`` to queue the
+message, and the completion to settle the message's future, release its
+sync entries and take the worker's next message, all in one critical
+section.  Dispatch to idle workers runs inline in the same sections, at the
+end of every ``send``, every completion and every ``add_worker`` (the only
+events that can make a message startable), and only when the lock table
+holds a ready message and some worker is idle.  So an actor runs exactly
+one thread per worker and nothing busy-waits.  User code runs on worker
+threads with no internal lock held.  A message's future is settled before
+its sync entries are released, so a conflicting successor always observes
+the completed effects.
 
-A future is one plain lock, its latch, held from creation until the future
-settles; a reader blocks on it.  Settling is a claim made under one lock
-shared by all futures, held only while the settler checks that the future
-is still pending and writes its fields, so of several racing settlers
-exactly one wins.  The winner releases the latch after leaving that lock.
+A future's fields are guarded by its claim lock: the actor lock for the
+futures ``send`` returns, and one module-wide lock for a ``Future()`` made
+by hand.  Settling (by the worker, by shutdown, or by a caller's
+``resolve``/``fail``) checks under the claim that the future is still
+pending and writes its fields, so of several racing settlers exactly one
+wins.  A reader that finds the future settled takes no lock at all.  One
+that finds it pending installs a latch under the claim, a plain lock held
+until the future settles, and blocks on it; later readers share it.  The
+winning settler releases the latch, if there is one, after leaving the
+claim.  A future that no reader blocks on never allocates a lock.
 
 Blocking on a future from a worker thread of the same actor that the awaited
 message needs is a deadlock, as with any pool; keep ``Future.get`` on
@@ -35,6 +45,7 @@ application threads.
 from __future__ import annotations
 
 import json
+import math
 import queue
 import threading
 import time
@@ -61,9 +72,24 @@ class FutureFailed(Exception):
         self.diagnostic = diagnostic
 
 
-# Held only while a settler checks and writes a future's fields, never while
-# calling out, so one lock serves every future in the process.
+# The claim of every future made outside an actor.  Held only while a
+# settler checks and writes a future's fields or a reader installs its
+# latch, never while calling out, so one lock serves them all.
 _claim = threading.Lock()
+
+
+def _wait_limit(timeout: Optional[float]) -> Optional[float]:
+    """``timeout`` in seconds as the lock primitives take it: None waits
+    forever, and so does any timeout past ``threading.TIMEOUT_MAX`` (such
+    as ``math.inf``), which they would refuse; a negative one waits not at
+    all, and NaN raises ValueError."""
+    if timeout is None or timeout > threading.TIMEOUT_MAX:
+        return None
+    if timeout >= 0:
+        return timeout
+    if math.isnan(timeout):
+        raise ValueError("timeout must be a number of seconds or None, not NaN")
+    return 0
 
 
 class Future:
@@ -73,14 +99,11 @@ class Future:
     RESOLVED = "resolved"
     FAILED = "failed"
 
-    __slots__ = ("_latch", "_state", "_value", "_diagnostic", "_cause")
+    __slots__ = ("_claim", "_latch", "_state", "_value", "_diagnostic", "_cause")
 
     def __init__(self):
-        # One plain lock costs far less to build than a Condition.  The latch
-        # stays held until the settler that wins the claim (see _settle)
-        # releases it; each blocked reader takes it and passes it on.
-        self._latch = latch = threading.Lock()
-        latch.acquire()
+        self._claim = _claim  # send hands its futures the actor lock instead
+        self._latch: Optional[threading.Lock] = None  # made by the first reader that blocks
         self._state = Future.PENDING
         self._value = None
         self._diagnostic: Optional[str] = None
@@ -96,13 +119,13 @@ class Future:
     def get(self, timeout: Optional[float] = None):
         """Block until resolved; every caller sees the same value.
 
+        A ``timeout`` of None, or one too large for the platform's locks
+        (``math.inf`` among them), waits forever; NaN raises ValueError.
         Raises TimeoutError if the deadline passes first and FutureFailed
         (with the original exception chained) if the message failed.
         """
         if self._state == Future.PENDING:
-            if not self._latch.acquire(timeout=-1 if timeout is None else max(timeout, 0)):
-                raise TimeoutError(f"future not resolved within {timeout}s")
-            self._latch.release()
+            self._wait(timeout)
         if self._state == Future.FAILED:
             raise FutureFailed(self._diagnostic) from self._cause
         return self._value
@@ -115,21 +138,50 @@ class Future:
         if not self._settle(Future.FAILED, None, diagnostic, cause):
             raise RuntimeError("future already settled")
 
-    def _settle(self, state: str, value, diagnostic, cause) -> bool:
-        """Settle unless already settled; True if this call settled.  The
-        actor settles through here, because a caller may have settled the
-        future first, and the actor must go on to free the message's
-        entries."""
-        with _claim:
+    def _wait(self, timeout: Optional[float]) -> None:
+        limit = _wait_limit(timeout)
+        with self._claim:
             if self._state != Future.PENDING:
-                return False
-            self._value = value
-            self._diagnostic = diagnostic
-            self._cause = cause
-            # written last: a reader that sees a settled state sees the fields
-            self._state = state
-        self._latch.release()
+                return
+            latch = self._latch
+            if latch is None:
+                # held until the settler that wins the claim releases it;
+                # each reader takes it and passes it on
+                latch = self._latch = threading.Lock()
+                latch.acquire()
+        if not latch.acquire(timeout=-1 if limit is None else limit):
+            raise TimeoutError(f"future not resolved within {timeout}s")
+        latch.release()
+
+    def _settle(self, state: str, value, diagnostic, cause) -> bool:
+        """Settle unless already settled; True if this call settled.
+        Shutdown settles through here, because a caller may have settled
+        the future first."""
+        with self._claim:
+            won = self._write(state, value, diagnostic, cause)
+        if won:
+            self._wake()
+        return won
+
+    def _write(self, state: str, value, diagnostic, cause) -> bool:
+        """The settle itself, with the claim lock held: write the outcome
+        unless already settled, and say whether this call did.  The winner
+        calls :meth:`_wake` once it has left the claim."""
+        if self._state != Future.PENDING:
+            return False
+        self._value = value
+        self._diagnostic = diagnostic
+        self._cause = cause
+        # written last: a reader that sees a settled state sees the fields
+        self._state = state
         return True
+
+    def _wake(self) -> None:
+        # Readers install a latch only under the claim and while the future
+        # is pending, so once it is settled _latch no longer changes.
+        latch = self._latch
+        if latch is not None:
+            latch.release()
 
 
 # --------------------------------------------------------------------------
@@ -232,18 +284,30 @@ class AuditSnapshot:
     ok: bool  # busy_data is the disjoint union of running, and startable is empty
 
 
+def _methods(cls: type) -> dict[str, Optional[tuple]]:
+    """Public method name -> its ``@synced`` labels, or None, for a behavior
+    class.  Read from the class dicts along the MRO, so no property getter
+    or other descriptor of the behavior runs."""
+    attrs: dict = {}
+    for klass in cls.__mro__:
+        for name, attr in vars(klass).items():
+            attrs.setdefault(name, attr)
+    methods = {}
+    for name, attr in attrs.items():
+        if isinstance(attr, (staticmethod, classmethod)):
+            attr = attr.__func__
+        if not name.startswith("_") and callable(attr):
+            methods[name] = getattr(attr, "_sync_labels", None)
+    return methods
+
+
 class _Worker:
     __slots__ = ("id", "behavior", "labels", "supported", "inbox", "thread", "current")
 
     def __init__(self, worker_id: int, behavior):
         self.id = worker_id
         self.behavior = behavior
-        # public method name -> its @synced labels, or None
-        self.labels: dict[str, Optional[tuple]] = {
-            name: getattr(method, "_sync_labels", None)
-            for name in dir(behavior)
-            if not name.startswith("_") and callable(method := getattr(behavior, name))
-        }
+        self.labels = _methods(type(behavior))
         self.supported = frozenset(self.labels)
         self.inbox: queue.SimpleQueue = queue.SimpleQueue()
         self.thread: Optional[threading.Thread] = None
@@ -315,20 +379,20 @@ class MacActor:
             labels = self._sync_specs.get(method)
             sync = sync_set_of(labels, args) if labels else EMPTY_LOCKS
         fut = Future()
-        with self._lock:
+        fut._claim = lock = self._lock
+        with lock:
             rejected = self._draining
             if rejected:
                 self._rejected += 1
             else:
                 priority = self._next_priority
                 self._next_priority = priority + 1
+                table = self._table
                 # tuple.__new__ skips the NamedTuple's Python-level __new__
-                self._table.add(
-                    tuple.__new__(QueuedMessage, (method, args, fut, sync, method, priority))
-                )
+                table.add(tuple.__new__(QueuedMessage, (method, args, fut, sync, method, priority)))
                 if self._log:
                     self._log.record("enqueue", method, priority, sync)
-                if self._idle:
+                if self._idle and table.has_ready():
                     self._dispatch()
         if rejected:
             fut.fail("actor shut down; send rejected")
@@ -363,8 +427,11 @@ class MacActor:
         their own, and the report has ``drained=False`` and lists them in
         ``running``.  Without one, shutdown waits for every message.
 
-        Raises RuntimeError when called from one of this actor's workers,
-        which would wait for its own message to finish.
+        A ``timeout`` too large for the platform's locks (``math.inf``
+        among them) waits like None.  Raises ValueError for a NaN timeout,
+        and RuntimeError when called from one of this actor's workers, which
+        would wait for its own message to finish; either leaves the actor
+        as it was.
         """
         with self._lock:
             if any(w.thread is threading.current_thread() for w in self._workers):
@@ -374,6 +441,7 @@ class MacActor:
                 )
             if self._report is not None:
                 return self._report
+            timeout = _wait_limit(timeout)
             self._draining = True
             if drain:
                 self._cond.wait_for(lambda: not self._busy, timeout)
@@ -470,9 +538,9 @@ class MacActor:
         # Runs with the lock held.  Idle workers are asked in FIFO order of
         # idleness; the first that supports a ready message gets the
         # earliest one it supports.  A finishing worker has already taken
-        # its own next message, if any, before this runs (see _free_worker).
+        # its own next message, if any, before this runs (see _finish).
         table, idle = self._table, self._idle
-        while idle:
+        while idle and table.has_ready():
             for worker in idle:
                 msg = table.take(worker.supported)
                 if msg is not None:
@@ -503,7 +571,7 @@ class MacActor:
         )
 
     def _worker_loop(self, worker: _Worker) -> None:
-        log, behavior, free = self._log, worker.behavior, self._free_worker
+        log, behavior, finish = self._log, worker.behavior, self._finish
         next_msg = worker.inbox.get
         msg = next_msg()
         while msg is not None:
@@ -522,38 +590,45 @@ class MacActor:
                 log.record(
                     "complete", msg.method, msg.priority, msg.sync, worker.id, error is not None
                 )
-            # Resolve before releasing the sync entries, so whoever runs next
-            # on this data can already read the result.
-            if error is None:
-                msg.future._settle(Future.RESOLVED, result, None, None)
-            else:
-                diagnostic = f"{type(error).__name__}: {error}"
-                msg.future._settle(Future.FAILED, None, diagnostic, error)
-            msg = free(worker, msg, error is not None)
+            msg = finish(worker, msg, result, error)
             if msg is None:
                 msg = next_msg()
 
-    def _free_worker(
-        self, worker: _Worker, msg: QueuedMessage, failed: bool
+    def _finish(
+        self, worker: _Worker, msg: QueuedMessage, result, error: Optional[BaseException]
     ) -> Optional[QueuedMessage]:
-        """Release ``msg``'s entries and return the next message the worker
-        runs itself, or None once it is idle.  Continuing with local work
-        spares a wake-up and a thread switch per message when a completion
-        readies exactly one message, as on a hot key."""
+        """Settle ``msg``'s future, release its entries and return the next
+        message the worker runs itself, or None once it is idle.
+
+        One critical section under the actor lock, which is also the
+        future's claim.  The outcome is written before the entries are
+        released, so whoever runs next on this data can already read it; a
+        caller or shutdown that settled the future first keeps its outcome,
+        and the entries are released all the same.  Continuing with local
+        work spares a wake-up and a thread switch per message when a
+        completion readies exactly one message, as on a hot key."""
+        if error is None:
+            state, diagnostic = Future.RESOLVED, None
+        else:
+            state, diagnostic = Future.FAILED, f"{type(error).__name__}: {error}"
+        fut, table = msg.future, self._table
         with self._lock:
             assert self._busy.get(worker.id) is worker and worker.current is msg, (
                 "worker freed twice or with the wrong message"
             )
-            self._table.complete(msg)
-            if failed:
+            won = fut._write(state, result, diagnostic, error)
+            table.complete(msg)
+            if error is not None:
                 self._failed += 1
             self._executed += 1
-            nxt = worker.current = self._table.take(worker.supported)
+            nxt = worker.current = table.take(worker.supported)
             if nxt is None:
                 del self._busy[worker.id]
                 self._idle.append(worker)
-            if self._idle:
+            if self._idle and table.has_ready():
                 self._dispatch()
             if self._draining and not self._busy:
                 self._cond.notify_all()
-            return nxt
+        if won:
+            fut._wake()
+        return nxt

@@ -156,6 +156,11 @@ class LockTable:
         else:
             heapq.heappush(self._ready, (msg.priority, msg))
 
+    def has_ready(self) -> bool:
+        """Whether some pending message could start on a worker that
+        supports it: what ``select`` over all signatures would answer."""
+        return bool(self._ready)
+
     def peek(self, supported: Container) -> Optional[QueuedMessage]:
         """What :meth:`take` would return, without starting it."""
         ready = self._ready

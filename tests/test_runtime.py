@@ -1,7 +1,9 @@
 import json
+import math
 import sys
 import threading
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -71,6 +73,25 @@ def test_future_timeout():
     f = Future()
     with pytest.raises(TimeoutError):
         f.get(timeout=0.05)
+
+
+@pytest.mark.parametrize("timeout", [math.inf, threading.TIMEOUT_MAX * 2])
+def test_future_get_timeout_past_the_platform_limit_waits_like_none(timeout):
+    f = Future()
+    timer = threading.Timer(0.05, f.resolve, args=("late",))
+    timer.start()
+    try:
+        assert f.get(timeout=timeout) == "late"
+    finally:
+        timer.join(timeout=5)
+
+
+def test_future_get_nan_timeout_raises_naming_the_argument():
+    f = Future()
+    with pytest.raises(ValueError, match="timeout"):
+        f.get(timeout=math.nan)
+    f.resolve(1)
+    assert f.get(timeout=math.nan) == 1  # a settled future waits for nothing
 
 
 def test_future_same_value_across_threads():
@@ -475,7 +496,11 @@ def test_get_times_out_on_stuck_user_code(cleanup):
     stuck = actor.send("locked", (1, "never"))
     with pytest.raises(TimeoutError):
         stuck.get(timeout=0.1)
-    gate.set()
+    # a second reader blocks on the latch the first one left behind
+    timer = threading.Timer(0.05, gate.set)
+    timer.start()
+    assert stuck.get(timeout=5) == 1
+    timer.join(timeout=5)
     actor.shutdown(drain=True)
 
 
@@ -802,6 +827,215 @@ def test_worker_with_different_sync_labels_rejected(cleanup):
     with pytest.raises(ValueError, match="'bump'"):
         MacActor(lambda: next(kinds)(), workers=2, name="mixed")
     assert not [t for t in threading.enumerate() if t.name.startswith("mixed-")]
+
+
+def test_shutdown_timeout_is_checked_before_the_actor_changes(cleanup):
+    """A NaN timeout is refused with the actor left running, and an
+    infinite one waits like None."""
+    release = threading.Event()
+
+    class Slow:
+        @synced("k")
+        def work(self, key):
+            release.wait(5)
+            return key
+
+    actor = MacActor(Slow, workers=1)
+    cleanup(actor)
+    running = actor.send("work", (1,))
+    deadline = time.time() + 5
+    while actor.stats()["busy"] == 0 and time.time() < deadline:
+        time.sleep(0.002)  # shutdown only waits while a message runs
+    with pytest.raises(ValueError, match="timeout"):
+        actor.shutdown(timeout=math.nan)
+    queued = actor.send("work", (2,))  # still accepted
+    timer = threading.Timer(0.05, release.set)
+    timer.start()
+    report = actor.shutdown(timeout=math.inf)
+    timer.join(timeout=5)
+    assert report.drained and report.executed == 2 and report.cancelled == 0
+    assert running.get(timeout=0) == 1 and queued.get(timeout=0) == 2
+    assert actor.shutdown(timeout=math.nan) is report
+
+
+def test_spawning_a_worker_runs_no_property_of_the_behavior(cleanup):
+    class Counted:
+        reads = 0
+
+        @property
+        def total(self):
+            type(self).reads += 1
+            return len
+
+        @synced("k")
+        def work(self, key):
+            return key
+
+        @staticmethod
+        def double(x):
+            return 2 * x
+
+        @classmethod
+        def name(cls):
+            return cls.__name__
+
+    actor = MacActor(Counted, workers=3)
+    cleanup(actor)
+    actor.add_worker(Counted())
+    assert actor.send("work", (4,)).get(timeout=5) == 4
+    assert actor.send("double", (4,)).get(timeout=5) == 8
+    assert actor.send("name").get(timeout=5) == "Counted"
+    assert Counted.reads == 0
+    report = actor.shutdown(drain=True)
+    assert report.cancelled == 0
+
+
+# ---- the future protocol: the actor lock is the claim, the latch is lazy
+
+class _CountingLock:
+    """A lock that counts its acquisitions per thread name."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.taken = Counter()
+
+    def acquire(self, blocking=True, timeout=-1):
+        self.taken[threading.current_thread().name] += 1
+        return self._lock.acquire(blocking, timeout)
+
+    def release(self):
+        self._lock.release()
+
+    __enter__ = acquire
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+def test_a_completion_takes_the_actor_lock_once_and_no_other(cleanup, monkeypatch):
+    """Per completed message a worker acquires the actor lock exactly once
+    and the module-wide claim never; no future nobody blocked on gets a
+    latch.  (No event log is attached, so its lock is not in play.)"""
+    import mactor.runtime as runtime
+
+    claim = _CountingLock(runtime._claim)
+    monkeypatch.setattr(runtime, "_claim", claim)
+    actor = MacActor(lambda: Recorder([]), workers=2, name="counted")
+    cleanup(actor)
+    lock = actor._lock = _CountingLock(actor._lock)
+    futures = [actor.send("locked", (i % 3, i)) for i in range(60)]
+    futures += [actor.send("free", (i,)) for i in range(60)]
+    report = actor.shutdown(drain=True)
+    assert report.executed == 120
+    on_workers = {n: c for n, c in lock.taken.items() if n.startswith("counted-w")}
+    assert sum(on_workers.values()) == 120, on_workers
+    assert not [n for n in claim.taken if n.startswith("counted-w")]
+    assert all(f._claim is lock for f in futures)  # the actor lock is their claim
+    assert all(f._latch is None for f in futures)
+    for f in futures:
+        f.get(timeout=0)
+    assert all(f._latch is None for f in futures)  # reading a settled future builds none
+
+
+def test_readers_of_a_settled_future_never_build_a_latch(cleanup):
+    f = Future()
+    f.resolve(7)
+    assert f.get() == 7 and f.get(timeout=1) == 7
+    assert f._latch is None
+    actor = MacActor(lambda: Recorder([]), workers=1)
+    cleanup(actor)
+    fut = actor.send("free", (1,))
+    deadline = time.time() + 5
+    while not fut.done() and time.time() < deadline:
+        time.sleep(0.002)
+    assert fut.get() == 1 and fut._latch is None
+
+
+def test_many_readers_blocked_on_one_actor_future_all_see_the_value(cleanup):
+    gate = threading.Event()
+    actor = MacActor(lambda: Recorder([], gate=gate), workers=1)
+    cleanup(actor)
+    fut = actor.send("locked", (1, "x"))
+    seen = []
+    readers = [
+        threading.Thread(target=lambda: seen.append(fut.get(timeout=10))) for _ in range(6)
+    ]
+    for t in readers:
+        t.start()
+    deadline = time.time() + 5
+    while fut._latch is None and time.time() < deadline:
+        time.sleep(0.002)  # the first reader to block installs the latch
+    assert fut._latch is not None and not fut.done()
+    time.sleep(0.05)  # let the other readers block on it too
+    gate.set()
+    for t in readers:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in readers)
+    assert seen == [1] * 6
+
+
+def test_caller_resolve_races_the_completion(cleanup):
+    """The caller resolves a future while its worker completes it: one of
+    them wins and every reader sees its outcome, the worker frees the
+    message's entries either way, and the message counts as executed."""
+    meet = threading.Barrier(2, timeout=10)
+
+    class Racer:
+        @synced("k")
+        def work(self, key):
+            meet.wait()
+            return "worker"
+
+    actor = MacActor(Racer, workers=2)
+    cleanup(actor)
+    rounds = 200
+    for _ in range(rounds):
+        fut = actor.send("work", (1,))
+        meet.wait()
+        try:
+            fut.resolve("caller")
+            assert fut.get(timeout=5) == "caller"
+        except RuntimeError:
+            assert fut.get(timeout=5) == "worker"
+    last = actor.send("work", (1,))  # the key was freed whoever won
+    meet.wait()
+    assert last.get(timeout=5) == "worker"
+    report = actor.shutdown(drain=True)
+    assert report.executed == rounds + 1 and report.failed == 0
+    assert actor.audit().ok
+
+
+def test_audit_holds_after_each_event_on_a_hot_key_with_an_idle_worker(cleanup):
+    """Every message locks one key and a second worker stays idle: each
+    send and completion leaves nothing startable undispatched, and a free
+    message sent meanwhile starts on the idle worker at once."""
+    gates = [threading.Event() for _ in range(6)]
+
+    class Hot:
+        @synced("k")
+        def hot(self, i):
+            gates[i].wait(10)
+            return i
+
+        def free(self, x):
+            return x
+
+    actor = MacActor(Hot, workers=2)
+    cleanup(actor)
+    sync = [SyncEntry("k", 0)]
+    futures = []
+    for i in range(len(gates)):
+        futures.append(actor.send("hot", (i,), sync_data=sync))
+        audit = actor.audit()
+        assert audit.ok and len(audit.running) == 1, audit
+    assert actor.send("free", ("now",)).get(timeout=5) == "now"
+    for i, fut in enumerate(futures):
+        gates[i].set()
+        assert fut.get(timeout=5) == i
+        audit = actor.audit()
+        assert audit.ok, audit
+        assert len(audit.running) == (1 if i + 1 < len(gates) else 0)
+    assert actor.shutdown(drain=True).executed == len(gates) + 1
 
 
 # ---- stateful: the guarantees after every send, completion, failure,

@@ -239,3 +239,26 @@ def test_lock_table_blocker_and_drop_pending():
     assert table.held() == {entry(L, 1)} and len(table) == 0
     table.complete(running)
     assert table.held() == frozenset() and table.take({"s", "ghost"}) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_ops_st)
+def test_lock_table_has_ready_matches_select(ops):
+    """has_ready says whether select, asked for any signature at all, finds
+    a message: the runtime dispatches only when it does."""
+    everything = {"a", "b", "ghost"}
+    table, pending, running = LockTable(), [], []
+    for i, op in enumerate(ops):
+        if op[0] == "send":
+            message = QueuedMessage(op[1], (), None, frozenset(op[2]), op[1], i)
+            table.add(message)
+            pending.append(message)
+        elif op[0] == "start":
+            chosen = table.take(WORKER_KINDS[op[1] % len(WORKER_KINDS)])
+            if chosen is not None:
+                pending.remove(chosen)
+                running.append(chosen)
+        elif op[0] == "complete" and running:
+            table.complete(running.pop(op[1] % len(running)))
+        held = lock_union(m.sync for m in running)
+        assert table.has_ready() == (select(everything, held, pending) is not None)
