@@ -26,6 +26,9 @@ def _load(path: str):
     except OSError as exc:
         print(f"{path}: {exc.strerror}", file=sys.stderr)
         raise SystemExit(1)
+    except UnicodeDecodeError as exc:
+        print(f"{path}: {exc}", file=sys.stderr)
+        raise SystemExit(1)
     try:
         return parse_program(source, filename=path)
     except ParseError as exc:
@@ -51,6 +54,14 @@ def _positive(text: str) -> int:
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {count}")
     return count
+
+
+def _non_negative(text: str) -> int:
+    """A whole number of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
+    return value
 
 
 def _counts(text: str) -> list[int]:
@@ -145,7 +156,7 @@ def macbench_main(argv=None) -> int:
     parser.add_argument("--requests", type=_counts, default="100000",
                         help="request volume; comma-separated for a sweep")
     parser.add_argument("--workers", type=_counts, default="1,2,4")
-    parser.add_argument("--work-us", type=int, default=100)
+    parser.add_argument("--work-us", type=_non_negative, default=100)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="report.csv")
     parser.add_argument("--audit-log", help="write per-run JSONL logs using this stem")

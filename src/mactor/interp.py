@@ -121,6 +121,17 @@ def default_value(t: Type) -> Value:
     return None
 
 
+def _method_frame(mdef: MethodDef, env: dict, args: Sequence) -> dict:
+    """The environment a method starts in: ``env`` (``this``, and ``dest``
+    for a message), the parameters bound to ``args``, the locals at their
+    default value."""
+    for p, v in zip(mdef.sig.params, args):
+        env[p.name] = v
+    for d in mdef.locals:
+        env[d.name] = default_value(d.type)
+    return env
+
+
 # Internal expression forms used only by the step rules, never produced by
 # the parser and never printed.
 
@@ -935,11 +946,7 @@ class _AccessWalk:
         if key in self._active:
             raise _Unbounded
         self._active.add(key)
-        env = {"this": this}
-        env.update(zip([p.name for p in mdef.sig.params], args))
-        for d in mdef.locals:
-            env[d.name] = default_value(d.type)
-        self._stmts(mdef.body, env, this, cls)
+        self._stmts(mdef.body, _method_frame(mdef, {"this": this}, args), this, cls)
         self._active.remove(key)
 
     def _stmts(self, stmts: tuple, env: dict, this, cls: Optional[str]) -> None:
@@ -1151,11 +1158,7 @@ def _sync_call(config, label, thread, top, s) -> Configuration:
     if len(call.args) != mdef.sig.arity:
         raise _EvalFault(f"'{call.method}' expects {mdef.sig.arity} argument(s)")
     args = [_eval(config, top.env, a) for a in call.args]
-    callee_env: dict = {"this": callee}
-    for p, v in zip(mdef.sig.params, args):
-        callee_env[p.name] = v
-    for d in mdef.locals:
-        callee_env[d.name] = default_value(d.type)
+    callee_env = _method_frame(mdef, {"this": callee}, args)
     waiting = top.with_stmts((Assign(s.target, Hole()),) + top.stmts[1:])
     new_thread = thread[:-1] + (waiting, Closure(callee_env, mdef.body))
     return _with_thread(config, label.actor, label.obj, new_thread)
@@ -1259,11 +1262,7 @@ def _sched_msg(config, label, *_) -> Configuration:
     queues = dict(config.queues)
     queues[actor] = tuple(m for m in queue if m is not msg)
     mdef = config.index.class_methods[config.heap[obj].cls][msg.method]
-    env: dict = {"this": obj, "dest": msg.future}
-    for p, v in zip(mdef.sig.params, msg.args):
-        env[p.name] = v
-    for d in mdef.locals:
-        env[d.name] = default_value(d.type)
+    env = _method_frame(mdef, {"this": obj, "dest": msg.future}, msg.args)
     state = config.heap[obj]
     heap = dict(config.heap)
     heap[obj] = ObjectState(state.cls, state.myactor, state.ifaces, msg.sync, state.fields)

@@ -418,30 +418,11 @@ def parse_program(source: str, filename: str | None = None) -> Program:
     return program
 
 
-
 # --------------------------------------------------------------------------
 # name resolution
 
-
-def _walk_exprs(e: Expr):
-    yield e
-    if isinstance(e, BinOp):
-        yield from _walk_exprs(e.left)
-        yield from _walk_exprs(e.right)
-    elif isinstance(e, Resolved):
-        yield from _walk_exprs(e.target)
-    elif isinstance(e, (NewObject, NewActor)):
-        for a in e.args:
-            yield from _walk_exprs(a)
-    elif isinstance(e, (SyncCall, AsyncCall)):
-        yield from _walk_exprs(e.target)
-        for a in e.args:
-            yield from _walk_exprs(a)
-
-
 class _Resolver:
-    def __init__(self, program: Program):
-        self.program = program
+    def __init__(self):
         self.ifaces: dict[str, InterfaceDecl] = {}
         self.classes: dict[str, ClassDecl] = {}
         # method name -> set of arities, across all interfaces and classes
@@ -450,31 +431,34 @@ class _Resolver:
     def fail(self, message: str) -> None:
         raise ResolutionError(message)
 
-    def run(self) -> None:
-        self.collect_names()
-        for iface in self.program.interfaces:
-            self.check_interface(iface)
-        for cls in self.program.classes:
-            self.check_class(cls)
-        self.check_main()
-
-    def collect_names(self) -> None:
-        for iface in self.program.interfaces:
+    def run(self, program: Program) -> None:
+        for iface in program.interfaces:
             if iface.name in self.ifaces:
                 self.fail(f"duplicate interface name '{iface.name}'")
             self.ifaces[iface.name] = iface
-        for cls in self.program.classes:
+        for cls in program.classes:
             if cls.name in self.classes:
                 self.fail(f"duplicate class name '{cls.name}'")
             if cls.name in self.ifaces:
                 self.fail(f"'{cls.name}' is declared both as an interface and a class")
             self.classes[cls.name] = cls
-        for iface in self.program.interfaces:
-            for sig in iface.signatures:
-                self.method_arities.setdefault(sig.name, set()).add(sig.arity)
-        for cls in self.program.classes:
-            for m in cls.methods:
-                self.method_arities.setdefault(m.sig.name, set()).add(m.sig.arity)
+        sigs = [sig for iface in program.interfaces for sig in iface.signatures]
+        for sig in sigs + [m.sig for cls in program.classes for m in cls.methods]:
+            self.method_arities.setdefault(sig.name, set()).add(sig.arity)
+        for iface in program.interfaces:
+            self.check_sigs(iface.signatures, f"interface '{iface.name}'")
+        for cls in program.classes:
+            self.check_class(cls)
+        scope = self.declare(program.main_vars, set(), "variable", "main", "main variable")
+        try:
+            has_return = self.check_stmts(program.main_body, scope, "main", None)
+        except ResolutionError:
+            # a return anywhere in main outranks the body error met first
+            has_return = any(type(s) is Return for s in walk_stmts(program.main_body))
+            if not has_return:
+                raise
+        if has_return:
+            self.fail("return is not allowed in the main block")
 
     def check_type(self, t: Type, where: str) -> None:
         if isinstance(t, FutType):
@@ -488,111 +472,81 @@ class _Resolver:
             if t.name not in self.ifaces:
                 self.fail(f"undeclared interface '{t.name}' in {where}")
 
-    def check_sig(self, sig: MethodSig, where: str) -> None:
-        self.check_type(sig.return_type, where)
-        seen: set[str] = set()
-        for p in sig.params:
-            self.check_name(p.name, f"parameter of {where}")
-            if p.name in seen:
-                self.fail(f"duplicate parameter '{p.name}' in {where}")
-            seen.add(p.name)
-            self.check_type(p.type, where)
+    def declare(self, decls: tuple, scope: set[str], noun: str, where: str, role: str) -> set[str]:
+        """Add each name to ``scope`` in order, checking it and its type."""
+        for d in decls:
+            if d.name in RESERVED_NAMES:
+                self.fail(f"reserved name '{d.name}' declared as {role}")
+            if d.name in scope:
+                self.fail(f"duplicate {noun} '{d.name}' in {where}")
+            scope.add(d.name)
+            self.check_type(d.type, where)
+        return scope
 
-    def check_name(self, name: str, where: str) -> None:
-        if name in RESERVED_NAMES:
-            self.fail(f"reserved name '{name}' declared as {where}")
-
-    def check_interface(self, iface: InterfaceDecl) -> None:
-        seen: set[str] = set()
-        for sig in iface.signatures:
-            if sig.name in seen:
-                self.fail(f"duplicate method '{sig.name}' in interface '{iface.name}'")
-            seen.add(sig.name)
-            self.check_sig(sig, f"interface '{iface.name}'")
+    def check_sigs(self, sigs: tuple[MethodSig, ...], where: str) -> dict[str, MethodSig]:
+        """Check each method name is new, then its signature; returns them by name."""
+        by_name: dict[str, MethodSig] = {}
+        for sig in sigs:
+            if sig.name in by_name:
+                self.fail(f"duplicate method '{sig.name}' in {where}")
+            by_name[sig.name] = sig
+            self.check_type(sig.return_type, where)
+            self.declare(sig.params, set(), "parameter", where, f"parameter of {where}")
+        return by_name
 
     def check_class(self, cls: ClassDecl) -> None:
         for name in cls.implements:
             if name not in self.ifaces:
                 self.fail(f"class '{cls.name}' implements undeclared interface '{name}'")
-        field_names: set[str] = set()
-        for d in cls.fields:
-            self.check_name(d.name, f"field of class '{cls.name}'")
-            if d.name in field_names:
-                self.fail(f"duplicate field '{d.name}' in class '{cls.name}'")
-            field_names.add(d.name)
-            self.check_type(d.type, f"class '{cls.name}'")
-        by_name: dict[str, MethodDef] = {}
-        for m in cls.methods:
-            if m.sig.name in by_name:
-                self.fail(f"duplicate method '{m.sig.name}' in class '{cls.name}'")
-            by_name[m.sig.name] = m
-            self.check_sig(m.sig, f"class '{cls.name}'")
+        where = f"class '{cls.name}'"
+        field_names = self.declare(cls.fields, set(), "field", where, f"field of {where}")
+        sigs = self.check_sigs(tuple(m.sig for m in cls.methods), where)
         for iname in cls.implements:
             for sig in self.ifaces[iname].signatures:
-                got = by_name.get(sig.name)
+                got = sigs.get(sig.name)
                 if got is None:
                     self.fail(
                         f"class '{cls.name}' is missing method '{sig.name}' "
                         f"required by interface '{iname}'"
                     )
-                if got.sig != sig:
+                if got != sig:
                     self.fail(
                         f"method '{sig.name}' of class '{cls.name}' does not match "
                         f"the signature declared in interface '{iname}'"
                     )
         for m in cls.methods:
-            self.check_method(cls, m, field_names)
-
-    def check_method(self, cls: ClassDecl, m: MethodDef, field_names: set[str]) -> None:
-        where = f"method '{cls.name}.{m.sig.name}'"
-        scope = {p.name for p in m.sig.params}
-        for d in m.locals:
-            self.check_name(d.name, f"local of {where}")
-            if d.name in scope:
-                self.fail(f"duplicate local '{d.name}' in {where}")
-            scope.add(d.name)
-            self.check_type(d.type, where)
-        self.check_body(m.body, scope | field_names, where, allow_this=True)
-        self.check_returns(m.body, where)
-
-    def check_returns(self, body: tuple[Stmt, ...], where: str) -> None:
-        if not body or not isinstance(body[-1], Return):
-            self.fail(f"{where} must end with a return statement")
-        for s in walk_stmts(body):
-            if isinstance(s, Return) and s is not body[-1]:
+            where = f"method '{cls.name}.{m.sig.name}'"
+            params = {p.name for p in m.sig.params}
+            scope = self.declare(m.locals, params, "local", where, f"local of {where}")
+            final = m.body[-1] if m.body else None
+            early = self.check_stmts(m.body, scope | field_names, where, final)
+            if type(final) is not Return:
+                self.fail(f"{where} must end with a return statement")
+            if early:
                 self.fail(f"{where} has a return before the final statement")
 
-    def check_main(self) -> None:
-        scope: set[str] = set()
-        for d in self.program.main_vars:
-            self.check_name(d.name, "main variable")
-            if d.name in scope:
-                self.fail(f"duplicate variable '{d.name}' in main")
-            scope.add(d.name)
-            self.check_type(d.type, "main")
-        for s in walk_stmts(self.program.main_body):
-            if isinstance(s, Return):
-                self.fail("return is not allowed in the main block")
-        self.check_body(self.program.main_body, scope, "main", allow_this=False)
-
-    # ---- statement and expression checks
-
-    def check_body(self, body: tuple[Stmt, ...], scope: set[str], where: str, allow_this: bool) -> None:
-        for s in walk_stmts(body):
-            if isinstance(s, Assign):
+    def check_stmts(self, body: tuple[Stmt, ...], scope: set[str], where: str, final: Stmt | None) -> bool:
+        """Check statements, nested ones included, in source order; true if a
+        return other than ``final`` was met, for the caller to report last."""
+        early = False
+        for s in body:
+            kind = type(s)
+            if kind is Assign:
                 if s.target not in scope:
                     self.fail(f"assignment to undeclared variable '{s.target}' in {where}")
-                self.check_rhs(s.value, scope, where, allow_this)
-            elif isinstance(s, GetStmt):
-                self.check_pure(s.value, scope, where, allow_this)
-            elif isinstance(s, If):
-                self.check_pure(s.cond, scope, where, allow_this)
-            elif isinstance(s, While):
-                self.check_pure(s.cond, scope, where, allow_this)
-            elif isinstance(s, Return):
-                self.check_pure(s.value, scope, where, allow_this)
+                self.check_rhs(s.value, scope, where)
+            elif kind is If:
+                self.check_expr(s.cond, scope, where)
+                early |= self.check_stmts(s.then + s.orelse, scope, where, final)
+            elif kind is While:
+                self.check_expr(s.cond, scope, where)
+                early |= self.check_stmts(s.body, scope, where, final)
+            else:  # GetStmt or Return
+                self.check_expr(s.value, scope, where)
+                early |= kind is Return and s is not final
+        return early
 
-    def check_rhs(self, e: Expr, scope: set[str], where: str, allow_this: bool) -> None:
+    def check_rhs(self, e: Expr, scope: set[str], where: str) -> None:
         """The right side of an assignment: the only place calls and news go."""
         if isinstance(e, (NewObject, NewActor)):
             cls = self.classes.get(e.class_name)
@@ -605,35 +559,54 @@ class _Resolver:
                     f"argument(s), got {len(e.args)} in {where}"
                 )
             for a in e.args:
-                self.check_pure(a, scope, where, allow_this)
-            return
-        if isinstance(e, (SyncCall, AsyncCall)):
+                self.check_expr(a, scope, where)
+        elif isinstance(e, (SyncCall, AsyncCall)):
             arities = self.method_arities.get(e.method)
             if arities is None:
                 self.fail(f"call to undeclared method '{e.method}' in {where}")
             if len(e.args) not in arities:
                 self.fail(f"no method '{e.method}' takes {len(e.args)} argument(s) in {where}")
-            self.check_pure(e.target, scope, where, allow_this)
+            self.check_expr(e.target, scope, where)
             for a in e.args:
-                self.check_pure(a, scope, where, allow_this)
-            return
-        self.check_pure(e, scope, where, allow_this)
+                self.check_expr(a, scope, where)
+        else:
+            self.check_expr(e, scope, where)
 
-    def check_pure(self, e: Expr, scope: set[str], where: str, allow_this: bool) -> None:
+    def check_expr(self, e: Expr, scope: set[str], where: str) -> None:
         """A call-free expression position: guards, arguments, operands."""
-        for sub in _walk_exprs(e):
-            if isinstance(sub, (SyncCall, AsyncCall, NewObject, NewActor)):
-                self.fail(
-                    f"calls and 'new' may appear only as the whole right-hand "
-                    f"side of an assignment ({where})"
-                )
-            if isinstance(sub, Var) and sub.name not in scope:
-                self.fail(f"undeclared variable '{sub.name}' in {where}")
-            if isinstance(sub, This) and not allow_this:
-                self.fail("'this' is not available in the main block")
+        kind = type(e)
+        if kind is Var and e.name not in scope:
+            self.fail(f"undeclared variable '{e.name}' in {where}")
+        elif kind is BinOp:
+            self.check_expr(e.left, scope, where)
+            self.check_expr(e.right, scope, where)
+        elif kind is Resolved:
+            self.check_expr(e.target, scope, where)
+        elif kind is This and where == "main":
+            self.fail("'this' is not available in the main block")
+        elif kind in (SyncCall, AsyncCall, NewObject, NewActor):
+            self.fail(
+                f"calls and 'new' may appear only as the whole right-hand "
+                f"side of an assignment ({where})"
+            )
 
 
 def resolve(program: Program) -> Program:
-    """Check naming, arity and placement rules; returns the program unchanged."""
-    _Resolver(program).run()
+    """Check naming, arity and placement rules; returns the program unchanged.
+
+    Names are declared once and none is reserved; types name declared
+    interfaces, which each implementing class matches signature for signature;
+    variables are declared, ``this`` is used in methods only; calls and
+    ``new``, of a declared method or class with a matching argument count,
+    stand only as a whole assignment right-hand side; a method ends in its one
+    ``return`` and main has none.
+
+    The first error is raised.  Order: interface and class names; per
+    interface each method's name then signature; per class ``implements``,
+    fields, each method's name then signature, conformance, bodies; main.  In
+    a method, body errors come in source order, then "must end with a return
+    statement", then "has a return before the final statement"; in main, a
+    ``return`` comes before any other body error.
+    """
+    _Resolver().run(program)
     return program

@@ -336,12 +336,18 @@ def test_maci_run_reports_a_fault(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "source, why",
-    [(None, "No such file or directory"), ("{ x = 1; }", "assignment to undeclared variable 'x'")],
-    ids=["missing-file", "resolution-error"],
+    [
+        (None, "No such file or directory"),
+        ("{ x = 1; }", "assignment to undeclared variable 'x'"),
+        (b"\xff\xfe{ }", "can't decode byte 0xff in position 0"),
+    ],
+    ids=["missing-file", "resolution-error", "not-utf8"],
 )
 def test_maci_reports_load_errors_in_one_line(source, why, tmp_path, capsys):
     program = tmp_path / "p.mac"
-    if source is not None:
+    if isinstance(source, bytes):
+        program.write_bytes(source)
+    elif source is not None:
         program.write_text(source)
     with pytest.raises(SystemExit) as stop:
         maci_main(["run", str(program)])
@@ -392,8 +398,9 @@ def test_macbench_cli(tmp_path, capsys):
         (["--requests", "100,3"], "requests (3) must be at least accounts (4)"),
         (["--workers", "1,0"], "every count must be at least 1"),
         (["--workers", "1,x"], "invalid _counts value"),
+        (["--work-us", "-100"], "must be at least 0, not -100"),
     ],
-    ids=["volume-below-accounts", "workers-0", "workers-not-int"],
+    ids=["volume-below-accounts", "workers-0", "workers-not-int", "work-us-negative"],
 )
 def test_macbench_rejects_bad_arguments_before_any_cell(bad, why, tmp_path, capsys, monkeypatch):
     # A bad later cell used to end in a traceback after the earlier cells

@@ -207,6 +207,206 @@ def test_reserved_names_rejected():
         parse_program(MINIMAL.replace("{ }", "{ Bool dest; }"))
 
 
+def _in_main(block: str) -> str:
+    return MINIMAL.replace("{ }", block)
+
+
+def _in_method(body: str) -> str:
+    return f"interface I {{ Bool m(Int x); }} class C implements I {{ Bool m(Int x) {{ {body} }} }} {{ }}"
+
+
+# One row per diagnostic of the resolver, with its exact text, then programs
+# holding two errors, which pin the one that is reported.
+RESOLUTION_ERRORS = {
+    "duplicate-interface": (
+        "interface I { } interface I { } { }",
+        "duplicate interface name 'I'",
+    ),
+    "duplicate-class": (
+        "interface I { } class C implements I { } class C implements I { } { }",
+        "duplicate class name 'C'",
+    ),
+    "interface-and-class": (
+        "interface I { } class I implements I { } { }",
+        "'I' is declared both as an interface and a class",
+    ),
+    "actor-of-undeclared-interface": (
+        "{ Actor<J> a; }",
+        "undeclared interface 'J' in main",
+    ),
+    "class-used-as-type": (
+        _in_main("{ C c; }"),
+        "class name 'C' used as a type in main",
+    ),
+    "undeclared-interface-type": (
+        "{ Fut<J> f; }",
+        "undeclared interface 'J' in main",
+    ),
+    "reserved-parameter": (
+        "interface I { Bool m(Int dest); } { }",
+        "reserved name 'dest' declared as parameter of interface 'I'",
+    ),
+    "duplicate-parameter": (
+        "interface I { Bool m(Int x, Bool x); } { }",
+        "duplicate parameter 'x' in interface 'I'",
+    ),
+    "duplicate-interface-method": (
+        "interface I { Bool m(); Int m(Int y); } { }",
+        "duplicate method 'm' in interface 'I'",
+    ),
+    "implements-undeclared": (
+        "class C implements J { } { }",
+        "class 'C' implements undeclared interface 'J'",
+    ),
+    "reserved-field": (
+        "interface I { } class C implements I { Int myactor; } { }",
+        "reserved name 'myactor' declared as field of class 'C'",
+    ),
+    "duplicate-field": (
+        "interface I { } class C(Int x) implements I { Bool x; } { }",
+        "duplicate field 'x' in class 'C'",
+    ),
+    "duplicate-class-method": (
+        "interface I { } class C implements I { Bool m() { return true; } Bool m() { return true; } } { }",
+        "duplicate method 'm' in class 'C'",
+    ),
+    "missing-interface-method": (
+        "interface I { Bool m(); } class C implements I { } { }",
+        "class 'C' is missing method 'm' required by interface 'I'",
+    ),
+    "signature-mismatch": (
+        "interface I { Bool m(sync<a> Int x); } class C implements I { Bool m(Int x) { return true; } } { }",
+        "method 'm' of class 'C' does not match the signature declared in interface 'I'",
+    ),
+    "reserved-local": (
+        _in_method("Int dest; return true;"),
+        "reserved name 'dest' declared as local of method 'C.m'",
+    ),
+    "local-shadows-parameter": (
+        _in_method("Bool x; return true;"),
+        "duplicate local 'x' in method 'C.m'",
+    ),
+    "no-final-return": (
+        _in_method("x = 1;"),
+        "method 'C.m' must end with a return statement",
+    ),
+    "empty-method-body": (
+        _in_method(""),
+        "method 'C.m' must end with a return statement",
+    ),
+    "early-return": (
+        _in_method("while true { return false; } return true;"),
+        "method 'C.m' has a return before the final statement",
+    ),
+    "reserved-main-variable": (
+        _in_main("{ Bool dest; }"),
+        "reserved name 'dest' declared as main variable",
+    ),
+    "duplicate-main-variable": (
+        _in_main("{ Int x; Bool x; }"),
+        "duplicate variable 'x' in main",
+    ),
+    "return-in-main": (
+        _in_main("{ Bool b; if true { return b; } else { } }"),
+        "return is not allowed in the main block",
+    ),
+    "assignment-to-undeclared": (
+        _in_main("{ x = 1; }"),
+        "assignment to undeclared variable 'x' in main",
+    ),
+    "new-on-interface": (
+        _in_main("{ I o; o = new I(); }"),
+        "'new' on an interface name 'I' in main",
+    ),
+    "new-on-undeclared": (
+        _in_main("{ I o; o = new actor D(); }"),
+        "'new' on undeclared name 'D' in main",
+    ),
+    "constructor-arity": (
+        _in_main("{ I o; o = new C(1); }"),
+        "constructor of 'C' takes 0 argument(s), got 1 in main",
+    ),
+    "undeclared-method": (
+        _in_main("{ I o; Bool b; b = o.nope(); }"),
+        "call to undeclared method 'nope' in main",
+    ),
+    "method-arity": (
+        _in_main("{ I o; Fut<Bool> f; f = o!m(1, 2); }"),
+        "no method 'm' takes 2 argument(s) in main",
+    ),
+    "call-in-guard": (
+        _in_main("{ I o; while o.m(1) { } }"),
+        "calls and 'new' may appear only as the whole right-hand side of an assignment (main)",
+    ),
+    "new-in-operand": (
+        _in_method("Bool b; b = (new C()) == null; return b;"),
+        "calls and 'new' may appear only as the whole right-hand side of an assignment (method 'C.m')",
+    ),
+    "undeclared-variable": (
+        _in_main("{ Bool b; b = b && y; }"),
+        "undeclared variable 'y' in main",
+    ),
+    "this-in-main": (
+        _in_main("{ I o; o = this; }"),
+        "'this' is not available in the main block",
+    ),
+    # -- precedence
+    "undeclared-variable-before-early-return": (
+        _in_method("if y { return true; } else { } return false;"),
+        "undeclared variable 'y' in method 'C.m'",
+    ),
+    "undeclared-variable-after-early-return": (
+        _in_method("if true { return true; } else { } x = y; return false;"),
+        "undeclared variable 'y' in method 'C.m'",
+    ),
+    "no-final-return-and-early-return": (
+        _in_method("if true { return true; } else { }"),
+        "method 'C.m' must end with a return statement",
+    ),
+    "return-in-main-after-undeclared-variable": (
+        _in_main("{ x = 1; return true; }"),
+        "return is not allowed in the main block",
+    ),
+    "bad-signature-before-duplicate-method": (
+        "interface I { } class C implements I { Bool m(Int x, Int x) { return true; } "
+        "Bool m() { return true; } } { }",
+        "duplicate parameter 'x' in class 'C'",
+    ),
+    "duplicate-method-before-bad-signature": (
+        "interface I { } class C implements I { Bool m() { return true; } Bool m() { return true; } "
+        "Bool k(Int dest) { return true; } } { }",
+        "duplicate method 'm' in class 'C'",
+    ),
+    "implements-before-fields": (
+        "class C implements J { Int dest; } { }",
+        "class 'C' implements undeclared interface 'J'",
+    ),
+    "fields-before-signatures": (
+        "interface I { } class C(J x) implements I { Bool m(Int dest) { return true; } } { }",
+        "undeclared interface 'J' in class 'C'",
+    ),
+    "conformance-before-bodies": (
+        "interface I { Bool m(); Bool k(); } class C implements I { Bool m() { zz = 1; return true; } } { }",
+        "class 'C' is missing method 'k' required by interface 'I'",
+    ),
+    "interfaces-before-classes": (
+        "interface I { Bool m(Int x, Int x); } class C implements I { Int dest; } { }",
+        "duplicate parameter 'x' in interface 'I'",
+    ),
+    "class-bodies-before-main": (
+        _in_method("x = y; return true;").replace("{ }", "{ z = 1; }"),
+        "undeclared variable 'y' in method 'C.m'",
+    ),
+}
+
+
+@pytest.mark.parametrize("source, message", RESOLUTION_ERRORS.values(), ids=RESOLUTION_ERRORS.keys())
+def test_resolution_error_messages(source, message):
+    with pytest.raises(ResolutionError) as err:
+        parse_program(source)
+    assert str(err.value) == message
+
+
 def test_comments_and_whitespace_insensitivity():
     p = parse_program(
         "interface I{Bool m(Int x);}// trailing\nclass C implements I{Bool m(Int x){return true;}}{}"
