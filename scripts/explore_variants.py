@@ -6,9 +6,10 @@ Runs ``explore_all`` to completion on five variants of perfbench's
 generated bank program (``perfbench/workloads.py:explore_program``: tellers,
 withdrawals on accounts 1 and 2, accounts checked), each with seed 1 and
 best of 3 runs, with this process pinned to one CPU.  Every terminal must
-hold the values of the benchmark's sequential replay.  Prints the markdown
-table of README's ``explore_all`` section; exits 1 if a search truncates,
-faults, finds a violation or disagrees with the replay.
+hold the values of the benchmark's sequential replay.  Prints a markdown
+table of states, terminals, time in milliseconds and states stored per
+second, the source of README's ``explore_all`` table; exits 1 if a search
+truncates, faults, finds a violation or disagrees with the replay.
 """
 
 from __future__ import annotations
@@ -57,12 +58,16 @@ def label(spec: ExploreSpec) -> str:
 
 def main() -> int:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    print("| variant | states | terminals | time |")
-    print("|---|---|---|---|")
+    print("| variant | states | terminals | time | states/s |")
+    print("|---|---|---|---|---|")
     ok = True
     for spec in VARIANTS:
         report, best, problems = measure(spec)
-        print(f"| {label(spec)} | {report.states:,} | {len(report.terminals)} | {best:.2f} s |", flush=True)
+        print(
+            f"| {label(spec)} | {report.states:,} | {len(report.terminals)} "
+            f"| {best * 1e3:.1f} ms | {report.states / best:,.0f} |",
+            flush=True,
+        )
         for problem in problems:
             print(f"{label(spec)}: {problem}", file=sys.stderr)
         ok = ok and not problems

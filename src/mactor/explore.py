@@ -28,7 +28,8 @@ enabled step expanded.  Any safe step will do, and an object has at most
 one step, so the object that took the step into a state is asked for its
 step first (:func:`mactor.interp.object_step`), and
 :func:`mactor.interp.enabled_steps` runs only when that step is missing or
-not safe, or needs full expansion.
+not safe, or needs full expansion; it is handed that object's answer, so
+each object is asked once per state.
 
 A safe step kept alone does not stop there: the same object keeps
 stepping while its next step is safe, and only the state where that run
@@ -71,11 +72,15 @@ condition C1, Peled, CAV 1993).  A step that reads a field of ``this``
 that can still change, or writes one, is safe only when no other object's
 thread, no queued message and no message those may still send can write
 what it reads, or touch what it writes, before it.  ``is_safe`` finds
-their accesses by one abstract walk over the code they may still run,
-read from the state it judges: locals, arguments and stable fields
-keep their values, so ``acc == 1`` and ``acc == 2`` take different
-branches.  A queued message of the stepping object's own group whose sync
-set overlaps that object's locks cannot start before the object returns,
+their accesses by an abstract walk over the code they may still run:
+locals, arguments and stable fields keep their values, so ``acc == 1``
+and ``acc == 2`` take different branches.  The walk of a closure or a
+queued message reads nothing of a state but the class and stable fields
+of objects, which never change, so it is made once per closure or
+message object and shared by every state that holds that object; what a
+head statement reads is derived once per statement of the program.  A
+queued message of the stepping object's own group whose sync set
+overlaps that object's locks cannot start before the object returns,
 so it is not asked; under a ``select_fn`` that ignores held locks it could,
 but only into a state whose lock sets overlap, which the search reports as
 a theorem1 violation.
@@ -301,8 +306,10 @@ def explore_all(
             safe = pick is not None and is_safe(current, pick)
         else:
             pick, safe = None, False
+        # the mover's step, which enabled_steps need not derive again
+        asked = None if mover is None else (mover.obj, pick)
         if not safe:
-            labels = enabled_steps(current, select_fn)
+            labels = enabled_steps(current, select_fn, asked)
             if not labels:
                 report.terminals.append(current)
                 continue
@@ -332,7 +339,7 @@ def explore_all(
                 if seen is None or seen[2] > dist:
                     continue
             if labels is None:
-                labels = enabled_steps(current, select_fn)
+                labels = enabled_steps(current, select_fn, asked)
         if len(labels) > 1:
             labels = _one_per_interchangeable(current, labels)
         for label in labels:

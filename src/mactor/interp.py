@@ -18,9 +18,9 @@ the diagnostic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .scheduler import (
@@ -150,34 +150,44 @@ class Hole(Expr):
 # --------------------------------------------------------------------------
 # machine state
 
-@dataclass(frozen=True)
 class Closure:
-    env: dict  # var name -> Value; includes 'this' and, in message bodies, 'dest'
-    stmts: tuple[Stmt, ...]
-    # interned keys of the closure and of its env, set by
-    # ProgramIndex.closure_id on first use
-    _id: Optional[int] = field(default=None, init=False, repr=False, compare=False)
-    _env_id: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    """A frame of a thread.  Treat as immutable; steps build new ones."""
+
+    __slots__ = ("env", "stmts", "_id", "_env_id", "_access")
+
+    def __init__(self, env: dict, stmts: tuple[Stmt, ...]):
+        self.env = env  # var name -> Value; includes 'this' and, in message bodies, 'dest'
+        self.stmts = stmts
+        # interned keys of the closure and of its env, set by
+        # ProgramIndex.closure_id on first use
+        self._id = self._env_id = None
+        # what the rest of the closure may access, set by _closure_access
+        self._access = None
 
     def with_stmts(self, stmts: tuple) -> "Closure":
         """This environment running ``stmts``; the env's key carries over."""
         out = Closure(self.env, stmts)
-        object.__setattr__(out, "_env_id", self._env_id)
+        out._env_id = self._env_id
         return out
 
 
 Thread = tuple  # of Closure; empty tuple means idle
 
 
-@dataclass(frozen=True)
 class ObjectState:
-    cls: Optional[str]
-    myactor: ObjRef
-    ifaces: frozenset[str]
-    locks: frozenset[SyncEntry]
-    fields: dict  # field name -> Value
-    # interned key, set by ProgramIndex.object_id on first use
-    _id: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    """An object's record.  Treat as immutable; steps build new ones."""
+
+    __slots__ = ("cls", "myactor", "ifaces", "locks", "fields", "_id")
+
+    def __init__(
+        self, cls: Optional[str], myactor: ObjRef, ifaces: frozenset, locks: frozenset, fields: dict
+    ):
+        self.cls = cls
+        self.myactor = myactor
+        self.ifaces = ifaces
+        self.locks = locks
+        self.fields = fields  # field name -> Value
+        self._id = None  # interned key, set by ProgramIndex.object_id on first use
 
 
 class StepLabel(NamedTuple):
@@ -217,6 +227,7 @@ class _Id(int):
 
 
 _ref_id = _Ref.id.fget  # the id of an ObjRef or FutRef
+_cached_id = attrgetter("_id")  # of a Closure or ObjectState, None until keyed
 
 
 def _by_id(refs: dict, *keys) -> tuple:
@@ -273,6 +284,11 @@ class ProgramIndex:
         # each statement so that its id() is not reused.
         self._stmt_ids: dict[int, _Id] = {}
         self._numbered: list[Stmt] = []
+        # id() of a statement of the program -> its head_reads; the program
+        # holds every statement, so no other object takes one of these ids
+        self._heads: dict[int, Optional[frozenset[str]]] = {}
+        # id() of a queued message -> (the message, its accesses)
+        self._messages: dict[int, tuple] = {}
 
     # ---- interning
 
@@ -310,29 +326,29 @@ class ProgramIndex:
         if found is None:
             env = c._env_id
             if env is None:
-                env = self.intern(_items_key(c.env))
-                object.__setattr__(c, "_env_id", env)
+                env = c._env_id = self.intern(_items_key(c.env))
             code = tuple(map(self._stmt_ids.get, map(id, c.stmts)))
             if None in code:
                 code = tuple(
                     [k if k is not None else self._stmt_key(s) for k, s in zip(code, c.stmts)]
                 )
-            found = self.intern((env, code))
-            object.__setattr__(c, "_id", found)
+            found = c._id = self.intern((env, code))
         return found
 
     def object_id(self, st: ObjectState) -> _Id:
         found = st._id
         if found is None:
             locks = frozenset([(e.label, type(e.value), e.value) for e in st.locks])
-            found = self.intern(
+            found = st._id = self.intern(
                 (st.cls, st.myactor.id, st.ifaces, locks, _items_key(st.fields))
             )
-            object.__setattr__(st, "_id", found)
         return found
 
     def heap_id(self, heap: dict) -> _Id:
-        return self.intern(_by_id(heap, map(self.object_id, heap.values())))
+        ids = list(map(_cached_id, heap.values()))
+        if None in ids:
+            ids = [i if i is not None else self.object_id(st) for i, st in zip(ids, heap.values())]
+        return self.intern(_by_id(heap, ids))
 
     def queues_id(self, queues: dict) -> _Id:
         # A message's signature and sync set follow from its method and args.
@@ -356,8 +372,12 @@ class ProgramIndex:
         return self.intern(_by_id(futures, map(type, values), values))
 
     def group_id(self, actor: int, group: dict) -> _Id:
-        closure_id = self.closure_id
-        threads = [tuple(map(closure_id, t)) for t in group.values()]
+        threads = []
+        for thread in group.values():
+            ids = tuple(map(_cached_id, thread))
+            if None in ids:
+                ids = tuple(map(self.closure_id, thread))
+            threads.append(ids)
         return self.intern((actor, _by_id(group, threads)))
 
     # ---- independence facts for the explorer, derived on first use
@@ -399,6 +419,25 @@ class ProgramIndex:
             for m in c.methods
             for s in walk_stmts(m.body)
         )
+
+    def head_reads(self, head: Stmt, env: dict, cls: Optional[str]) -> Optional[frozenset[str]]:
+        """The fields that are not stable which ``head`` reads at the top of
+        a closure of environment ``env`` run by an object of class ``cls``;
+        None when its expressions hold anything but literals, names and
+        operators.  Kept per statement of the program: a statement only
+        runs in frames of its own method, which all bind the same names,
+        with ``this`` of its own class.  The heads SYNC-CALL and SYNC-RETURN
+        build anew each time are not kept."""
+        stable = self.stable_fields.get(cls, frozenset())
+        reads: set = set()
+        if all(_field_reads(e, env, stable, reads) for e in _head_exprs(head)):
+            reads = frozenset(reads)
+        else:
+            reads = None
+        value = head.value if type(head) is Assign else None
+        if type(value) is not Hole and type(value) is not ValueLit:
+            self._heads[id(head)] = reads
+        return reads
 
     # ---- program lookups
 
@@ -692,15 +731,21 @@ def _eval_guard(config: Configuration, env: dict, e: Expr) -> bool:
 def enabled_steps(
     config: Configuration,
     select_fn: Callable = default_select,
+    known: Optional[tuple[ObjRef, Optional[StepLabel]]] = None,
 ) -> list[StepLabel]:
     """All rule instances whose premises hold, in deterministic order
-    (group id, then object id).  A faulted configuration has none."""
+    (group id, then object id).  A faulted configuration has none.
+
+    ``known`` is ``(obj, label)``: the answer :func:`object_step` already
+    gave on ``config`` for object ``obj``, a label or None, which is used
+    instead of asking again."""
     if config.fault is not None:
         return []
+    mover, answer = known or (None, None)
     labels: list[StepLabel] = []
-    for actor in sorted(config.actors, key=lambda r: r.id):
-        for obj in sorted(config.actors[actor], key=lambda r: r.id):
-            label = object_step(config, actor, obj, select_fn)
+    for actor in sorted(config.actors, key=_ref_id):
+        for obj in sorted(config.actors[actor], key=_ref_id):
+            label = answer if obj == mover else object_step(config, actor, obj, select_fn)
             if label is not None:
                 labels.append(label)
     return labels
@@ -812,9 +857,8 @@ def is_safe(config: Configuration, label: StepLabel) -> bool:
     A step that reads a field that is not stable, or writes one, qualifies
     only when nothing else can write what it reads, or read or write what
     it writes, before it is taken: no other object's thread, no queued
-    message and no message those may still send (:func:`_reached_first`,
-    which walks their code with :class:`_AccessWalk`).  The stepping
-    object's own thread does nothing else before the step.
+    message and no message those may still send (:func:`_reached_first`).
+    The stepping object's own thread does nothing else before the step.
 
     A queued message of the stepping object's own group whose sync set
     overlaps that object's locks is not asked.  ``scheduler.select`` passes
@@ -826,6 +870,19 @@ def is_safe(config: Configuration, label: StepLabel) -> bool:
     always asked: lock sets are kept apart only inside a group, so it may
     hold the same entry at the same time.
 
+    The facts that depend on one immutable value are derived once per
+    value, not per state: what a head reads, once per statement of the
+    program (:meth:`ProgramIndex.head_reads`), and what the rest of a
+    closure or a queued message may access, once per closure or message
+    object (:func:`_closure_access`, :func:`_message_access`).  Objects
+    never die, an object's class and stable fields never change, and an
+    access walk reads nothing else of the state.  A closure or message is
+    made by one step and shared only by that step's descendants, so every
+    state that holds it gives the same answer.  A message is therefore
+    kept by identity, not by value: two equal messages made on two
+    branches may name an object id that each branch gave to an object of
+    another class.
+
     The step may still fault; the caller checks its successor.
     """
     index = config.index
@@ -834,18 +891,21 @@ def is_safe(config: Configuration, label: StepLabel) -> bool:
     if not (main_send or rule in _LOCAL_RULES or rule == "ASSIGN-FIELD"):
         return False
     top = config.actors[label.actor][label.obj][-1]
-    env = top.env
-    this = env["this"]
-    stable = index.stable_fields.get(config.heap[this].cls, frozenset())
+    this = top.env["this"]
     head = top.stmts[0]
-    reads: set = set()
-    if not all(_field_reads(e, env, stable, reads) for e in _head_exprs(head)):
+    reads = index._heads.get(id(head), _UNSEEN)
+    if reads is _UNSEEN:
+        reads = index.head_reads(head, top.env, config.heap[this].cls)
+    if reads is None:
         return False
     if rule == "ASSIGN-FIELD":
         return not _reached_first(config, label, this.id, reads, head.target)
     if reads:
         return not main_send and not _reached_first(config, label, this.id, reads, None)
     return True
+
+
+_UNSEEN = object()  # a head ProgramIndex.head_reads has not kept
 
 
 def _head_exprs(s: Stmt) -> tuple:
@@ -870,29 +930,55 @@ def _field_reads(e: Expr, env: dict, stable: frozenset, out: set) -> bool:
 
 
 def _reached_first(
-    config: Configuration, label: StepLabel, this: int, reads: set, write: Optional[str]
+    config: Configuration, label: StepLabel, this: int, reads: frozenset, write: Optional[str]
 ) -> bool:
     """Whether, before ``label`` is taken, another object's thread, a
     queued message or a message they may still send can write a field of
     object ``this`` named in ``reads``, or read or write its field
     ``write``.  Skips the queued messages :func:`is_safe` says it may."""
-    walk = _AccessWalk(config)
-    try:
-        for group in config.actors.values():
-            for obj, thread in group.items():
-                if thread and obj != label.obj:
-                    walk.thread(thread)
-        held = config.heap[label.obj].locks
-        for actor, queue in config.queues.items():
-            for msg in queue:
-                if actor != label.actor or held.isdisjoint(msg.sync):
-                    walk.any_object(msg.method, msg.args)
-    except _Unbounded:
+    for group in config.actors.values():
+        for obj, thread in group.items():
+            if obj != label.obj:
+                for closure in thread:
+                    if _touches(_closure_access(config, closure), this, reads, write):
+                        return True
+    held = config.heap[label.obj].locks
+    for actor, queue in config.queues.items():
+        for msg in queue:
+            if (actor != label.actor or held.isdisjoint(msg.sync)) and _touches(
+                _message_access(config, msg), this, reads, write
+            ):
+                return True
+    return False
+
+
+def _touches(access, this: int, reads: frozenset, write: Optional[str]) -> bool:
+    if access is _ANY:
         return True
-    return any(
-        (obj is None or obj == this) and (name == write or (wrote and name in reads))
-        for obj, name, wrote in walk.found
-    )
+    for obj, name, wrote in access:
+        if (obj is None or obj == this) and (name == write or (wrote and name in reads)):
+            return True
+    return False
+
+
+def _closure_access(config: Configuration, closure: Closure):
+    """What the rest of ``closure`` may access, walked once and kept on the
+    closure (:func:`is_safe` says why)."""
+    access = closure._access
+    if access is None:
+        access = closure._access = _AccessWalk(config).closure(closure)
+    return access
+
+
+def _message_access(config: Configuration, msg: QueuedMessage):
+    """What the queued ``msg`` may access, walked once and kept by its
+    identity (:func:`is_safe` says why); the table holds the message, so
+    its id is not reused."""
+    messages = config.index._messages
+    found = messages.get(id(msg))
+    if found is None:
+        found = messages[id(msg)] = (msg, _AccessWalk(config).message(msg))
+    return found[1]
 
 
 _UNKNOWN = object()  # a value the walk below cannot know
@@ -902,9 +988,14 @@ class _Unbounded(Exception):
     """A walk met a method inside its own call: it may touch anything."""
 
 
+_ANY = object()  # the accesses of a walk that met an _Unbounded
+
+
 class _AccessWalk:
     """The field accesses code may still make, as ``(object id or None,
     field, written)`` triples in :attr:`found`; None stands for any object.
+    :meth:`closure` and :meth:`message` walk once and give the accesses as
+    a frozenset of those triples, or ``_ANY``.
 
     One abstract pass over the statements.  Locals, arguments and stable
     fields of a known ``this`` keep their values, so ``acc == 1`` and
@@ -917,7 +1008,8 @@ class _AccessWalk:
     class that has the method when the target is unknown; an asynchronous
     call walks the sent method on every class that has it, run by an
     unknown object.  A method met inside its own walk raises
-    :class:`_Unbounded`.
+    :class:`_Unbounded`.  Of the state, a walk reads only the class and
+    stable fields of a known ``this`` or callee.
     """
 
     def __init__(self, config: Configuration):
@@ -926,12 +1018,24 @@ class _AccessWalk:
         self.found: set = set()
         self._active: set = set()  # (class, method) being walked
 
-    def thread(self, thread: Thread) -> None:
-        """The rest of ``thread``: its top closure, then each caller below
-        it, which resumes with the returned value unknown."""
-        for closure in reversed(thread):
-            this = closure.env["this"]
-            self._stmts(closure.stmts, dict(closure.env), this, self.heap[this].cls)
+    def closure(self, closure: Closure):
+        """The rest of ``closure``.  A caller below the top of a thread
+        resumes with the returned value unknown: its head holds a Hole."""
+        this = closure.env["this"]
+        return self._summary(
+            self._stmts, closure.stmts, dict(closure.env), this, self.heap[this].cls
+        )
+
+    def message(self, msg: QueuedMessage):
+        """The queued ``msg``, run by an unknown object of any class."""
+        return self._summary(self.any_object, msg.method, msg.args)
+
+    def _summary(self, walk: Callable, *args):
+        try:
+            walk(*args)
+        except _Unbounded:
+            return _ANY
+        return frozenset(self.found)
 
     def any_object(self, method: str, args: Sequence) -> None:
         """``method`` run by an unknown object of any class that has it."""

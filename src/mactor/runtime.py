@@ -19,8 +19,10 @@ message, and the completion to settle the message's future, release its
 sync entries and take the worker's next message, all in one critical
 section.  Dispatch to idle workers runs inline in the same sections, at the
 end of every ``send``, every completion and every ``add_worker`` (the only
-events that can make a message startable), and only when the lock table
-holds a ready message and some worker is idle.  So an actor runs exactly
+events that can make a message startable).  Dispatch leaves nothing
+startable, so after a send or a completion only the messages it made ready
+can start, and only an idle worker that supports one of them is asked; a
+backlog no idle worker supports is never scanned.  So an actor runs exactly
 one thread per worker and nothing busy-waits.  User code runs on worker
 threads with no internal lock held.  A message's future is settled before
 its sync entries are released, so a conflicting successor always observes
@@ -51,6 +53,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .scheduler import (
@@ -71,6 +74,8 @@ class FutureFailed(Exception):
         super().__init__(diagnostic)
         self.diagnostic = diagnostic
 
+
+_signature = attrgetter("signature")  # of a QueuedMessage
 
 # The claim of every future made outside an actor.  Held only while a
 # settler checks and writes a future's fields or a reader installs its
@@ -387,13 +392,13 @@ class MacActor:
             else:
                 priority = self._next_priority
                 self._next_priority = priority + 1
-                table = self._table
                 # tuple.__new__ skips the NamedTuple's Python-level __new__
-                table.add(tuple.__new__(QueuedMessage, (method, args, fut, sync, method, priority)))
+                msg = tuple.__new__(QueuedMessage, (method, args, fut, sync, method, priority))
+                ready = self._table.add(msg)
                 if self._log:
                     self._log.record("enqueue", method, priority, sync)
-                if self._idle and table.has_ready():
-                    self._dispatch()
+                if ready and self._idle:
+                    self._dispatch((msg,))
         if rejected:
             fut.fail("actor shut down; send rejected")
         return fut
@@ -408,7 +413,7 @@ class MacActor:
             if self._draining:
                 raise RuntimeError("actor shut down")
             worker = self._spawn_worker(behavior)
-            self._dispatch()
+            self._dispatch(self._table.pending())  # the new worker may start any
             return worker.id
 
     def shutdown(self, drain: bool = True, timeout: Optional[float] = None) -> ShutdownReport:
@@ -534,17 +539,25 @@ class MacActor:
         worker.thread.start()
         return worker
 
-    def _dispatch(self) -> None:
-        # Runs with the lock held.  Idle workers are asked in FIFO order of
-        # idleness; the first that supports a ready message gets the
-        # earliest one it supports.  A finishing worker has already taken
-        # its own next message, if any, before this runs (see _finish).
+    def _dispatch(self, ready: Sequence[QueuedMessage]) -> None:
+        # Runs with the lock held, after a send or a completion made the
+        # messages ``ready`` ready (after add_worker, with every pending
+        # message).  Dispatch leaves no idle worker a message it could
+        # start, and the event made no other message startable (select is
+        # prefix-stable), so each message an idle worker can start now is
+        # one of ``ready``, and a worker that supports none of them is not
+        # asked.  Idle workers are asked in
+        # FIFO order of idleness; the first that supports a ready message
+        # gets the earliest one it supports.  A finishing worker has
+        # already taken its own next message, if any (see _finish).
         table, idle = self._table, self._idle
-        while idle and table.has_ready():
+        wanted = set(map(_signature, ready))
+        for _ in ready:  # each start takes one of them
             for worker in idle:
-                msg = table.take(worker.supported)
-                if msg is not None:
-                    break
+                if not wanted.isdisjoint(worker.supported):
+                    msg = table.take(worker.supported)
+                    if msg is not None:
+                        break
             else:
                 return
             idle.remove(worker)
@@ -617,7 +630,7 @@ class MacActor:
                 "worker freed twice or with the wrong message"
             )
             won = fut._write(state, result, diagnostic, error)
-            table.complete(msg)
+            readied = table.complete(msg)
             if error is not None:
                 self._failed += 1
             self._executed += 1
@@ -625,8 +638,10 @@ class MacActor:
             if nxt is None:
                 del self._busy[worker.id]
                 self._idle.append(worker)
-            if self._idle and table.has_ready():
-                self._dispatch()
+            elif nxt in readied:
+                readied.remove(nxt)
+            if readied and self._idle:
+                self._dispatch(readied)
             if self._draining and not self._busy:
                 self._cond.notify_all()
         if won:

@@ -141,7 +141,10 @@ class LockTable:
             key for key, fifo in self._fifos.items() if fifo[0].priority not in self._pending
         )
 
-    def add(self, msg: QueuedMessage) -> None:
+    def add(self, msg: QueuedMessage) -> bool:
+        """Queue ``msg`` behind every message on its entries; True when it
+        is ready, which is when no earlier message holds or waits for one
+        of them."""
         blocked = 0
         for key in msg.sync:
             fifo = self._fifos.get(key)
@@ -153,13 +156,9 @@ class LockTable:
         self._pending[msg.priority] = msg
         if blocked:
             self._blocked[msg.priority] = blocked
-        else:
-            heapq.heappush(self._ready, (msg.priority, msg))
-
-    def has_ready(self) -> bool:
-        """Whether some pending message could start on a worker that
-        supports it: what ``select`` over all signatures would answer."""
-        return bool(self._ready)
+            return False
+        heapq.heappush(self._ready, (msg.priority, msg))
+        return True
 
     def peek(self, supported: Container) -> Optional[QueuedMessage]:
         """What :meth:`take` would return, without starting it."""
@@ -193,9 +192,11 @@ class LockTable:
         del self._pending[msg.priority]
         return msg
 
-    def complete(self, msg: QueuedMessage) -> None:
+    def complete(self, msg: QueuedMessage) -> list[QueuedMessage]:
         """Release a running message's entries; the next message in each of
-        its FIFOs moves up, and becomes ready once it heads all of them."""
+        its FIFOs moves up, and becomes ready once it heads all of them.
+        Returns the messages that became ready."""
+        readied = []
         for key in msg.sync:
             fifo = self._fifos[key]
             head = fifo.popleft()
@@ -210,6 +211,8 @@ class LockTable:
             else:
                 del self._blocked[nxt]
                 heapq.heappush(self._ready, (nxt, fifo[0]))
+                readied.append(fifo[0])
+        return readied
 
     def blocker(self, msg: QueuedMessage) -> Optional[tuple[SyncEntry, QueuedMessage]]:
         """The first entry on which a pending ``msg`` is not at the head, with

@@ -784,6 +784,99 @@ def test_every_label_the_explorer_applies_is_enabled():
             assert len({(id(c), label) for c, label in applied}) == len(applied), name
 
 
+def test_each_object_is_asked_for_its_step_once_per_state():
+    # The object that moved into a state was asked for its next step at the
+    # end of its run or when the state was popped; enabled_steps takes that
+    # answer instead of deriving it again.
+    ask = interp_module.object_step
+    asked = []
+
+    def counted(config, actor, obj, *rest):
+        asked.append((config, obj))  # holds the state, so its id stays its own
+        return ask(config, actor, obj, *rest)
+
+    total = 0
+    for name, program, depth in _differential_programs():
+        with mock.patch.object(interp_module, "object_step", counted), mock.patch.object(
+            explore_module, "object_step", counted
+        ):
+            explore_all(initial_config(program), depth)
+        keys = [(id(config), obj) for config, obj in asked]
+        assert len(set(keys)) == len(keys), name
+        total += len(keys)
+        asked.clear()
+    assert total > 1000
+
+
+# ---- facts is_safe derives once per value, against a fresh walk
+
+# Two makers race to create an object, so each branch gives the same id
+# to an object of another class, and then sends it to the sink.  Sent
+# first, the two messages are equal values, but use() calls poke() on
+# the object, which writes n of a Hot and m of a Cold.
+SAME_MESSAGE_OTHER_CLASS = """
+interface IW { Int poke(); }
+interface IS { Int use(IW w); }
+interface IM { Int make(IS s); }
+class Hot implements IW { Int n; Int poke() { n = 1; return 0; } }
+class Cold implements IW { Int m; Int poke() { m = 1; return 0; } }
+class Sink implements IS { Int use(IW w) { Int r; r = w.poke(); return r; } }
+class MakeHot implements IM {
+  Int make(IS s) { IW w; Fut<Int> f; Int r; w = new Hot(); f = s!use(w); r = w.poke(); return r; }
+}
+class MakeCold implements IM {
+  Int make(IS s) { IW w; Fut<Int> f; Int r; w = new Cold(); f = s!use(w); r = w.poke(); return r; }
+}
+{ IS s; IM a; IM b; Fut<Int> fa; Fut<Int> fb;
+  s = new actor Sink(); a = new actor MakeHot(); b = new actor MakeCold();
+  fa = a!make(s); fb = b!make(s); }
+"""
+
+
+class _Forgets(dict):
+    """A cache that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_cached_independence_facts_match_a_fresh_walk():
+    # is_safe keeps what a head statement reads per statement, and what a
+    # closure or a queued message may access per closure or message
+    # object.  In every state of the full searches of the gate programs,
+    # it must answer as it does with each of those facts derived again
+    # from that state.
+    walk = interp_module._AccessWalk
+    programs = [(n, p, d) for n, p, d in _differential_programs() if not n.startswith("progen")]
+    programs.append(("same message, other class", parse_program(SAME_MESSAGE_OTHER_CLASS), 400))
+    judged = unsafe = 0
+    for name, program, depth in programs:
+        root = initial_config(program)
+        asked = []  # (state, label, cached answer)
+        seen = {root.canonical()}
+        frontier = deque([(root, 0)])
+        while frontier:
+            current, dist = frontier.popleft()
+            for label in enabled_steps(current):
+                asked.append((current, label, interp_module.is_safe(current, label)))
+                succ = step(current, label)
+                if dist < depth and succ.canonical() not in seen:
+                    seen.add(succ.canonical())
+                    frontier.append((succ, dist + 1))
+        with mock.patch.object(
+            interp_module, "_closure_access", lambda config, c: walk(config).closure(c)
+        ), mock.patch.object(
+            interp_module, "_message_access", lambda config, m: walk(config).message(m)
+        ), mock.patch.object(
+            root.index, "_heads", _Forgets()
+        ):
+            for config, label, cached in asked:
+                assert interp_module.is_safe(config, label) == cached, (name, label)
+        judged += len(asked)
+        unsafe += sum(not cached for *_, cached in asked)
+    assert judged > 8000 and unsafe > 2000, (judged, unsafe)
+
+
 # ---- the reduced search against the full one
 
 

@@ -25,6 +25,7 @@ from mactor import (
     synced,
 )
 from mactor.bank import read_jsonl
+from mactor.scheduler import LockTable
 
 
 def make_actor(*args, **kwargs):
@@ -1036,6 +1037,42 @@ def test_audit_holds_after_each_event_on_a_hot_key_with_an_idle_worker(cleanup):
         assert audit.ok, audit
         assert len(audit.running) == (1 if i + 1 < len(gates) else 0)
     assert actor.shutdown(drain=True).executed == len(gates) + 1
+
+
+def test_a_backlog_no_idle_worker_supports_is_not_scanned(cleanup, monkeypatch):
+    """Worker B is busy and every queued message is one only B supports,
+    while worker A stays idle.  No send and no completion looks through
+    that backlog for a message A could start: the lock table's scan
+    (``peek``) is never called."""
+    gate = threading.Event()
+
+    class OnlyA:
+        def a(self):
+            return "a"
+
+    class OnlyB:
+        def b(self, i):
+            gate.wait(10)
+            return i
+
+    peeks = Counter()
+    peek = LockTable.peek
+
+    def counted(table, supported):
+        peeks["peek"] += 1
+        return peek(table, supported)
+
+    monkeypatch.setattr(LockTable, "peek", counted)
+    actor = MacActor(OnlyB, workers=1)
+    cleanup(actor)
+    actor.add_worker(OnlyA())
+    futures = [actor.send("b", (i,)) for i in range(200)]
+    assert actor.audit().ok and actor.stats()["pending"] == 199
+    gate.set()
+    assert [fut.get(timeout=10) for fut in futures] == list(range(200))
+    assert actor.send("a").get(timeout=5) == "a"
+    assert actor.audit().ok
+    assert peeks["peek"] == 0
 
 
 # ---- stateful: the guarantees after every send, completion, failure,

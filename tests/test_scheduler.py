@@ -243,22 +243,26 @@ def test_lock_table_blocker_and_drop_pending():
 
 @settings(max_examples=300, deadline=None)
 @given(table_ops_st)
-def test_lock_table_has_ready_matches_select(ops):
-    """has_ready says whether select, asked for any signature at all, finds
-    a message: the runtime dispatches only when it does."""
-    everything = {"a", "b", "ghost"}
-    table, pending, running = LockTable(), [], []
+def test_lock_table_names_the_messages_that_become_ready(ops):
+    """add and complete return the messages they make ready: those select
+    would start for a worker that supports that message alone.  The
+    runtime dispatches only those."""
+    table, pending, running, ready = LockTable(), [], [], set()
     for i, op in enumerate(ops):
         if op[0] == "send":
             message = QueuedMessage(op[1], (), None, frozenset(op[2]), op[1], i)
-            table.add(message)
+            if table.add(message):
+                ready.add(i)
             pending.append(message)
         elif op[0] == "start":
             chosen = table.take(WORKER_KINDS[op[1] % len(WORKER_KINDS)])
             if chosen is not None:
                 pending.remove(chosen)
                 running.append(chosen)
+                ready.remove(chosen.priority)
         elif op[0] == "complete" and running:
-            table.complete(running.pop(op[1] % len(running)))
+            ready.update(m.priority for m in table.complete(running.pop(op[1] % len(running))))
         held = lock_union(m.sync for m in running)
-        assert table.has_ready() == (select(everything, held, pending) is not None)
+        # the priority as signature: a worker that supports one message
+        alone = [m._replace(signature=m.priority) for m in pending]
+        assert ready == {m.priority for m in pending if select({m.priority}, held, alone)}
