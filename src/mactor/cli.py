@@ -19,24 +19,35 @@ from .parser import ParseError, ResolutionError, parse_program
 from .runtime import EventLog
 
 
+def _fail(line: str):
+    """End the program with one line on stderr and exit status 1."""
+    print(line, file=sys.stderr)
+    raise SystemExit(1)
+
+
 def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
     except OSError as exc:
-        print(f"{path}: {exc.strerror}", file=sys.stderr)
-        raise SystemExit(1)
+        _fail(f"{path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
-        print(f"{path}: {exc}", file=sys.stderr)
-        raise SystemExit(1)
+        _fail(f"{path}: {exc}")
     try:
         return parse_program(source, filename=path)
     except ParseError as exc:
-        print(str(exc), file=sys.stderr)
-        raise SystemExit(1)
+        _fail(str(exc))
     except ResolutionError as exc:
-        print(f"{path}: {exc}", file=sys.stderr)
-        raise SystemExit(1)
+        _fail(f"{path}: {exc}")
+
+
+def _open_out(path: str):
+    """``path`` opened for writing, before any work that would fill it
+    starts, so that an unwritable path fails at once, in one line."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        _fail(f"{path}: {exc.strerror}")
 
 
 def _print_futures(config) -> None:
@@ -99,14 +110,15 @@ def maci_main(argv=None) -> int:
     config = initial_config(program)
 
     if args.command == "run":
+        trace_file = _open_out(args.trace) if args.trace else None
         try:
             final, trace = run(config, args.policy, seed=args.seed, fuel=args.fuel)
             exhausted = False
         except FuelExhausted as stop:
             final, trace = stop.config, stop.trace
             exhausted = True
-        if args.trace:
-            with open(args.trace, "w", encoding="utf-8") as fh:
+        if trace_file is not None:
+            with trace_file as fh:
                 for label in trace:
                     fh.write(
                         json.dumps(
@@ -171,21 +183,27 @@ def macbench_main(argv=None) -> int:
         ]
     except ValueError as exc:
         parser.error(str(exc))
-    stem = None
+    # Every output path is opened, and so checked, before the first cell too.
+    audit_paths = {}
     if args.audit_log:
-        stem = args.audit_log[:-6] if args.audit_log.endswith(".jsonl") else args.audit_log
+        stem = args.audit_log.removesuffix(".jsonl")
+        for w in cells:
+            for count in args.workers:
+                path = audit_paths[w.requests, count] = f"{stem}-{w.requests}-{count}.jsonl"
+                _open_out(path).close()
+    out = _open_out(args.out)
     rows = ["volume,workers,time_ms,throughput_mps"]
     for w in cells:
         for count in args.workers:
-            log = EventLog() if stem else None
+            log = EventLog() if audit_paths else None
             report = run_scenario(w, count, work_us=args.work_us, event_log=log)
             if log is not None:
-                log.write_jsonl(f"{stem}-{w.requests}-{count}.jsonl")
+                log.write_jsonl(audit_paths[w.requests, count])
             rows.append(
                 f"{w.requests},{count},{report.wall_ms:.3f},{report.throughput_mps:.1f}"
             )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+    with out:
+        out.write("\n".join(rows) + "\n")
     print("\n".join(rows))
     print(f"wrote {args.out}")
     return 0

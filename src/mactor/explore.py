@@ -6,11 +6,14 @@ of ints: every component of a state (statement, closure, object, group,
 heap, queues, futures) is interned once per program into a small number
 (hash-consing), a component is keyed the first time it appears and reused
 by every later state that shares it, and a successor reuses its parent's
-part for every dict the step did not replace.  So keying a successor costs
-about what the step changed, and the visited set holds and compares flat
-int tuples.  Values are keyed with their types, so a state holding ``True``
-is not merged with one holding ``1``.  Two invariants are checked along the
-way:
+part for every dict the step did not replace.  The machine builds every
+dict of a state in id order (see :class:`mactor.interp.Configuration`), so
+no part sorts: the heap and the futures are keyed by position, the queues
+and each group in their own order, and the groups in group id order.  So
+keying a successor costs about what the step changed, and the visited set
+holds and compares flat int tuples.  Values are keyed with their types, so
+a state holding ``True`` is not merged with one holding ``1``.  Two
+invariants are checked along the way:
 
 * lock disjointness: inside every group, the lock sets held by distinct
   objects never intersect;

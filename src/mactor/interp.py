@@ -177,14 +177,11 @@ Thread = tuple  # of Closure; empty tuple means idle
 class ObjectState:
     """An object's record.  Treat as immutable; steps build new ones."""
 
-    __slots__ = ("cls", "myactor", "ifaces", "locks", "fields", "_id")
+    __slots__ = ("cls", "myactor", "locks", "fields", "_id")
 
-    def __init__(
-        self, cls: Optional[str], myactor: ObjRef, ifaces: frozenset, locks: frozenset, fields: dict
-    ):
+    def __init__(self, cls: Optional[str], myactor: ObjRef, locks: frozenset, fields: dict):
         self.cls = cls
         self.myactor = myactor
-        self.ifaces = ifaces
         self.locks = locks
         self.fields = fields  # field name -> Value
         self._id = None  # interned key, set by ProgramIndex.object_id on first use
@@ -231,9 +228,10 @@ _cached_id = attrgetter("_id")  # of a Closure or ObjectState, None until keyed
 
 
 def _by_id(refs: dict, *keys) -> tuple:
-    """``(id, key...)`` for each entry of a dict keyed by ObjRef or FutRef,
-    in id order; ``keys`` are iterables over the dict's values."""
-    return tuple(sorted(zip(map(_ref_id, refs), *keys)))
+    """``(id, key...)`` for each entry of a dict keyed by ObjRef, in the
+    dict's order, which is id order; ``keys`` are iterables over the dict's
+    values."""
+    return tuple(zip(map(_ref_id, refs), *keys))
 
 
 # Machine values are keyed as themselves next to their types, because
@@ -241,9 +239,10 @@ def _by_id(refs: dict, *keys) -> tuple:
 # compare by tag and id, so a reference never equals the int of its id.
 
 def _items_key(d: dict) -> tuple:
-    """Key of a name -> value dict (an environment or the fields)."""
+    """Key of a name -> value dict (an environment or the fields), in the
+    dict's order, which its method or class declares."""
     values = d.values()
-    return tuple(sorted(zip(d, map(type, values), values)))
+    return tuple(zip(d, map(type, values), values))
 
 
 class ProgramIndex:
@@ -261,18 +260,16 @@ class ProgramIndex:
 
     def __init__(self, program: Program):
         self.program = program
-        self.interfaces = {i.name: i for i in program.interfaces}
+        interfaces = {i.name: i for i in program.interfaces}
         self.classes: dict[str, ClassDecl] = {c.name: c for c in program.classes}
         self.class_methods: dict[str, dict[str, MethodDef]] = {
             c.name: {m.sig.name: m for m in c.methods} for c in program.classes
         }
-        self.class_ifaces: dict[str, frozenset[str]] = {
-            c.name: frozenset(c.implements) for c in program.classes
-        }
-        # Signatures an object of a class supports, for the select filter.
+        # Signatures an object of a class supports, for the select filter
+        # and for the signature of an event sent to its group.
         self.class_supported: dict[str, frozenset[MethodSig]] = {
             c.name: frozenset(
-                sig for iname in c.implements for sig in self.interfaces[iname].signatures
+                sig for iname in c.implements for sig in interfaces[iname].signatures
             )
             for c in program.classes
         }
@@ -339,16 +336,14 @@ class ProgramIndex:
         found = st._id
         if found is None:
             locks = frozenset([(e.label, type(e.value), e.value) for e in st.locks])
-            found = st._id = self.intern(
-                (st.cls, st.myactor.id, st.ifaces, locks, _items_key(st.fields))
-            )
+            found = st._id = self.intern((st.cls, st.myactor.id, locks, _items_key(st.fields)))
         return found
 
     def heap_id(self, heap: dict) -> _Id:
         ids = list(map(_cached_id, heap.values()))
         if None in ids:
             ids = [i if i is not None else self.object_id(st) for i, st in zip(ids, heap.values())]
-        return self.intern(_by_id(heap, ids))
+        return self.intern(tuple(ids))
 
     def queues_id(self, queues: dict) -> _Id:
         # A message's signature and sync set follow from its method and args.
@@ -369,7 +364,7 @@ class ProgramIndex:
 
     def futures_id(self, futures: dict) -> _Id:
         values = futures.values()
-        return self.intern(_by_id(futures, map(type, values), values))
+        return self.intern(tuple(zip(map(type, values), values)))
 
     def group_id(self, actor: int, group: dict) -> _Id:
         threads = []
@@ -441,19 +436,11 @@ class ProgramIndex:
 
     # ---- program lookups
 
-    def supported(self, cls: Optional[str]) -> frozenset[MethodSig]:
-        if cls is None:
-            return frozenset()
-        return self.class_supported[cls]
-
-    def event_signature(self, ifaces: frozenset[str], method: str, nargs: int) -> MethodSig:
+    def event_signature(self, cls: str, method: str, nargs: int) -> MethodSig:
         """Signature attached to an event sent to a group whose first object
-        implements ``ifaces``.  Ambiguity across interfaces is a fault."""
+        is of class ``cls``.  Ambiguity across interfaces is a fault."""
         found = {
-            sig
-            for iname in ifaces
-            for sig in self.interfaces[iname].signatures
-            if sig.name == method and sig.arity == nargs
+            sig for sig in self.class_supported[cls] if sig.name == method and sig.arity == nargs
         }
         if not found:
             raise _EvalFault(f"actor does not accept '{method}' with {nargs} argument(s)")
@@ -463,7 +450,17 @@ class ProgramIndex:
 
 
 class Configuration:
-    """One machine state.  Treat as immutable; steps build new ones."""
+    """One machine state.  Treat as immutable; steps build new ones.
+
+    Every dict of a state is in id order: the heap and the futures hold
+    ids 0, 1, ... in turn, and the queues, the groups and each group's
+    threads list their ids ascending.  This holds because a fresh id is the
+    length of the heap or of the futures, and a step either replaces a
+    value in place (a copied dict keeps its order) or adds the next id at
+    the end.  So the next object and future ids are ``len(heap)`` and
+    ``len(futures)``, and :meth:`canonical` keys each dict in its own order
+    without sorting it.
+    """
 
     __slots__ = (
         "index",
@@ -471,8 +468,6 @@ class Configuration:
         "queues",
         "futures",
         "actors",
-        "next_obj",
-        "next_fut",
         "next_priority",
         "fault",
         "_canon",
@@ -487,8 +482,6 @@ class Configuration:
         queues: dict,
         futures: dict,
         actors: dict,
-        next_obj: int,
-        next_fut: int,
         next_priority: int,
         fault: Optional[str] = None,
     ):
@@ -497,8 +490,6 @@ class Configuration:
         self.queues = queues  # ObjRef (group id) -> tuple[QueuedMessage, ...]
         self.futures = futures  # FutRef -> Value | PENDING
         self.actors = actors  # ObjRef (group id) -> {ObjRef: Thread}
-        self.next_obj = next_obj
-        self.next_fut = next_fut
         self.next_priority = next_priority
         self.fault = fault
         self._canon = None
@@ -513,8 +504,6 @@ class Configuration:
         queues: Optional[dict] = None,
         futures: Optional[dict] = None,
         actors: Optional[dict] = None,
-        next_obj: Optional[int] = None,
-        next_fut: Optional[int] = None,
         next_priority: Optional[int] = None,
         fault: Optional[str] = None,
     ) -> "Configuration":
@@ -526,8 +515,6 @@ class Configuration:
         out.queues = self.queues if queues is None else queues
         out.futures = self.futures if futures is None else futures
         out.actors = self.actors if actors is None else actors
-        out.next_obj = self.next_obj if next_obj is None else next_obj
-        out.next_fut = self.next_fut if next_fut is None else next_fut
         out.next_priority = self.next_priority if next_priority is None else next_priority
         out.fault = self.fault if fault is None else fault
         out._canon = None
@@ -538,11 +525,14 @@ class Configuration:
     def canonical(self):
         """Key of this state for the explorer's visited set.
 
-        ``(fault, heap, queues, futures, group..., next_obj, next_fut,
-        next_priority)``, with one interned part per group; all but
-        ``fault`` are ints.  Two configurations of one ProgramIndex have
-        equal keys exactly when they are structurally equal, values compared
-        with their type (``True`` is not ``1``).
+        ``(fault, heap, queues, futures, group..., next_priority)``, with
+        one interned part per group, in group id order; all but ``fault``
+        are ints.  The heap's part is the tuple of its object records'
+        numbers and the futures' part the tuple of their ``(type, value)``,
+        each by position, which is id (see the class docstring).  Two
+        configurations of one ProgramIndex have equal keys exactly when
+        they are structurally equal, values compared with their type
+        (``True`` is not ``1``).
         """
         if self._canon is None:
             index = self.index
@@ -566,11 +556,7 @@ class Configuration:
                 index.heap_id(self.heap) if heap is None else heap,
                 index.queues_id(self.queues) if queues is None else queues,
                 index.futures_id(self.futures) if futures is None else futures,
-                # a group's part holds its id, so ordering parts by number
-                # is as canonical as ordering them by group id
-                *sorted(groups.values()),
-                self.next_obj,
-                self.next_fut,
+                *groups.values(),
                 self.next_priority,
             )
         return self._canon
@@ -596,10 +582,7 @@ class Configuration:
         return frozenset([v.id for v in values if type(v) is ObjRef])
 
     def _structure(self):
-        key = self.index.expand(self.canonical())
-        # group parts are in the order of their numbers, which is the order
-        # an index first met them; sorted, they are in group id order
-        return key[:4] + tuple(sorted(key[4:-3])) + key[-3:]
+        return self.index.expand(self.canonical())
 
     # Equality is structural, also between configurations of separate
     # initial_config calls, whose interned numbers differ.
@@ -637,11 +620,7 @@ def initial_config(program: Program) -> Configuration:
     env: dict = {"this": ANONYMOUS}
     for d in program.main_vars:
         env[d.name] = default_value(d.type)
-    heap = {
-        ANONYMOUS: ObjectState(
-            cls=None, myactor=ANONYMOUS, ifaces=frozenset(), locks=EMPTY_LOCKS, fields={}
-        )
-    }
+    heap = {ANONYMOUS: ObjectState(cls=None, myactor=ANONYMOUS, locks=EMPTY_LOCKS, fields={})}
     actors = {ANONYMOUS: {ANONYMOUS: (Closure(env, program.main_body),)}}
     return Configuration(
         index=index,
@@ -649,8 +628,6 @@ def initial_config(program: Program) -> Configuration:
         queues={},
         futures={},
         actors=actors,
-        next_obj=1,
-        next_fut=0,
         next_priority=0,
     )
 
@@ -743,8 +720,8 @@ def enabled_steps(
         return []
     mover, answer = known or (None, None)
     labels: list[StepLabel] = []
-    for actor in sorted(config.actors, key=_ref_id):
-        for obj in sorted(config.actors[actor], key=_ref_id):
+    for actor, group in config.actors.items():
+        for obj in group:
             label = answer if obj == mover else object_step(config, actor, obj, select_fn)
             if label is not None:
                 labels.append(label)
@@ -779,7 +756,7 @@ def _sched_label(
     if not queue:
         return None
     held = config.group_locks(actor)
-    supported = config.index.supported(config.heap[obj].cls)
+    supported = config.index.class_supported[config.heap[obj].cls]
     msg = select_fn(supported, held, queue)
     if msg is None:
         return None
@@ -1219,7 +1196,7 @@ def _assign(
     fields = dict(state.fields)
     fields[target] = value
     heap = dict(config.heap)
-    heap[this] = ObjectState(state.cls, state.myactor, state.ifaces, state.locks, fields)
+    heap[this] = ObjectState(state.cls, state.myactor, state.locks, fields)
     return _with_top(config, label, thread, top.env, rest, heap=heap, **more)
 
 
@@ -1285,8 +1262,8 @@ def _async_call(config, label, thread, top, s) -> Configuration:
     if not isinstance(target, ObjRef) or target not in config.queues:
         raise _EvalFault(f"asynchronous call target is not an actor")
     args = tuple(_eval(config, top.env, a) for a in call.args)
-    sig = config.index.event_signature(config.heap[target].ifaces, call.method, len(args))
-    fut = FutRef(config.next_fut)
+    sig = config.index.event_signature(config.heap[target].cls, call.method, len(args))
+    fut = FutRef(len(config.futures))
     msg = QueuedMessage(
         method=call.method,
         args=args,
@@ -1308,7 +1285,6 @@ def _async_call(config, label, thread, top, s) -> Configuration:
         top.stmts[1:],
         futures=futures,
         queues=queues,
-        next_fut=config.next_fut + 1,
         next_priority=config.next_priority + 1,
     )
 
@@ -1322,7 +1298,7 @@ def _async_return(config, label, thread, top, s) -> Configuration:
     obj = label.obj
     state = config.heap[obj]
     heap = dict(config.heap)
-    heap[obj] = ObjectState(state.cls, state.myactor, state.ifaces, EMPTY_LOCKS, state.fields)
+    heap[obj] = ObjectState(state.cls, state.myactor, EMPTY_LOCKS, state.fields)
     return _with_thread(config, label.actor, obj, (), futures=futures, heap=heap)
 
 
@@ -1338,20 +1314,14 @@ def _new(config, label, thread, top, s) -> Configuration:
     fields = {d.name: _eval(config, top.env, a) for d, a in zip(cls.params, new.args)}
     for d in cls.attributes:
         fields[d.name] = default_value(d.type)
-    obj = ObjRef(config.next_obj)
+    obj = ObjRef(len(config.heap))
     is_actor = label.rule == "NEW-ACTOR"
     owner = obj if is_actor else config.heap[top.env["this"]].myactor
     heap = dict(config.heap)
-    heap[obj] = ObjectState(
-        cls=cls.name,
-        myactor=owner,
-        ifaces=config.index.class_ifaces[cls.name],
-        locks=EMPTY_LOCKS,
-        fields=fields,
-    )
+    heap[obj] = ObjectState(cls=cls.name, myactor=owner, locks=EMPTY_LOCKS, fields=fields)
     actors = dict(config.actors)
     actors[owner] = {**actors.get(owner, {}), obj: ()}
-    changes = dict(heap=heap, actors=actors, next_obj=config.next_obj + 1)
+    changes = dict(heap=heap, actors=actors)
     if is_actor:
         # The creation event is consumed on the spot: the fresh group
         # starts with its first object initialized, idle, and an empty queue.
@@ -1369,7 +1339,7 @@ def _sched_msg(config, label, *_) -> Configuration:
     env = _method_frame(mdef, {"this": obj, "dest": msg.future}, msg.args)
     state = config.heap[obj]
     heap = dict(config.heap)
-    heap[obj] = ObjectState(state.cls, state.myactor, state.ifaces, msg.sync, state.fields)
+    heap[obj] = ObjectState(state.cls, state.myactor, msg.sync, state.fields)
     return _with_thread(
         config, actor, obj, (Closure(env, mdef.body),), queues=queues, heap=heap
     )

@@ -335,25 +335,35 @@ def test_maci_run_reports_a_fault(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "source, why",
+    "source, trace, why",
     [
-        (None, "No such file or directory"),
-        ("{ x = 1; }", "assignment to undeclared variable 'x'"),
-        (b"\xff\xfe{ }", "can't decode byte 0xff in position 0"),
+        (None, None, "No such file or directory"),
+        ("{ x = 1; }", None, "assignment to undeclared variable 'x'"),
+        (b"\xff\xfe{ }", None, "can't decode byte 0xff in position 0"),
+        ("{ }", "missing/t.jsonl", "No such file or directory"),
+        ("{ }", ".", "Is a directory"),
     ],
-    ids=["missing-file", "resolution-error", "not-utf8"],
+    ids=["missing-file", "resolution-error", "not-utf8", "trace-in-missing-dir", "trace-is-dir"],
 )
-def test_maci_reports_load_errors_in_one_line(source, why, tmp_path, capsys):
+def test_maci_reports_load_errors_in_one_line(source, trace, why, tmp_path, capsys, monkeypatch):
+    # An unwritable --trace used to end in a traceback after the whole run.
+    def no_run(*args, **kwargs):
+        raise AssertionError("the program ran")
+
+    monkeypatch.setattr("mactor.cli.run", no_run)
     program = tmp_path / "p.mac"
     if isinstance(source, bytes):
         program.write_bytes(source)
     elif source is not None:
         program.write_text(source)
+    argv = ["run", str(program)]
+    if trace is not None:
+        argv += ["--trace", str(tmp_path / trace)]
     with pytest.raises(SystemExit) as stop:
-        maci_main(["run", str(program)])
+        maci_main(argv)
     assert stop.value.code == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"{program}: ") and why in err
+    assert err.startswith(f"{argv[-1]}: ") and why in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -393,25 +403,45 @@ def test_macbench_cli(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "bad, why",
+    "bad, code, why",
     [
-        (["--requests", "100,3"], "requests (3) must be at least accounts (4)"),
-        (["--workers", "1,0"], "every count must be at least 1"),
-        (["--workers", "1,x"], "invalid _counts value"),
-        (["--work-us", "-100"], "must be at least 0, not -100"),
+        (["--requests", "100,3"], 2, "requests (3) must be at least accounts (4)"),
+        (["--workers", "1,0"], 2, "every count must be at least 1"),
+        (["--workers", "1,x"], 2, "invalid _counts value"),
+        (["--work-us", "-100"], 2, "must be at least 0, not -100"),
+        (["--out", "{tmp}/missing/r.csv"], 1, "{tmp}/missing/r.csv: No such file or directory"),
+        (["--out", "{tmp}"], 1, "{tmp}: Is a directory"),
+        (["--audit-log", "{tmp}/missing/a"], 1, "{tmp}/missing/a-100-1.jsonl: No such file"),
     ],
-    ids=["volume-below-accounts", "workers-0", "workers-not-int", "work-us-negative"],
+    ids=[
+        "volume-below-accounts",
+        "workers-0",
+        "workers-not-int",
+        "work-us-negative",
+        "out-in-missing-dir",
+        "out-is-dir",
+        "audit-log-in-missing-dir",
+    ],
 )
-def test_macbench_rejects_bad_arguments_before_any_cell(bad, why, tmp_path, capsys, monkeypatch):
-    # A bad later cell used to end in a traceback after the earlier cells
-    # had run, and no CSV was written.
+def test_macbench_rejects_bad_arguments_before_any_cell(
+    bad, code, why, tmp_path, capsys, monkeypatch
+):
+    # A bad later cell, or an unwritable --out or --audit-log, used to end
+    # in a traceback after the earlier cells or all of them had run, and no
+    # CSV was written.
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr("mactor.cli.run_scenario", no_cell)
     out_csv = tmp_path / "r.csv"
+    bad = [arg.format(tmp=tmp_path) for arg in bad]
     with pytest.raises(SystemExit) as stop:
-        macbench_main(["--accounts", "4", "--workers", "1", "--out", str(out_csv), *bad])
-    assert stop.value.code == 2
-    assert why in capsys.readouterr().err
+        macbench_main(
+            ["--accounts", "4", "--requests", "100", "--workers", "1", "--out", str(out_csv), *bad]
+        )
+    assert stop.value.code == code
+    err = capsys.readouterr().err
+    assert why.format(tmp=tmp_path) in err and "Traceback" not in err
+    if code == 1:  # an output path, reported in one line
+        assert err.count("\n") == 1
     assert not out_csv.exists()

@@ -164,7 +164,7 @@ def test_equality_across_runs_ignores_intern_numbering():
     # number the replay's groups in the opposite order first
     for actor, group in reversed(replayed.actors.items()):
         replayed.index.group_id(actor.id, group)
-    assert replayed.canonical()[4:-3] != final.canonical()[4:-3]
+    assert replayed.canonical()[4:-1] != final.canonical()[4:-1]
     assert replayed == final and hash(replayed) == hash(final)
     assert replayed != run(initial_config(p), list(trace[:-1]), fuel=5000)[0]
 
@@ -393,11 +393,11 @@ def _diff(d1, d2):
 
 
 def _fields_only(s1, s2):
-    return s1.cls == s2.cls and s1.myactor == s2.myactor and s1.ifaces == s2.ifaces and s1.locks == s2.locks
+    return s1.cls == s2.cls and s1.myactor == s2.myactor and s1.locks == s2.locks
 
 
 def _locks_only(s1, s2):
-    return s1.cls == s2.cls and s1.myactor == s2.myactor and s1.ifaces == s2.ifaces and s1.fields == s2.fields
+    return s1.cls == s2.cls and s1.myactor == s2.myactor and s1.fields == s2.fields
 
 
 def _assert_frame(c1, label, c2):
@@ -434,14 +434,14 @@ def _assert_frame(c1, label, c2):
         assert not (q_chg or q_add or f_chg or f_add or a_add), rule
         new = next(iter(h_add))
         assert procs_added == [(label.actor, new)], rule
-        assert c2.next_obj == c1.next_obj + 1, rule
+        assert new == ObjRef(len(c1.heap)), rule
     elif rule == "NEW-ACTOR":
         assert len(h_add) == 1 and len(h_chg) <= 1, rule
         new = next(iter(h_add))
         assert q_add == {new} and c2.queues[new] == (), rule
         assert a_add == {new} and c2.actors[new] == {new: ()}, rule
         assert not (q_chg or f_chg or f_add), rule
-        assert c2.next_obj == c1.next_obj + 1, rule
+        assert new == ObjRef(len(c1.heap)), rule
     elif rule == "ASYNC-CALL":
         assert len(f_add) == 1 and not f_chg, rule
         assert len(q_chg) == 1 and not q_add, rule
@@ -449,7 +449,8 @@ def _assert_frame(c1, label, c2):
         assert c2.queues[target][:-1] == c1.queues[target], rule
         assert len(h_chg) <= 1 and not h_add, rule
         assert all(_fields_only(c1.heap[o], c2.heap[o]) for o in h_chg), rule
-        assert c2.next_fut == c1.next_fut + 1 and c2.next_priority == c1.next_priority + 1, rule
+        assert f_add == {FutRef(len(c1.futures))}, rule
+        assert c2.next_priority == c1.next_priority + 1, rule
     elif rule == "ASYNC-RETURN":
         assert len(f_chg) == 1 and not f_add, rule
         # the lock reset is invisible when the message held nothing

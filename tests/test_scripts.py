@@ -9,6 +9,9 @@ import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+# What the machine does on the test programs; a change of the machine that
+# moves it says why in CHANGES.md.
+MACHINE_DIGEST = "71be56f752a14bad09dc356f6d2189b277c2e2c3150ea3cc934c87f86b7ede1a"
 
 
 def run_script(name: str, env=None) -> str:
@@ -22,7 +25,7 @@ def run_script(name: str, env=None) -> str:
 def test_machine_digest_prints_a_sha256():
     out = run_script("machine_digest.py")
     assert re.search(r"^programs: \d+ \(runs: \d+\)$", out, re.M)
-    assert re.search(r"^sha256: [0-9a-f]{64}$", out, re.M)
+    assert re.search(r"^sha256: (\w+)$", out, re.M).group(1) == MACHINE_DIGEST
 
 
 def test_machine_digest_does_not_depend_on_the_hash_seed():
@@ -40,10 +43,11 @@ def test_machine_digest_does_not_depend_on_the_hash_seed():
 def test_explore_variants_prints_every_variant():
     out = run_script("explore_variants.py")
     rows = [line for line in out.splitlines() if re.match(r"\| \d+, \(", line)]
-    assert [row.split(" | ")[0] for row in rows] == [
-        "| 2, (2,1), (2)",
-        "| 3, (2,1), (2)",
-        "| 2, (3,2), (1,2)",
-        "| 3, (3,2), (1,2)",
-        "| 4, (3,3), (1,2)",
+    # variant, states and terminals; the time columns vary from run to run
+    assert [tuple(row.split(" | ")[:3]) for row in rows] == [
+        ("| 2, (2,1), (2)", "96", "1"),
+        ("| 3, (2,1), (2)", "98", "1"),
+        ("| 2, (3,2), (1,2)", "281", "1"),
+        ("| 3, (3,2), (1,2)", "283", "1"),
+        ("| 4, (3,3), (1,2)", "374", "1"),
     ]
