@@ -346,17 +346,13 @@ class ProgramIndex:
         return self.intern(tuple(ids))
 
     def queues_id(self, queues: dict) -> _Id:
-        # A message's signature and sync set follow from its method and args.
+        # A message's signature and sync set follow from its method and
+        # args, and its future's id is its priority (see _async_call).
         return self.intern(
             _by_id(
                 queues,
                 [
-                    tuple(
-                        [
-                            (m.priority, m.method, tuple(map(type, m.args)), m.args, m.future.id)
-                            for m in q
-                        ]
-                    )
+                    tuple([(m.priority, m.method, tuple(map(type, m.args)), m.args) for m in q])
                     for q in queues.values()
                 ],
             )
@@ -459,7 +455,8 @@ class Configuration:
     value in place (a copied dict keeps its order) or adds the next id at
     the end.  So the next object and future ids are ``len(heap)`` and
     ``len(futures)``, and :meth:`canonical` keys each dict in its own order
-    without sorting it.
+    without sorting it.  A queued message's priority is its future's id:
+    ASYNC-CALL, the one rule that makes a future, also queues the message.
     """
 
     __slots__ = (
@@ -468,7 +465,6 @@ class Configuration:
         "queues",
         "futures",
         "actors",
-        "next_priority",
         "fault",
         "_canon",
         "_groups",
@@ -482,7 +478,6 @@ class Configuration:
         queues: dict,
         futures: dict,
         actors: dict,
-        next_priority: int,
         fault: Optional[str] = None,
     ):
         self.index = index
@@ -490,7 +485,6 @@ class Configuration:
         self.queues = queues  # ObjRef (group id) -> tuple[QueuedMessage, ...]
         self.futures = futures  # FutRef -> Value | PENDING
         self.actors = actors  # ObjRef (group id) -> {ObjRef: Thread}
-        self.next_priority = next_priority
         self.fault = fault
         self._canon = None
         self._groups: Optional[dict] = None  # id(group dict) -> its interned part
@@ -504,7 +498,6 @@ class Configuration:
         queues: Optional[dict] = None,
         futures: Optional[dict] = None,
         actors: Optional[dict] = None,
-        next_priority: Optional[int] = None,
         fault: Optional[str] = None,
     ) -> "Configuration":
         """This state with the given parts replaced; a part left None is
@@ -515,7 +508,6 @@ class Configuration:
         out.queues = self.queues if queues is None else queues
         out.futures = self.futures if futures is None else futures
         out.actors = self.actors if actors is None else actors
-        out.next_priority = self.next_priority if next_priority is None else next_priority
         out.fault = self.fault if fault is None else fault
         out._canon = None
         out._groups = None
@@ -525,7 +517,7 @@ class Configuration:
     def canonical(self):
         """Key of this state for the explorer's visited set.
 
-        ``(fault, heap, queues, futures, group..., next_priority)``, with
+        ``(fault, heap, queues, futures, group...)``, with
         one interned part per group, in group id order; all but ``fault``
         are ints.  The heap's part is the tuple of its object records'
         numbers and the futures' part the tuple of their ``(type, value)``,
@@ -557,7 +549,6 @@ class Configuration:
                 index.queues_id(self.queues) if queues is None else queues,
                 index.futures_id(self.futures) if futures is None else futures,
                 *groups.values(),
-                self.next_priority,
             )
         return self._canon
 
@@ -628,7 +619,6 @@ def initial_config(program: Program) -> Configuration:
         queues={},
         futures={},
         actors=actors,
-        next_priority=0,
     )
 
 
@@ -1270,7 +1260,7 @@ def _async_call(config, label, thread, top, s) -> Configuration:
         future=fut,
         sync=sync_set_of(sig.param_labels, args),
         signature=sig,
-        priority=config.next_priority,
+        priority=fut.id,
     )
     futures = dict(config.futures)
     futures[fut] = PENDING
@@ -1285,7 +1275,6 @@ def _async_call(config, label, thread, top, s) -> Configuration:
         top.stmts[1:],
         futures=futures,
         queues=queues,
-        next_priority=config.next_priority + 1,
     )
 
 

@@ -21,9 +21,10 @@ section.  Dispatch to idle workers runs inline in the same sections, at the
 end of every ``send``, every completion and every ``add_worker`` (the only
 events that can make a message startable).  Dispatch leaves nothing
 startable, so after a send or a completion only the messages it made ready
-can start, and only an idle worker that supports one of them is asked; a
-backlog no idle worker supports is never scanned.  So an actor runs exactly
-one thread per worker and nothing busy-waits.  User code runs on worker
+can start.  The lock table keeps its ready messages by signature, so an idle
+worker's ``take`` looks only at the signatures that have a ready message,
+and a backlog no idle worker supports is never scanned.  So an actor runs
+exactly one thread per worker and nothing busy-waits.  User code runs on worker
 threads with no internal lock held.  A message's future is settled before
 its sync entries are released, so a conflicting successor always observes
 the completed effects.
@@ -53,7 +54,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .scheduler import (
@@ -74,8 +74,6 @@ class FutureFailed(Exception):
         super().__init__(diagnostic)
         self.diagnostic = diagnostic
 
-
-_signature = attrgetter("signature")  # of a QueuedMessage
 
 # The claim of every future made outside an actor.  Held only while a
 # settler checks and writes a future's fields or a reader installs its
@@ -544,20 +542,19 @@ class MacActor:
         # messages ``ready`` ready (after add_worker, with every pending
         # message).  Dispatch leaves no idle worker a message it could
         # start, and the event made no other message startable (select is
-        # prefix-stable), so each message an idle worker can start now is
-        # one of ``ready``, and a worker that supports none of them is not
-        # asked.  Idle workers are asked in
-        # FIFO order of idleness; the first that supports a ready message
-        # gets the earliest one it supports.  A finishing worker has
-        # already taken its own next message, if any (see _finish).
+        # prefix-stable), so at most len(ready) workers start here.  Idle
+        # workers are asked in FIFO order of idleness; the first whose take
+        # finds a message gets the earliest ready one it supports.  A take
+        # looks only at the signatures that have ready messages, so asking
+        # a worker that supports none of them costs no scan of the backlog.
+        # A finishing worker has already taken its own next message, if any
+        # (see _finish).
         table, idle = self._table, self._idle
-        wanted = set(map(_signature, ready))
         for _ in ready:  # each start takes one of them
             for worker in idle:
-                if not wanted.isdisjoint(worker.supported):
-                    msg = table.take(worker.supported)
-                    if msg is not None:
-                        break
+                msg = table.take(worker.supported)
+                if msg is not None:
+                    break
             else:
                 return
             idle.remove(worker)

@@ -11,8 +11,10 @@ for signature reasons alone; that literal reading is what guarantees that
 conflicting messages start in their enqueue order.
 
 ``select`` is pure and operates on immutable snapshots; it is the one
-specification of which message may start.  :class:`LockTable` keeps the
-same answer incrementally for a queue that changes one message at a time.
+specification of which message may start, and costs a pass over the queue
+up to the message it picks.  :class:`LockTable` keeps the same answer
+incrementally for a queue that changes one message at a time; each of its
+calls costs the log of the backlog, not the backlog (see its docstring).
 Neither takes a lock: callers that share them between threads hold their
 own lock around every call.
 """
@@ -20,7 +22,7 @@ own lock around every call.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import defaultdict, deque
 from typing import Container, Hashable, Iterable, NamedTuple, Optional, Sequence
 
 
@@ -111,13 +113,17 @@ class LockTable:
     table keeps one FIFO per entry, in priority order, and a running message
     stays at the head of its FIFOs until :meth:`complete`.  A pending
     message counts the entries on which it is not yet at the head; the ones
-    at zero sit in a heap ordered by priority, and :meth:`take` returns the
-    first of them whose signature is supported, which is what ``select``
+    at zero are ready.  Nothing but its signature then decides whether an
+    object may start a ready message, so the ready messages sit in one
+    priority heap per signature, and :meth:`take` starts the least head
+    among the heaps of the signatures the object supports: what ``select``
     returns over the same pending queue and held set.
 
-    ``add`` costs O(|sync| + log n), ``complete`` O(|sync| log n), and
-    ``take`` O(log n) when the earliest ready message is supported (O(n)
-    otherwise).  Messages must be added in increasing priority order.
+    With n pending messages and s signatures that have had a ready message,
+    ``add`` costs O(|sync| + log n), ``complete`` O(|sync| log n) and
+    ``take`` and ``peek`` O(s + log n); ``take`` asks ``supported`` only
+    about the signatures with a ready message now.  Messages must be added
+    in increasing priority order.
     """
 
     __slots__ = ("_fifos", "_blocked", "_ready", "_pending")
@@ -125,7 +131,9 @@ class LockTable:
     def __init__(self):
         self._fifos: dict[SyncEntry, deque[QueuedMessage]] = {}
         self._blocked: dict[int, int] = {}  # priority -> entries not yet at the head
-        self._ready: list[tuple[int, QueuedMessage]] = []  # heap of unblocked pending
+        # signature -> heap of the priorities of its ready messages; a heap
+        # that empties is kept, so a hot signature allocates no list per message
+        self._ready: defaultdict[Hashable, list[int]] = defaultdict(list)
         self._pending: dict[int, QueuedMessage] = {}  # not yet started, in priority order
 
     def __len__(self) -> int:
@@ -157,40 +165,30 @@ class LockTable:
         if blocked:
             self._blocked[msg.priority] = blocked
             return False
-        heapq.heappush(self._ready, (msg.priority, msg))
+        heapq.heappush(self._ready[msg.signature], msg.priority)
         return True
+
+    def _first(self, supported: Container) -> Optional[list[int]]:
+        """The ready heap whose head :meth:`take` starts next for an object
+        supporting ``supported``: of the heaps with a ready message, the one
+        with the least head whose signature is supported."""
+        first = None
+        for signature, heap in self._ready.items():
+            if heap and (first is None or heap[0] < first[0]) and signature in supported:
+                first = heap
+        return first
 
     def peek(self, supported: Container) -> Optional[QueuedMessage]:
         """What :meth:`take` would return, without starting it."""
-        ready = self._ready
-        if not ready:
-            return None
-        if ready[0][1].signature in supported:
-            return ready[0][1]
-        best = None
-        for priority, msg in ready:
-            if msg.signature in supported and (best is None or priority < best.priority):
-                best = msg
-        return best
+        heap = self._first(supported)
+        return None if heap is None else self._pending[heap[0]]
 
     def take(self, supported: Container) -> Optional[QueuedMessage]:
         """Start and return the message ``select`` picks for an idle object
         supporting ``supported``, or None.  It stays at the head of its
         entries' FIFOs until :meth:`complete`."""
-        ready = self._ready
-        if not ready:
-            return None
-        msg = ready[0][1]
-        if msg.signature in supported:
-            heapq.heappop(ready)
-        else:
-            msg = self.peek(supported)
-            if msg is None:
-                return None
-            ready.remove((msg.priority, msg))
-            heapq.heapify(ready)
-        del self._pending[msg.priority]
-        return msg
+        heap = self._first(supported)
+        return None if heap is None else self._pending.pop(heapq.heappop(heap))
 
     def complete(self, msg: QueuedMessage) -> list[QueuedMessage]:
         """Release a running message's entries; the next message in each of
@@ -210,7 +208,7 @@ class LockTable:
                 self._blocked[nxt] = left
             else:
                 del self._blocked[nxt]
-                heapq.heappush(self._ready, (nxt, fifo[0]))
+                heapq.heappush(self._ready[fifo[0].signature], nxt)
                 readied.append(fifo[0])
         return readied
 

@@ -19,6 +19,16 @@ def load_config(name: str):
     return initial_config(load_program(name))
 
 
+class CountingSet(frozenset):
+    """A supported set that counts the membership tests made against it."""
+
+    tests = 0
+
+    def __contains__(self, item):
+        self.tests += 1
+        return frozenset.__contains__(self, item)
+
+
 @pytest.fixture(scope="session")
 def employee_bank():
     return load_program("employee_bank")

@@ -675,7 +675,9 @@ def reference_key(c, rename=None):
         )
         for a, group in by_obj(c.actors)
     )
-    return (c.fault, heap, queues, futures, groups, len(c.heap), len(c.futures), c.next_priority)
+    # the next object id, the next future id and the next message
+    # priority, which is the next future id again
+    return (c.fault, heap, queues, futures, groups, len(c.heap), len(c.futures), len(c.futures))
 
 
 def symmetric_key(c):

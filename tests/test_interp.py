@@ -164,7 +164,7 @@ def test_equality_across_runs_ignores_intern_numbering():
     # number the replay's groups in the opposite order first
     for actor, group in reversed(replayed.actors.items()):
         replayed.index.group_id(actor.id, group)
-    assert replayed.canonical()[4:-1] != final.canonical()[4:-1]
+    assert replayed.canonical()[4:] != final.canonical()[4:]
     assert replayed == final and hash(replayed) == hash(final)
     assert replayed != run(initial_config(p), list(trace[:-1]), fuel=5000)[0]
 
@@ -350,7 +350,7 @@ def test_step_takes_exactly_the_label_object_step_gives(name):
         config = frontier.pop(0)
         visited += 1
         faulted = config.evolve(fault="stopped")
-        priorities = {None, config.next_priority} | {
+        priorities = {None, len(config.futures)} | {
             m.priority for q in config.queues.values() for m in q
         }
         for actor, group in config.actors.items():
@@ -450,7 +450,7 @@ def _assert_frame(c1, label, c2):
         assert len(h_chg) <= 1 and not h_add, rule
         assert all(_fields_only(c1.heap[o], c2.heap[o]) for o in h_chg), rule
         assert f_add == {FutRef(len(c1.futures))}, rule
-        assert c2.next_priority == c1.next_priority + 1, rule
+        assert c2.queues[target][-1].priority == len(c1.futures), rule
     elif rule == "ASYNC-RETURN":
         assert len(f_chg) == 1 and not f_add, rule
         # the lock reset is invisible when the message held nothing

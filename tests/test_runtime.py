@@ -16,6 +16,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from conftest import CountingSet
 from mactor import (
     EventLog,
     Future,
@@ -25,7 +26,6 @@ from mactor import (
     synced,
 )
 from mactor.bank import read_jsonl
-from mactor.scheduler import LockTable
 
 
 def make_actor(*args, **kwargs):
@@ -1039,11 +1039,12 @@ def test_audit_holds_after_each_event_on_a_hot_key_with_an_idle_worker(cleanup):
     assert actor.shutdown(drain=True).executed == len(gates) + 1
 
 
-def test_a_backlog_no_idle_worker_supports_is_not_scanned(cleanup, monkeypatch):
+def test_a_backlog_no_idle_worker_supports_is_not_scanned(cleanup):
     """Worker B is busy and every queued message is one only B supports,
-    while worker A stays idle.  No send and no completion looks through
-    that backlog for a message A could start: the lock table's scan
-    (``peek``) is never called."""
+    while worker A stays idle.  Neither the send of A's message, A's own
+    completion nor the completions of B's backlog look through that
+    backlog: A's supported set is asked at most once per signature with a
+    ready message in each of A's two takes."""
     gate = threading.Event()
 
     class OnlyA:
@@ -1055,24 +1056,18 @@ def test_a_backlog_no_idle_worker_supports_is_not_scanned(cleanup, monkeypatch):
             gate.wait(10)
             return i
 
-    peeks = Counter()
-    peek = LockTable.peek
-
-    def counted(table, supported):
-        peeks["peek"] += 1
-        return peek(table, supported)
-
-    monkeypatch.setattr(LockTable, "peek", counted)
     actor = MacActor(OnlyB, workers=1)
     cleanup(actor)
     actor.add_worker(OnlyA())
     futures = [actor.send("b", (i,)) for i in range(200)]
     assert actor.audit().ok and actor.stats()["pending"] == 199
+    idle = actor._workers[1]  # A, idle since it was added
+    idle.supported = supported = CountingSet(idle.supported)
+    assert actor.send("a").get(timeout=5) == "a"
     gate.set()
     assert [fut.get(timeout=10) for fut in futures] == list(range(200))
-    assert actor.send("a").get(timeout=5) == "a"
     assert actor.audit().ok
-    assert peeks["peek"] == 0
+    assert supported.tests <= 4  # two takes, each of at most "a" and "b"
 
 
 # ---- stateful: the guarantees after every send, completion, failure,

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import CountingSet
 from mactor import QueuedMessage, SyncEntry, select, sync_set_of
 from mactor.scheduler import EMPTY_LOCKS, LockTable, lock_union
 
@@ -266,3 +267,23 @@ def test_lock_table_names_the_messages_that_become_ready(ops):
         # the priority as signature: a worker that supports one message
         alone = [m._replace(signature=m.priority) for m in pending]
         assert ready == {m.priority for m in pending if select({m.priority}, held, alone)}
+
+
+@pytest.mark.parametrize("queued", [1_000, 8_000])
+def test_take_behind_a_backlog_of_another_signature_tests_each_ready_signature_once(queued):
+    """A busy worker's backlog of ``b`` messages, all ready, is not looked
+    through when a worker that supports only ``a`` takes the one ``a``:
+    its supported set is asked once per signature with a ready message,
+    however long the backlog."""
+    table = LockTable()
+    busy = msg(0, set(), signature="b")
+    table.add(busy)
+    assert table.take({"b"}) is busy
+    for i in range(1, queued + 1):
+        table.add(msg(i, set(), signature="b"))
+    wanted = msg(queued + 1, set(), signature="a")
+    assert table.add(wanted)
+    supported = CountingSet({"a"})
+    assert table.take(supported) is wanted
+    assert supported.tests <= 2  # the ready signatures: "a" and "b"
+    assert len(table) == queued
