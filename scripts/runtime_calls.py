@@ -1,0 +1,93 @@
+"""Python-level calls into mactor per message on the bank workloads.
+
+    python3 scripts/runtime_calls.py
+
+Runs one closed-loop stream of each of perfbench's three bank shapes
+(``perfbench/workloads.py``: bank-uniform, bank-hotkey, bank-rpc; seed 1)
+on a fresh actor of two ``BankTeller`` workers, with this process pinned to
+one CPU and a profile hook on every thread that counts each call of a
+Python function defined under ``src/mactor``: the runtime, the scheduler
+and the teller bodies in ``mactor.bank``.  A count moves only when the code
+does, not with the machine's load, so it can show a change to the
+per-message path that a timing on a shared machine would blur; which thread
+runs a message can still vary, so expect the last digit to move.  Prints a
+markdown table of calls per message, split by module; exits 1 if a reply or
+the final balances differ from the benchmark's sequential replay.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import threading
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from mactor import BankTeller, MacActor  # noqa: E402
+from workloads import (  # noqa: E402
+    INITIAL_BALANCE,
+    WORKLOADS,
+    drive,
+    make_requests,
+    replay,
+    same_reply,
+)
+
+SEED = 1
+REQUESTS = 2_000  # per shape
+SHAPES = ("bank-uniform", "bank-hotkey", "bank-rpc")
+MODULES = ("runtime", "scheduler", "bank")
+PACKAGE = str(ROOT / "src" / "mactor") + os.sep
+
+
+def count_calls(workload: str) -> tuple[Counter, bool]:
+    """Calls per module of mactor while one stream of ``workload`` runs,
+    and whether every reply and the final book match the replay."""
+    spec = WORKLOADS[workload]
+    stream = make_requests(spec.accounts, REQUESTS, f"{SEED}/0")
+    want_replies, want_book = replay(spec.accounts, stream)
+    book = {acc: INITIAL_BALANCE for acc in range(1, spec.accounts + 1)}
+    calls: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            path = frame.f_code.co_filename
+            if path.startswith(PACKAGE):
+                calls[path[len(PACKAGE) : -3]] += 1
+
+    # the hook is read when a thread starts, so set it before the workers do
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        actor = MacActor(lambda: BankTeller(book), workers=spec.workers)
+        replies = drive(actor, stream, spec.outstanding)[4]
+        actor.shutdown(drain=True)
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    correct = all(map(same_reply, replies, want_replies)) and book == want_book
+    return calls, correct
+
+
+def main() -> int:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    print(f"seed {SEED}, {REQUESTS} requests per shape, two workers, one CPU")
+    print()
+    print("| workload | calls/msg | " + " | ".join(MODULES) + " |")
+    print("|---|---|" + "---|" * len(MODULES))
+    ok = True
+    for workload in SHAPES:
+        calls, correct = count_calls(workload)
+        ok = ok and correct
+        shares = " | ".join(f"{calls[m] / REQUESTS:.2f}" for m in MODULES)
+        print(f"| {workload} | {sum(calls.values()) / REQUESTS:.2f} | {shares} |")
+        if not correct:
+            print(f"{workload}: replies or balances differ from the replay", file=sys.stderr)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

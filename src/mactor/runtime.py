@@ -3,7 +3,9 @@
 A :class:`MacActor` owns a pool of workers (each wrapping one user-supplied
 behavior object and one thread) and a queue of pending messages.  ``send``
 enqueues a message together with its (label, value) sync entries and returns
-a write-once :class:`Future` immediately.  The queue is a
+a write-once :class:`Future` immediately.  The entries come from the method's
+sync plan (:func:`mactor.scheduler.sync_plan`), made once when the first
+worker of a behavior class joins.  The queue is a
 :class:`mactor.scheduler.LockTable`, which answers the selection rule of
 :func:`mactor.scheduler.select`: a message starts only when its sync entries
 are disjoint from everything currently executing and from every earlier
@@ -21,13 +23,13 @@ section.  Dispatch to idle workers runs inline in the same sections, at the
 end of every ``send``, every completion and every ``add_worker`` (the only
 events that can make a message startable).  Dispatch leaves nothing
 startable, so after a send or a completion only the messages it made ready
-can start.  The lock table keeps its ready messages by signature, so an idle
-worker's ``take`` looks only at the signatures that have a ready message,
-and a backlog no idle worker supports is never scanned.  So an actor runs
-exactly one thread per worker and nothing busy-waits.  User code runs on worker
-threads with no internal lock held.  A message's future is settled before
-its sync entries are released, so a conflicting successor always observes
-the completed effects.
+can start.  The lock table keeps one heap of ready messages per worker class
+(per distinct supported set), so a ``take`` pops its class's heap whatever
+the number of methods, and a backlog no idle worker supports is never
+scanned.  So an actor runs exactly one thread per worker and nothing
+busy-waits.  User code runs on worker threads with no internal lock held.  A
+message's future is settled before its sync entries are released, so a
+conflicting successor always observes the completed effects.
 
 A future's fields are guarded by its claim lock: the actor lock for the
 futures ``send`` returns, and one module-wide lock for a ``Future()`` made
@@ -61,9 +63,11 @@ from .scheduler import (
     LockTable,
     QueuedMessage,
     SyncEntry,
+    SyncPlan,
     lock_union,
+    planned_sync_set,
     select,
-    sync_set_of,
+    sync_plan,
 )
 
 
@@ -270,6 +274,19 @@ def synced(*labels: Optional[str]) -> Callable:
 # --------------------------------------------------------------------------
 # the actor
 
+def _given_sync(sync_data: Iterable) -> frozenset[SyncEntry]:
+    """The sync set given to ``send``: each item made a SyncEntry, and
+    TypeError for one that is not a (label, value) pair."""
+    entries = []
+    for pair in sync_data:
+        if type(pair) is not SyncEntry:
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise TypeError(f"sync_data item {pair!r} is not a (label, value) pair")
+            pair = SyncEntry(*pair)
+        entries.append(pair)
+    return frozenset(entries)
+
+
 @dataclass(frozen=True)
 class ShutdownReport:
     drained: bool
@@ -305,13 +322,12 @@ def _methods(cls: type) -> dict[str, Optional[tuple]]:
 
 
 class _Worker:
-    __slots__ = ("id", "behavior", "labels", "supported", "inbox", "thread", "current")
+    __slots__ = ("id", "behavior", "supported", "inbox", "thread", "current")
 
-    def __init__(self, worker_id: int, behavior):
+    def __init__(self, worker_id: int, behavior, supported: frozenset):
         self.id = worker_id
         self.behavior = behavior
-        self.labels = _methods(type(behavior))
-        self.supported = frozenset(self.labels)
+        self.supported = supported  # method names, the key of its class in the lock table
         self.inbox: queue.SimpleQueue = queue.SimpleQueue()
         self.thread: Optional[threading.Thread] = None
         self.current: Optional[QueuedMessage] = None
@@ -344,7 +360,7 @@ class MacActor:
         self._idle: deque[_Worker] = deque()
         self._busy: dict[int, _Worker] = {}
         self._workers: list[_Worker] = []
-        self._sync_specs: dict[str, Optional[tuple]] = {}  # method -> @synced labels
+        self._plans: dict[str, Optional[SyncPlan]] = {}  # method -> plan of its @synced labels
         self._next_priority = 0
         self._next_worker_id = 0
         self._draining = False
@@ -370,17 +386,20 @@ class MacActor:
     ) -> Future:
         """Queue an invocation and return its future immediately.
 
-        The sync set is taken from ``sync_data`` when given, otherwise
+        The sync set is taken from ``sync_data`` when given, each item a
+        :class:`SyncEntry` or a plain ``(label, value)`` pair, otherwise
         derived from the behavior's ``@synced`` annotation (empty if none).
+        Raises TypeError for an item that is not a pair and ValueError when
+        ``args`` does not fit the annotation, before queueing anything.
         Sending never blocks on execution.  After shutdown the returned
         future is already failed.
         """
         args = tuple(args)
         if sync_data is not None:
-            sync = frozenset(sync_data)
+            sync = _given_sync(sync_data)
         else:
-            labels = self._sync_specs.get(method)
-            sync = sync_set_of(labels, args) if labels else EMPTY_LOCKS
+            plan = self._plans.get(method)
+            sync = EMPTY_LOCKS if plan is None else planned_sync_set(plan, args)
         fut = Future()
         fut._claim = lock = self._lock
         with lock:
@@ -513,18 +532,25 @@ class MacActor:
     # ---- internals
 
     def _spawn_worker(self, behavior) -> _Worker:
-        worker = _Worker(self._next_worker_id, behavior)
-        # send derives sync sets from these labels whichever worker runs the
-        # message, so workers that share a method must label it alike
-        labels, specs = worker.labels, self._sync_specs
-        if self._workers and not labels.items() <= specs.items():
-            clash = sorted(m for m, l in labels.items() if specs.get(m, l) != l)
+        # A behavior class is read once per actor, when its first worker
+        # joins; its other workers share that worker's supported set.
+        kin = next((w for w in self._workers if type(w.behavior) is type(behavior)), None)
+        if kin is not None:
+            supported = kin.supported
+        else:
+            labels = _methods(type(behavior))
+            # send derives sync sets from these plans whichever worker runs
+            # the message, so workers that share a method must label it alike
+            plans = {m: l if l is None else sync_plan(l) for m, l in labels.items()}
+            clash = sorted(m for m, plan in plans.items() if self._plans.get(m, plan) != plan)
             if clash:
                 raise ValueError(
                     f"@synced labels of {', '.join(map(repr, clash))} differ from "
                     "those of the actor's other workers"
                 )
-        specs.update(labels)
+            self._plans.update(plans)
+            supported = frozenset(labels)
+        worker = _Worker(self._next_worker_id, behavior, supported)
         self._next_worker_id += 1
         worker.thread = threading.Thread(
             target=self._worker_loop,
@@ -545,8 +571,8 @@ class MacActor:
         # prefix-stable), so at most len(ready) workers start here.  Idle
         # workers are asked in FIFO order of idleness; the first whose take
         # finds a message gets the earliest ready one it supports.  A take
-        # looks only at the signatures that have ready messages, so asking
-        # a worker that supports none of them costs no scan of the backlog.
+        # pops its class's heap of ready messages, so asking a worker that
+        # supports none of them costs no scan of the backlog.
         # A finishing worker has already taken its own next message, if any
         # (see _finish).
         table, idle = self._table, self._idle

@@ -10,19 +10,24 @@ supports.  Skipped messages shadow later ones even when they were skipped
 for signature reasons alone; that literal reading is what guarantees that
 conflicting messages start in their enqueue order.
 
+A signature's :func:`sync_plan` (its arity and labelled positions) says
+which argument positions lock what; :func:`planned_sync_set` builds a
+message's entries from it, and :func:`sync_set_of` is the two in one call.
+
 ``select`` is pure and operates on immutable snapshots; it is the one
 specification of which message may start, and costs a pass over the queue
 up to the message it picks.  :class:`LockTable` keeps the same answer
 incrementally for a queue that changes one message at a time; each of its
-calls costs the log of the backlog, not the backlog (see its docstring).
-Neither takes a lock: callers that share them between threads hold their
-own lock around every call.
+calls costs the log of the backlog, not the backlog, and the same whatever
+the number of signatures (see its docstring).  Neither takes a lock:
+callers that share them between threads hold their own lock around every
+call.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict, deque
+from collections import deque
 from typing import Container, Hashable, Iterable, NamedTuple, Optional, Sequence
 
 
@@ -55,6 +60,38 @@ class QueuedMessage(NamedTuple):
     priority: int
 
 
+# A signature's arity and, in order, the (position, label) of each
+# parameter marked with a label.
+SyncPlan = tuple[int, tuple[tuple[int, str], ...]]
+
+
+def sync_plan(labels: Sequence[Optional[str]]) -> SyncPlan:
+    """The plan of a signature with ``labels``, one per parameter and None
+    where the parameter is not synchronized."""
+    # Plain loops here and below skip building a comprehension's function:
+    # the interpreter calls this for every message it queues, and the
+    # runtime the next function on every send.
+    positions = []
+    for i, label in enumerate(labels):
+        if label is not None:
+            positions.append((i, label))
+    return len(labels), tuple(positions)
+
+
+def planned_sync_set(plan: SyncPlan, args: Sequence) -> frozenset[SyncEntry]:
+    """The sync set of a call with ``args`` to a signature whose
+    :func:`sync_plan` is ``plan``: each labelled position paired with its
+    actual argument.  Raises ValueError when ``args`` does not fit."""
+    arity, positions = plan
+    if len(args) != arity:
+        raise ValueError(f"arity mismatch: {arity} parameter(s), {len(args)} argument(s)")
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    entries = []
+    for i, label in positions:
+        entries.append(_new_tuple(SyncEntry, (label, args[i])))
+    return frozenset(entries)
+
+
 def sync_set_of(labels: Sequence[Optional[str]], args: Sequence) -> frozenset[SyncEntry]:
     """Pair each labelled parameter position with its actual argument.
 
@@ -62,16 +99,7 @@ def sync_set_of(labels: Sequence[Optional[str]], args: Sequence) -> frozenset[Sy
     not synchronized.  Two labelled positions with the same label and equal
     argument values collapse to a single entry (set semantics).
     """
-    if len(labels) != len(args):
-        raise ValueError(f"arity mismatch: {len(labels)} parameter(s), {len(args)} argument(s)")
-    # The runtime calls this on every send: tuple.__new__ skips the
-    # NamedTuple's Python-level __new__, and a plain loop skips building a
-    # comprehension's function.
-    entries = []
-    for pair in zip(labels, args):
-        if pair[0] is not None:
-            entries.append(_new_tuple(SyncEntry, pair))
-    return frozenset(entries)
+    return planned_sync_set(sync_plan(labels), args)
 
 
 def select(
@@ -114,27 +142,33 @@ class LockTable:
     stays at the head of its FIFOs until :meth:`complete`.  A pending
     message counts the entries on which it is not yet at the head; the ones
     at zero are ready.  Nothing but its signature then decides whether an
-    object may start a ready message, so the ready messages sit in one
-    priority heap per signature, and :meth:`take` starts the least head
-    among the heaps of the signatures the object supports: what ``select``
-    returns over the same pending queue and held set.
+    object may start a ready message, so each worker class (a distinct
+    supported set, a frozenset) has one heap of the priorities of the ready
+    messages it supports, and :meth:`take` starts the least of them: what
+    ``select`` returns over the same pending queue and held set.  A message
+    that becomes ready is pushed onto the heap of every class that supports
+    its signature; a class skips, when it meets them, the ones another class
+    has started.
 
-    With n pending messages and s signatures that have had a ready message,
-    ``add`` costs O(|sync| + log n), ``complete`` O(|sync| log n) and
-    ``take`` and ``peek`` O(s + log n); ``take`` asks ``supported`` only
-    about the signatures with a ready message now.  Messages must be added
-    in increasing priority order.
+    With n pending messages, ``add`` costs O(|sync| + c log n) and
+    ``complete`` O(|sync| c log n), where c is the number of classes that
+    support the message, and ``take`` and ``peek`` O(log n) plus the
+    messages they skip.  ``supported`` is asked once per signature when a
+    class first takes, and once per class when a signature is first added;
+    never per message.  Messages must be added in increasing priority order.
     """
 
-    __slots__ = ("_fifos", "_blocked", "_ready", "_pending")
+    __slots__ = ("_fifos", "_blocked", "_pending", "_classes", "_heaps")
 
     def __init__(self):
         self._fifos: dict[SyncEntry, deque[QueuedMessage]] = {}
         self._blocked: dict[int, int] = {}  # priority -> entries not yet at the head
-        # signature -> heap of the priorities of its ready messages; a heap
-        # that empties is kept, so a hot signature allocates no list per message
-        self._ready: defaultdict[Hashable, list[int]] = defaultdict(list)
         self._pending: dict[int, QueuedMessage] = {}  # not yet started, in priority order
+        # supported set -> heap of the priorities of the ready messages the
+        # class supports, some perhaps started by another class since
+        self._classes: dict[frozenset, list[int]] = {}
+        # signature -> the heaps of the classes that support it
+        self._heaps: dict[Hashable, tuple[list[int], ...]] = {}
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -162,33 +196,69 @@ class LockTable:
                 fifo.append(msg)
                 blocked += 1
         self._pending[msg.priority] = msg
+        heaps = self._heaps.get(msg.signature)
+        if heaps is None:
+            heaps = self._heaps[msg.signature] = tuple(
+                heap for supported, heap in self._classes.items() if msg.signature in supported
+            )
         if blocked:
             self._blocked[msg.priority] = blocked
             return False
-        heapq.heappush(self._ready[msg.signature], msg.priority)
+        for heap in heaps:
+            heapq.heappush(heap, msg.priority)
+        if len(heaps) > 1:
+            self._compact(heaps)
         return True
 
-    def _first(self, supported: Container) -> Optional[list[int]]:
-        """The ready heap whose head :meth:`take` starts next for an object
-        supporting ``supported``: of the heaps with a ready message, the one
-        with the least head whose signature is supported."""
-        first = None
-        for signature, heap in self._ready.items():
-            if heap and (first is None or heap[0] < first[0]) and signature in supported:
-                first = heap
-        return first
+    def _compact(self, heaps: tuple[list[int], ...]) -> None:
+        # Only a message that several classes support can be started by
+        # another class than the heap's own.  Such priorities are dropped
+        # once they fill half a heap, so a class whose workers are all busy
+        # does not keep every message the other classes start meanwhile.
+        pending = self._pending
+        for heap in heaps:
+            if len(heap) > 2 * len(pending):
+                heap[:] = [p for p in heap if p in pending]
+                heapq.heapify(heap)
 
-    def peek(self, supported: Container) -> Optional[QueuedMessage]:
+    def _heap(self, supported: frozenset) -> list[int]:
+        """The heap of the class ``supported``, built when the class first
+        takes or peeks, from the ready messages of the signatures it
+        supports."""
+        heap = self._classes.get(supported)
+        if heap is None:
+            heap = self._classes[supported] = []
+            signatures = {signature for signature in self._heaps if signature in supported}
+            for signature in signatures:
+                self._heaps[signature] += (heap,)
+            blocked = self._blocked
+            heap.extend(
+                p
+                for p, msg in self._pending.items()
+                if msg.signature in signatures and p not in blocked
+            )  # in priority order, so already a heap
+        return heap
+
+    def peek(self, supported: frozenset) -> Optional[QueuedMessage]:
         """What :meth:`take` would return, without starting it."""
-        heap = self._first(supported)
-        return None if heap is None else self._pending[heap[0]]
+        heap, pending = self._heap(supported), self._pending
+        while heap and heap[0] not in pending:
+            heapq.heappop(heap)
+        return pending[heap[0]] if heap else None
 
-    def take(self, supported: Container) -> Optional[QueuedMessage]:
+    def take(self, supported: frozenset) -> Optional[QueuedMessage]:
         """Start and return the message ``select`` picks for an idle object
         supporting ``supported``, or None.  It stays at the head of its
         entries' FIFOs until :meth:`complete`."""
-        heap = self._first(supported)
-        return None if heap is None else self._pending.pop(heapq.heappop(heap))
+        heap = self._classes.get(supported)
+        if heap is None:
+            heap = self._heap(supported)
+        pending = self._pending
+        while heap:
+            msg = pending.pop(heapq.heappop(heap), None)
+            if msg is not None:
+                return msg
+        return None
 
     def complete(self, msg: QueuedMessage) -> list[QueuedMessage]:
         """Release a running message's entries; the next message in each of
@@ -208,7 +278,11 @@ class LockTable:
                 self._blocked[nxt] = left
             else:
                 del self._blocked[nxt]
-                heapq.heappush(self._ready[fifo[0].signature], nxt)
+                heaps = self._heaps[fifo[0].signature]
+                for heap in heaps:
+                    heapq.heappush(heap, nxt)
+                if len(heaps) > 1:
+                    self._compact(heaps)
                 readied.append(fifo[0])
         return readied
 
@@ -230,5 +304,6 @@ class LockTable:
             if fifo[0].priority not in self._pending
         }
         self._blocked.clear()
-        self._ready.clear()
+        for heap in self._classes.values():
+            heap.clear()
         self._pending.clear()

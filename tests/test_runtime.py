@@ -7,7 +7,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
@@ -23,6 +23,7 @@ from mactor import (
     FutureFailed,
     MacActor,
     SyncEntry,
+    sync_set_of,
     synced,
 )
 from mactor.bank import read_jsonl
@@ -417,6 +418,33 @@ def test_drain_fails_messages_no_worker_can_start(cleanup):
     assert report.executed == 1 and report.cancelled == 2
 
 
+def test_plain_pairs_in_sync_data_lock_like_sync_entries(cleanup):
+    """``sync_data`` may hold plain (label, value) pairs: they are queued as
+    SyncEntry, so the log reads back and a draining shutdown names the key
+    that shadows a stuck message.  Anything else is refused before it is
+    queued."""
+    log, events = [], EventLog()
+    actor = MacActor(lambda: Recorder(log), 1, event_log=events)
+    cleanup(actor)
+    ghost = actor.send("ghost", (0,), sync_data=[("a", 1)])
+    shadowed = actor.send("locked", (1, "after"), sync_data=[("a", 1)])
+    assert [e["sync"] for e in events.events()] == [[["a", 1]], [["a", 1]]]
+    for bad in ([("a", 1, 2)], ["a1"], [1]):
+        with pytest.raises(TypeError, match=r"not a \(label, value\) pair"):
+            actor.send("locked", (1, "x"), sync_data=bad)
+    assert actor.stats()["pending"] == 2
+    closer = threading.Thread(target=actor.shutdown, daemon=True)
+    closer.start()
+    closer.join(timeout=5)
+    assert not closer.is_alive(), "shutdown(drain=True) hung"
+    with pytest.raises(FutureFailed, match="no worker supports 'ghost'"):
+        ghost.get(timeout=1)
+    with pytest.raises(FutureFailed, match=r"shadowed by priority 0 .*'a', 1"):
+        shadowed.get(timeout=1)
+    report = actor.shutdown(timeout=5)
+    assert report.drained and report.cancelled == 2
+
+
 def test_system_exit_in_user_code_fails_future_and_keeps_worker(cleanup):
     class Quitter:
         @synced("a")
@@ -551,6 +579,50 @@ def test_send_with_wrong_arity_raises_and_queues_nothing(cleanup):
         actor.send("put", (1,))
     assert actor.stats()["pending"] == 0
     assert actor.send("put", (1, 7)).get(timeout=5) == 7
+
+
+class _Enqueued(EventLog):
+    """Keeps the sync set of every message ``send`` queues, as queued."""
+
+    def __init__(self):
+        super().__init__()
+        self.sync = []
+
+    def record(self, event, method, priority, sync, *rest):
+        if event == "enqueue":
+            self.sync.append(sync)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sampled_from(["a", "b", None]), max_size=4),
+    st.lists(st.integers(0, 2), max_size=5),
+)
+def test_send_queues_the_sync_set_of_its_labels(labels, args):
+    """Whatever the labels (repeated, all None, none at all) and arguments
+    (equal or not, of the wrong number), ``send`` queues exactly the entries
+    ``sync_set_of`` gives for the method's ``@synced`` labels, or raises
+    its ValueError and queues nothing."""
+
+    class Labelled:
+        @synced(*labels)
+        def call(self, *args):
+            return args
+
+    log = _Enqueued()
+    actor = MacActor(Labelled, workers=1, event_log=log)
+    try:
+        try:
+            want = sync_set_of(labels, args)
+        except ValueError:
+            with pytest.raises(ValueError, match="arity mismatch"):
+                actor.send("call", args)
+            assert log.sync == []
+        else:
+            assert actor.send("call", args).get(timeout=5) == tuple(args)
+            assert log.sync == [want] and all(type(e) is SyncEntry for e in log.sync[0])
+    finally:
+        actor.shutdown(drain=False)
 
 
 def test_event_log_reads_back_in_the_logged_format(cleanup, tmp_path):

@@ -232,14 +232,14 @@ def test_lock_table_blocker_and_drop_pending():
     transfer = msg(2, {entry(L, 1), entry(L, 2)})
     for m in (running, ghost, transfer):
         table.add(m)
-    assert table.take({"s"}) is running
+    assert table.take(frozenset({"s"})) is running
     assert table.blocker(ghost) is None
     assert table.blocker(transfer) == (entry(L, 1), running)
     assert table.pending() == [ghost, transfer]
     table.drop_pending()
     assert table.held() == {entry(L, 1)} and len(table) == 0
     table.complete(running)
-    assert table.held() == frozenset() and table.take({"s", "ghost"}) is None
+    assert table.held() == frozenset() and table.take(frozenset({"s", "ghost"})) is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -278,7 +278,7 @@ def test_take_behind_a_backlog_of_another_signature_tests_each_ready_signature_o
     table = LockTable()
     busy = msg(0, set(), signature="b")
     table.add(busy)
-    assert table.take({"b"}) is busy
+    assert table.take(frozenset({"b"})) is busy
     for i in range(1, queued + 1):
         table.add(msg(i, set(), signature="b"))
     wanted = msg(queued + 1, set(), signature="a")
@@ -287,3 +287,35 @@ def test_take_behind_a_backlog_of_another_signature_tests_each_ready_signature_o
     assert table.take(supported) is wanted
     assert supported.tests <= 2  # the ready signatures: "a" and "b"
     assert len(table) == queued
+
+
+def test_take_asks_nothing_once_its_class_heap_exists():
+    """A one-class table with the bank's four signatures all ready: once the
+    class's first take has built its heap, a take asks ``supported``
+    nothing, however many signatures have a ready message."""
+    signatures = ("withdraw", "deposit", "transfer", "check")
+    supported = CountingSet(signatures)
+    table = LockTable()
+    for i, signature in enumerate(signatures):
+        table.add(msg(i, set(), signature=signature))
+    assert [table.take(supported).priority for _ in signatures] == [0, 1, 2, 3]
+    # ready again, each signature's first message earlier than the last one's
+    for i, signature in enumerate(reversed(signatures), start=4):
+        table.add(msg(i, set(), signature=signature))
+    for priority in range(4, 8):
+        supported.tests = 0
+        assert table.take(supported).priority == priority
+        assert supported.tests == 0
+
+
+def test_a_class_that_takes_nothing_keeps_no_pile_of_started_messages():
+    """Messages another class starts are dropped from a class's heap once
+    they fill half of it, so a class whose workers stay busy does not keep
+    every message the others run meanwhile."""
+    table = LockTable()
+    both, only_b = frozenset({"a", "b"}), frozenset({"b"})
+    assert table.take(both) is None
+    for i in range(1_000):
+        table.add(msg(i, set(), signature="b"))
+        assert table.take(only_b).priority == i
+    assert max(map(len, table._classes.values())) <= 3

@@ -1,6 +1,6 @@
-"""Runs the two machine scripts the way a reader would, as programs: the
-digest that a refactor of the machine must leave unchanged, and the state
-counts of the scaled bank variants."""
+"""Runs the scripts the way a reader would, as programs: the digest that a
+refactor of the machine must leave unchanged, the state counts of the
+scaled bank variants, and the runtime's calls per message."""
 
 import os
 import re
@@ -51,3 +51,10 @@ def test_explore_variants_prints_every_variant():
         ("| 3, (3,2), (1,2)", "283", "1"),
         ("| 4, (3,3), (1,2)", "374", "1"),
     ]
+
+
+def test_runtime_calls_prints_a_row_per_bank_shape():
+    out = run_script("runtime_calls.py")
+    rows = re.findall(r"^\| (bank-\w+) \| (\d+\.\d\d) \|", out, re.M)
+    assert [name for name, _ in rows] == ["bank-uniform", "bank-hotkey", "bank-rpc"]
+    assert all(float(calls) > 0 for _, calls in rows)
