@@ -52,11 +52,9 @@ def _open_out(path: str):
 
 def _print_futures(config) -> None:
     env = config.main_env()
-    futures = config.futures
     for name, value in sorted(env.items()):
         if isinstance(value, FutRef):
-            stored = futures.get(value)
-            print(f"  {name} = {stored!r}")
+            print(f"  {name} = {config.futures[value.id]!r}")
 
 
 def _positive(text: str) -> int:

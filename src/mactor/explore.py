@@ -1,18 +1,12 @@
 """Exhaustive interleaving exploration with invariant checking.
 
 Breadth-first search over :func:`mactor.interp.enabled_steps`, deduplicating
-states by :meth:`Configuration.canonical`.  That key is a short flat tuple
-of ints: every component of a state (statement, closure, object, group,
-heap, queues, futures) is interned once per program into a small number
-(hash-consing), a component is keyed the first time it appears and reused
-by every later state that shares it, and a successor reuses its parent's
-part for every dict the step did not replace.  The machine builds every
-dict of a state in id order (see :class:`mactor.interp.Configuration`), so
-no part sorts: the heap and the futures are keyed by position, the queues
-and each group in their own order, and the groups in group id order.  So
-keying a successor costs about what the step changed, and the visited set
-holds and compares flat int tuples.  Values are keyed with their types, so
-a state holding ``True`` is not merged with one holding ``1``.  Two
+states by :meth:`Configuration.canonical`: one small interned number per
+slot of the state's heap, threads and futures, which are tuples indexed by
+id (hash-consing), and a successor's key is its nearest keyed ancestor's
+with only the slots written since re-keyed.  So keying a successor costs
+about what the step changed.  Values are keyed with their types, so a
+state holding ``True`` is not merged with one holding ``1``.  Two
 invariants are checked along the way:
 
 * lock disjointness: inside every group, the lock sets held by distinct
@@ -158,10 +152,10 @@ class ExploreReport:
 
 
 def _check_lock_disjointness(config: Configuration) -> Optional[str]:
-    for actor, group in config.actors.items():
-        lock_sets = [config.heap[o].locks for o in group]
+    for members in config.groups:
+        lock_sets = [config.heap[o.id].locks for o in members]
         if len(lock_union(lock_sets)) != sum(map(len, lock_sets)):
-            return f"overlapping lock sets inside group {actor}"
+            return f"overlapping lock sets inside group {members[0]}"
     return None
 
 
@@ -191,7 +185,7 @@ def _one_per_interchangeable(config: Configuration, labels):
     alike: dict = {}
     for label in labels:
         if label.rule == "SCHED-MSG" and label.obj != label.actor:
-            alike.setdefault(index.object_id(heap[label.obj]), []).append(label.obj)
+            alike.setdefault(index.object_id(heap[label.obj.id]), []).append(label.obj)
     if all(len(objs) < 2 for objs in alike.values()):
         return labels
     mentioned = config.mentioned()
@@ -224,7 +218,7 @@ def _safe_run(
     run = [label]
     while len(run) < budget and not (
         label.rule == "COND-TRUE"
-        and type(config.actors[label.actor][label.obj][-1].stmts[0]) is While
+        and type(config.threads[label.obj.id][-1].stmts[0]) is While
     ):
         label = object_step(succ, label.actor, label.obj, select_fn)
         if label is None or not is_safe(succ, label):

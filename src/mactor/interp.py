@@ -77,6 +77,9 @@ class _Ref(tuple):
 
     id = property(itemgetter(1))
 
+    def __index__(self) -> int:  # a reference indexes its kind's slot tuple
+        return self[1]
+
     def __repr__(self) -> str:
         return f"{self._prefix}{self[1]}"
 
@@ -153,22 +156,14 @@ class Hole(Expr):
 class Closure:
     """A frame of a thread.  Treat as immutable; steps build new ones."""
 
-    __slots__ = ("env", "stmts", "_id", "_env_id", "_access")
+    __slots__ = ("env", "stmts", "_id", "_access")
 
     def __init__(self, env: dict, stmts: tuple[Stmt, ...]):
         self.env = env  # var name -> Value; includes 'this' and, in message bodies, 'dest'
         self.stmts = stmts
-        # interned keys of the closure and of its env, set by
-        # ProgramIndex.closure_id on first use
-        self._id = self._env_id = None
+        self._id = None  # interned key, set by ProgramIndex.thread_id on first use
         # what the rest of the closure may access, set by _closure_access
         self._access = None
-
-    def with_stmts(self, stmts: tuple) -> "Closure":
-        """This environment running ``stmts``; the env's key carries over."""
-        out = Closure(self.env, stmts)
-        out._env_id = self._env_id
-        return out
 
 
 Thread = tuple  # of Closure; empty tuple means idle
@@ -223,26 +218,31 @@ class _Id(int):
     __slots__ = ()
 
 
-_ref_id = _Ref.id.fget  # the id of an ObjRef or FutRef
 _cached_id = attrgetter("_id")  # of a Closure or ObjectState, None until keyed
 
 
-def _by_id(refs: dict, *keys) -> tuple:
-    """``(id, key...)`` for each entry of a dict keyed by ObjRef, in the
-    dict's order, which is id order; ``keys`` are iterables over the dict's
-    values."""
-    return tuple(zip(map(_ref_id, refs), *keys))
+def _put(slots: tuple, i: int, value) -> tuple:
+    """``slots`` with slot ``i``, or a new last slot, holding ``value``."""
+    if i == len(slots):
+        return slots + (value,)
+    out = list(slots)
+    out[i] = value
+    return tuple(out)
+
+
+class Futures(tuple):
+    """The futures' values by future id, ``PENDING`` until resolved;
+    ``get(fut, default)`` reads one as a dict by FutRef would."""
+
+    __slots__ = ()
+
+    def get(self, fut, default=None):
+        return self[fut[1]] if type(fut) is FutRef and fut[1] < len(self) else default
 
 
 # Machine values are keyed as themselves next to their types, because
 # Python equality merges True with 1 and False with 0.  ObjRef and FutRef
 # compare by tag and id, so a reference never equals the int of its id.
-
-def _items_key(d: dict) -> tuple:
-    """Key of a name -> value dict (an environment or the fields), in the
-    dict's order, which its method or class declares."""
-    values = d.values()
-    return tuple(zip(d, map(type, values), values))
 
 
 class ProgramIndex:
@@ -250,12 +250,12 @@ class ProgramIndex:
     table behind :meth:`Configuration.canonical`.
 
     Interning (hash-consing) maps each distinct component key to a small
-    :class:`_Id`, so a state key is a flat tuple of ints that hashes and
-    compares in C.  Statements are numbered once, when first met; closures
-    and object states cache their number; heap, queues, futures and each
-    group are interned as parts, and a configuration reuses the part of its
-    parent for every dict a step did not replace.  The table lives and dies
-    with its index: numbers from two indexes are not comparable.
+    :class:`_Id`.  Statements, lock sets and queued messages are numbered
+    once per object, when first met; closures and object records cache
+    their number.  An environment is keyed as its names then its values, a
+    field map by its values alone (a class fixes its fields), so neither
+    builds a tuple per entry.  The table lives and dies with its index:
+    numbers from two indexes are not comparable.
     """
 
     def __init__(self, program: Program):
@@ -275,12 +275,11 @@ class ProgramIndex:
         }
         self._ids: dict = {}  # key -> _Id
         self._keys: list = []  # _Id -> key
-        # id() of each statement met so far -> its number, by structure, so
-        # structurally equal statements share a number.  Numbering happens
-        # on first sight, not here, to keep set-up cheap; _numbered holds
-        # each statement so that its id() is not reused.
-        self._stmt_ids: dict[int, _Id] = {}
-        self._numbered: list[Stmt] = []
+        # id() of each statement, lock set and queued message met -> its
+        # number, by value, given on first sight to keep set-up cheap;
+        # _numbered holds each so that its id() is not reused
+        self._numbers: dict[int, _Id] = {}
+        self._numbered: list = []
         # id() of a statement of the program -> its head_reads; the program
         # holds every statement, so no other object takes one of these ids
         self._heads: dict[int, Optional[frozenset[str]]] = {}
@@ -305,6 +304,18 @@ class ProgramIndex:
             return tuple([self.expand(k) for k in key])
         return key
 
+    def _number(self, obj, key) -> _Id:
+        found = self._numbers[id(obj)] = self.intern(key)
+        self._numbered.append(obj)
+        return found
+
+    def _numbers_of(self, objs: tuple, number: Callable) -> tuple:
+        # each of objs numbered by number on first sight
+        found = tuple(map(self._numbers.get, map(id, objs)))
+        if None in found:
+            found = tuple([n if n is not None else number(o) for n, o in zip(found, objs)])
+        return found
+
     def _stmt_key(self, s: Stmt):
         # First sight of a statement.  The heads the step rules build for a
         # caller waiting on a synchronous call, then holding its result,
@@ -314,62 +325,42 @@ class ProgramIndex:
             return ("hole", s.target)
         if type(value) is ValueLit:
             return ("value", s.target, type(value.value), value.value)
-        number = self._stmt_ids[id(s)] = self.intern(s)
-        self._numbered.append(s)
-        return number
+        return self._number(s, s)
 
-    def closure_id(self, c: Closure) -> _Id:
-        found = c._id
-        if found is None:
-            env = c._env_id
-            if env is None:
-                env = c._env_id = self.intern(_items_key(c.env))
-            code = tuple(map(self._stmt_ids.get, map(id, c.stmts)))
-            if None in code:
-                code = tuple(
-                    [k if k is not None else self._stmt_key(s) for k, s in zip(code, c.stmts)]
-                )
-            found = c._id = self.intern((env, code))
-        return found
+    def _message_key(self, m: QueuedMessage) -> _Id:
+        # its signature and sync follow from method and args, its future
+        # from its priority (see _async_call)
+        return self._number(m, (m.priority, m.method, *map(type, m.args), *m.args))
 
     def object_id(self, st: ObjectState) -> _Id:
         found = st._id
         if found is None:
-            locks = frozenset([(e.label, type(e.value), e.value) for e in st.locks])
-            found = st._id = self.intern((st.cls, st.myactor.id, locks, _items_key(st.fields)))
+            # once per set: records share their message's sync or EMPTY_LOCKS
+            locks = self._numbers.get(id(st.locks))
+            if locks is None:
+                key = frozenset([(e.label, type(e.value), e.value) for e in st.locks])
+                locks = self._number(st.locks, key)
+            values = st.fields.values()
+            found = st._id = self.intern(
+                (st.cls, st.myactor[1], locks, *map(type, values), *values)
+            )
         return found
 
-    def heap_id(self, heap: dict) -> _Id:
-        ids = list(map(_cached_id, heap.values()))
-        if None in ids:
-            ids = [i if i is not None else self.object_id(st) for i, st in zip(ids, heap.values())]
-        return self.intern(tuple(ids))
+    def thread_id(self, thread: Thread) -> _Id:
+        """A thread of one closure is keyed as its number, any other as the
+        tuple of its closures' numbers (a closure's key starts with a tuple)."""
+        for c in thread:
+            if c._id is None:
+                values = c.env.values()
+                code = self._numbers_of(c.stmts, self._stmt_key)
+                c._id = self.intern((code, *c.env, *map(type, values), *values))
+        return thread[0]._id if len(thread) == 1 else self.intern(tuple(map(_cached_id, thread)))
 
     def queues_id(self, queues: dict) -> _Id:
-        # A message's signature and sync set follow from its method and
-        # args, and its future's id is its priority (see _async_call).
+        # per group, its id and its messages' numbers in queue order
         return self.intern(
-            _by_id(
-                queues,
-                [
-                    tuple([(m.priority, m.method, tuple(map(type, m.args)), m.args) for m in q])
-                    for q in queues.values()
-                ],
-            )
+            tuple([(a[1], self._numbers_of(q, self._message_key)) for a, q in queues.items()])
         )
-
-    def futures_id(self, futures: dict) -> _Id:
-        values = futures.values()
-        return self.intern(tuple(zip(map(type, values), values)))
-
-    def group_id(self, actor: int, group: dict) -> _Id:
-        threads = []
-        for thread in group.values():
-            ids = tuple(map(_cached_id, thread))
-            if None in ids:
-                ids = tuple(map(self.closure_id, thread))
-            threads.append(ids)
-        return self.intern((actor, _by_id(group, threads)))
 
     # ---- independence facts for the explorer, derived on first use
 
@@ -448,128 +439,155 @@ class ProgramIndex:
 class Configuration:
     """One machine state.  Treat as immutable; steps build new ones.
 
-    Every dict of a state is in id order: the heap and the futures hold
-    ids 0, 1, ... in turn, and the queues, the groups and each group's
-    threads list their ids ascending.  This holds because a fresh id is the
-    length of the heap or of the futures, and a step either replaces a
-    value in place (a copied dict keeps its order) or adds the next id at
-    the end.  So the next object and future ids are ``len(heap)`` and
-    ``len(futures)``, and :meth:`canonical` keys each dict in its own order
-    without sorting it.  A queued message's priority is its future's id:
-    ASYNC-CALL, the one rule that makes a future, also queues the message.
+    The heap, the threads and the futures are tuples indexed by id, and a
+    reference indexes its kind's tuple (``heap[ref]``): objects never die,
+    and a new object or future takes the next id, its tuple's length.
+    ``queues`` maps each group id to its queue, in id order.  ``groups``
+    lists each group's members in id order, the group's id first: the
+    order :func:`enabled_steps` takes them in, which only a new object
+    changes (an object's ``myactor`` never does).  A queued message's
+    priority is its future's id: ASYNC-CALL, the one rule that makes a
+    future, also queues the message.  Every step writes through
+    :meth:`evolve`, which notes the slots it writes for :meth:`canonical`.
     """
 
     __slots__ = (
         "index",
         "heap",
-        "queues",
+        "threads",
         "futures",
-        "actors",
+        "queues",
+        "groups",
         "fault",
         "_canon",
-        "_groups",
         "_base",
+        "_written",
     )
 
     def __init__(
         self,
         index: ProgramIndex,
-        heap: dict,
+        heap: tuple,
+        threads: tuple,
+        futures: Futures,
         queues: dict,
-        futures: dict,
-        actors: dict,
+        groups: tuple,
         fault: Optional[str] = None,
     ):
         self.index = index
-        self.heap = heap  # ObjRef -> ObjectState
+        self.heap = heap  # ObjectState by object id
+        self.threads = threads  # Thread by object id
+        self.futures = futures  # Value | PENDING by future id
         self.queues = queues  # ObjRef (group id) -> tuple[QueuedMessage, ...]
-        self.futures = futures  # FutRef -> Value | PENDING
-        self.actors = actors  # ObjRef (group id) -> {ObjRef: Thread}
+        self.groups = groups  # tuple[ObjRef, ...] per group
         self.fault = fault
         self._canon = None
-        self._groups: Optional[dict] = None  # id(group dict) -> its interned part
-        # nearest ancestor whose key is known, until this key is computed
+        # the nearest keyed ancestor and the refs of the slots written since
         self._base: Optional[Configuration] = None
+        self._written: Optional[tuple] = None
 
     def evolve(
         self,
         *,
-        heap: Optional[dict] = None,
+        thread: Optional[tuple] = None,
+        record: Optional[tuple] = None,
+        future: Optional[tuple] = None,
         queues: Optional[dict] = None,
-        futures: Optional[dict] = None,
-        actors: Optional[dict] = None,
+        groups: Optional[tuple] = None,
         fault: Optional[str] = None,
     ) -> "Configuration":
-        """This state with the given parts replaced; a part left None is
-        kept (no step sets a part to None)."""
+        """This state with the slots ``thread`` ``(obj, Thread)``, ``record``
+        ``(obj, ObjectState)`` and ``future`` ``(fut, value)`` written, the
+        next id appending, and ``queues``, ``groups`` and ``fault`` replaced;
+        a part left None is kept (no step sets one to None)."""
         out = object.__new__(Configuration)
         out.index = self.index
-        out.heap = self.heap if heap is None else heap
+        out.heap, out.threads, out.futures = self.heap, self.threads, self.futures
+        if thread is not None:
+            out.threads = _put(self.threads, thread[0][1], thread[1])
+        if record is not None:
+            out.heap = _put(self.heap, record[0][1], record[1])
+        if future is not None:
+            out.futures = Futures(_put(self.futures, future[0][1], future[1]))
         out.queues = self.queues if queues is None else queues
-        out.futures = self.futures if futures is None else futures
-        out.actors = self.actors if actors is None else actors
+        out.groups = self.groups if groups is None else groups
         out.fault = self.fault if fault is None else fault
         out._canon = None
-        out._groups = None
-        out._base = self if self._canon is not None else self._base
+        if self._canon is not None:
+            out._base, written = self, ()
+        else:
+            out._base, written = self._base, self._written
+        if written is not None:
+            for slot in (thread, record, future):
+                if slot is not None and slot[0] not in written:
+                    written += (slot[0],)
+        out._written = written
         return out
 
     def canonical(self):
         """Key of this state for the explorer's visited set.
 
-        ``(fault, heap, queues, futures, group...)``, with
-        one interned part per group, in group id order; all but ``fault``
-        are ints.  The heap's part is the tuple of its object records'
-        numbers and the futures' part the tuple of their ``(type, value)``,
-        each by position, which is id (see the class docstring).  Two
-        configurations of one ProgramIndex have equal keys exactly when
-        they are structurally equal, values compared with their type
-        (``True`` is not ``1``).
+        ``(fault, queues, heap, threads, futures)``: the queues' interned
+        number, then per slot tuple the tuple of its slots' numbers (a
+        future's value is keyed with its type).  A state whose ancestor has
+        a key copies it and re-keys only the slots written since whose
+        value is not the ancestor's.  Two configurations of one
+        ProgramIndex have equal keys exactly when they are structurally
+        equal, values compared with their type (``True`` is not ``1``).
         """
-        if self._canon is None:
+        key = self._canon
+        if key is None:
             index = self.index
             base = self._base
             if base is None:
-                heap = queues = futures = None
-                known: dict = {}
+                futures = self.futures
+                key = (
+                    self.fault,
+                    index.queues_id(self.queues),
+                    tuple(map(index.object_id, self.heap)),
+                    tuple(map(index.thread_id, self.threads)),
+                    tuple(map(index.intern, zip(map(type, futures), futures))),
+                )
             else:
-                heap = base._canon[1] if base.heap is self.heap else None
-                queues = base._canon[2] if base.queues is self.queues else None
-                futures = base._canon[3] if base.futures is self.futures else None
-                known = base._groups
-                self._base = None
-            groups = {}
-            for a, group in self.actors.items():
-                part = known.get(id(group))
-                groups[id(group)] = index.group_id(a.id, group) if part is None else part
-            self._groups = groups
-            self._canon = (
-                self.fault,
-                index.heap_id(self.heap) if heap is None else heap,
-                index.queues_id(self.queues) if queues is None else queues,
-                index.futures_id(self.futures) if futures is None else futures,
-                *groups.values(),
-            )
-        return self._canon
+                _, queues, heap, threads, futures = base._canon
+                if self.queues is not base.queues:
+                    queues = index.queues_id(self.queues)
+                old_heap, old_threads = base.heap, base.threads
+                for ref in self._written:
+                    i = ref[1]
+                    if type(ref) is FutRef:
+                        value = self.futures[i]
+                        slot = (index.intern((type(value), value)),)
+                        futures = futures[:i] + slot + futures[i + 1 :]
+                        continue
+                    made = i >= len(old_heap)
+                    if made or self.heap[i] is not old_heap[i]:
+                        heap = heap[:i] + (index.object_id(self.heap[i]),) + heap[i + 1 :]
+                    if made or self.threads[i] is not old_threads[i]:
+                        slot = (index.thread_id(self.threads[i]),)
+                        threads = threads[:i] + slot + threads[i + 1 :]
+                key = (self.fault, queues, heap, threads, futures)
+                self._base = self._written = None
+            self._canon = key
+        return key
 
     def mentioned(self) -> frozenset[int]:
         """Ids of the objects some value of this state refers to: in an
         environment, a field, a lock, a queued argument, a future or a
         ``ValueLit`` head."""
-        values = list(self.futures.values())
-        for st in self.heap.values():
+        values = list(self.futures)
+        for st in self.heap:
             values += st.fields.values()
             values += [e.value for e in st.locks]
         for queue in self.queues.values():
             for msg in queue:
                 values += msg.args
-        for group in self.actors.values():
-            for thread in group.values():
-                for closure in thread:
-                    values += closure.env.values()
-                    head = closure.stmts[0] if closure.stmts else None
-                    if type(head) is Assign and type(head.value) is ValueLit:
-                        values.append(head.value.value)
+        for thread in self.threads:
+            for closure in thread:
+                values += closure.env.values()
+                head = closure.stmts[0] if closure.stmts else None
+                if type(head) is Assign and type(head.value) is ValueLit:
+                    values.append(head.value.value)
         return frozenset([v.id for v in values if type(v) is ObjRef])
 
     def _structure(self):
@@ -589,12 +607,11 @@ class Configuration:
 
     def main_env(self) -> dict:
         """Environment of the main block's closure (anonymous object)."""
-        anon = ObjRef(0)
-        thread = self.actors[anon][anon]
+        thread = self.threads[0]
         return dict(thread[0].env) if thread else {}
 
     def group_locks(self, actor: ObjRef) -> frozenset[SyncEntry]:
-        return lock_union(self.heap[o].locks for o in self.actors[actor])
+        return lock_union([st.locks for st in self.heap if st.myactor == actor])
 
 
 ANONYMOUS = ObjRef(0)
@@ -607,18 +624,16 @@ def initial_config(program: Program) -> Configuration:
     no event queue, so it can never be sent or scheduled a message.  Objects
     created from main (and transitively from those) join this group.
     """
-    index = ProgramIndex(program)
     env: dict = {"this": ANONYMOUS}
     for d in program.main_vars:
         env[d.name] = default_value(d.type)
-    heap = {ANONYMOUS: ObjectState(cls=None, myactor=ANONYMOUS, locks=EMPTY_LOCKS, fields={})}
-    actors = {ANONYMOUS: {ANONYMOUS: (Closure(env, program.main_body),)}}
     return Configuration(
-        index=index,
-        heap=heap,
+        index=ProgramIndex(program),
+        heap=(ObjectState(cls=None, myactor=ANONYMOUS, locks=EMPTY_LOCKS, fields={}),),
+        threads=((Closure(env, program.main_body),),),
+        futures=Futures(),
         queues={},
-        futures={},
-        actors=actors,
+        groups=((ANONYMOUS,),),
     )
 
 
@@ -635,7 +650,7 @@ def _eval(config: Configuration, env: dict, e: Expr) -> Value:
         name = e.name
         if name in env:
             return env[name]
-        fields = config.heap[env["this"]].fields
+        fields = config.heap[env["this"].id].fields
         if name in fields:
             return fields[name]
         raise _EvalFault(f"unbound variable '{name}'")
@@ -651,7 +666,7 @@ def _eval(config: Configuration, env: dict, e: Expr) -> Value:
         v = _eval(config, env, e.target)
         if not isinstance(v, FutRef):
             raise _EvalFault("'?' applied to a non-future value")
-        return config.futures[v] is not PENDING
+        return config.futures[v.id] is not PENDING
     raise _EvalFault(f"expression {type(e).__name__} cannot be evaluated in place")
 
 
@@ -710,8 +725,9 @@ def enabled_steps(
         return []
     mover, answer = known or (None, None)
     labels: list[StepLabel] = []
-    for actor, group in config.actors.items():
-        for obj in group:
+    for members in config.groups:
+        actor = members[0]
+        for obj in members:
             label = answer if obj == mover else object_step(config, actor, obj, select_fn)
             if label is not None:
                 labels.append(label)
@@ -730,7 +746,7 @@ def object_step(
     the head statement of its top closure."""
     if config.fault is not None:
         return None
-    thread = config.actors[actor][obj]
+    thread = config.threads[obj.id]
     if not thread:
         return _sched_label(config, actor, obj, select_fn)
     top = thread[-1]
@@ -746,7 +762,7 @@ def _sched_label(
     if not queue:
         return None
     held = config.group_locks(actor)
-    supported = config.index.class_supported[config.heap[obj].cls]
+    supported = config.index.class_supported[config.heap[obj.id].cls]
     msg = select_fn(supported, held, queue)
     if msg is None:
         return None
@@ -776,7 +792,7 @@ def _stmt_label(
             v = _eval(config, top.env, s.value)
         except _EvalFault:
             v = None
-        if isinstance(v, FutRef) and config.futures[v] is PENDING:
+        if isinstance(v, FutRef) and config.futures[v.id] is PENDING:
             return None  # blocked until the future resolves
         return StepLabel("READ-FUT", actor, obj)
     if t is If or t is While:
@@ -857,12 +873,12 @@ def is_safe(config: Configuration, label: StepLabel) -> bool:
     main_send = rule == "ASYNC-CALL" and not index.methods_send
     if not (main_send or rule in _LOCAL_RULES or rule == "ASSIGN-FIELD"):
         return False
-    top = config.actors[label.actor][label.obj][-1]
+    top = config.threads[label.obj.id][-1]
     this = top.env["this"]
     head = top.stmts[0]
     reads = index._heads.get(id(head), _UNSEEN)
     if reads is _UNSEEN:
-        reads = index.head_reads(head, top.env, config.heap[this].cls)
+        reads = index.head_reads(head, top.env, config.heap[this.id].cls)
     if reads is None:
         return False
     if rule == "ASSIGN-FIELD":
@@ -903,13 +919,13 @@ def _reached_first(
     queued message or a message they may still send can write a field of
     object ``this`` named in ``reads``, or read or write its field
     ``write``.  Skips the queued messages :func:`is_safe` says it may."""
-    for group in config.actors.values():
-        for obj, thread in group.items():
-            if obj != label.obj:
-                for closure in thread:
-                    if _touches(_closure_access(config, closure), this, reads, write):
-                        return True
-    held = config.heap[label.obj].locks
+    mover = label.obj.id
+    for obj, thread in enumerate(config.threads):
+        if obj != mover:
+            for closure in thread:
+                if _touches(_closure_access(config, closure), this, reads, write):
+                    return True
+    held = config.heap[label.obj.id].locks
     for actor, queue in config.queues.items():
         for msg in queue:
             if (actor != label.actor or held.isdisjoint(msg.sync)) and _touches(
@@ -990,7 +1006,7 @@ class _AccessWalk:
         resumes with the returned value unknown: its head holds a Hole."""
         this = closure.env["this"]
         return self._summary(
-            self._stmts, closure.stmts, dict(closure.env), this, self.heap[this].cls
+            self._stmts, closure.stmts, dict(closure.env), this, self.heap[this.id].cls
         )
 
     def message(self, msg: QueuedMessage):
@@ -1061,8 +1077,8 @@ class _AccessWalk:
             args = [self._expr(a, env, this, cls) for a in value.args]
             if t is AsyncCall or target is _UNKNOWN:
                 self.any_object(value.method, args)
-            elif type(target) is ObjRef and self.heap[target].cls is not None:
-                self._method(self.heap[target].cls, value.method, target, args)
+            elif type(target) is ObjRef and self.heap[target.id].cls is not None:
+                self._method(self.heap[target.id].cls, value.method, target, args)
             result = _UNKNOWN
         elif t is NewObject or t is NewActor:
             for a in value.args:
@@ -1082,7 +1098,7 @@ class _AccessWalk:
             if name in env:
                 return env[name]
             if name in self.index.stable_fields.get(cls, ()):
-                return _UNKNOWN if this is _UNKNOWN else self.heap[this].fields[name]
+                return _UNKNOWN if this is _UNKNOWN else self.heap[this.id].fields[name]
             self.found.add((None if this is _UNKNOWN else this.id, name, False))
             return _UNKNOWN
         if t is BinOp:
@@ -1120,8 +1136,9 @@ def step(
     of the rules' premises.  Evaluation errors in the program surface as a
     faulted successor configuration.
     """
-    group = config.actors.get(label.actor)
-    if group is None or label.obj not in group:
+    obj = label.obj
+    heap = config.heap
+    if not (type(obj) is ObjRef and obj.id < len(heap) and heap[obj.id].myactor == label.actor):
         raise StepNotEnabled(f"no process for {label.obj} in {label.actor}")
     if label != object_step(config, label.actor, label.obj, select_fn):
         raise StepNotEnabled(f"{label} is not enabled")
@@ -1134,7 +1151,7 @@ def _apply(config: Configuration, label: StepLabel) -> Configuration:
     ``config``, which the explorer and :func:`run` apply without deriving
     it again.  A SCHED-MSG label names its message by priority, so no
     rule needs the selection."""
-    thread = config.actors[label.actor][label.obj]
+    thread = config.threads[label.obj.id]
     top = thread[-1] if thread else None  # SCHED-MSG runs on an idle object
     head = top.stmts[0] if top else None
     try:
@@ -1145,21 +1162,10 @@ def _apply(config: Configuration, label: StepLabel) -> Configuration:
 
 # ---- rule bodies
 
-def _with_thread(config: Configuration, actor: ObjRef, obj: ObjRef, thread: Thread, **more):
-    actors = dict(config.actors)
-    group = dict(actors[actor])
-    group[obj] = thread
-    actors[actor] = group
-    return config.evolve(actors=actors, **more)
-
-
-def _with_top(
-    config: Configuration, label: StepLabel, thread: Thread, env: dict, stmts: tuple, **more
-) -> Configuration:
-    top = thread[-1]
-    new_top = top.with_stmts(stmts) if env is top.env else Closure(env, stmts)
-    new_thread = thread[:-1] + (new_top,)
-    return _with_thread(config, label.actor, label.obj, new_thread, **more)
+def _with_top(config: Configuration, label: StepLabel, thread: Thread, stmts: tuple):
+    """The top closure of ``thread`` going on with ``stmts``."""
+    top = Closure(thread[-1].env, stmts)
+    return config.evolve(thread=(label.obj, thread[:-1] + (top,)))
 
 
 def _assign(
@@ -1169,25 +1175,27 @@ def _assign(
     target: str,
     value: Value,
     rest: tuple,
-    **more,
+    future: Optional[tuple] = None,
+    queues: Optional[dict] = None,
 ) -> Configuration:
     """Write ``target`` either in the local environment or, failing that, in
     the fields of the closure's own object, then drop the statement.
-    ``more`` holds the other parts the step replaces, never the heap."""
+    ``future`` and ``queues`` are the step's other writes."""
     top = thread[-1]
-    if target in top.env:
-        env = dict(top.env)
+    env, record = top.env, None
+    if target in env:
+        env = dict(env)
         env[target] = value
-        return _with_top(config, label, thread, env, rest, **more)
-    this = top.env["this"]
-    state = config.heap[this]
-    if target not in state.fields:
-        raise _EvalFault(f"assignment to unknown field '{target}'")
-    fields = dict(state.fields)
-    fields[target] = value
-    heap = dict(config.heap)
-    heap[this] = ObjectState(state.cls, state.myactor, state.locks, fields)
-    return _with_top(config, label, thread, top.env, rest, heap=heap, **more)
+    else:
+        this = env["this"]
+        state = config.heap[this.id]
+        if target not in state.fields:
+            raise _EvalFault(f"assignment to unknown field '{target}'")
+        fields = dict(state.fields)
+        fields[target] = value
+        record = (this, ObjectState(state.cls, state.myactor, state.locks, fields))
+    thread = thread[:-1] + (Closure(env, rest),)
+    return config.evolve(thread=(label.obj, thread), record=record, future=future, queues=queues)
 
 
 def _plain_assign(config, label, thread, top, s) -> Configuration:
@@ -1201,13 +1209,13 @@ def _cond(config, label, thread, top, s) -> Configuration:
         rest = (s.then if taken else s.orelse) + top.stmts[1:]
     else:
         rest = s.body + top.stmts if taken else top.stmts[1:]
-    return _with_top(config, label, thread, top.env, rest)
+    return _with_top(config, label, thread, rest)
 
 
 def _read_fut(config, label, thread, top, s) -> Configuration:
     if not isinstance(_eval(config, top.env, s.value), FutRef):
         raise _EvalFault("'.get' applied to a non-future value")
-    return _with_top(config, label, thread, top.env, top.stmts[1:])
+    return _with_top(config, label, thread, top.stmts[1:])
 
 
 def _sync_call(config, label, thread, top, s) -> Configuration:
@@ -1217,12 +1225,12 @@ def _sync_call(config, label, thread, top, s) -> Configuration:
         raise _EvalFault(f"synchronous call to '{call.method}' on null")
     if not isinstance(callee, ObjRef):
         raise _EvalFault(f"synchronous call target is not an object")
-    caller_actor = config.heap[top.env["this"]].myactor
-    if config.heap[callee].myactor != caller_actor:
+    caller_actor = config.heap[top.env["this"].id].myactor
+    if config.heap[callee.id].myactor != caller_actor:
         raise _EvalFault(
             f"synchronous call to '{call.method}' crosses an actor boundary"
         )
-    cls = config.heap[callee].cls
+    cls = config.heap[callee.id].cls
     mdef = config.index.class_methods.get(cls, {}).get(call.method) if cls else None
     if mdef is None:
         raise _EvalFault(f"object has no method '{call.method}'")
@@ -1230,18 +1238,17 @@ def _sync_call(config, label, thread, top, s) -> Configuration:
         raise _EvalFault(f"'{call.method}' expects {mdef.sig.arity} argument(s)")
     args = [_eval(config, top.env, a) for a in call.args]
     callee_env = _method_frame(mdef, {"this": callee}, args)
-    waiting = top.with_stmts((Assign(s.target, Hole()),) + top.stmts[1:])
-    new_thread = thread[:-1] + (waiting, Closure(callee_env, mdef.body))
-    return _with_thread(config, label.actor, label.obj, new_thread)
+    waiting = Closure(top.env, (Assign(s.target, Hole()),) + top.stmts[1:])
+    called = thread[:-1] + (waiting, Closure(callee_env, mdef.body))
+    return config.evolve(thread=(label.obj, called))
 
 
 def _sync_return(config, label, thread, top, s) -> Configuration:
     # the caller below waits with a Hole at its head, put there by SYNC-CALL
     below = thread[-2]
     v = _eval(config, top.env, s.value)
-    resumed = below.with_stmts((Assign(below.stmts[0].target, ValueLit(v)),) + below.stmts[1:])
-    new_thread = thread[:-2] + (resumed,)
-    return _with_thread(config, label.actor, label.obj, new_thread)
+    resumed = Closure(below.env, (Assign(below.stmts[0].target, ValueLit(v)),) + below.stmts[1:])
+    return config.evolve(thread=(label.obj, thread[:-2] + (resumed,)))
 
 
 def _async_call(config, label, thread, top, s) -> Configuration:
@@ -1252,7 +1259,7 @@ def _async_call(config, label, thread, top, s) -> Configuration:
     if not isinstance(target, ObjRef) or target not in config.queues:
         raise _EvalFault(f"asynchronous call target is not an actor")
     args = tuple(_eval(config, top.env, a) for a in call.args)
-    sig = config.index.event_signature(config.heap[target].cls, call.method, len(args))
+    sig = config.index.event_signature(config.heap[target.id].cls, call.method, len(args))
     fut = FutRef(len(config.futures))
     msg = QueuedMessage(
         method=call.method,
@@ -1262,33 +1269,24 @@ def _async_call(config, label, thread, top, s) -> Configuration:
         signature=sig,
         priority=fut.id,
     )
-    futures = dict(config.futures)
-    futures[fut] = PENDING
     queues = dict(config.queues)
     queues[target] = queues[target] + (msg,)
     return _assign(
-        config,
-        label,
-        thread,
-        s.target,
-        fut,
-        top.stmts[1:],
-        futures=futures,
-        queues=queues,
+        config, label, thread, s.target, fut, top.stmts[1:], future=(fut, PENDING), queues=queues
     )
 
 
 def _async_return(config, label, thread, top, s) -> Configuration:
     dest = top.env["dest"]  # the resolver keeps return out of the main block
     v = _eval(config, top.env, s.value)
-    assert config.futures[dest] is PENDING, "future written twice"
-    futures = dict(config.futures)
-    futures[dest] = v
+    assert config.futures[dest.id] is PENDING, "future written twice"
     obj = label.obj
-    state = config.heap[obj]
-    heap = dict(config.heap)
-    heap[obj] = ObjectState(state.cls, state.myactor, EMPTY_LOCKS, state.fields)
-    return _with_thread(config, label.actor, obj, (), futures=futures, heap=heap)
+    state = config.heap[obj.id]
+    return config.evolve(
+        thread=(obj, ()),
+        record=(obj, ObjectState(state.cls, state.myactor, EMPTY_LOCKS, state.fields)),
+        future=(dest, v),
+    )
 
 
 def _new(config, label, thread, top, s) -> Configuration:
@@ -1305,17 +1303,20 @@ def _new(config, label, thread, top, s) -> Configuration:
         fields[d.name] = default_value(d.type)
     obj = ObjRef(len(config.heap))
     is_actor = label.rule == "NEW-ACTOR"
-    owner = obj if is_actor else config.heap[top.env["this"]].myactor
-    heap = dict(config.heap)
-    heap[obj] = ObjectState(cls=cls.name, myactor=owner, locks=EMPTY_LOCKS, fields=fields)
-    actors = dict(config.actors)
-    actors[owner] = {**actors.get(owner, {}), obj: ()}
-    changes = dict(heap=heap, actors=actors)
+    owner = obj if is_actor else config.heap[top.env["this"].id].myactor
     if is_actor:
+        groups = config.groups + ((obj,),)
+    else:
+        groups = tuple([m + (obj,) if m[0] == owner else m for m in config.groups])
+    made = config.evolve(
+        record=(obj, ObjectState(cls=cls.name, myactor=owner, locks=EMPTY_LOCKS, fields=fields)),
+        thread=(obj, ()),
+        groups=groups,
         # The creation event is consumed on the spot: the fresh group
         # starts with its first object initialized, idle, and an empty queue.
-        changes["queues"] = {**config.queues, obj: ()}
-    return _assign(config.evolve(**changes), label, thread, s.target, obj, top.stmts[1:])
+        queues={**config.queues, obj: ()} if is_actor else None,
+    )
+    return _assign(made, label, thread, s.target, obj, top.stmts[1:])
 
 
 def _sched_msg(config, label, *_) -> Configuration:
@@ -1324,13 +1325,13 @@ def _sched_msg(config, label, *_) -> Configuration:
     msg = next(m for m in queue if m.priority == label.priority)
     queues = dict(config.queues)
     queues[actor] = tuple(m for m in queue if m is not msg)
-    mdef = config.index.class_methods[config.heap[obj].cls][msg.method]
+    state = config.heap[obj.id]
+    mdef = config.index.class_methods[state.cls][msg.method]
     env = _method_frame(mdef, {"this": obj, "dest": msg.future}, msg.args)
-    state = config.heap[obj]
-    heap = dict(config.heap)
-    heap[obj] = ObjectState(state.cls, state.myactor, msg.sync, state.fields)
-    return _with_thread(
-        config, actor, obj, (Closure(env, mdef.body),), queues=queues, heap=heap
+    return config.evolve(
+        thread=(obj, (Closure(env, mdef.body),)),
+        record=(obj, ObjectState(state.cls, state.myactor, msg.sync, state.fields)),
+        queues=queues,
     )
 
 

@@ -12,7 +12,15 @@ from mactor import PENDING, FutRef, explore_all, initial_config, parse_program, 
 from mactor import explore as explore_module
 from mactor import interp as interp_module
 from mactor.explore import _check_dispatch_order, _check_lock_disjointness
-from mactor.interp import ANONYMOUS, ObjRef, ValueLit, enabled_steps, object_step, step
+from mactor.interp import (
+    ANONYMOUS,
+    Configuration,
+    ObjRef,
+    ValueLit,
+    enabled_steps,
+    object_step,
+    step,
+)
 from mactor.scheduler import QueuedMessage, SyncEntry, select
 from mactor.syntax import Assign
 from progen import gen_program
@@ -500,7 +508,7 @@ def test_single_object_no_labels_trivially_disjoint():
     report = explore_all(initial_config(p), 200)
     assert report.ok and not report.truncated
     for cfg in report.terminals:
-        assert all(state.locks == frozenset() for state in cfg.heap.values())
+        assert all(state.locks == frozenset() for state in cfg.heap)
 
 
 def test_broken_select_reports_violating_trace(bank_small):
@@ -556,7 +564,7 @@ def test_free_objects_invariant_holds_everywhere():
     assert report.ok
     for cfg in report.terminals:
         assert ANONYMOUS not in cfg.queues
-        for state in cfg.heap.values():
+        for state in cfg.heap:
             assert state.myactor == ANONYMOUS
 
 
@@ -642,8 +650,10 @@ def reference_key(c, rename=None):
             return ("value", s.target, value(s.value.value))
         return s
 
-    def by_obj(d):
-        return sorted((obj(r), v) for r, v in d.items())
+    def by_obj(pairs):
+        return sorted((obj(r), v) for r, v in pairs)
+
+    refs = tuple(map(ObjRef, range(len(c.heap))))  # slot i holds object i
 
     # The interfaces and the two lengths are derived, not stored; they stay
     # in the key so that scripts/machine_digest.py, which hashes it, keeps
@@ -658,22 +668,22 @@ def reference_key(c, rename=None):
             frozenset((e.label, value(e.value)) for e in st.locks),
             items(st.fields),
         )
-        for o, st in by_obj(c.heap)
+        for o, st in by_obj(zip(refs, c.heap))
     )
     queues = tuple(
         (a, tuple((m.priority, m.method, tuple(map(value, m.args)), m.future.id) for m in q))
-        for a, q in by_obj(c.queues)
+        for a, q in by_obj(c.queues.items())
     )
-    futures = tuple((f.id, value(v)) for f, v in sorted(c.futures.items(), key=lambda kv: kv[0].id))
+    futures = tuple((f, value(v)) for f, v in enumerate(c.futures))
     groups = tuple(
         (
             a,
             tuple(
                 (o, tuple((items(cl.env), tuple(map(stmt, cl.stmts))) for cl in thread))
-                for o, thread in by_obj(group)
+                for o, thread in by_obj(zip(members, map(c.threads.__getitem__, members)))
             ),
         )
-        for a, group in by_obj(c.actors)
+        for a, members in by_obj((members[0], members) for members in c.groups)
     )
     # the next object id, the next future id and the next message
     # priority, which is the next future id again
@@ -685,10 +695,9 @@ def symmetric_key(c):
     class other than the group's first: its fault and the set of its
     ``reference_key``s under every such renaming."""
     alike = defaultdict(list)
-    for actor, group in c.actors.items():
-        for o in group:
-            if o != actor:
-                alike[actor.id, c.heap[o].cls].append(o.id)
+    for members in c.groups:
+        for o in members[1:]:
+            alike[members[0].id, c.heap[o].cls].append(o.id)
     ids = list(alike.values())
     return c.fault, frozenset(
         reference_key(c, {old: new for olds, news in zip(ids, perm) for old, new in zip(olds, news)})
@@ -754,13 +763,24 @@ def _differential_programs():
 
 
 def in_id_order(c) -> bool:
-    """Whether every dict of ``c`` is in id order, with the heap and the
-    futures holding ids 0, 1, ...: the invariant the interned key keys
-    each dict by, in place of sorting it."""
-    dense = all([ref.id for ref in d] == list(range(len(d))) for d in (c.heap, c.futures))
-    return dense and all(
-        list(d) == sorted(d, key=attrgetter("id"))
-        for d in (c.queues, c.actors, *c.actors.values())
+    """Whether slot *i* of the heap and of the threads holds object *i*,
+    and every future a message names is a slot of the futures: the
+    invariant the interned key keys each slot by, in place of sorting.
+    Object *i* is the one its group lists as *i*, and a busy thread's
+    first frame runs the object of its slot; the groups and the queues
+    are in id order."""
+    refs = list(map(ObjRef, range(len(c.heap))))
+    members = [o for group in c.groups for o in group]
+    return (
+        len(c.threads) == len(refs)
+        and sorted(members) == refs
+        and all(c.heap[o].myactor == group[0] for group in c.groups for o in group)
+        and all(thread[0].env["this"] == ref for ref, thread in zip(refs, c.threads) if thread)
+        and all(m.future.id == m.priority < len(c.futures) for q in c.queues.values() for m in q)
+        and all(
+            list(d) == sorted(d, key=attrgetter("id"))
+            for d in (c.queues, [group[0] for group in c.groups], *c.groups)
+        )
     )
 
 
@@ -773,6 +793,38 @@ def test_interned_keys_explore_like_structural_reference():
     for name, program, depth in _differential_programs():
         interned = reference_explore(initial_config(program), depth, key=interned_key)
         assert interned == reference_explore(initial_config(program), depth), name
+
+
+def key_from_nothing(c):
+    """``c``'s key built with no keyed ancestor: every slot keyed anew."""
+    alone = Configuration(c.index, c.heap, c.threads, c.futures, c.queues, c.groups, c.fault)
+    return alone.canonical()
+
+
+def test_key_from_parent_equals_key_from_nothing():
+    # A state's key copies its nearest keyed ancestor's and re-keys only the
+    # slots written since.  In every state the reduced and the full search
+    # reach, that must be the key built from nothing.
+    keyed = Configuration.canonical
+    derived = 0
+
+    def canonical(c):
+        nonlocal derived
+        from_parent = c._canon is None and c._base is not None
+        key = keyed(c)
+        if from_parent:
+            assert key == key_from_nothing(c), (name, select_fn.__name__)
+            derived += 1
+        return key
+
+    with mock.patch.object(Configuration, "canonical", canonical):
+        for select_fn in (select, broken_select):
+            for name, program, depth in _differential_programs():
+                explore_all(initial_config(program), depth, select_fn=select_fn)
+                reference_explore(
+                    initial_config(program), depth, key=canonical, select_fn=select_fn
+                )
+    assert derived > 10_000, derived
 
 
 def _report_record(report):

@@ -82,12 +82,12 @@ def test_reference_hashes_do_not_depend_on_the_hash_seed():
 
 def test_initial_config_single_anonymous_process(employee_bank):
     c = initial_config(employee_bank)
-    assert set(c.actors) == {ANONYMOUS}
-    assert set(c.actors[ANONYMOUS]) == {ANONYMOUS}
-    thread = c.actors[ANONYMOUS][ANONYMOUS]
+    assert c.groups == ((ANONYMOUS,),)
+    assert len(c.threads) == len(c.heap) == 1
+    thread = c.threads[ANONYMOUS]
     assert len(thread) == 1
     assert thread[0].stmts == employee_bank.main_body
-    assert c.queues == {} and c.futures == {}
+    assert c.queues == {} and c.futures == ()
     assert c.heap[ANONYMOUS].myactor == ANONYMOUS
 
 
@@ -161,10 +161,10 @@ def test_equality_across_runs_ignores_intern_numbering():
     p = load_program("bank_small")
     final, trace = run(initial_config(p), "fifo", fuel=5000)
     replayed, _ = run(initial_config(p), list(trace), fuel=5000)
-    # number the replay's groups in the opposite order first
-    for actor, group in reversed(replayed.actors.items()):
-        replayed.index.group_id(actor.id, group)
-    assert replayed.canonical()[4:] != final.canonical()[4:]
+    # number the replay's threads in the opposite order first
+    for thread in reversed(replayed.threads):
+        replayed.index.thread_id(thread)
+    assert replayed.canonical()[3] != final.canonical()[3]
     assert replayed == final and hash(replayed) == hash(final)
     assert replayed != run(initial_config(p), list(trace[:-1]), fuel=5000)[0]
 
@@ -193,12 +193,12 @@ def test_get_not_enabled_while_future_pending(employee_bank):
 def test_all_blocked_and_empty_queues_is_deadlock():
     c = initial_config(parse_program("{ Fut<Bool> f; f.get; }"))
     fut = FutRef(0)
-    thread = c.actors[ANONYMOUS][ANONYMOUS]
+    thread = c.threads[ANONYMOUS]
     env = dict(thread[0].env)
     env["f"] = fut
     blocked = c.evolve(
-        futures={fut: PENDING},
-        actors={ANONYMOUS: {ANONYMOUS: (Closure(env, thread[0].stmts),)}},
+        future=(fut, PENDING),
+        thread=(ANONYMOUS, (Closure(env, thread[0].stmts),)),
     )
     assert enabled_steps(blocked) == []
 
@@ -250,8 +250,8 @@ def test_async_return_writes_future_clears_locks(worked_queue):
         assert mine[-1].rule in ("ASYNC-RETURN",)
         c = step(c, mine[-1])
     assert c.heap[label.obj].locks == frozenset()
-    assert c.actors[label.actor][label.obj] == ()
-    resolved = [f for f, v in c.futures.items() if v is not PENDING]
+    assert c.threads[label.obj] == ()
+    resolved = [f for f, v in enumerate(c.futures) if v is not PENDING]
     assert len(resolved) == 2  # grow's future and m1's future
 
 
@@ -353,8 +353,9 @@ def test_step_takes_exactly_the_label_object_step_gives(name):
         priorities = {None, len(config.futures)} | {
             m.priority for q in config.queues.values() for m in q
         }
-        for actor, group in config.actors.items():
-            for obj in group:
+        for members in config.groups:
+            actor = members[0]
+            for obj in members:
                 enabled = object_step(config, actor, obj)
                 if enabled is not None:
                     succ = step(config, enabled)
@@ -379,13 +380,24 @@ def test_free_objects_belong_to_anonymous_group():
     p = prog("{ IC o; IC q; Int r; o = new K(); q = new K(); r = o.inc(1); }")
     final, _ = run(initial_config(p), "fifo", fuel=200)
     assert final.fault is None
-    for ref, state in final.heap.items():
+    for state in final.heap:
         assert state.myactor == ANONYMOUS
     assert ANONYMOUS not in final.queues
-    assert set(final.actors[ANONYMOUS]) == set(final.heap)
+    assert final.groups == (tuple(map(ObjRef, range(len(final.heap)))),)
 
 
 # ---- frame property: every rule touches only its own components
+
+def _by_ref(slots, ref):
+    """A tuple of slots as the dict by reference it holds."""
+    return {ref(i): v for i, v in enumerate(slots)}
+
+
+def _actors(c):
+    """The threads as a dict of groups, each a dict of its members'
+    threads."""
+    return {members[0]: {o: c.threads[o] for o in members} for members in c.groups}
+
 
 def _diff(d1, d2):
     changed = {k for k in d1 if k in d2 and d1[k] != d2[k]}
@@ -404,17 +416,18 @@ def _assert_frame(c1, label, c2):
     if c2.fault is not None:
         return  # fault states freeze the configuration wholesale
     rule = label.rule
-    h_chg, h_add, h_rem = _diff(c1.heap, c2.heap)
+    a1, a2 = _actors(c1), _actors(c2)
+    h_chg, h_add, h_rem = _diff(_by_ref(c1.heap, ObjRef), _by_ref(c2.heap, ObjRef))
     q_chg, q_add, q_rem = _diff(c1.queues, c2.queues)
-    f_chg, f_add, f_rem = _diff(c1.futures, c2.futures)
-    a_chg, a_add, a_rem = _diff(c1.actors, c2.actors)
+    f_chg, f_add, f_rem = _diff(_by_ref(c1.futures, FutRef), _by_ref(c2.futures, FutRef))
+    a_chg, a_add, a_rem = _diff(a1, a2)
     assert not (h_rem or q_rem or f_rem or a_rem), rule
     for fut in f_chg:  # futures write once
         assert c1.futures[fut] is PENDING and c2.futures[fut] is not PENDING
 
     thread_changes, procs_added = [], []
     for g in a_chg:
-        tc, ta, tr = _diff(c1.actors[g], c2.actors[g])
+        tc, ta, tr = _diff(a1[g], a2[g])
         assert not tr, rule
         thread_changes += [(g, o) for o in tc]
         procs_added += [(g, o) for o in ta]
@@ -439,7 +452,7 @@ def _assert_frame(c1, label, c2):
         assert len(h_add) == 1 and len(h_chg) <= 1, rule
         new = next(iter(h_add))
         assert q_add == {new} and c2.queues[new] == (), rule
-        assert a_add == {new} and c2.actors[new] == {new: ()}, rule
+        assert a_add == {new} and a2[new] == {new: ()}, rule
         assert not (q_chg or f_chg or f_add), rule
         assert new == ObjRef(len(c1.heap)), rule
     elif rule == "ASYNC-CALL":
@@ -457,7 +470,7 @@ def _assert_frame(c1, label, c2):
         assert h_chg <= {label.obj} and not h_add, rule
         assert _locks_only(c1.heap[label.obj], c2.heap[label.obj]), rule
         assert c2.heap[label.obj].locks == frozenset(), rule
-        assert c2.actors[label.actor][label.obj] == (), rule
+        assert a2[label.actor][label.obj] == (), rule
         assert not (q_chg or q_add or a_add), rule
     elif rule == "SCHED-MSG":
         assert q_chg == {label.actor} and not q_add, rule

@@ -1,6 +1,7 @@
 """Runs the scripts the way a reader would, as programs: the digest that a
 refactor of the machine must leave unchanged, the state counts of the
-scaled bank variants, and the runtime's calls per message."""
+scaled bank variants, the explorer's profile by layer, and the runtime's
+calls per message."""
 
 import os
 import re
@@ -51,6 +52,18 @@ def test_explore_variants_prints_every_variant():
         ("| 3, (3,2), (1,2)", "283", "1"),
         ("| 4, (3,3), (1,2)", "374", "1"),
     ]
+
+
+def test_explore_layers_prints_a_row_per_program():
+    out = run_script("explore_layers.py")
+    rows = [line.split(" | ") for line in out.splitlines() if re.match(r"\| (explore|\d)", line)]
+    # program, six shares, then keys, steps and states per exploration,
+    # which a change of representation leaves as they are
+    assert [(row[0], *row[7:]) for row in rows] == [
+        ("| explore-bank", "143", "323", "96 |"),
+        ("| 4, (3,3), (1,2)", "597", "1500", "374 |"),
+    ]
+    assert all(0 < float(share.rstrip("%")) < 100 for row in rows for share in row[1:7])
 
 
 def test_runtime_calls_prints_a_row_per_bank_shape():
