@@ -17,6 +17,7 @@ from .explore import explore_all
 from .interp import FutRef, FuelExhausted, initial_config, run
 from .parser import ParseError, ResolutionError, parse_program
 from .runtime import EventLog
+from .syntax import format_expr
 
 
 def _fail(line: str):
@@ -55,6 +56,21 @@ def _print_futures(config) -> None:
     for name, value in sorted(env.items()):
         if isinstance(value, FutRef):
             print(f"  {name} = {config.futures[value.id]!r}")
+
+
+def _stuck(config) -> list[str]:
+    """What a quiescent state still holds: each object whose thread has
+    statements left, which can only be a ``get`` on a pending future, and
+    each queue with messages that no object can start."""
+    lines = []
+    for obj, thread in enumerate(config.threads):
+        if thread and thread[-1].stmts:
+            lines.append(f"obj{obj} waits on {format_expr(thread[-1].stmts[0].value)}.get")
+    for actor, queue in config.queues.items():
+        if queue:
+            calls = (f"{m.method}({', '.join(map(repr, m.args))})" for m in queue)
+            lines.append(f"queue of {actor!r}: {', '.join(calls)}")
+    return lines
 
 
 def _positive(text: str) -> int:
@@ -139,10 +155,13 @@ def maci_main(argv=None) -> int:
         if exhausted:
             print("status: fuel exhausted")
             return 2
-        print("status: quiescent")
+        stuck = _stuck(final)
+        print("status: deadlock" if stuck else "status: quiescent")
+        for line in stuck:
+            print(f"  {line}")
         print("futures:")
         _print_futures(final)
-        return 0
+        return 4 if stuck else 0
 
     started = time.perf_counter()
     report = explore_all(config, args.depth)

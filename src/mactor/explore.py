@@ -82,6 +82,16 @@ so it is not asked; under a ``select_fn`` that ignores held locks it could,
 but only into a state whose lock sets overlap, which the search reports as
 a theorem1 violation.
 
+The walks also record each send, with its target group or "any", and
+each ``e?``.  A send is safe when nothing else can still send, since
+future ids are global.  A message's ASYNC-RETURN, which resolves its
+future and releases its object's locks, is safe when no message queued at
+its group has a sync set that meets those locks, nothing else can still
+send to that group or evaluate ``e?``, and its field reads are safe as
+above: ``scheduler.select`` compares held entries only with queued sync
+sets, so releasing them changes no other object's pick, and a ``get`` on
+the future is disabled until the return, which stays enabled until taken.
+
 A state that expands every enabled step is also reduced by symmetry (Ip &
 Dill, FMSD 1996; combined with ample sets as in Emerson, Jha & Peled,
 TACAS 1997).  In the paper's actors the workers of a group are usually
@@ -101,7 +111,7 @@ non-faulted terminal state up to a renaming of interchangeable objects
 diagnostic and whether some state violates an invariant.  It drops
 interleavings, so a faulted terminal may be reached with less progress of
 the other objects, and the trace to a violation may differ.  Only
-SCHED-MSG takes locks, and no run of safe steps holds one, so lock
+SCHED-MSG takes locks, and no run of safe steps contains one, so lock
 disjointness is checked on the root and on the successors of SCHED-MSG
 steps, which are the first states with overlapping sets on any path.
 
@@ -109,7 +119,7 @@ steps, which are the first states with overlapping sets on any path.
 it picks the same message from that queue with more messages appended.
 ``scheduler.select`` is, and so is any rule that scans in queue order and
 looks only at the messages before the one it picks.  That is what makes
-a send by the main block commute with every SCHED-MSG.
+a send commute with every SCHED-MSG.
 """
 
 from __future__ import annotations

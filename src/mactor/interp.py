@@ -391,17 +391,6 @@ class ProgramIndex:
                 out.setdefault(m.sig.name, []).append(c.name)
         return {name: tuple(classes) for name, classes in out.items()}
 
-    @cached_property
-    def methods_send(self) -> bool:
-        """Whether any class method holds an asynchronous call.  If none
-        does, the main block is the program's only sender."""
-        return any(
-            isinstance(s, Assign) and isinstance(s.value, AsyncCall)
-            for c in self.program.classes
-            for m in c.methods
-            for s in walk_stmts(m.body)
-        )
-
     def head_reads(self, head: Stmt, env: dict, cls: Optional[str]) -> Optional[frozenset[str]]:
         """The fields that are not stable which ``head`` reads at the top of
         a closure of environment ``env`` run by an object of class ``cls``;
@@ -815,7 +804,15 @@ def _stmt_label(
 _LOCAL_RULES = frozenset(
     {"ASSIGN-LOCAL", "COND-TRUE", "COND-FALSE", "READ-FUT", "SYNC-CALL", "SYNC-RETURN"}
 )
+_SAFE_RULES = _LOCAL_RULES | {"ASSIGN-FIELD", "ASYNC-CALL", "ASYNC-RETURN"}
 _CONSTANTS = (NullLit, BoolLit, IntLit, ValueLit, This)
+
+# Pseudo-fields of the accesses _AccessWalk records, named as no field can
+# be: a send writes the queue "!" of its target group and the next future
+# id "#", which belongs to no object, and ``e?`` reads "?", whether some
+# future is resolved.
+_QUEUE, _NEXT_FUTURE, _RESOLVED = "!", "#", "?"
+_SENDS = frozenset([(None, _NEXT_FUTURE, True)])  # a send to any group
 
 
 def is_safe(config: Configuration, label: StepLabel) -> bool:
@@ -828,28 +825,37 @@ def is_safe(config: Configuration, label: StepLabel) -> bool:
     top closure's environment and fields of ``this`` (never ``e?``, whose
     answer another object changes).  Fields that
     :attr:`ProgramIndex.stable_fields` holds for the class of ``this``
-    never change.  Three kinds of step qualify:
+    never change.  Four kinds of step qualify:
 
     * a rule of ``_LOCAL_RULES``, which changes only its own thread;
     * an ASSIGN-FIELD, which also writes one field of ``this``;
-    * an ASYNC-CALL reading only stable fields, in a program whose class
-      methods never send: its sender is the main block, so no other step
-      takes a future number or priority, and it only appends to a queue,
-      which leaves a prefix-stable selection's answer alone.
+    * an ASYNC-CALL reading only stable fields, when nothing else can
+      send to any group: future ids are global, so no other step takes a
+      future id or a priority, and appending to a queue leaves a
+      prefix-stable selection's answer alone;
+    * the ASYNC-RETURN of object o in group G, when no message queued at
+      G has a sync set that meets o's locks and nothing else can send to
+      G or evaluate ``e?``.  ``scheduler.select`` compares held entries
+      only with queued sync sets, so releasing o's locks changes no other
+      object's pick.  A ``get`` on the future is disabled until the
+      return, so writing it changes nothing another enabled step reads.
 
     A step that reads a field that is not stable, or writes one, qualifies
     only when nothing else can write what it reads, or read or write what
-    it writes, before it is taken: no other object's thread, no queued
-    message and no message those may still send (:func:`_reached_first`).
-    The stepping object's own thread does nothing else before the step.
+    it writes, before it is taken.  Here and above, "nothing else" is no
+    other object's thread, no queued message and no message those may
+    still send (:func:`_reached_first`).  The stepping object's own thread
+    does nothing else before the step.
 
     A queued message of the stepping object's own group whose sync set
     overlaps that object's locks is not asked.  ``scheduler.select`` passes
-    it over until the object's ASYNC-RETURN, which comes after the step.
+    it over until the object's ASYNC-RETURN, which comes after the step
+    (an ASYNC-RETURN itself qualifies only when there is no such message).
     Under a ``select_fn`` that ignores held locks it could start first,
     but only into a state whose lock sets overlap.  The step changes no
-    lock, queue or idle object, so the search still reaches such a state
-    and reports a theorem1 violation there.  A message of another group is
+    lock or idle object and at most appends to a queue, so under a
+    prefix-stable ``select_fn`` the search still reaches such a state and
+    reports a theorem1 violation there.  A message of another group is
     always asked: lock sets are kept apart only inside a group, so it may
     hold the same entry at the same time.
 
@@ -868,24 +874,35 @@ def is_safe(config: Configuration, label: StepLabel) -> bool:
 
     The step may still fault; the caller checks its successor.
     """
-    index = config.index
     rule = label.rule
-    main_send = rule == "ASYNC-CALL" and not index.methods_send
-    if not (main_send or rule in _LOCAL_RULES or rule == "ASSIGN-FIELD"):
+    if rule not in _SAFE_RULES:
         return False
+    index = config.index
     top = config.threads[label.obj.id][-1]
-    this = top.env["this"]
+    this = top.env["this"].id
     head = top.stmts[0]
     reads = index._heads.get(id(head), _UNSEEN)
     if reads is _UNSEEN:
-        reads = index.head_reads(head, top.env, config.heap[this.id].cls)
+        reads = index.head_reads(head, top.env, config.heap[this].cls)
     if reads is None:
         return False
-    if rule == "ASSIGN-FIELD":
-        return not _reached_first(config, label, this.id, reads, head.target)
-    if reads:
-        return not main_send and not _reached_first(config, label, this.id, reads, None)
-    return True
+    if rule == "ASYNC-CALL":
+        return not reads and not _reached_first(config, label, _SENDS)
+    if rule == "ASYNC-RETURN":
+        held = config.heap[this].locks
+        for msg in config.queues[label.actor]:
+            if not held.isdisjoint(msg.sync):
+                return False
+        group = label.actor.id
+        touched = {(group, _QUEUE, True), (None, _QUEUE, True), (None, _RESOLVED, False)}
+    elif rule == "ASSIGN-FIELD":
+        touched = {(obj, head.target, wrote) for obj in (this, None) for wrote in (True, False)}
+    elif reads:
+        touched = set()
+    else:
+        return True
+    touched.update([(obj, name, True) for obj in (this, None) for name in reads])
+    return not _reached_first(config, label, touched)
 
 
 _UNSEEN = object()  # a head ProgramIndex.head_reads has not kept
@@ -912,36 +929,30 @@ def _field_reads(e: Expr, env: dict, stable: frozenset, out: set) -> bool:
     return isinstance(e, _CONSTANTS)
 
 
-def _reached_first(
-    config: Configuration, label: StepLabel, this: int, reads: frozenset, write: Optional[str]
-) -> bool:
+def _reached_first(config: Configuration, label: StepLabel, touched) -> bool:
     """Whether, before ``label`` is taken, another object's thread, a
-    queued message or a message they may still send can write a field of
-    object ``this`` named in ``reads``, or read or write its field
-    ``write``.  Skips the queued messages :func:`is_safe` says it may."""
+    queued message or a message they may still send can make an access in
+    ``touched``: the ``(object id or None, field, written)`` triples, as
+    :class:`_AccessWalk` records them, that conflict with the step.  Skips
+    the queued messages :func:`is_safe` says it may."""
     mover = label.obj.id
     for obj, thread in enumerate(config.threads):
         if obj != mover:
             for closure in thread:
-                if _touches(_closure_access(config, closure), this, reads, write):
+                if _touches(_closure_access(config, closure), touched):
                     return True
-    held = config.heap[label.obj.id].locks
+    held = config.heap[mover].locks
     for actor, queue in config.queues.items():
         for msg in queue:
             if (actor != label.actor or held.isdisjoint(msg.sync)) and _touches(
-                _message_access(config, msg), this, reads, write
+                _message_access(config, msg), touched
             ):
                 return True
     return False
 
 
-def _touches(access, this: int, reads: frozenset, write: Optional[str]) -> bool:
-    if access is _ANY:
-        return True
-    for obj, name, wrote in access:
-        if (obj is None or obj == this) and (name == write or (wrote and name in reads)):
-            return True
-    return False
+def _touches(access, touched) -> bool:
+    return access is _ANY or not touched.isdisjoint(access)
 
 
 def _closure_access(config: Configuration, closure: Closure):
@@ -977,8 +988,11 @@ _ANY = object()  # the accesses of a walk that met an _Unbounded
 class _AccessWalk:
     """The field accesses code may still make, as ``(object id or None,
     field, written)`` triples in :attr:`found`; None stands for any object.
-    :meth:`closure` and :meth:`message` walk once and give the accesses as
-    a frozenset of those triples, or ``_ANY``.
+    A send also writes the pseudo-field ``_QUEUE`` of its target group
+    (None when the walk does not know the target) and ``_NEXT_FUTURE``,
+    and ``e?`` reads ``_RESOLVED``.  :meth:`closure` and :meth:`message`
+    walk once and give the accesses as a frozenset of those triples, or
+    ``_ANY``.
 
     One abstract pass over the statements.  Locals, arguments and stable
     fields of a known ``this`` keep their values, so ``acc == 1`` and
@@ -1075,6 +1089,9 @@ class _AccessWalk:
         if t is SyncCall or t is AsyncCall:
             target = self._expr(value.target, env, this, cls)
             args = [self._expr(a, env, this, cls) for a in value.args]
+            if t is AsyncCall:
+                group = target.id if type(target) is ObjRef else None
+                self.found.update([(group, _QUEUE, True), (None, _NEXT_FUTURE, True)])
             if t is AsyncCall or target is _UNKNOWN:
                 self.any_object(value.method, args)
             elif type(target) is ObjRef and self.heap[target.id].cls is not None:
@@ -1117,6 +1134,7 @@ class _AccessWalk:
         if t is This:
             return this
         if t is Resolved:
+            self.found.add((None, _RESOLVED, False))
             self._expr(e.target, env, this, cls)
         return _UNKNOWN  # e? and the Hole of a waiting caller
 

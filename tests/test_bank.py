@@ -299,6 +299,41 @@ def test_maci_run_cli(tmp_path, capsys):
     assert trace.exists() and len(read_jsonl(trace)) > 0
 
 
+# outer() holds (a, 1) and waits for inner(1), which needs (a, 1)
+SAME_KEY_GET = """
+interface IO { Int outer(sync<a> Int k); Int inner(sync<a> Int k); }
+class O implements IO {
+  Int outer(sync<a> Int k) { Fut<Int> f; f = this!inner(k); f.get; return 1; }
+  Int inner(sync<a> Int k) { return k; }
+}
+{ Actor<IO> o; Fut<Int> g; o = new actor O(); g = o!outer(1); g.get; }
+"""
+
+
+def test_maci_run_reports_a_deadlock(tmp_path, capsys):
+    # quiescent with threads still waiting used to print "status: quiescent"
+    program = tmp_path / "stuck.mac"
+    program.write_text(SAME_KEY_GET)
+    rc = maci_main(["run", str(program)])
+    out = capsys.readouterr().out
+    assert rc == 4
+    assert out.splitlines()[1:] == [
+        "status: deadlock",
+        "  obj0 waits on g.get",
+        "  obj1 waits on f.get",
+        "  queue of obj1: inner(1)",
+        "futures:",
+        "  g = <pending>",
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PROGRAMS.glob("*.mac") if p.stem != "loop"))
+def test_maci_run_ends_the_bundled_programs_clean(name, capsys):
+    # loop.mac spins for ever; test_maci_run_fuel_exhausted runs it
+    assert maci_main(["run", str(PROGRAMS / f"{name}.mac")]) == 0
+    assert "status: quiescent" in capsys.readouterr().out
+
+
 def test_maci_run_fuel_exhausted(capsys):
     rc = maci_main(["run", str(PROGRAMS / "loop.mac"), "--fuel", "50"])
     out = capsys.readouterr().out

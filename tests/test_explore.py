@@ -384,6 +384,93 @@ class K implements IB {
 """
 
 
+# ASYNC-RETURN alone.  In each program below, a return is raced by a step
+# that only the full search takes before it, and a search that takes the
+# return alone loses a terminal or a verdict.
+
+# Main gets ping() while op(1) may still hold (k, 1), then sends two(1, 2)
+# on the same key and op(2).  Under a selection that ignores the held
+# entry or the shadow, the idle worker starts one of them: a violation,
+# but only in the orders where op(1) has not returned yet.
+SAME_KEY_AFTER_GET = """
+interface IW { Int op(sync<k> Int a); Int two(sync<k> Int a, sync<k> Int b); Int ping(); Int grow(); }
+class L implements IW {
+  Int op(sync<k> Int a) { Int x; x = a + 1; return x; }
+  Int two(sync<k> Int a, sync<k> Int b) { return a + b; }
+  Int ping() { return 0; }
+  Int grow() { IW t; t = new W(); return 0; }
+}
+class W implements IW {
+  Int op(sync<k> Int a) { Int x; x = a + 1; return x; }
+  Int two(sync<k> Int a, sync<k> Int b) { return a + b; }
+  Int ping() { return 0; }
+  Int grow() { return 0; }
+}
+{ Actor<IW> b; Fut<Int> g; Fut<Int> f; Fut<Int> p; Fut<Int> t; Fut<Int> h;
+  b = new actor L(); g = b!grow(); g.get; f = b!op(1); p = b!ping(); p.get;
+  t = b!two(1, 2); h = b!op(2); }
+"""
+
+# op() has set v but not returned when peek() reads v = 1; main then tests
+# f? and finds op() still running: r = 2 with h = 1.
+RESOLVED_WHILE_RUNNING = """
+interface IS { Int op(); Int peek(); Int grow(); }
+interface IV { Int set(); Int read(); }
+class Boss implements IS, IV {
+  Int v;
+  Int set() { v = 1; return 0; }
+  Int read() { return v; }
+  Int op() { Int r; r = this.set(); return r; }
+  Int peek() { Int r; r = this.read(); return r; }
+  Int grow() { IS t; t = new Teller(this); return 0; }
+}
+class Teller(IV boss) implements IS {
+  Int op() { Int r; r = boss.set(); return r; }
+  Int peek() { Int r; r = boss.read(); return r; }
+  Int grow() { return 0; }
+}
+{ Actor<IS> b; Fut<Int> g; Fut<Int> f; Fut<Int> h; Int r;
+  b = new actor Boss(); g = b!grow(); g.get; f = b!op(); h = b!peek(); h.get;
+  if f? { r = 1; } else { r = 2; } }
+"""
+
+# look()'s return reads v, which the worker's put() writes: 5 only when
+# the write comes between the two reads.
+RETURN_READS_FIELD = """
+interface IG { Int look(); Int put(); Int grow(); }
+interface IP { Int put(); }
+interface IV { Int set(); }
+class Boss implements IG, IP, IV {
+  Int v;
+  Int set() { v = 5; return 0; }
+  Int put() { Int r; r = this.set(); return r; }
+  Int look() { Int x; x = v; return v - x; }
+  Int grow() { IP t; t = new W(this); return 0; }
+}
+class W(IV boss) implements IP { Int put() { Int r; r = boss.set(); return r; } }
+{ Actor<IG> b; Fut<Int> g; Fut<Int> l; Fut<Int> p;
+  b = new actor Boss(); g = b!grow(); g.get; l = b!look(); p = b!put(); }
+"""
+
+# fwd() sends op(1) to its own group, the leader through this and the
+# worker through its field, while the first op(1) may still hold (k, 1).
+SELF_SEND = """
+interface IW { Int op(sync<k> Int a); Int fwd(Int a); Int grow(); }
+class L implements IW {
+  Int op(sync<k> Int a) { Int x; x = a + 1; return x; }
+  Int fwd(Int a) { Fut<Int> f; f = this!op(a); return 0; }
+  Int grow() { IW t; t = new W(this); return 0; }
+}
+class W(IW boss) implements IW {
+  Int op(sync<k> Int a) { Int x; x = a + 1; return x; }
+  Int fwd(Int a) { Fut<Int> f; f = boss!op(a); return 0; }
+  Int grow() { return 0; }
+}
+{ Actor<IW> b; Fut<Int> g; Fut<Int> f; Fut<Int> h;
+  b = new actor L(); g = b!grow(); g.get; f = b!op(1); h = b!fwd(1); }
+"""
+
+
 def broken_select(supported, held, queue, **_):
     """Selection with the conflict checks removed: first supported message
     wins regardless of held locks or earlier conflicting messages."""
@@ -425,7 +512,7 @@ def test_bank_small_explores_clean(bank_small):
     assert report.ok
     assert not report.truncated
     assert report.faults == 0
-    assert report.states == 98
+    assert report.states == 70
     valuations = terminal_future_values(report)
     assert len(valuations) == 1
     (only,) = valuations
@@ -488,6 +575,23 @@ def test_a_second_writer_between_two_reads_is_not_cut(source, answers):
     report = explore_all(initial_config(parse_program(source)), 400)
     assert report.ok and not report.truncated and report.faults == 0
     assert {l for (l,) in future_values(report, "l")} == answers
+
+
+def test_a_return_is_not_taken_before_a_step_that_races_it():
+    # each answer or verdict below needs a step taken before a return
+    report = explore_all(initial_config(parse_program(RETURN_READS_FIELD)), 400)
+    assert {l for (l,) in future_values(report, "l")} == {0, 5}
+    report = explore_all(initial_config(parse_program(RESOLVED_WHILE_RUNNING)), 400)
+    answers = {(cfg.futures[cfg.main_env()["h"]], cfg.main_env()["r"]) for cfg in report.terminals}
+    assert (1, 2) in answers
+    for source, select_fn, kind in [
+        (SAME_KEY_AFTER_GET, broken_select, "theorem1"),
+        (SAME_KEY_AFTER_GET, shadowless_select, "order"),
+        (SELF_SEND, broken_select, "theorem1"),
+    ]:
+        report = explore_all(initial_config(parse_program(source)), 400, select_fn=select_fn)
+        assert [v.kind for v in report.violations] == [kind]
+        assert explore_all(initial_config(parse_program(source)), 400).ok
 
 
 def test_states_do_not_grow_with_the_worker_count():
@@ -758,6 +862,10 @@ def _differential_programs():
     yield "arity miss", parse_program(ARITY_MISS), 400
     yield "faulting branch", parse_program(FAULTING_BRANCH), 400
     yield "loop beside fault", parse_program(LOOP_BESIDE_FAULT), 400
+    yield "same key after get", parse_program(SAME_KEY_AFTER_GET), 400
+    yield "resolved while running", parse_program(RESOLVED_WHILE_RUNNING), 400
+    yield "return reads field", parse_program(RETURN_READS_FIELD), 400
+    yield "self send", parse_program(SELF_SEND), 400
     for seed in range(150):
         yield f"progen-{seed}", gen_program(random.Random(seed)), 20
 
@@ -968,7 +1076,24 @@ def explore_without_symmetry(config, depth, select_fn):
 def explore_without_field_rule(config, depth, select_fn):
     """``explore_all`` with no step that reads or writes a field that is
     not stable taken alone."""
-    with mock.patch.object(interp_module, "_reached_first", lambda *_: True):
+    reached = interp_module._reached_first
+
+    def field_reached(config, label, touched):
+        # a field's name is an identifier, a pseudo-field's is not
+        return any(name.isidentifier() for _, name, _ in touched) or reached(config, label, touched)
+
+    with mock.patch.object(interp_module, "_reached_first", field_reached):
+        return explore_all(config, depth, select_fn=select_fn)
+
+
+def explore_without_return_rule(config, depth, select_fn):
+    """``explore_all`` with no ASYNC-RETURN taken alone."""
+    safe = interp_module.is_safe
+
+    def is_safe(config, label):
+        return label.rule != "ASYNC-RETURN" and safe(config, label)
+
+    with mock.patch.object(explore_module, "is_safe", is_safe):
         return explore_all(config, depth, select_fn=select_fn)
 
 
@@ -977,7 +1102,7 @@ def test_reduced_search_keeps_terminals_faults_and_verdict():
     # reduction may cut short, so for those only the diagnostics compare.
     # Where the cut of interchangeable objects changes the state count,
     # non-faulted terminals compare up to renaming those objects.
-    compared = faulty = violating = symmetric = field_level = 0
+    compared = faulty = violating = symmetric = field_level = return_rule = 0
     for select_fn in (select, broken_select):
         for name, program, depth in _differential_programs():
             _, truncated, faults, terminals, violation = reference_explore(
@@ -988,6 +1113,10 @@ def test_reduced_search_keeps_terminals_faults_and_verdict():
             report = explore_all(initial_config(program), depth, select_fn=select_fn)
             field_level += (
                 explore_without_field_rule(initial_config(program), depth, select_fn).states
+                != report.states
+            )
+            return_rule += (
+                explore_without_return_rule(initial_config(program), depth, select_fn).states
                 != report.states
             )
             kind = report.violations[0].kind if report.violations else None
@@ -1009,6 +1138,7 @@ def test_reduced_search_keeps_terminals_faults_and_verdict():
             faulty += faults > 0
     assert compared >= 300 and faulty >= 200 and violating >= 1 and symmetric >= 4
     assert field_level >= 8, field_level
+    assert return_rule >= 10, return_rule
 
 
 SPIN_AFTER_SEND = """

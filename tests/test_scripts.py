@@ -12,7 +12,7 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # What the machine does on the test programs; a change of the machine that
 # moves it says why in CHANGES.md.
-MACHINE_DIGEST = "71be56f752a14bad09dc356f6d2189b277c2e2c3150ea3cc934c87f86b7ede1a"
+MACHINE_DIGEST = "6d8efc9f251b5bc2b93fb87a626f2560346c37dd63c798557d38fc69bb76706e"
 
 
 def run_script(name: str, env=None) -> str:
@@ -46,11 +46,11 @@ def test_explore_variants_prints_every_variant():
     rows = [line for line in out.splitlines() if re.match(r"\| \d+, \(", line)]
     # variant, states and terminals; the time columns vary from run to run
     assert [tuple(row.split(" | ")[:3]) for row in rows] == [
-        ("| 2, (2,1), (2)", "96", "1"),
-        ("| 3, (2,1), (2)", "98", "1"),
-        ("| 2, (3,2), (1,2)", "281", "1"),
-        ("| 3, (3,2), (1,2)", "283", "1"),
-        ("| 4, (3,3), (1,2)", "374", "1"),
+        ("| 2, (2,1), (2)", "55", "1"),
+        ("| 3, (2,1), (2)", "57", "1"),
+        ("| 2, (3,2), (1,2)", "203", "1"),
+        ("| 3, (3,2), (1,2)", "205", "1"),
+        ("| 4, (3,3), (1,2)", "282", "1"),
     ]
 
 
@@ -60,8 +60,8 @@ def test_explore_layers_prints_a_row_per_program():
     # program, six shares, then keys, steps and states per exploration,
     # which a change of representation leaves as they are
     assert [(row[0], *row[7:]) for row in rows] == [
-        ("| explore-bank", "143", "323", "96 |"),
-        ("| 4, (3,3), (1,2)", "597", "1500", "374 |"),
+        ("| explore-bank", "75", "211", "55 |"),
+        ("| 4, (3,3), (1,2)", "437", "1214", "282 |"),
     ]
     assert all(0 < float(share.rstrip("%")) < 100 for row in rows for share in row[1:7])
 
