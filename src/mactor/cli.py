@@ -14,10 +14,9 @@ import time
 
 from .bank import Workload, run_scenario
 from .explore import explore_all
-from .interp import FutRef, FuelExhausted, initial_config, run
+from .interp import FutRef, FuelExhausted, initial_config, run, stuck
 from .parser import ParseError, ResolutionError, parse_program
 from .runtime import EventLog
-from .syntax import format_expr
 
 
 def _fail(line: str):
@@ -56,21 +55,6 @@ def _print_futures(config) -> None:
     for name, value in sorted(env.items()):
         if isinstance(value, FutRef):
             print(f"  {name} = {config.futures[value.id]!r}")
-
-
-def _stuck(config) -> list[str]:
-    """What a quiescent state still holds: each object whose thread has
-    statements left, which can only be a ``get`` on a pending future, and
-    each queue with messages that no object can start."""
-    lines = []
-    for obj, thread in enumerate(config.threads):
-        if thread and thread[-1].stmts:
-            lines.append(f"obj{obj} waits on {format_expr(thread[-1].stmts[0].value)}.get")
-    for actor, queue in config.queues.items():
-        if queue:
-            calls = (f"{m.method}({', '.join(map(repr, m.args))})" for m in queue)
-            lines.append(f"queue of {actor!r}: {', '.join(calls)}")
-    return lines
 
 
 def _positive(text: str) -> int:
@@ -155,13 +139,13 @@ def maci_main(argv=None) -> int:
         if exhausted:
             print("status: fuel exhausted")
             return 2
-        stuck = _stuck(final)
-        print("status: deadlock" if stuck else "status: quiescent")
-        for line in stuck:
+        waiting = stuck(final)
+        print("status: deadlock" if waiting else "status: quiescent")
+        for line in waiting:
             print(f"  {line}")
         print("futures:")
         _print_futures(final)
-        return 4 if stuck else 0
+        return 4 if waiting else 0
 
     started = time.perf_counter()
     report = explore_all(config, args.depth)
@@ -169,14 +153,19 @@ def maci_main(argv=None) -> int:
     print(f"states: {report.states}")
     print(f"time: {elapsed:.3f} s")
     print(f"states/s: {report.states / elapsed:.0f}")
-    print(f"terminals: {len(report.terminals)} (faulted: {report.faults})")
+    print(
+        f"terminals: {len(report.terminals)} "
+        f"(faulted: {report.faults}, deadlocked: {report.deadlocks})"
+    )
     print(f"truncated: {report.truncated}")
     for violation in report.violations:
         print(f"violation [{violation.kind}]: {violation.detail}")
         for label in violation.trace:
             print(f"  {label.rule} actor={label.actor.id} obj={label.obj.id}"
                   + (f" msg={label.method}#{label.priority}" if label.method else ""))
-    return 1 if report.violations else 0
+    if report.violations:
+        return 1
+    return 4 if report.deadlocks else 0
 
 
 def macbench_main(argv=None) -> int:

@@ -128,7 +128,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .interp import Configuration, StepLabel, enabled_steps, is_safe, object_step
+from .interp import Configuration, StepLabel, enabled_steps, is_safe, object_step, stuck
 # The search applies its labels unchecked (see above), and makes every
 # successor through this name, which perfbench's layers.py patches.
 from .interp import _apply as step
@@ -159,6 +159,13 @@ class ExploreReport:
     def faults(self) -> int:
         """Faulted terminals met, by the reduced search."""
         return sum(c.fault is not None for c in self.terminals)
+
+    @property
+    def deadlocks(self) -> int:
+        """Deadlocked terminals met, by the reduced search: not faulted,
+        yet some object waits or some queue holds a message
+        (:func:`mactor.interp.stuck`)."""
+        return sum(c.fault is None and bool(stuck(c)) for c in self.terminals)
 
 
 def _check_lock_disjointness(config: Configuration) -> Optional[str]:
@@ -228,7 +235,7 @@ def _safe_run(
     run = [label]
     while len(run) < budget and not (
         label.rule == "COND-TRUE"
-        and type(config.threads[label.obj.id][-1].stmts[0]) is While
+        and type(config.threads[label.obj.id][-1].point.head) is While
     ):
         label = object_step(succ, label.actor, label.obj, select_fn)
         if label is None or not is_safe(succ, label):

@@ -9,6 +9,13 @@ and :func:`run` drives the machine under a schedule policy.  Steps are pure:
 they build a new configuration and never touch the old one, which is what
 lets the explorer fan out over all interleavings.
 
+A frame of a thread runs at a program point (:class:`Point`): a statement
+with the points control goes to after it.  A method body or the main block
+is compiled into points once per :class:`ProgramIndex`, the first time it
+runs, so a step moves a frame to a point it already has and builds no
+statement tuple; a ``while`` body's last point goes back to the loop's own
+point, so iterations make no new points.
+
 Runtime errors in the interpreted program (calling a method on null, an
 asynchronous call on a plain object, a non-boolean guard) do not raise in
 the host; they produce a terminal configuration whose ``fault`` field holds
@@ -28,8 +35,9 @@ from .scheduler import (
     QueuedMessage,
     SyncEntry,
     lock_union,
+    planned_sync_set,
     select as default_select,
-    sync_set_of,
+    sync_plan,
 )
 from .syntax import (
     Assign,
@@ -57,6 +65,7 @@ from .syntax import (
     Type,
     Var,
     While,
+    format_expr,
     walk_stmts,
 )
 
@@ -151,19 +160,98 @@ class Hole(Expr):
 
 
 # --------------------------------------------------------------------------
+# program points
+
+_UNSEEN = object()  # a fact of a point not derived yet
+
+
+class Point:
+    """A program point: ``head``, the statement run there (None at the end
+    of a body), and ``next``, the point after it.  An ``if`` also has its
+    ``then`` and ``orelse`` points, a ``while`` its ``body`` point, whose
+    last point continues at the loop's own point.  A synchronous call site
+    has its ``waiting`` point, whose head ``x = <hole>`` the caller holds
+    while the callee runs, and that point one resume point per returned
+    value, whose head ``x = v`` assigns it (:meth:`resume`).  ``reads`` is
+    what the head reads, as :meth:`ProgramIndex.head_reads` gives it, and
+    ``code`` the interned key of the statements from here to the end of
+    the body (:meth:`ProgramIndex.code`); both are derived on first use.
+    A point belongs to one body of one ProgramIndex."""
+
+    __slots__ = ("head", "next", "then", "orelse", "body", "waiting", "resumes", "key",
+                 "reads", "code")
+
+    def __init__(self, head: Optional[Stmt], next: Optional["Point"], key=None):
+        self.head = head
+        self.next = next
+        # the head's part of ``code``: the statement, or the form of a
+        # head the call rules stand for
+        self.key = head if key is None else key
+        self.reads = _UNSEEN
+        self.code = None
+        t = type(head)
+        if t is If:
+            self.then = _points(head.then, next)
+            self.orelse = _points(head.orelse, next)
+        elif t is While:
+            self.body = _points(head.body, self)
+        elif t is Assign and type(head.value) is SyncCall:
+            target = head.target
+            self.waiting = Point(Assign(target, Hole()), next, ("hole", target))
+            self.waiting.resumes = {}
+
+    def resume(self, value: Value) -> "Point":
+        """The point a caller waiting here resumes at when ``value`` is
+        returned, made once per value, kept with its type (``True`` is not
+        ``1``)."""
+        key = (type(value), value)
+        found = self.resumes.get(key)
+        if found is None:
+            target = self.head.target
+            found = self.resumes[key] = Point(
+                Assign(target, ValueLit(value)), self.next, ("value", target, *key)
+            )
+        return found
+
+    @property
+    def stmts(self) -> tuple[Stmt, ...]:
+        """The heads from here to the end of the body."""
+        out = []
+        point = self
+        while point.head is not None:
+            out.append(point.head)
+            point = point.next
+        return tuple(out)
+
+
+def _points(stmts: tuple[Stmt, ...], after: Point) -> Point:
+    """The first point of ``stmts``, followed by ``after``."""
+    point = after
+    for s in reversed(stmts):
+        point = Point(s, point)
+    return point
+
+
+# --------------------------------------------------------------------------
 # machine state
 
 class Closure:
-    """A frame of a thread.  Treat as immutable; steps build new ones."""
+    """A frame of a thread: an environment and the program point it runs
+    at.  Treat as immutable; steps build new ones."""
 
-    __slots__ = ("env", "stmts", "_id", "_access")
+    __slots__ = ("env", "point", "_id", "_access")
 
-    def __init__(self, env: dict, stmts: tuple[Stmt, ...]):
+    def __init__(self, env: dict, point: Point):
         self.env = env  # var name -> Value; includes 'this' and, in message bodies, 'dest'
-        self.stmts = stmts
+        self.point = point
         self._id = None  # interned key, set by ProgramIndex.thread_id on first use
         # what the rest of the closure may access, set by _closure_access
         self._access = None
+
+    @property
+    def stmts(self) -> tuple[Stmt, ...]:
+        """The statements the frame has left to run."""
+        return self.point.stmts
 
 
 Thread = tuple  # of Closure; empty tuple means idle
@@ -250,12 +338,14 @@ class ProgramIndex:
     table behind :meth:`Configuration.canonical`.
 
     Interning (hash-consing) maps each distinct component key to a small
-    :class:`_Id`.  Statements, lock sets and queued messages are numbered
-    once per object, when first met; closures and object records cache
-    their number.  An environment is keyed as its names then its values, a
-    field map by its values alone (a class fixes its fields), so neither
-    builds a tuple per entry.  The table lives and dies with its index:
-    numbers from two indexes are not comparable.
+    :class:`_Id`.  The index also holds the program's points
+    (:meth:`entry`), each of which caches its code number; lock sets and
+    queued messages are numbered once per object, when first met; closures
+    and object records cache their number.  An environment is keyed as its
+    names then its values, a field map by its values alone (a class fixes
+    its fields), so neither builds a tuple per entry.  The table and the
+    points live and die with their index: numbers from two indexes are not
+    comparable.
     """
 
     def __init__(self, program: Program):
@@ -275,14 +365,19 @@ class ProgramIndex:
         }
         self._ids: dict = {}  # key -> _Id
         self._keys: list = []  # _Id -> key
-        # id() of each statement, lock set and queued message met -> its
-        # number, by value, given on first sight to keep set-up cheap;
-        # _numbered holds each so that its id() is not reused
+        # id() of each lock set and queued message met -> its number, by
+        # value, given on first sight to keep set-up cheap; _numbered holds
+        # each so that its id() is not reused
         self._numbers: dict[int, _Id] = {}
         self._numbered: list = []
-        # id() of a statement of the program -> its head_reads; the program
-        # holds every statement, so no other object takes one of these ids
-        self._heads: dict[int, Optional[frozenset[str]]] = {}
+        # the point after the last statement of every body, and per body of
+        # the program (by id(), the program holds them) its first point
+        self._end = Point(None, None)
+        self._end.code = self.intern(())
+        self._entries: dict[int, Point] = {}
+        # (class, method, arity) -> (signature, sync plan) of an event, or
+        # the diagnostic of the fault a send makes
+        self._events: dict[tuple, object] = {}
         # id() of a queued message -> (the message, its accesses)
         self._messages: dict[int, tuple] = {}
 
@@ -316,16 +411,27 @@ class ProgramIndex:
             found = tuple([n if n is not None else number(o) for n, o in zip(found, objs)])
         return found
 
-    def _stmt_key(self, s: Stmt):
-        # First sight of a statement.  The heads the step rules build for a
-        # caller waiting on a synchronous call, then holding its result,
-        # are new objects every time: keyed by structure, never numbered.
-        value = s.value if type(s) is Assign else None
-        if type(value) is Hole:
-            return ("hole", s.target)
-        if type(value) is ValueLit:
-            return ("value", s.target, type(value.value), value.value)
-        return self._number(s, s)
+    def entry(self, body: tuple[Stmt, ...]) -> Point:
+        """The first point of ``body``, a method body or the main block,
+        compiled on its first run."""
+        found = self._entries.get(id(body))
+        if found is None:
+            found = self._entries[id(body)] = _points(body, self._end)
+        return found
+
+    def code(self, point: Point) -> _Id:
+        """The number of the statements from ``point`` to the end of its
+        body, kept on each point on the way: the head's key, then the next
+        point's number.  Two points have equal numbers exactly when they
+        have equal statements left, as the structural statements compare."""
+        chain = []
+        while point.code is None:
+            chain.append(point)
+            point = point.next
+        code = point.code
+        for point in reversed(chain):
+            code = point.code = self.intern((point.key, code))
+        return code
 
     def _message_key(self, m: QueuedMessage) -> _Id:
         # its signature and sync follow from method and args, its future
@@ -348,11 +454,13 @@ class ProgramIndex:
 
     def thread_id(self, thread: Thread) -> _Id:
         """A thread of one closure is keyed as its number, any other as the
-        tuple of its closures' numbers (a closure's key starts with a tuple)."""
+        tuple of its closures' numbers (a closure's key holds its names)."""
         for c in thread:
             if c._id is None:
                 values = c.env.values()
-                code = self._numbers_of(c.stmts, self._stmt_key)
+                code = c.point.code
+                if code is None:
+                    code = self.code(c.point)
                 c._id = self.intern((code, *c.env, *map(type, values), *values))
         return thread[0]._id if len(thread) == 1 else self.intern(tuple(map(_cached_id, thread)))
 
@@ -395,34 +503,35 @@ class ProgramIndex:
         """The fields that are not stable which ``head`` reads at the top of
         a closure of environment ``env`` run by an object of class ``cls``;
         None when its expressions hold anything but literals, names and
-        operators.  Kept per statement of the program: a statement only
-        runs in frames of its own method, which all bind the same names,
-        with ``this`` of its own class.  The heads SYNC-CALL and SYNC-RETURN
-        build anew each time are not kept."""
+        operators.  :func:`is_safe` keeps it per point: a point only runs
+        in frames of its own method, which all bind the same names, with
+        ``this`` of its own class."""
         stable = self.stable_fields.get(cls, frozenset())
         reads: set = set()
         if all(_field_reads(e, env, stable, reads) for e in _head_exprs(head)):
-            reads = frozenset(reads)
-        else:
-            reads = None
-        value = head.value if type(head) is Assign else None
-        if type(value) is not Hole and type(value) is not ValueLit:
-            self._heads[id(head)] = reads
-        return reads
+            return frozenset(reads)
+        return None
 
     # ---- program lookups
 
-    def event_signature(self, cls: str, method: str, nargs: int) -> MethodSig:
+    def event(self, cls: str, method: str, nargs: int) -> tuple[MethodSig, tuple]:
         """Signature attached to an event sent to a group whose first object
-        is of class ``cls``.  Ambiguity across interfaces is a fault."""
-        found = {
-            sig for sig in self.class_supported[cls] if sig.name == method and sig.arity == nargs
-        }
-        if not found:
-            raise _EvalFault(f"actor does not accept '{method}' with {nargs} argument(s)")
-        if len(found) > 1:
-            raise _EvalFault(f"ambiguous signature for '{method}' across interfaces")
-        return next(iter(found))
+        is of class ``cls``, and its sync plan, found once per class,
+        method and arity.  Ambiguity across interfaces is a fault."""
+        key = (cls, method, nargs)
+        found = self._events.get(key)
+        if found is None:
+            sigs = [s for s in self.class_supported[cls] if s.name == method and s.arity == nargs]
+            if not sigs:
+                found = f"actor does not accept '{method}' with {nargs} argument(s)"
+            elif len(sigs) > 1:
+                found = f"ambiguous signature for '{method}' across interfaces"
+            else:
+                found = (sigs[0], sync_plan(sigs[0].param_labels))
+            self._events[key] = found
+        if type(found) is str:
+            raise _EvalFault(found)
+        return found
 
 
 class Configuration:
@@ -574,7 +683,7 @@ class Configuration:
         for thread in self.threads:
             for closure in thread:
                 values += closure.env.values()
-                head = closure.stmts[0] if closure.stmts else None
+                head = closure.point.head
                 if type(head) is Assign and type(head.value) is ValueLit:
                     values.append(head.value.value)
         return frozenset([v.id for v in values if type(v) is ObjRef])
@@ -616,10 +725,11 @@ def initial_config(program: Program) -> Configuration:
     env: dict = {"this": ANONYMOUS}
     for d in program.main_vars:
         env[d.name] = default_value(d.type)
+    index = ProgramIndex(program)
     return Configuration(
-        index=ProgramIndex(program),
+        index=index,
         heap=(ObjectState(cls=None, myactor=ANONYMOUS, locks=EMPTY_LOCKS, fields={}),),
-        threads=((Closure(env, program.main_body),),),
+        threads=((Closure(env, index.entry(program.main_body)),),),
         futures=Futures(),
         queues={},
         groups=((ANONYMOUS,),),
@@ -739,7 +849,7 @@ def object_step(
     if not thread:
         return _sched_label(config, actor, obj, select_fn)
     top = thread[-1]
-    if not top.stmts:
+    if top.point.head is None:
         return None  # the main closure after its last statement
     return _stmt_label(config, actor, obj, thread, top)
 
@@ -761,7 +871,7 @@ def _sched_label(
 def _stmt_label(
     config: Configuration, actor: ObjRef, obj: ObjRef, thread: Thread, top: Closure
 ) -> Optional[StepLabel]:
-    s = top.stmts[0]
+    s = top.point.head
     t = type(s)  # statement and expression classes are final
     if t is Assign:
         rhs = type(s.value)
@@ -860,8 +970,8 @@ def is_safe(config: Configuration, label: StepLabel) -> bool:
     hold the same entry at the same time.
 
     The facts that depend on one immutable value are derived once per
-    value, not per state: what a head reads, once per statement of the
-    program (:meth:`ProgramIndex.head_reads`), and what the rest of a
+    value, not per state: what a head reads, once per program point
+    (:meth:`ProgramIndex.head_reads`), and what the rest of a
     closure or a queued message may access, once per closure or message
     object (:func:`_closure_access`, :func:`_message_access`).  Objects
     never die, an object's class and stable fields never change, and an
@@ -877,13 +987,13 @@ def is_safe(config: Configuration, label: StepLabel) -> bool:
     rule = label.rule
     if rule not in _SAFE_RULES:
         return False
-    index = config.index
     top = config.threads[label.obj.id][-1]
     this = top.env["this"].id
-    head = top.stmts[0]
-    reads = index._heads.get(id(head), _UNSEEN)
+    point = top.point
+    head = point.head
+    reads = point.reads
     if reads is _UNSEEN:
-        reads = index.head_reads(head, top.env, config.heap[this].cls)
+        reads = point.reads = config.index.head_reads(head, top.env, config.heap[this].cls)
     if reads is None:
         return False
     if rule == "ASYNC-CALL":
@@ -903,9 +1013,6 @@ def is_safe(config: Configuration, label: StepLabel) -> bool:
         return True
     touched.update([(obj, name, True) for obj in (this, None) for name in reads])
     return not _reached_first(config, label, touched)
-
-
-_UNSEEN = object()  # a head ProgramIndex.head_reads has not kept
 
 
 def _head_exprs(s: Stmt) -> tuple:
@@ -1171,18 +1278,18 @@ def _apply(config: Configuration, label: StepLabel) -> Configuration:
     rule needs the selection."""
     thread = config.threads[label.obj.id]
     top = thread[-1] if thread else None  # SCHED-MSG runs on an idle object
-    head = top.stmts[0] if top else None
+    point = top.point if top else None
     try:
-        return _RULES[label.rule](config, label, thread, top, head)
+        return _RULES[label.rule](config, label, thread, top, point)
     except _EvalFault as fault:
         return config.evolve(fault=fault.diagnostic)
 
 
 # ---- rule bodies
 
-def _with_top(config: Configuration, label: StepLabel, thread: Thread, stmts: tuple):
-    """The top closure of ``thread`` going on with ``stmts``."""
-    top = Closure(thread[-1].env, stmts)
+def _with_top(config: Configuration, label: StepLabel, thread: Thread, point: Point):
+    """The top closure of ``thread`` going on at ``point``."""
+    top = Closure(thread[-1].env, point)
     return config.evolve(thread=(label.obj, thread[:-1] + (top,)))
 
 
@@ -1192,12 +1299,12 @@ def _assign(
     thread: Thread,
     target: str,
     value: Value,
-    rest: tuple,
+    rest: Point,
     future: Optional[tuple] = None,
     queues: Optional[dict] = None,
 ) -> Configuration:
     """Write ``target`` either in the local environment or, failing that, in
-    the fields of the closure's own object, then drop the statement.
+    the fields of the closure's own object, then go on at ``rest``.
     ``future`` and ``queues`` are the step's other writes."""
     top = thread[-1]
     env, record = top.env, None
@@ -1216,28 +1323,30 @@ def _assign(
     return config.evolve(thread=(label.obj, thread), record=record, future=future, queues=queues)
 
 
-def _plain_assign(config, label, thread, top, s) -> Configuration:
+def _plain_assign(config, label, thread, top, point) -> Configuration:
+    s = point.head
     v = _eval(config, top.env, s.value)
-    return _assign(config, label, thread, s.target, v, top.stmts[1:])
+    return _assign(config, label, thread, s.target, v, point.next)
 
 
-def _cond(config, label, thread, top, s) -> Configuration:
+def _cond(config, label, thread, top, point) -> Configuration:
+    s = point.head
     taken = _eval_guard(config, top.env, s.cond)
     if type(s) is If:
-        rest = (s.then if taken else s.orelse) + top.stmts[1:]
+        rest = point.then if taken else point.orelse
     else:
-        rest = s.body + top.stmts if taken else top.stmts[1:]
+        rest = point.body if taken else point.next
     return _with_top(config, label, thread, rest)
 
 
-def _read_fut(config, label, thread, top, s) -> Configuration:
-    if not isinstance(_eval(config, top.env, s.value), FutRef):
+def _read_fut(config, label, thread, top, point) -> Configuration:
+    if not isinstance(_eval(config, top.env, point.head.value), FutRef):
         raise _EvalFault("'.get' applied to a non-future value")
-    return _with_top(config, label, thread, top.stmts[1:])
+    return _with_top(config, label, thread, point.next)
 
 
-def _sync_call(config, label, thread, top, s) -> Configuration:
-    call: SyncCall = s.value
+def _sync_call(config, label, thread, top, point) -> Configuration:
+    call: SyncCall = point.head.value
     callee = _eval(config, top.env, call.target)
     if callee is None:
         raise _EvalFault(f"synchronous call to '{call.method}' on null")
@@ -1249,27 +1358,29 @@ def _sync_call(config, label, thread, top, s) -> Configuration:
             f"synchronous call to '{call.method}' crosses an actor boundary"
         )
     cls = config.heap[callee.id].cls
-    mdef = config.index.class_methods.get(cls, {}).get(call.method) if cls else None
+    index = config.index
+    mdef = index.class_methods.get(cls, {}).get(call.method) if cls else None
     if mdef is None:
         raise _EvalFault(f"object has no method '{call.method}'")
     if len(call.args) != mdef.sig.arity:
         raise _EvalFault(f"'{call.method}' expects {mdef.sig.arity} argument(s)")
     args = [_eval(config, top.env, a) for a in call.args]
     callee_env = _method_frame(mdef, {"this": callee}, args)
-    waiting = Closure(top.env, (Assign(s.target, Hole()),) + top.stmts[1:])
-    called = thread[:-1] + (waiting, Closure(callee_env, mdef.body))
+    waiting = Closure(top.env, point.waiting)
+    called = thread[:-1] + (waiting, Closure(callee_env, index.entry(mdef.body)))
     return config.evolve(thread=(label.obj, called))
 
 
-def _sync_return(config, label, thread, top, s) -> Configuration:
-    # the caller below waits with a Hole at its head, put there by SYNC-CALL
+def _sync_return(config, label, thread, top, point) -> Configuration:
+    # the caller below waits at the waiting point of its call site
     below = thread[-2]
-    v = _eval(config, top.env, s.value)
-    resumed = Closure(below.env, (Assign(below.stmts[0].target, ValueLit(v)),) + below.stmts[1:])
+    v = _eval(config, top.env, point.head.value)
+    resumed = Closure(below.env, below.point.resume(v))
     return config.evolve(thread=(label.obj, thread[:-2] + (resumed,)))
 
 
-def _async_call(config, label, thread, top, s) -> Configuration:
+def _async_call(config, label, thread, top, point) -> Configuration:
+    s = point.head
     call: AsyncCall = s.value
     target = _eval(config, top.env, call.target)
     if target is None:
@@ -1277,26 +1388,26 @@ def _async_call(config, label, thread, top, s) -> Configuration:
     if not isinstance(target, ObjRef) or target not in config.queues:
         raise _EvalFault(f"asynchronous call target is not an actor")
     args = tuple(_eval(config, top.env, a) for a in call.args)
-    sig = config.index.event_signature(config.heap[target.id].cls, call.method, len(args))
+    sig, plan = config.index.event(config.heap[target.id].cls, call.method, len(args))
     fut = FutRef(len(config.futures))
     msg = QueuedMessage(
         method=call.method,
         args=args,
         future=fut,
-        sync=sync_set_of(sig.param_labels, args),
+        sync=planned_sync_set(plan, args),
         signature=sig,
         priority=fut.id,
     )
     queues = dict(config.queues)
     queues[target] = queues[target] + (msg,)
     return _assign(
-        config, label, thread, s.target, fut, top.stmts[1:], future=(fut, PENDING), queues=queues
+        config, label, thread, s.target, fut, point.next, future=(fut, PENDING), queues=queues
     )
 
 
-def _async_return(config, label, thread, top, s) -> Configuration:
+def _async_return(config, label, thread, top, point) -> Configuration:
     dest = top.env["dest"]  # the resolver keeps return out of the main block
-    v = _eval(config, top.env, s.value)
+    v = _eval(config, top.env, point.head.value)
     assert config.futures[dest.id] is PENDING, "future written twice"
     obj = label.obj
     state = config.heap[obj.id]
@@ -1307,10 +1418,10 @@ def _async_return(config, label, thread, top, s) -> Configuration:
     )
 
 
-def _new(config, label, thread, top, s) -> Configuration:
+def _new(config, label, thread, top, point) -> Configuration:
     """NEW-ACTOB and NEW-ACTOR: ``new C(..)`` joins the caller's group, and
     ``new actor C(..)`` is the first object of a fresh group."""
-    new = s.value
+    new = point.head.value
     cls = config.index.classes.get(new.class_name)
     if cls is None:
         raise _EvalFault(f"unknown class '{new.class_name}'")
@@ -1334,7 +1445,7 @@ def _new(config, label, thread, top, s) -> Configuration:
         # starts with its first object initialized, idle, and an empty queue.
         queues={**config.queues, obj: ()} if is_actor else None,
     )
-    return _assign(made, label, thread, s.target, obj, top.stmts[1:])
+    return _assign(made, label, thread, point.head.target, obj, point.next)
 
 
 def _sched_msg(config, label, *_) -> Configuration:
@@ -1344,10 +1455,11 @@ def _sched_msg(config, label, *_) -> Configuration:
     queues = dict(config.queues)
     queues[actor] = tuple(m for m in queue if m is not msg)
     state = config.heap[obj.id]
-    mdef = config.index.class_methods[state.cls][msg.method]
+    index = config.index
+    mdef = index.class_methods[state.cls][msg.method]
     env = _method_frame(mdef, {"this": obj, "dest": msg.future}, msg.args)
     return config.evolve(
-        thread=(obj, (Closure(env, mdef.body),)),
+        thread=(obj, (Closure(env, index.entry(mdef.body)),)),
         record=(obj, ObjectState(state.cls, state.myactor, msg.sync, state.fields)),
         queues=queues,
     )
@@ -1418,3 +1530,21 @@ def run(
     if enabled_steps(current, select_fn):
         raise FuelExhausted(current, trace)
     return current, trace
+
+
+def stuck(config: Configuration) -> list[str]:
+    """What a quiescent state still holds, one line each: every object
+    whose top frame has a statement left, which can only be a ``get`` on a
+    pending future, and every queue with messages that no object can
+    start.  A quiescent state that is not faulted and holds any of these is
+    deadlocked."""
+    lines = []
+    for obj, thread in enumerate(config.threads):
+        head = thread[-1].point.head if thread else None
+        if head is not None:
+            lines.append(f"obj{obj} waits on {format_expr(head.value)}.get")
+    for actor, queue in config.queues.items():
+        if queue:
+            calls = (f"{m.method}({', '.join(map(repr, m.args))})" for m in queue)
+            lines.append(f"queue of {actor!r}: {', '.join(calls)}")
+    return lines

@@ -198,7 +198,7 @@ def test_all_blocked_and_empty_queues_is_deadlock():
     env["f"] = fut
     blocked = c.evolve(
         future=(fut, PENDING),
-        thread=(ANONYMOUS, (Closure(env, thread[0].stmts),)),
+        thread=(ANONYMOUS, (Closure(env, thread[0].point),)),
     )
     assert enabled_steps(blocked) == []
 
