@@ -2,7 +2,7 @@
 
     python3 scripts/explore_variants.py
 
-Runs ``explore_all`` to completion on five variants of perfbench's
+Runs ``explore_all`` to completion on seven variants of perfbench's
 generated bank program (``perfbench/workloads.py:explore_program``: tellers,
 withdrawals on accounts 1 and 2, accounts checked), each with seed 1 and
 best of 3 runs, with this process pinned to one CPU.  Every terminal must
@@ -33,6 +33,8 @@ VARIANTS = (
     ExploreSpec(tellers=2, withdrawals=(3, 2), checks=(1, 2)),
     ExploreSpec(tellers=3, withdrawals=(3, 2), checks=(1, 2)),
     ExploreSpec(tellers=4, withdrawals=(3, 3), checks=(1, 2)),
+    ExploreSpec(tellers=8, withdrawals=(3, 3), checks=(1, 2)),
+    ExploreSpec(tellers=16, withdrawals=(3, 3), checks=(1, 2)),
 )
 
 

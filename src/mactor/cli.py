@@ -96,9 +96,12 @@ def maci_main(argv=None) -> int:
         "explore",
         help="visit all interleavings up to a depth",
         description="Search the interleavings up to a depth, checking the two invariants. "
-        "'states:' counts the states the reduced search stored; a run of safe steps "
-        "stores only the state it ends in, and --depth counts every step. "
-        "'states/s:' is that count over the search's time.",
+        "'states:' counts the states the reduced search stored, those where it branches: "
+        "a run of safe steps stores only the state it ends in, also when it starts at a "
+        "successor of a state that expands every step, and --depth counts every step. "
+        "'states/s:' is that count over the search's time. 'terminals:' counts the end "
+        "states met, with the faulted and the deadlocked (something still waits) among "
+        "them. Exits 1 on a violation, else 4 when a terminal is deadlocked.",
     )
     p_explore.add_argument("file")
     p_explore.add_argument("--depth", type=_positive, default=1000)

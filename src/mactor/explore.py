@@ -18,6 +18,15 @@ Exploration stops at the first violation and reports the trace that exposed
 it.  ``select_fn`` is injectable so a deliberately broken selection rule can
 be shown to trip the checks.
 
+A terminal that is not faulted but in which an object still waits on a
+``get``, or a queue still holds a message, is deadlocked
+(:func:`mactor.interp.stuck`); :attr:`ExploreReport.deadlocks` counts
+them, as ``faults`` counts faulted ones.  Neither clears ``ok``, which
+stays the verdict on the two invariants above: a deadlock is an outcome of
+the program, reported beside its other terminals, not a broken guarantee
+of the scheduler.  ``maci explore`` exits 4 on one when it found no
+violation.
+
 The search is reduced by ample sets (Godefroid, LNCS 1032, 1996): in each
 state, a step that :func:`mactor.interp.is_safe` judges independent of
 every other object's steps is expanded alone, and only otherwise is every
@@ -63,6 +72,22 @@ is enough: a state's distance is fixed when it is first seen, so a run
 kept alone always ends at a strictly greater distance than it starts; no
 cycle goes to a greater distance on every edge, so every cycle keeps a
 fully expanded state.
+
+Only the states where the search branches are stored: the root, the ends
+of runs, and the successors of a full expansion whose mover has no safe
+next step.  A successor of a full expansion whose mover does have one is
+neither keyed nor stored either; the run goes on from it at once, through
+the same helper as the run that starts at a stored state, and its end is
+stored with the full expansion's label and the run's labels.  Stored, that
+successor would have expanded that same run alone, so the skipped state
+adds nothing the run does not (the ample-set argument above).  It is
+stored as before in the two cases where it would have been fully expanded
+instead: the run's first step faults, or the run's end was already reached
+at a distance no greater than the successor's.  Its proviso is judged when
+it is made; the end's distance, fixed when the end was first seen, is the
+one the proviso would have read later, and a run still ends at a greater
+distance than the successor it starts from, so the argument above holds
+as it stands.
 
 The dependency relation knows fields, values and locks (the ample set's
 condition C1, Peled, CAV 1993).  A step that reads a field of ``this``
@@ -113,7 +138,8 @@ interleavings, so a faulted terminal may be reached with less progress of
 the other objects, and the trace to a violation may differ.  Only
 SCHED-MSG takes locks, and no run of safe steps contains one, so lock
 disjointness is checked on the root and on the successors of SCHED-MSG
-steps, which are the first states with overlapping sets on any path.
+steps, which are the first states with overlapping sets on any path,
+when they are made, since they need not be stored.
 
 ``select_fn`` must be prefix-stable: when it picks a message from a queue,
 it picks the same message from that queue with more messages appended.
@@ -144,8 +170,9 @@ class Violation:
 
 @dataclass
 class ExploreReport:
-    # states the search stored and expanded; the states inside a merged
-    # run of safe steps are not stored, so they are not counted
+    # states the search stored and expanded: the states where it branches;
+    # the states inside a merged run of safe steps, and a full expansion's
+    # successors that a run goes on from, are not stored, so not counted
     states: int
     terminals: list[Configuration] = field(default_factory=list)
     violations: list[Violation] = field(default_factory=list)
@@ -260,13 +287,13 @@ def explore_all(
     Returns the number of distinct states the reduced search stored, the
     terminal configurations it met (quiescent or faulted), whether the
     depth bound cut anything off, and the first invariant violation found,
-    if any, with its full trace.  ``faults`` counts the distinct faulted
-    terminals met, not those of the full search.  ``select_fn`` must be
-    prefix-stable.
+    if any, with its full trace.  ``faults`` and ``deadlocks`` count the
+    distinct faulted and deadlocked terminals met, not those of the full
+    search.  ``select_fn`` must be prefix-stable.
 
     Each state asks the object that moved into it for its one step
-    (:func:`mactor.interp.object_step`) first, unless the run that ended
-    there already asked and carries the answer.  If
+    (:func:`mactor.interp.object_step`) first, unless the step that made
+    it already asked and carries the answer.  If
     :func:`mactor.interp.is_safe` accepts that step, or else the first
     enabled step it accepts, that step and the run of safe steps its
     object takes after it (:func:`_safe_run`) are taken alone, and only
@@ -280,6 +307,10 @@ def explore_all(
     every cycle keeps a fully expanded state.  A full expansion drops the
     SCHED-MSGs of interchangeable objects but the lowest-id one's, so the
     terminals are those of the full search up to renaming such objects.
+    Each of its successors asks its mover for the next step at once, and
+    when that step is safe the run goes on from the successor, which is
+    stored only when the run's first step faults or its end fails the
+    proviso.
     The labels the search applies come from ``object_step`` or
     ``enabled_steps`` on the same state, so they are not derived again
     to check them, and each successor is made once.
@@ -291,8 +322,8 @@ def explore_all(
     # key -> (parent key, the labels from the parent, distance); the root
     # has no parent
     parents: dict = {root_key: (None, (), 0)}
-    # (state, key, distance, the last label that produced it, the answer
-    # of the run that ended there, as _safe_run gives it, or None)
+    # (state, key, distance, the last label that produced it, what is known
+    # of its mover's next step, (label, safe, successor), or None)
     frontier: deque = deque([(config, root_key, 0, None, None)])
 
     def trace_to(key) -> tuple[StepLabel, ...]:
@@ -302,16 +333,30 @@ def explore_all(
             runs.append(run)
         return tuple(label for run in reversed(runs) for label in run)
 
+    def run_on(parent, before: tuple, state, dist: int, label, succ) -> bool:
+        # The run of safe steps that label, a safe step of state at
+        # distance dist, begins, succ being its successor, which has not
+        # faulted.  Stores the run's end as reached from parent by the
+        # labels before and then the run's, unless it was already seen.
+        # False when state needs full expansion instead: the end was
+        # already reached at a distance no greater than state's (the
+        # proviso); an end seen at a greater distance closes a diamond.
+        run, end, answer = _safe_run(state, label, succ, depth - dist, select_fn)
+        end_key = end.canonical()
+        seen = parents.get(end_key)
+        if seen is None:
+            parents[end_key] = (parent, before + run, dist + len(run))
+            frontier.append((end, end_key, dist + len(run), run[-1], answer))
+            return True
+        return seen[2] > dist
+
+    problem = _check_lock_disjointness(config)
+    if problem:
+        report.violations.append(Violation("theorem1", problem, ()))
+        return report
     while frontier:
         current, key, dist, mover, known = frontier.popleft()
         report.states += 1
-        # Only SCHED-MSG takes locks, so the first state with overlapping
-        # lock sets on any path is the root or a SCHED-MSG successor.
-        if mover is None or mover.rule == "SCHED-MSG":
-            problem = _check_lock_disjointness(current)
-            if problem:
-                report.violations.append(Violation("theorem1", problem, trace_to(key)))
-                return report
         labels = picked = None
         if known is not None:
             pick, safe, picked = known
@@ -336,21 +381,12 @@ def explore_all(
             continue
         # Ample set: a run of safe steps alone, unless its first successor
         # is faulted, a dead end that would hide the other objects' faults,
-        # or its end was reached at a distance no greater than this
-        # state's, which could close a cycle that never takes the other
-        # objects' steps (the proviso).  An end seen at a greater distance
-        # closes only a diamond.
+        # or the proviso fails.  A known successor of the pick means that
+        # its run was tried when this state was made, and failed so.
         if pick is not None:
             if picked is None:
                 picked = step(current, pick)
-            if picked.fault is None:
-                run, end, answer = _safe_run(current, pick, picked, depth - dist, select_fn)
-                end_key = end.canonical()
-                seen = parents.get(end_key)
-                if seen is None:
-                    parents[end_key] = (key, run, dist + len(run))
-                    frontier.append((end, end_key, dist + len(run), run[-1], answer))
-                if seen is None or seen[2] > dist:
+                if picked.fault is None and run_on(key, (), current, dist, pick, picked):
                     continue
             if labels is None:
                 labels = enabled_steps(current, select_fn, asked)
@@ -365,9 +401,31 @@ def explore_all(
                     )
                     return report
             succ = picked if label == pick else step(current, label)
+            # Only SCHED-MSG takes locks, so the first state with
+            # overlapping lock sets on any path is the root or a SCHED-MSG
+            # successor.
+            if label.rule == "SCHED-MSG":
+                problem = _check_lock_disjointness(succ)
+                if problem:
+                    report.violations.append(
+                        Violation("theorem1", problem, trace_to(key) + (label,))
+                    )
+                    return report
+            # A successor whose mover steps on safely is not stored: the
+            # run goes on from it, unless it faults or fails the proviso.
+            answer = None
+            if dist + 1 < depth:
+                after = object_step(succ, label.actor, label.obj, select_fn)
+                if after is None or not is_safe(succ, after):
+                    answer = (after, False, None)
+                else:
+                    made = step(succ, after)
+                    if made.fault is None and run_on(key, (label,), succ, dist + 1, after, made):
+                        continue
+                    answer = (after, True, made)
             succ_key = succ.canonical()
             if succ_key in parents:
                 continue
             parents[succ_key] = (key, (label,), dist + 1)
-            frontier.append((succ, succ_key, dist + 1, label, None))
+            frontier.append((succ, succ_key, dist + 1, label, answer))
     return report

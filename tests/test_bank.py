@@ -327,6 +327,17 @@ def test_maci_run_reports_a_deadlock(tmp_path, capsys):
     ]
 
 
+def test_maci_explore_reports_a_deadlock(tmp_path, capsys):
+    # the deadlocked terminal used to count as a clean one, with exit 0
+    program = tmp_path / "stuck.mac"
+    program.write_text(SAME_KEY_GET)
+    rc = maci_main(["explore", str(program)])
+    out = capsys.readouterr().out
+    assert rc == 4
+    assert "terminals: 1 (faulted: 0, deadlocked: 1)" in out.splitlines()
+    assert "truncated: False" in out.splitlines()
+
+
 @pytest.mark.parametrize("name", sorted(p.stem for p in PROGRAMS.glob("*.mac") if p.stem != "loop"))
 def test_maci_run_ends_the_bundled_programs_clean(name, capsys):
     # loop.mac spins for ever; test_maci_run_fuel_exhausted runs it
@@ -407,6 +418,7 @@ def test_maci_explore_cli(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "states:" in out and "truncated: False" in out
+    assert "terminals: 1 (faulted: 0, deadlocked: 0)" in out
     fields = dict(line.split(": ", 1) for line in out.splitlines())
     assert float(fields["time"].removesuffix(" s")) > 0
     assert float(fields["states/s"]) > 0

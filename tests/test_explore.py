@@ -20,10 +20,12 @@ from mactor.interp import (
     enabled_steps,
     object_step,
     step,
+    stuck,
 )
 from mactor.scheduler import QueuedMessage, SyncEntry, select
 from mactor.syntax import Assign
 from progen import gen_program
+from test_bank import SAME_KEY_GET
 
 
 UNLABELLED_RACE = """
@@ -470,6 +472,25 @@ class W(IW boss) implements IW {
   b = new actor L(); g = b!grow(); g.get; f = b!op(1); h = b!fwd(1); }
 """
 
+# Both of the group's objects may start an x() and wait on the z() it
+# sends, and then nothing is left to start z(): a deadlock in the orders
+# where the second x() starts before the first one's z().
+SOME_ORDERS_DEADLOCK = """
+interface IX { Int x(); Int z(); Int grow(); }
+class L implements IX {
+  Int x() { Fut<Int> f; f = this!z(); f.get; return 1; }
+  Int z() { return 2; }
+  Int grow() { IX t; t = new W(this); return 0; }
+}
+class W(IX boss) implements IX {
+  Int x() { Fut<Int> f; f = boss!z(); f.get; return 1; }
+  Int z() { return 2; }
+  Int grow() { return 0; }
+}
+{ Actor<IX> b; Fut<Int> g; Fut<Int> f1; Fut<Int> f2;
+  b = new actor L(); g = b!grow(); g.get; f1 = b!x(); f2 = b!x(); }
+"""
+
 
 def broken_select(supported, held, queue, **_):
     """Selection with the conflict checks removed: first supported message
@@ -512,7 +533,7 @@ def test_bank_small_explores_clean(bank_small):
     assert report.ok
     assert not report.truncated
     assert report.faults == 0
-    assert report.states == 70
+    assert report.states == 37
     valuations = terminal_future_values(report)
     assert len(valuations) == 1
     (only,) = valuations
@@ -812,11 +833,13 @@ def symmetric_key(c):
 def reference_explore(config, depth, key=reference_key, select_fn=select, terminal_key=reference_key):
     """Plain BFS over every enabled step, deduplicating states by ``key``:
     (states, truncated, faults, a Counter of the terminals' ``terminal_key``,
-    kind of the first invariant violation met in BFS order or None).  It
-    does not stop at a violation."""
+    kind of the first invariant violation met in BFS order or None, the set
+    of the deadlocked terminals' ``terminal_key``).  It does not stop at a
+    violation."""
     seen = {key(config)}
     frontier = deque([(config, 0)])
     states, truncated, faults, terminals, violation = 0, False, 0, Counter(), None
+    deadlocked = set()
     while frontier:
         current, dist = frontier.popleft()
         states += 1
@@ -826,6 +849,8 @@ def reference_explore(config, depth, key=reference_key, select_fn=select, termin
         if not labels:
             terminals[terminal_key(current)] += 1
             faults += current.fault is not None
+            if current.fault is None and stuck(current):
+                deadlocked.add(terminal_key(current))
             continue
         if dist >= depth:
             truncated = True
@@ -839,7 +864,7 @@ def reference_explore(config, depth, key=reference_key, select_fn=select, termin
             if succ_key not in seen:
                 seen.add(succ_key)
                 frontier.append((succ, dist + 1))
-    return states, truncated, faults, terminals, violation
+    return states, truncated, faults, terminals, violation, deadlocked
 
 
 def _differential_programs():
@@ -866,6 +891,8 @@ def _differential_programs():
     yield "resolved while running", parse_program(RESOLVED_WHILE_RUNNING), 400
     yield "return reads field", parse_program(RETURN_READS_FIELD), 400
     yield "self send", parse_program(SELF_SEND), 400
+    yield "same key get", parse_program(SAME_KEY_GET), 400
+    yield "some orders deadlock", parse_program(SOME_ORDERS_DEADLOCK), 400
     for seed in range(150):
         yield f"progen-{seed}", gen_program(random.Random(seed)), 20
 
@@ -1101,10 +1128,10 @@ def test_reduced_search_keeps_terminals_faults_and_verdict():
     # reduction may cut short, so for those only the diagnostics compare.
     # Where the cut of interchangeable objects changes the state count,
     # non-faulted terminals compare up to renaming those objects.
-    compared = faulty = violating = symmetric = field_level = return_rule = 0
+    compared = faulty = violating = symmetric = field_level = return_rule = deadlocking = 0
     for select_fn in (select, broken_select):
         for name, program, depth in _differential_programs():
-            _, truncated, faults, terminals, violation = reference_explore(
+            _, truncated, faults, terminals, violation, deadlocked = reference_explore(
                 initial_config(program), depth, select_fn=select_fn
             )
             if truncated:
@@ -1129,13 +1156,18 @@ def test_reduced_search_keeps_terminals_faults_and_verdict():
             if explore_without_symmetry(initial_config(program), depth, select_fn).states != report.states:
                 symmetric += 1
                 key = symmetric_key
-                terminals = reference_explore(
+                _, _, _, terminals, _, deadlocked = reference_explore(
                     initial_config(program), depth, select_fn=select_fn, terminal_key=key
-                )[3]
+                )
             reduced = Counter(key(cfg) for cfg in report.terminals)
             assert _fault_and_clean_terminals(reduced) == _fault_and_clean_terminals(terminals), name
+            stuck_keys = [key(cfg) for cfg in report.terminals if cfg.fault is None and stuck(cfg)]
+            assert report.deadlocks == len(stuck_keys), name
+            assert set(stuck_keys) == deadlocked, name
             faulty += faults > 0
+            deadlocking += bool(deadlocked)
     assert compared >= 300 and faulty >= 200 and violating >= 1 and symmetric >= 4
+    assert deadlocking >= 4, deadlocking
     assert field_level >= 8, field_level
     assert return_rule >= 10, return_rule
 

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -23,7 +24,9 @@ from mactor import (
     run,
     step,
 )
+from mactor import interp as interp_module
 from mactor.interp import ANONYMOUS, Closure, object_step
+from mactor.syntax import Assign, SyncCall, walk_stmts
 
 COUNTER = """
 interface IC { Int inc(Int x); }
@@ -201,6 +204,32 @@ def test_all_blocked_and_empty_queues_is_deadlock():
         thread=(ANONYMOUS, (Closure(env, thread[0].point),)),
     )
     assert enabled_steps(blocked) == []
+
+
+def test_a_loop_makes_no_new_program_points():
+    # A while body goes back to the loop's own point, and a call site
+    # resumes at one point per returned value, so a thousand iterations
+    # visit no more points than the program has statements and call sites
+    # (each with its waiting point and the point of the one value returned),
+    # and the end of the main block.
+    program = prog(
+        "{ IC c; Int i; Int x; c = new K(); while i < 1000 { x = c.inc(0); i = i + x; } }"
+    )
+    bodies = [program.main_body] + [m.body for c in program.classes for m in c.methods]
+    stmts = [s for body in bodies for s in walk_stmts(body)]
+    calls = [s for s in stmts if isinstance(s, Assign) and isinstance(s.value, SyncCall)]
+    points = set()
+    apply = interp_module._apply
+
+    def recorded(config, label):
+        after = apply(config, label)
+        points.update(closure.point for thread in after.threads for closure in thread)
+        return after
+
+    with mock.patch.object(interp_module, "_apply", recorded):
+        final, trace = run(initial_config(program), "fifo")
+    assert final.main_env()["i"] == 1000 and len(trace) > 4000
+    assert len(points) <= len(stmts) + 2 * len(calls) + 1, len(points)
 
 
 # ---- the worked five-message scenario at machine level

@@ -123,7 +123,7 @@ def test_perfbench_patch_points_are_called():
         Configuration, "evolve", evolve
     ):
         report = mactor.explore_all(mactor.initial_config(load_program("bank_small")), 500)
-    assert report.ok and report.states == 70
+    assert report.ok and report.states == 37
     assert calls["enabled_steps"] and calls["canonical"] and stepped
     # every successor is made through ``step``, and each exactly once
     assert calls["evolve outside step"] == 0
