@@ -136,10 +136,10 @@ non-faulted terminal state up to a renaming of interchangeable objects
 diagnostic and whether some state violates an invariant.  It drops
 interleavings, so a faulted terminal may be reached with less progress of
 the other objects, and the trace to a violation may differ.  Only
-SCHED-MSG takes locks, and no run of safe steps contains one, so lock
-disjointness is checked on the root and on the successors of SCHED-MSG
-steps, which are the first states with overlapping sets on any path,
-when they are made, since they need not be stored.
+SCHED-MSG takes locks, no run of safe steps contains one, and the initial
+state holds none, so lock disjointness is checked on the successors of
+SCHED-MSG steps, which are the first states with overlapping sets on any
+path, when they are made, since they need not be stored.
 
 ``select_fn`` must be prefix-stable: when it picks a message from a queue,
 it picks the same message from that queue with more messages appended.
@@ -333,27 +333,27 @@ def explore_all(
             runs.append(run)
         return tuple(label for run in reversed(runs) for label in run)
 
-    def run_on(parent, before: tuple, state, dist: int, label, succ) -> bool:
-        # The run of safe steps that label, a safe step of state at
-        # distance dist, begins, succ being its successor, which has not
-        # faulted.  Stores the run's end as reached from parent by the
-        # labels before and then the run's, unless it was already seen.
-        # False when state needs full expansion instead: the end was
-        # already reached at a distance no greater than state's (the
-        # proviso); an end seen at a greater distance closes a diamond.
+    def run_on(parent, before: tuple, state, dist: int, label):
+        # Takes label, a safe step of state at distance dist, and the run
+        # of safe steps it begins, and stores the run's end as reached
+        # from parent by the labels before and then the run's, unless it
+        # was already seen.  None when that is all state needs; else the
+        # step's successor, and state needs full expansion: the successor
+        # faults, or the end was already reached at a distance no greater
+        # than state's (the proviso).  An end seen at a greater distance
+        # closes a diamond.
+        succ = step(state, label)
+        if succ.fault is not None:
+            return succ
         run, end, answer = _safe_run(state, label, succ, depth - dist, select_fn)
         end_key = end.canonical()
         seen = parents.get(end_key)
-        if seen is None:
-            parents[end_key] = (parent, before + run, dist + len(run))
-            frontier.append((end, end_key, dist + len(run), run[-1], answer))
-            return True
-        return seen[2] > dist
+        if seen is not None:
+            return None if seen[2] > dist else succ
+        parents[end_key] = (parent, before + run, dist + len(run))
+        frontier.append((end, end_key, dist + len(run), run[-1], answer))
+        return None
 
-    problem = _check_lock_disjointness(config)
-    if problem:
-        report.violations.append(Violation("theorem1", problem, ()))
-        return report
     while frontier:
         current, key, dist, mover, known = frontier.popleft()
         report.states += 1
@@ -385,8 +385,8 @@ def explore_all(
         # its run was tried when this state was made, and failed so.
         if pick is not None:
             if picked is None:
-                picked = step(current, pick)
-                if picked.fault is None and run_on(key, (), current, dist, pick, picked):
+                picked = run_on(key, (), current, dist, pick)
+                if picked is None:
                     continue
             if labels is None:
                 labels = enabled_steps(current, select_fn, asked)
@@ -401,9 +401,9 @@ def explore_all(
                     )
                     return report
             succ = picked if label == pick else step(current, label)
-            # Only SCHED-MSG takes locks, so the first state with
-            # overlapping lock sets on any path is the root or a SCHED-MSG
-            # successor.
+            # Only SCHED-MSG takes locks, and the root holds none, so the
+            # first state with overlapping lock sets on any path is a
+            # SCHED-MSG successor.
             if label.rule == "SCHED-MSG":
                 problem = _check_lock_disjointness(succ)
                 if problem:
@@ -419,8 +419,8 @@ def explore_all(
                 if after is None or not is_safe(succ, after):
                     answer = (after, False, None)
                 else:
-                    made = step(succ, after)
-                    if made.fault is None and run_on(key, (label,), succ, dist + 1, after, made):
+                    made = run_on(key, (label,), succ, dist + 1, after)
+                    if made is None:
                         continue
                     answer = (after, True, made)
             succ_key = succ.canonical()

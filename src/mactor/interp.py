@@ -213,16 +213,6 @@ class Point:
             )
         return found
 
-    @property
-    def stmts(self) -> tuple[Stmt, ...]:
-        """The heads from here to the end of the body."""
-        out = []
-        point = self
-        while point.head is not None:
-            out.append(point.head)
-            point = point.next
-        return tuple(out)
-
 
 def _points(stmts: tuple[Stmt, ...], after: Point) -> Point:
     """The first point of ``stmts``, followed by ``after``."""
@@ -250,8 +240,14 @@ class Closure:
 
     @property
     def stmts(self) -> tuple[Stmt, ...]:
-        """The statements the frame has left to run."""
-        return self.point.stmts
+        """The statements the frame has left to run: the heads from its
+        point to the end of the body."""
+        out = []
+        point = self.point
+        while point.head is not None:
+            out.append(point.head)
+            point = point.next
+        return tuple(out)
 
 
 Thread = tuple  # of Closure; empty tuple means idle
@@ -404,11 +400,13 @@ class ProgramIndex:
         self._numbered.append(obj)
         return found
 
-    def _numbers_of(self, objs: tuple, number: Callable) -> tuple:
-        # each of objs numbered by number on first sight
-        found = tuple(map(self._numbers.get, map(id, objs)))
+    def _message_numbers(self, queue: tuple) -> tuple:
+        # each message of queue numbered on first sight
+        found = tuple(map(self._numbers.get, map(id, queue)))
         if None in found:
-            found = tuple([n if n is not None else number(o) for n, o in zip(found, objs)])
+            found = tuple(
+                [n if n is not None else self._message_key(m) for n, m in zip(found, queue)]
+            )
         return found
 
     def entry(self, body: tuple[Stmt, ...]) -> Point:
@@ -458,16 +456,14 @@ class ProgramIndex:
         for c in thread:
             if c._id is None:
                 values = c.env.values()
-                code = c.point.code
-                if code is None:
-                    code = self.code(c.point)
+                code = self.code(c.point)
                 c._id = self.intern((code, *c.env, *map(type, values), *values))
         return thread[0]._id if len(thread) == 1 else self.intern(tuple(map(_cached_id, thread)))
 
     def queues_id(self, queues: dict) -> _Id:
         # per group, its id and its messages' numbers in queue order
         return self.intern(
-            tuple([(a[1], self._numbers_of(q, self._message_key)) for a, q in queues.items()])
+            tuple([(a[1], self._message_numbers(q)) for a, q in queues.items()])
         )
 
     # ---- independence facts for the explorer, derived on first use
@@ -545,8 +541,11 @@ class Configuration:
     order :func:`enabled_steps` takes them in, which only a new object
     changes (an object's ``myactor`` never does).  A queued message's
     priority is its future's id: ASYNC-CALL, the one rule that makes a
-    future, also queues the message.  Every step writes through
-    :meth:`evolve`, which notes the slots it writes for :meth:`canonical`.
+    future, also queues the message.  A busy object's thread is a tuple
+    of closures, each an environment and the program point it runs at
+    (:class:`Point`); a closure is keyed by its point's code number and its
+    environment.  Every step writes through :meth:`evolve`, which notes the
+    slots it writes for :meth:`canonical`.
     """
 
     __slots__ = (
