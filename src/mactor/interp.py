@@ -171,8 +171,8 @@ class Point:
     ``then`` and ``orelse`` points, a ``while`` its ``body`` point, whose
     last point continues at the loop's own point.  A synchronous call site
     has its ``waiting`` point, whose head ``x = <hole>`` the caller holds
-    while the callee runs, and that point one resume point per returned
-    value, whose head ``x = v`` assigns it (:meth:`resume`).  ``reads`` is
+    while the callee runs, and that point has one resume point per
+    returned value, whose head ``x = v`` assigns it (:meth:`resume`).  ``reads`` is
     what the head reads, as :meth:`ProgramIndex.head_reads` gives it, and
     ``code`` the interned key of the statements from here to the end of
     the body (:meth:`ProgramIndex.code`); both are derived on first use.
