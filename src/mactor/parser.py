@@ -7,17 +7,31 @@ for the resolved test.  Sources are ASCII: identifiers are
 CR, LF, FF or VT and is insignificant, and ``//`` starts a comment that runs
 to the end of the line (only a comment may hold other characters).
 
+Operators bind, loosest first: ``&&`` (left-associative), the comparisons
+``== != < <= > >=`` (two operands, never chained), ``+`` and ``-``
+(left-associative), then an operand's postfix ``.m(..)``, ``!m(..)`` and
+``?``.  At most :data:`MAX_NESTING` brackets may be open around a token: the
+``(`` of a parenthesized expression or of an argument or parameter list,
+the ``{`` of a block or a declaration body, the ``<`` of a ``Fut`` or
+``Actor`` type.  Every layer below the parser recurses on nesting, and at
+this depth each stays well inside Python's recursion limit.  (A chain such
+as ``1 + 1 + ...`` deepens the tree without brackets and is not limited.)
+
+:func:`tokenize` scans the source once with one regular expression into the
+token stream: the tokens' texts, as a text fixes its kind.  Tokens keep no
+offset; only when an error is raised is its token's offset found, by
+scanning the source again up to that token.
+
 :func:`parse_program` raises :class:`ParseError` for token-level trouble
 and :class:`ResolutionError` for name problems (undeclared interfaces,
 duplicate names, missing method bodies, misplaced calls or returns).  A
 ParseError has a 1-based line and column; a column counts characters, so a
-tab is one column, and ``\\r\\n`` is one line break.  Tokens carry only their
-offset in the source: the line and column are computed from it when an
-error is raised.
+tab is one column, and ``\\r\\n`` is one line break.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .syntax import (
@@ -81,22 +95,20 @@ KEYWORDS = frozenset(
 # Identifiers reserved for the machine's own bookkeeping.
 RESERVED_NAMES = frozenset({"this", "dest", "myactor"})
 
-# One match is the whitespace and comments before a token, then the token.
-# ``bad`` is the first character no token starts with; its match swallows
-# the rest of the source, so only ``eof`` can follow it.
+# Brackets that may be open around a token (see the module docstring).
+MAX_NESTING = 100
+
+# One match is the whitespace and comments before a token, then the token,
+# the one group.  The last branch takes the first character no token starts
+# with together with the rest of the source, so only eof ("") follows it.
 _TOKEN_RE = re.compile(
-    r"""(?:\s+|//[^\n]*)*
-      (?: (?P<int>\d+)
-        | (?P<kw>(?:%s)\b)
-        | (?P<ident>[A-Za-z_]\w*)
-        | (?P<op>==|!=|<=|>=|&&|[{}()<>,;=.!?+\-])
-        | (?P<eof>\Z)
-        | (?P<bad>.).*
-      )"""
-    % "|".join(sorted(KEYWORDS)),
+    r"""\s*(?://[^\n]*\s*)*
+      ( [A-Za-z_]\w* | \d+ | [{}();,.?+\-] | [<>=!]=? | && | \Z | .+ )""",
     re.ASCII | re.DOTALL | re.VERBOSE,
 )
-_KINDS = (None, *_TOKEN_RE.groupindex)  # group number -> token kind
+_OPERATORS = frozenset("== != <= >= && { } ( ) < > , ; = . ! ? + -".split())
+_WORD_START = frozenset("_0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_COMPARISONS = frozenset(("==", "!=", "<", "<=", ">", ">="))
 
 
 def _error_at(source: str, offset: int, message: str, filename: str | None) -> ParseError:
@@ -104,85 +116,104 @@ def _error_at(source: str, offset: int, message: str, filename: str | None) -> P
     return ParseError(message, source.count("\n", 0, offset) + 1, offset - line_start + 1, filename)
 
 
-def tokenize(source: str, filename: str | None = None) -> list[tuple[str, str, int]]:
-    """``(kind, text, offset)`` tokens, ending in at least three ``eof``
-    tokens so that the parser looks two tokens ahead without a bounds check."""
-    tokens = [(_KINDS[m.lastindex], m[m.lastindex], m.start(m.lastindex)) for m in _TOKEN_RE.finditer(source)]
-    if len(tokens) > 1 and tokens[-2][0] == "bad":
-        _, char, offset = tokens[-2]
-        raise _error_at(source, offset, f"unexpected character {char!r}", filename)
-    return tokens + tokens[-1:] * 2
+def tokenize(source: str, filename: str | None = None) -> list[str]:
+    """The text of each token, then at least three eof tokens (``""``) so
+    that the parser looks two tokens ahead without a bounds check."""
+    tokens = _TOKEN_RE.findall(source)
+    # eof comes twice after trailing whitespace, and once after the last
+    # branch's match, which is then the token before it
+    last = tokens[-2] if len(tokens) > 1 else ""
+    if last and last[0] not in _WORD_START and last not in _OPERATORS:
+        raise _error_at(source, len(source) - len(last), f"unexpected character {last[0]!r}", filename)
+    tokens += ("", "")
+    return tokens
+
+
+def _is_name(text: str) -> bool:
+    """Whether a token is an identifier (tokens are ASCII)."""
+    return text.isidentifier() and text not in KEYWORDS
+
+
+def _offset(source: str, index: int) -> int:
+    """Where token ``index`` starts, found again for an error."""
+    return next(itertools.islice(_TOKEN_RE.finditer(source), index, None)).start(1)
 
 
 class _Parser:
-    # A token's text fixes its kind: keywords and operators are reserved
-    # spellings and only eof has no text.  So a wanted keyword, operator or
-    # "get" is matched on the text alone.  The parser steps only over tokens
-    # it has matched, so it never passes the first eof and peek(2) stays
-    # inside the eof padding.
+    # Keywords and operators are reserved spellings, so a wanted one, or
+    # "get", is matched on the text alone.  The parser steps only over
+    # tokens it has matched, so it never passes the first eof and looking
+    # two tokens ahead stays inside the eof padding.
 
     def __init__(self, source: str, filename: str | None):
         self.source = source
+        self.filename = filename
         self.tokens = tokenize(source, filename)
         self.pos = 0
-        self.filename = filename
+        self.depth = 0  # brackets open around the current token
 
     # ---- token plumbing
 
-    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
-        return self.tokens[self.pos + ahead]
-
     def error(self, message: str) -> ParseError:
-        return _error_at(self.source, self.tokens[self.pos][2], message, self.filename)
+        return _error_at(self.source, _offset(self.source, self.pos), message, self.filename)
 
     def unexpected(self, wanted: str) -> ParseError:
-        kind, text, _ = self.tokens[self.pos]
-        return self.error(f"expected {wanted}, found {text or kind!r}")
-
-    def at(self, text: str) -> bool:
-        return self.tokens[self.pos][1] == text
+        return self.error(f"expected {wanted}, found {self.tokens[self.pos] or 'eof'!r}")
 
     def accept(self, text: str) -> bool:
-        if self.tokens[self.pos][1] == text:
+        if self.tokens[self.pos] == text:
             self.pos += 1
             return True
         return False
 
     def expect(self, text: str) -> None:
-        if self.tokens[self.pos][1] != text:
+        if self.tokens[self.pos] != text:
             raise self.unexpected(repr(text))
         self.pos += 1
 
     def expect_ident(self, what: str) -> str:
-        kind, text, _ = self.tokens[self.pos]
-        if kind != "ident":
+        text = self.tokens[self.pos]
+        if not _is_name(text):
             raise self.unexpected(what)
         self.pos += 1
         return text
+
+    def open(self, bracket: str) -> None:
+        """Step over an opening bracket, one level deeper."""
+        if self.tokens[self.pos] != bracket:
+            raise self.unexpected(repr(bracket))
+        if self.depth == MAX_NESTING:
+            raise self.error(f"brackets nested more than {MAX_NESTING} deep")
+        self.depth += 1
+        self.pos += 1
+
+    def close(self, bracket: str) -> None:
+        self.expect(bracket)
+        self.depth -= 1
 
     # ---- declarations
 
     def program(self) -> Program:
         interfaces = []
-        while self.at("interface"):
+        while self.tokens[self.pos] == "interface":
             interfaces.append(self.interface_decl())
         classes = []
-        while self.at("class"):
+        while self.tokens[self.pos] == "class":
             classes.append(self.class_decl())
         main_vars, main_body = self.block(allow_decls=True)
-        if self.peek()[0] != "eof":
+        if self.tokens[self.pos]:
             raise self.error("expected end of input")
         return Program(tuple(interfaces), tuple(classes), main_vars, main_body)
 
     def interface_decl(self) -> InterfaceDecl:
-        self.expect("interface")
+        self.pos += 1
         name = self.expect_ident("interface name")
-        self.expect("{")
+        self.open("{")
         sigs = []
-        while not self.at("}"):
+        while self.tokens[self.pos] != "}":
             sigs.append(self.signature())
             self.expect(";")
-        self.expect("}")
+        self.close("}")
         return InterfaceDecl(name, tuple(sigs))
 
     def sync_label(self) -> str | None:
@@ -197,9 +228,9 @@ class _Parser:
         return_label = self.sync_label()
         return_type = self.type_ann()
         name = self.expect_ident("method name")
-        self.expect("(")
+        self.open("(")
         params = []
-        if not self.at(")"):
+        if self.tokens[self.pos] != ")":
             while True:
                 label = self.sync_label()
                 ptype = self.type_ann()
@@ -207,49 +238,55 @@ class _Parser:
                 params.append(Param(label, ptype, pname))
                 if not self.accept(","):
                     break
-        self.expect(")")
+        self.close(")")
         return MethodSig(return_label, return_type, name, tuple(params))
 
     def type_ann(self) -> Type:
-        if self.accept("Bool"):
-            return BOOL
-        if self.accept("Int"):
+        text = self.tokens[self.pos]
+        if text == "Int":
+            self.pos += 1
             return INT
-        if self.accept("Fut"):
-            self.expect("<")
+        if text == "Bool":
+            self.pos += 1
+            return BOOL
+        if text == "Fut":
+            self.pos += 1
+            self.open("<")
             inner = self.type_ann()
-            self.expect(">")
+            self.close(">")
             return FutType(inner)
-        if self.accept("Actor"):
-            self.expect("<")
+        if text == "Actor":
+            self.pos += 1
+            self.open("<")
             name = self.expect_ident("interface name")
-            self.expect(">")
+            self.close(">")
             return ActorType(name)
         name = self.expect_ident("type")
         return InterfaceType(name)
 
     def class_decl(self) -> ClassDecl:
-        self.expect("class")
+        self.pos += 1
         name = self.expect_ident("class name")
         params: list[VarDecl] = []
-        if self.accept("("):
-            if not self.at(")"):
+        if self.tokens[self.pos] == "(":
+            self.open("(")
+            if self.tokens[self.pos] != ")":
                 while True:
                     ptype = self.type_ann()
                     pname = self.expect_ident("parameter name")
                     params.append(VarDecl(ptype, pname))
                     if not self.accept(","):
                         break
-            self.expect(")")
+            self.close(")")
         self.expect("implements")
         implements = [self.expect_ident("interface name")]
         while self.accept(","):
             implements.append(self.expect_ident("interface name"))
-        self.expect("{")
+        self.open("{")
         attributes: list[VarDecl] = []
         methods: list[MethodDef] = []
-        while not self.at("}"):
-            if self.at("sync"):
+        while self.tokens[self.pos] != "}":
+            if self.tokens[self.pos] == "sync":
                 methods.append(self.method_def())
                 continue
             mark = self.pos
@@ -257,12 +294,12 @@ class _Parser:
             dname = self.expect_ident("name")
             if self.accept(";"):
                 attributes.append(VarDecl(dtype, dname))
-            elif self.at("("):
+            elif self.tokens[self.pos] == "(":
                 self.pos = mark
                 methods.append(self.method_def())
             else:
                 raise self.error("expected ';' or '(' in class body")
-        self.expect("}")
+        self.close("}")
         return ClassDecl(name, tuple(params), tuple(implements), tuple(attributes), tuple(methods))
 
     def method_def(self) -> MethodDef:
@@ -270,31 +307,31 @@ class _Parser:
         locals_, body = self.block(allow_decls=True)
         return MethodDef(sig, locals_, body)
 
-    def _starts_decl(self) -> bool:
-        kind, text, _ = self.peek()
-        if text in ("Bool", "Int", "Fut", "Actor"):
-            return True
-        return kind == "ident" and self.peek(1)[0] == "ident"
-
     def block(self, allow_decls: bool) -> tuple[tuple[VarDecl, ...], tuple[Stmt, ...]]:
-        self.expect("{")
+        self.open("{")
+        tokens = self.tokens
         decls: list[VarDecl] = []
         if allow_decls:
-            while self._starts_decl():
+            # a declaration starts with a type: a type keyword, or an
+            # interface name followed by the variable's name
+            while (text := tokens[self.pos]) in ("Bool", "Int", "Fut", "Actor") or (
+                _is_name(tokens[self.pos + 1]) and _is_name(text)
+            ):
                 dtype = self.type_ann()
                 dname = self.expect_ident("variable name")
                 self.expect(";")
                 decls.append(VarDecl(dtype, dname))
         stmts: list[Stmt] = []
-        while not self.at("}"):
+        while tokens[self.pos] != "}":
             stmts.append(self.statement())
-        self.expect("}")
+        self.close("}")
         return tuple(decls), tuple(stmts)
 
     # ---- statements
 
     def statement(self) -> Stmt:
-        kind, text, _ = self.peek()
+        tokens = self.tokens
+        text = tokens[self.pos]
         if text == "if":
             self.pos += 1
             cond = self.expression()
@@ -312,12 +349,12 @@ class _Parser:
             value = self.expression()
             self.expect(";")
             return Return(value)
-        if kind == "ident" and self.peek(1)[1] == "=":
+        if tokens[self.pos + 1] == "=" and _is_name(text):
             self.pos += 2
             value = self.expression()
             self.expect(";")
             return Assign(text, value)
-        # Only e.get remains; the postfix parser stops in front of ".get".
+        # Only e.get remains; an operand stops in front of ".get".
         value = self.expression()
         if self.accept("."):
             self.expect("get")
@@ -325,39 +362,66 @@ class _Parser:
             return GetStmt(value)
         raise self.error("expected a statement")
 
-    # ---- expressions (precedence: && < comparisons < additive < postfix)
+    # ---- expressions, by precedence (see the module docstring)
 
     def expression(self) -> Expr:
-        left = self.comparison()
-        while self.accept("&&"):
-            left = BinOp("&&", left, self.comparison())
-        return left
-
-    def comparison(self) -> Expr:
-        left = self.additive()
-        op = self.peek()[1]
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            self.pos += 1
-            return BinOp(op, left, self.additive())
-        return left
-
-    def additive(self) -> Expr:
-        left = self.postfix()
-        while (op := self.peek()[1]) == "+" or op == "-":
-            self.pos += 1
-            left = BinOp(op, left, self.postfix())
-        return left
-
-    def postfix(self) -> Expr:
-        e = self.primary()
+        tokens = self.tokens
+        left = None
         while True:
-            text = self.peek()[1]
+            e = self.sum()
+            op = tokens[self.pos]
+            if op in _COMPARISONS:
+                self.pos += 1
+                e = BinOp(op, e, self.sum())
+                op = tokens[self.pos]
+            left = e if left is None else BinOp("&&", left, e)
+            if op != "&&":
+                return left
+            self.pos += 1
+
+    def sum(self) -> Expr:
+        left = self.operand()
+        tokens = self.tokens
+        while (op := tokens[self.pos]) == "+" or op == "-":
+            self.pos += 1
+            left = BinOp(op, left, self.operand())
+        return left
+
+    def operand(self) -> Expr:
+        """A primary expression, then its calls, sends and ``?`` tests."""
+        tokens = self.tokens
+        text = tokens[self.pos]
+        if text == "new":
+            self.pos += 1
+            is_actor = self.accept("actor")
+            name = self.expect_ident("class name")
+            args = self.call_args() if tokens[self.pos] == "(" else ()
+            e = NewActor(name, args) if is_actor else NewObject(name, args)
+        elif text == "(":
+            self.open("(")
+            e = self.expression()
+            self.close(")")
+        else:
+            if _is_name(text):
+                e = Var(text)
+            elif text[:1].isdigit():  # only ASCII digits get past tokenize
+                e = IntLit(int(text))
+            elif text == "this":
+                e = This()
+            elif text == "true" or text == "false":
+                e = BoolLit(text == "true")
+            elif text == "null":
+                e = NullLit()
+            else:
+                raise self.unexpected("an expression")
+            self.pos += 1
+        while True:
+            text = tokens[self.pos]
             if text == "." or text == "!":
-                if text == "." and self.peek(1)[1] == "get" and self.peek(2)[1] != "(":
+                if text == "." and tokens[self.pos + 1] == "get" and tokens[self.pos + 2] != "(":
                     return e  # leave ".get" for the statement parser
                 self.pos += 1
                 method = self.expect_ident("method name")
-                self.expect("(")
                 args = self.call_args()
                 e = SyncCall(e, method, args) if text == "." else AsyncCall(e, method, args)
             elif text == "?":
@@ -367,44 +431,15 @@ class _Parser:
                 return e
 
     def call_args(self) -> tuple[Expr, ...]:
+        self.open("(")
         args: list[Expr] = []
-        if not self.at(")"):
+        if self.tokens[self.pos] != ")":
             while True:
                 args.append(self.expression())
                 if not self.accept(","):
                     break
-        self.expect(")")
+        self.close(")")
         return tuple(args)
-
-    def primary(self) -> Expr:
-        kind, text, _ = self.peek()
-        if kind == "ident":
-            self.pos += 1
-            return Var(text)
-        if kind == "int":
-            self.pos += 1
-            return IntLit(int(text))
-        if text == "null":
-            self.pos += 1
-            return NullLit()
-        if text == "true" or text == "false":
-            self.pos += 1
-            return BoolLit(text == "true")
-        if text == "this":
-            self.pos += 1
-            return This()
-        if self.accept("new"):
-            is_actor = self.accept("actor")
-            name = self.expect_ident("class name")
-            args: tuple[Expr, ...] = ()
-            if self.accept("("):
-                args = self.call_args()
-            return NewActor(name, args) if is_actor else NewObject(name, args)
-        if self.accept("("):
-            e = self.expression()
-            self.expect(")")
-            return e
-        raise self.unexpected("an expression")
 
 
 def parse_program(source: str, filename: str | None = None) -> Program:
@@ -449,7 +484,7 @@ class _Resolver:
             self.check_sigs(iface.signatures, f"interface '{iface.name}'")
         for cls in program.classes:
             self.check_class(cls)
-        scope = self.declare(program.main_vars, set(), "variable", "main", "main variable")
+        scope = self.declare(program.main_vars, set(), "variable", "main")
         try:
             has_return = self.check_stmts(program.main_body, scope, "main", None)
         except ResolutionError:
@@ -461,21 +496,22 @@ class _Resolver:
             self.fail("return is not allowed in the main block")
 
     def check_type(self, t: Type, where: str) -> None:
-        if isinstance(t, FutType):
-            self.check_type(t.inner, where)
-        elif isinstance(t, ActorType):
+        while type(t) is FutType:
+            t = t.inner
+        if type(t) is ActorType:
             if t.interface not in self.ifaces:
                 self.fail(f"undeclared interface '{t.interface}' in {where}")
-        elif isinstance(t, InterfaceType):
+        elif type(t) is InterfaceType:
             if t.name in self.classes:
                 self.fail(f"class name '{t.name}' used as a type in {where}")
             if t.name not in self.ifaces:
                 self.fail(f"undeclared interface '{t.name}' in {where}")
 
-    def declare(self, decls: tuple, scope: set[str], noun: str, where: str, role: str) -> set[str]:
+    def declare(self, decls: tuple, scope: set[str], noun: str, where: str) -> set[str]:
         """Add each name to ``scope`` in order, checking it and its type."""
         for d in decls:
             if d.name in RESERVED_NAMES:
+                role = f"main {noun}" if where == "main" else f"{noun} of {where}"
                 self.fail(f"reserved name '{d.name}' declared as {role}")
             if d.name in scope:
                 self.fail(f"duplicate {noun} '{d.name}' in {where}")
@@ -491,7 +527,7 @@ class _Resolver:
                 self.fail(f"duplicate method '{sig.name}' in {where}")
             by_name[sig.name] = sig
             self.check_type(sig.return_type, where)
-            self.declare(sig.params, set(), "parameter", where, f"parameter of {where}")
+            self.declare(sig.params, set(), "parameter", where)
         return by_name
 
     def check_class(self, cls: ClassDecl) -> None:
@@ -499,7 +535,7 @@ class _Resolver:
             if name not in self.ifaces:
                 self.fail(f"class '{cls.name}' implements undeclared interface '{name}'")
         where = f"class '{cls.name}'"
-        field_names = self.declare(cls.fields, set(), "field", where, f"field of {where}")
+        field_names = self.declare(cls.fields, set(), "field", where)
         sigs = self.check_sigs(tuple(m.sig for m in cls.methods), where)
         for iname in cls.implements:
             for sig in self.ifaces[iname].signatures:
@@ -517,7 +553,7 @@ class _Resolver:
         for m in cls.methods:
             where = f"method '{cls.name}.{m.sig.name}'"
             params = {p.name for p in m.sig.params}
-            scope = self.declare(m.locals, params, "local", where, f"local of {where}")
+            scope = self.declare(m.locals, params, "local", where)
             final = m.body[-1] if m.body else None
             early = self.check_stmts(m.body, scope | field_names, where, final)
             if type(final) is not Return:
@@ -548,11 +584,12 @@ class _Resolver:
 
     def check_rhs(self, e: Expr, scope: set[str], where: str) -> None:
         """The right side of an assignment: the only place calls and news go."""
-        if isinstance(e, (NewObject, NewActor)):
+        kind = type(e)
+        if kind is NewObject or kind is NewActor:
             cls = self.classes.get(e.class_name)
             if cls is None:
-                kind = "an interface" if e.class_name in self.ifaces else "undeclared"
-                self.fail(f"'new' on {kind} name '{e.class_name}' in {where}")
+                what = "an interface" if e.class_name in self.ifaces else "undeclared"
+                self.fail(f"'new' on {what} name '{e.class_name}' in {where}")
             if len(e.args) != len(cls.params):
                 self.fail(
                     f"constructor of '{e.class_name}' takes {len(cls.params)} "
@@ -560,7 +597,7 @@ class _Resolver:
                 )
             for a in e.args:
                 self.check_expr(a, scope, where)
-        elif isinstance(e, (SyncCall, AsyncCall)):
+        elif kind is SyncCall or kind is AsyncCall:
             arities = self.method_arities.get(e.method)
             if arities is None:
                 self.fail(f"call to undeclared method '{e.method}' in {where}")

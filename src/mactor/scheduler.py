@@ -152,10 +152,9 @@ class LockTable:
 
     With n pending messages, ``add`` costs O(|sync| + c log n) and
     ``complete`` O(|sync| c log n), where c is the number of classes that
-    support the message, and ``take`` and ``peek`` O(log n) plus the
-    messages they skip.  ``supported`` is asked once per signature when a
-    class first takes, and once per class when a signature is first added;
-    never per message.  Messages must be added in increasing priority order.
+    support the message, and ``take`` O(log n) plus the messages it skips.
+    ``supported`` is asked once per signature when a class first takes, and
+    once per class when a signature is first added; never per message.  Messages must be added in increasing priority order.
     """
 
     __slots__ = ("_fifos", "_blocked", "_pending", "_classes", "_heaps")
@@ -223,8 +222,7 @@ class LockTable:
 
     def _heap(self, supported: frozenset) -> list[int]:
         """The heap of the class ``supported``, built when the class first
-        takes or peeks, from the ready messages of the signatures it
-        supports."""
+        takes, from the ready messages of the signatures it supports."""
         heap = self._classes.get(supported)
         if heap is None:
             heap = self._classes[supported] = []
@@ -238,13 +236,6 @@ class LockTable:
                 if msg.signature in signatures and p not in blocked
             )  # in priority order, so already a heap
         return heap
-
-    def peek(self, supported: frozenset) -> Optional[QueuedMessage]:
-        """What :meth:`take` would return, without starting it."""
-        heap, pending = self._heap(supported), self._pending
-        while heap and heap[0] not in pending:
-            heapq.heappop(heap)
-        return pending[heap[0]] if heap else None
 
     def take(self, supported: frozenset) -> Optional[QueuedMessage]:
         """Start and return the message ``select`` picks for an idle object

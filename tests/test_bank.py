@@ -14,6 +14,7 @@ from mactor.bank import (
     run_scenario,
 )
 from mactor.cli import macbench_main, maci_main
+from mactor.parser import MAX_NESTING
 
 
 # ---- teller arithmetic
@@ -431,6 +432,17 @@ def test_maci_reports_parse_errors(tmp_path, capsys):
         maci_main(["run", str(bad)])
     err = capsys.readouterr().err
     assert err.startswith(str(bad) + ":1:")
+
+
+def test_maci_reports_deep_nesting_in_one_line(tmp_path, capsys):
+    # 300 parentheses used to end in a RecursionError's traceback
+    deep = tmp_path / "deep.mac"
+    deep.write_text("{ Int x;\n  x = " + "(" * 300 + "1" + ")" * 300 + ";\n}\n")
+    with pytest.raises(SystemExit) as stop:
+        maci_main(["run", str(deep)])
+    assert stop.value.code == 1
+    err = capsys.readouterr().err
+    assert err == f"{deep}:2:{6 + MAX_NESTING}: brackets nested more than {MAX_NESTING} deep\n"
 
 
 def test_macbench_cli(tmp_path, capsys):

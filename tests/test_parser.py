@@ -1,13 +1,24 @@
+import dataclasses
 import pathlib
 import random
 
 import pytest
 
-from conftest import load_program, load_source
+from conftest import PROGRAMS, load_program, load_source
 from progen import gen_program
-from mactor import ParseError, ResolutionError, parse_program, pretty_print
+from mactor import (
+    ParseError,
+    ResolutionError,
+    explore_all,
+    initial_config,
+    parse_program,
+    pretty_print,
+    run,
+)
+from mactor.parser import MAX_NESTING
 from mactor.syntax import (
     Assign,
+    BinOp,
     BoolLit,
     BOOL,
     FutType,
@@ -15,6 +26,7 @@ from mactor.syntax import (
     IntLit,
     NewActor,
     Program,
+    Var,
     VarDecl,
 )
 
@@ -51,6 +63,17 @@ def test_minimal_program():
     assert p.interfaces[0].signatures == ()
     assert p.main_vars == (VarDecl(BOOL, "x"),)
     assert p.main_body == (Assign("x", BoolLit(True)),)
+
+
+def test_nodes_are_frozen_and_built_by_position_or_keyword():
+    node = BinOp("+", Var("x"), IntLit(1))
+    assert node == BinOp(op="+", left=Var(name="x"), right=IntLit(value=1))
+    assert hash(node) == hash(BinOp("+", Var("x"), IntLit(1))) and node != BinOp("-", Var("x"), IntLit(1))
+    assert repr(node) == "BinOp(op='+', left=Var(name='x'), right=IntLit(value=1))"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.op = "-"
+    with pytest.raises(TypeError):
+        BinOp("+", Var("x"))
 
 
 def test_undeclared_interface_named_in_error():
@@ -110,6 +133,103 @@ def test_non_ascii_digits_and_spaces_are_unexpected(source, col, char):
     with pytest.raises(ParseError) as err:
         parse_program(source)
     assert (err.value.line, err.value.col, err.value.message) == (1, col, f"unexpected character {char!r}")
+
+
+# Tokens keep no offset; an error finds its line and column again.  These
+# check that against positions counted here, on every bundled program.
+PROGRAM_NAMES = sorted(path.stem for path in PROGRAMS.glob("*.mac"))
+
+
+def _position(prefix: str) -> tuple[int, int]:
+    """Line and column of the character just past ``prefix``."""
+    lines = prefix.split("\n")
+    return len(lines), len(lines[-1]) + 1
+
+
+def _outside_comments(source: str) -> list[int]:
+    """Offsets where an inserted character stays outside every comment:
+    not between the two slashes of ``//``, nor after them on their line."""
+    inside, start = set(), 0
+    for line in source.split("\n"):
+        slashes = line.find("//")
+        if slashes >= 0:
+            inside.update(range(start + slashes + 1, start + len(line) + 1))
+        start += len(line) + 1
+    return [i for i in range(len(source) + 1) if i not in inside]
+
+
+@pytest.mark.parametrize("name", PROGRAM_NAMES)
+def test_error_sits_at_an_inserted_character(name):
+    source = load_source(name)
+    offsets = _outside_comments(source)
+    for i in random.Random(name).sample(offsets, min(len(offsets), 60)):
+        with pytest.raises(ParseError) as err:
+            parse_program(source[:i] + "#" + source[i:])
+        assert (err.value.line, err.value.col) == _position(source[:i])
+        assert err.value.message == "unexpected character '#'"
+
+
+@pytest.mark.parametrize("name", PROGRAM_NAMES)
+def test_error_sits_past_the_end_of_a_truncated_program(name):
+    source = load_source(name)
+    outside = set(_outside_comments(source))
+    # a token ends where whitespace follows a character outside a comment
+    ends = [
+        i
+        for i in range(1, len(source.rstrip()))
+        if source[i].isspace() and not source[i - 1].isspace() and i in outside
+    ]
+    for i in random.Random(name).sample(ends, min(len(ends), 60)):
+        with pytest.raises(ParseError) as err:
+            parse_program(source[:i])
+        assert (err.value.line, err.value.col) == _position(source[:i])
+        # "x" alone cannot start a declaration or an assignment
+        assert err.value.message.endswith("found 'eof'") or err.value.message == "expected a statement"
+
+
+# ---- nesting
+
+
+def _nested(ifs: int, parens: int, futs: int = 0) -> str:
+    """Main's block declaring a ``Fut`` type nested ``futs`` deep, then
+    ``ifs`` ifs nested one a line around ``x = 1 + (1 + ...)`` with
+    ``parens`` parentheses.  The block's brace is the first bracket."""
+    return (
+        "{ Int x; " + "Fut<" * futs + "Int" + ">" * futs + " f;\n"
+        + "if x == 0 {\n" * ifs
+        + "x = " + "1 + (" * parens + "1" + ")" * parens + ";\n"
+        + "} else { }\n" * ifs
+        + "}\n"
+    )
+
+
+def test_a_program_nested_to_the_limit_works_in_every_layer():
+    program = parse_program(_nested(ifs=49, parens=MAX_NESTING - 50, futs=MAX_NESTING - 1))
+    assert parse_program(pretty_print(program)) == program
+    assert hash(program) == hash(parse_program(pretty_print(program)))
+    final, _ = run(initial_config(program))
+    assert final.main_env()["x"] == MAX_NESTING - 49
+    report = explore_all(initial_config(program), 10_000)
+    assert report.ok and not report.faults and len(report.terminals) == 1
+
+
+@pytest.mark.parametrize(
+    "source, line, col",
+    [
+        # the last parenthesis, on the line after the ifs
+        (_nested(ifs=49, parens=MAX_NESTING - 49), 51, 4 + 5 * (MAX_NESTING - 49)),
+        # the brace of the last if
+        (_nested(ifs=MAX_NESTING, parens=0), MAX_NESTING + 1, 11),
+        # the last '<' of the type
+        (_nested(ifs=0, parens=0, futs=MAX_NESTING), 1, 9 + 4 * MAX_NESTING),
+    ],
+    ids=["parentheses", "blocks", "types"],
+)
+def test_one_bracket_past_the_limit_is_a_parse_error(source, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_program(source)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert err.value.message == f"brackets nested more than {MAX_NESTING} deep"
 
 
 def test_new_actor_rejected_on_interface_accepted_on_class():

@@ -1,7 +1,7 @@
 """Runs the scripts the way a reader would, as programs: the digest that a
 refactor of the machine must leave unchanged, the state counts of the
-scaled bank variants, the explorer's profile by layer, and the runtime's
-calls per message."""
+scaled bank variants, the explorer's profile by layer, the runtime's calls
+per message, and the front end's token and node counts."""
 
 import os
 import re
@@ -73,3 +73,15 @@ def test_runtime_calls_prints_a_row_per_bank_shape():
     rows = re.findall(r"^\| (bank-\w+) \| (\d+\.\d\d) \|", out, re.M)
     assert [name for name, _ in rows] == ["bank-uniform", "bank-hotkey", "bank-rpc"]
     assert all(float(calls) > 0 for _, calls in rows)
+
+
+def test_front_end_prints_a_row_per_program():
+    out = run_script("front_end.py")
+    rows = [line.removesuffix(" |").split(" | ") for line in out.splitlines() if re.match(r"\| [a-z_-]+ \| \d", line)]
+    # program, tokens and AST nodes; the phase times vary from run to run
+    assert [tuple(row[:3]) for row in rows] == [
+        ("| explore-bank", "485", "241"),
+        ("| bank_small", "502", "249"),
+        ("| employee_bank", "994", "489"),
+    ]
+    assert all(int(us) > 0 for row in rows for us in row[3:])
