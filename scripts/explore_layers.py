@@ -6,13 +6,19 @@ Runs ``explore_all`` under cProfile, with this process pinned to one CPU,
 on perfbench's explore-bank program (seed 211) and on the largest variant
 of ``scripts/explore_variants.py``.  For each it prints one markdown row:
 the cumulative share of the search's time spent in
-``Configuration.canonical`` (keying states), ``_apply`` (making
-successors), ``object_step``, ``is_safe`` and ``enabled_steps``, the share
-spent in the search's own code (the functions of ``mactor/explore.py``,
-not counting what they call), and per exploration the keys made, the
-steps applied and the states stored.  The shares overlap where one layer
-calls another: ``enabled_steps`` asks ``object_step``, and a merged run
-calls ``object_step``, ``is_safe`` and ``_apply``.  Exits 1 if a search
+``Configuration.canonical`` (keying states), ``explore.step`` (making
+successors and the merged runs of safe steps after them), the objects'
+labels (``_stmt_label`` and ``_sched_label``, which ``object_step`` and a
+run ask), judging steps safe (``_safe_at``, which ``is_safe`` and a run
+ask) and ``enabled_steps``, the share spent in the search's own code (the
+functions of ``mactor/explore.py`` not counting what they call, the loop
+of a run among them), and per exploration the keys made, the steps
+applied (calls of the rules of ``interp._RULES``), the states stored, and
+the merged runs that ended at an already stored state, with the steps
+they took.  A merged run is what a ``step`` call takes after its first
+label; it ended at a stored state when its end's key had already been
+made.  The shares overlap where one layer calls another: ``step`` asks for
+labels and judges them, and so does ``enabled_steps``.  Exits 1 if a search
 truncates, faults, finds a violation or disagrees with the replay.
 """
 
@@ -27,7 +33,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import mactor.explore  # noqa: E402
 from mactor import explore_all, initial_config, parse_program  # noqa: E402
+from mactor.interp import _RULES, Configuration  # noqa: E402
 from workloads import (  # noqa: E402
     EXPLORE_DEPTH,
     WORKLOADS,
@@ -41,14 +49,47 @@ CASES = (
     ("explore-bank", WORKLOADS["explore-bank"], 211, 40),
     ("4, (3,3), (1,2)", ExploreSpec(tellers=4, withdrawals=(3, 3), checks=(1, 2)), 1, 10),
 )
-# cumulative layers: (column, file of the function, function name)
+# cumulative layers: (column, file of the functions, function names)
 LAYERS = (
-    ("canonical", "interp.py", "canonical"),
-    ("_apply", "interp.py", "_apply"),
-    ("object_step", "interp.py", "object_step"),
-    ("is_safe", "interp.py", "is_safe"),
-    ("enabled_steps", "interp.py", "enabled_steps"),
+    ("canonical", "interp.py", ("canonical",)),
+    ("step", "explore.py", ("step",)),
+    ("labels", "interp.py", ("_stmt_label", "_sched_label")),
+    ("is_safe", "interp.py", ("_safe_at",)),
+    ("enabled_steps", "interp.py", ("enabled_steps",)),
 )
+RULES = {rule.__name__ for rule in _RULES.values()}
+
+
+def stored_runs(program) -> tuple:
+    """(runs, steps): the merged runs of one search of ``program`` that
+    ended at an already stored state, and the steps they took."""
+    made: set = set()
+    ends: dict = {}  # id of a run's end -> (the end, the steps of its run)
+    runs = steps = 0
+    real_step, real_key = mactor.explore.step, Configuration.canonical
+
+    def step(config, label, *rest):
+        result = real_step(config, label, *rest)
+        labels, _, end, _ = result
+        if len(labels) > 1:
+            ends[id(end)] = (end, len(labels) - 1)
+        return result
+
+    def canonical(config):
+        nonlocal runs, steps
+        key = real_key(config)
+        if key in made and id(config) in ends:
+            runs += 1
+            steps += ends[id(config)][1]
+        made.add(key)
+        return key
+
+    mactor.explore.step, Configuration.canonical = step, canonical
+    try:
+        explore_all(initial_config(program), EXPLORE_DEPTH)
+    finally:
+        mactor.explore.step, Configuration.canonical = real_step, real_key
+    return runs, steps
 
 
 def profile(spec: ExploreSpec, seed: int, explorations: int) -> tuple:
@@ -69,19 +110,31 @@ def profile(spec: ExploreSpec, seed: int, explorations: int) -> tuple:
         return [v for (f, _, n), v in stats.items() if f.endswith(filename) and n == name]
 
     total = sum(v[3] for v in entries("explore.py", "explore_all"))
-    cells = [f"{sum(v[3] for v in entries(f, n)) / total:.1%}" for _, f, n in LAYERS]
+    cells = [
+        f"{sum(v[3] for n in names for v in entries(f, n)) / total:.1%}" for _, f, names in LAYERS
+    ]
     own = os.path.join("mactor", "explore.py")
     search = sum(v[2] for (f, _, _), v in stats.items() if f.endswith(own))
     cells.append(f"{search / total:.1%}")
-    for name in ("canonical", "_apply"):
-        cells.append(f"{sum(v[1] for v in entries('interp.py', name)) / explorations:.0f}")
-    cells.append(f"{report.states}")
+    keys = sum(v[1] for v in entries("interp.py", "canonical"))
+    steps = sum(v[1] for (f, _, n), v in stats.items() if f.endswith("interp.py") and n in RULES)
+    cells += [f"{keys / explorations:.0f}", f"{steps / explorations:.0f}", f"{report.states}"]
+    cells += map(str, stored_runs(program))
     return cells, problems
 
 
 def main() -> int:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    columns = ["program", *(c for c, _, _ in LAYERS), "search", "keys", "steps", "states"]
+    columns = [
+        "program",
+        *(c for c, _, _ in LAYERS),
+        "search",
+        "keys",
+        "steps",
+        "states",
+        "stored-end runs",
+        "their steps",
+    ]
     print("| " + " | ".join(columns) + " |")
     print("|" + "---|" * len(columns))
     ok = True

@@ -38,7 +38,7 @@ from .runtime import (
     ShutdownReport,
     synced,
 )
-from .scheduler import QueuedMessage, SyncEntry, select, sync_set_of
+from .scheduler import QueuedMessage, SyncEntry, select
 from .syntax import Program, pretty_print
 
 __all__ = [
@@ -72,6 +72,5 @@ __all__ = [
     "run",
     "select",
     "step",
-    "sync_set_of",
     "synced",
 ]

@@ -53,14 +53,26 @@ again.  A run ends at the first of these:
   edge, so no cycle lies inside a run;
 * the run has reached the depth bound; a distance counts every step.
 
-Each step is derived, judged and applied once.  A label the search
-applies was just given by ``object_step`` or ``enabled_steps`` on the same
-state, so it is applied without the public ``step``'s check that it is
-enabled.  A run that stops at its object's next step hands that step to
-the state where it ends, with whether it is safe and, when its successor
+The states between are not built either.  A run's local steps (those that
+write only their own thread) are taken in place on the object's frames,
+and the run's state is written once, where it ends or before a step that
+writes a field, a future or a queue, which is taken through its rule
+(:func:`step`).  A local step reads nothing its stretch of local steps
+changed but its own frames, so it is judged against the state the stretch
+started from.
+
+Each step is derived, judged and applied once, but for a run that fails
+the proviso from a full expansion's successor (below), which is taken
+again when that successor is expanded.  A label the search applies was
+just given by ``object_step`` or ``enabled_steps`` on the same state, so
+it is applied without the public ``step``'s check that it is enabled.  A
+run that stops at its busy object's next step hands that step to the
+state where it ends, with whether it is safe and, when its successor
 faults, that successor; expanding the end state then asks neither
 ``object_step`` nor ``is_safe`` again, and its scan of ``enabled_steps``
-for a safe step skips the one already judged unsafe.
+for a safe step skips the one already judged unsafe.  A run whose object
+is idle at its end does not ask which message it would start: only an
+end that is stored needs that answer, and its expansion asks.
 
 The first step of a run gets full expansion instead when its successor
 faults, so that the other objects' faults are still reached, or when the
@@ -76,9 +88,9 @@ fully expanded state.
 Only the states where the search branches are stored: the root, the ends
 of runs, and the successors of a full expansion whose mover has no safe
 next step.  A successor of a full expansion whose mover does have one is
-neither keyed nor stored either; the run goes on from it at once, through
-the same helper as the run that starts at a stored state, and its end is
-stored with the full expansion's label and the run's labels.  Stored, that
+neither keyed nor stored either; the run goes on from it at once, in the
+same :func:`step` call that made it, and its end is stored with the full
+expansion's label and the run's labels.  Stored, that
 successor would have expanded that same run alone, so the skipped state
 adds nothing the run does not (the ample-set argument above).  It is
 stored as before in the two cases where it would have been fully expanded
@@ -155,9 +167,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .interp import Configuration, StepLabel, enabled_steps, is_safe, object_step, stuck
-# The search applies its labels unchecked (see above), and makes every
-# successor through this name, which perfbench's layers.py patches.
-from .interp import _apply as step
+from .interp import _LOCAL_RULES, _RULES, _EvalFault, _Frames, _apply, _safe_at, _stmt_label
 from .scheduler import lock_union, select as default_select
 from .syntax import While
 
@@ -239,40 +249,72 @@ def _one_per_interchangeable(config: Configuration, labels):
     return [label for label in labels if label.obj not in dropped]
 
 
-def _safe_run(
-    config: Configuration,
-    label: StepLabel,
-    succ: Configuration,
-    budget: int,
-    select_fn: Callable,
-) -> tuple[tuple[StepLabel, ...], Configuration, Optional[tuple]]:
-    """The run of safe steps that ``label``, a safe step of ``config`` with
-    the successor ``succ``, begins, the state it ends in, and what the run
-    learnt of that state: the same object steps on while its next step is
-    safe, at most ``budget`` steps in all.  The run stops before a step
-    whose successor faults, and after the COND-TRUE of a ``while``, so no
-    cycle lies inside it.
+def step(
+    config: Configuration, label: StepLabel, budget: int, select_fn: Callable
+) -> tuple[tuple[StepLabel, ...], Configuration, Configuration, Optional[tuple]]:
+    """Takes ``label``, a step of ``config``, and the run of safe steps its
+    object takes after it, at most ``budget`` steps in all:
+    ``(labels, successor, end, answer)``, where ``successor`` is the state
+    ``label`` reaches and ``end`` the state the run ends in.  The search
+    makes every successor through this name, which perfbench's layers.py
+    patches, and applies ``label`` unchecked (see the module docstring).
+
+    ``label`` is applied through its rule.  The run stops before a step
+    whose successor faults, and after the COND-TRUE of a ``while`` that
+    follows ``label``, so no cycle lies inside it.  Its local steps are
+    taken in place on the object's frames (:class:`mactor.interp._Frames`)
+    and judged against the state the stretch started from, whose other
+    threads, queues and heap they do not touch; the frames are written back
+    once, at the end, or before a step that writes a field, a future or a
+    queue, which ``is_safe`` then judges on the written state and its rule
+    takes.
 
     When the run stopped at the object's next step, the answer is that
     step (or None), whether it is safe, and its faulted successor, if it
     was taken: ``(label, safe, faulted)``.  The end state's expansion
     starts from it and asks neither ``object_step`` nor ``is_safe`` again.
-    A run cut by the budget or at a loop's back edge did not ask, and its
-    answer is None."""
+    A run cut by the budget or at a loop's back edge did not ask, nor did
+    a ``label`` that faults, nor a run whose object is idle at its end or
+    has ended the main block: it has no step, or a SCHED-MSG, which is
+    never safe, and the end's expansion asks for it only if the end is
+    stored.  Their answer is None."""
+    first = _apply(config, label)
+    if first.fault is not None:
+        return (label,), first, first, None
     run = [label]
-    while len(run) < budget and not (
-        label.rule == "COND-TRUE"
-        and type(config.threads[label.obj.id][-1].point.head) is While
-    ):
-        label = object_step(succ, label.actor, label.obj, select_fn)
-        if label is None or not is_safe(succ, label):
-            return tuple(run), succ, (label, False, None)
-        after = step(succ, label)
-        if after.fault is not None:
-            return tuple(run), succ, (label, True, after)
+    actor, obj = label.actor, label.obj
+    # the state the stretch of local steps started from, and its mover's
+    # frames once a step of the stretch changed them
+    state, frames, answer = first, None, None
+    while len(run) < budget:
+        thread = frames or state.threads[obj.id]
+        top = thread[-1] if thread else None
+        if top is None or top.point.head is None:  # no step, or a SCHED-MSG
+            break
+        label = _stmt_label(state, actor, obj, thread, top)  # None: a get that waits
+        local = label is not None and label.rule in _LOCAL_RULES
+        if label is None or local and not _safe_at(state, label, top):
+            answer = (label, False, None)
+            break
+        back = label.rule == "COND-TRUE" and type(top.point.head) is While
+        if local:
+            frames = frames or _Frames(state, obj)
+            try:
+                _RULES[label.rule](frames)
+            except _EvalFault as fault:
+                end = frames.written()
+                return tuple(run), first, end, (label, True, end.evolve(fault=fault.diagnostic))
+        else:
+            end = frames.written() if frames else state
+            if not is_safe(end, label):
+                return tuple(run), first, end, (label, False, None)
+            state, frames = _apply(end, label), None
+            if state.fault is not None:
+                return tuple(run), first, end, (label, True, state)
         run.append(label)
-        config, succ = succ, after
-    return tuple(run), succ, None
+        if back:
+            break
+    return tuple(run), first, frames.written() if frames else state, answer
 
 
 def explore_all(
@@ -296,10 +338,10 @@ def explore_all(
     it already asked and carries the answer.  If
     :func:`mactor.interp.is_safe` accepts that step, or else the first
     enabled step it accepts, that step and the run of safe steps its
-    object takes after it (:func:`_safe_run`) are taken alone, and only
-    the run's end is stored, at this state's distance plus the run's
-    length.  The run ends at the object's first step that is missing,
-    unsafe or faulting, after a loop's back edge, or at the depth bound.
+    object takes after it (:func:`step`) are taken alone, and only the
+    run's end is stored, at this state's distance plus the run's length.
+    The run ends at the object's first step that is missing, unsafe or
+    faulting, after a loop's back edge, or at the depth bound.
     This state gets full expansion instead when the run's first step
     faults or its end was already reached at a distance no greater than
     this state's.  A run kept alone then always ends at a greater
@@ -308,12 +350,12 @@ def explore_all(
     SCHED-MSGs of interchangeable objects but the lowest-id one's, so the
     terminals are those of the full search up to renaming such objects.
     Each of its successors asks its mover for the next step at once, and
-    when that step is safe the run goes on from the successor, which is
-    stored only when the run's first step faults or its end fails the
-    proviso.
-    The labels the search applies come from ``object_step`` or
-    ``enabled_steps`` on the same state, so they are not derived again
-    to check them, and each successor is made once.
+    when that step is safe the run goes on from the successor in the same
+    :func:`step` call.  The successor is stored only when the run's first
+    step faults or its end fails the proviso, and its run is then taken
+    again when it is expanded.  The labels the search applies
+    come from ``object_step`` or ``enabled_steps`` on the same state, so
+    they are not derived again to check them.
     """
     if depth <= 0:
         raise ValueError("depth must be positive")
@@ -323,7 +365,8 @@ def explore_all(
     # has no parent
     parents: dict = {root_key: (None, (), 0)}
     # (state, key, distance, the last label that produced it, what is known
-    # of its mover's next step, (label, safe, successor), or None)
+    # of its mover's next step, (label, safe, its faulted successor or
+    # None), or None)
     frontier: deque = deque([(config, root_key, 0, None, None)])
 
     def trace_to(key) -> tuple[StepLabel, ...]:
@@ -333,33 +376,28 @@ def explore_all(
             runs.append(run)
         return tuple(label for run in reversed(runs) for label in run)
 
-    def run_on(parent, before: tuple, state, dist: int, label):
-        # Takes label, a safe step of state at distance dist, and the run
-        # of safe steps it begins, and stores the run's end as reached
-        # from parent by the labels before and then the run's, unless it
-        # was already seen.  None when that is all state needs; else the
-        # step's successor, and state needs full expansion: the successor
-        # faults, or the end was already reached at a distance no greater
-        # than state's (the proviso).  An end seen at a greater distance
-        # closes a diamond.
-        succ = step(state, label)
-        if succ.fault is not None:
-            return succ
-        run, end, answer = _safe_run(state, label, succ, depth - dist, select_fn)
+    def ended(parent, run: tuple, dist: int, start: int, end, answer) -> bool:
+        # Stores end, reached by the labels of run from parent at distance
+        # dist, unless it was already seen.  False when it was seen at a
+        # distance no greater than start, the distance of the state the run
+        # of safe steps starts from: that state then needs full expansion
+        # (the proviso).  An end seen at a greater distance closes a diamond.
         end_key = end.canonical()
         seen = parents.get(end_key)
         if seen is not None:
-            return None if seen[2] > dist else succ
-        parents[end_key] = (parent, before + run, dist + len(run))
+            return seen[2] > start
+        parents[end_key] = (parent, run, dist + len(run))
         frontier.append((end, end_key, dist + len(run), run[-1], answer))
-        return None
+        return True
 
     while frontier:
         current, key, dist, mover, known = frontier.popleft()
         report.states += 1
         labels = picked = None
         if known is not None:
-            pick, safe, picked = known
+            pick, safe, faulted = known
+            if faulted is not None:
+                picked = ((pick,), faulted, faulted, None)
         elif mover is not None:
             pick = object_step(current, mover.actor, mover.obj, select_fn)
             safe = pick is not None and is_safe(current, pick)
@@ -379,14 +417,21 @@ def explore_all(
         if dist >= depth:
             report.truncated = True
             continue
+        budget = depth - dist
         # Ample set: a run of safe steps alone, unless its first successor
         # is faulted, a dead end that would hide the other objects' faults,
-        # or the proviso fails.  A known successor of the pick means that
-        # its run was tried when this state was made, and failed so.
+        # or the proviso fails.  A known faulted successor of the pick means
+        # that its run was tried when this state was made, and failed so.
         if pick is not None:
             if picked is None:
-                picked = run_on(key, (), current, dist, pick)
-                if picked is None:
+                picked = run, first, end, answer = step(current, pick, budget, select_fn)
+                # step goes on after its first label even at a loop's back
+                # edge, where a run kept alone ends; a full expansion of
+                # this state takes the whole of it
+                head = current.threads[pick.obj.id][-1].point.head
+                if pick.rule == "COND-TRUE" and type(head) is While:
+                    run, end, answer = run[:1], first, None
+                if first.fault is None and ended(key, run, dist, dist, end, answer):
                     continue
             if labels is None:
                 labels = enabled_steps(current, select_fn, asked)
@@ -400,7 +445,8 @@ def explore_all(
                         Violation("order", problem, trace_to(key) + (label,))
                     )
                     return report
-            succ = picked if label == pick else step(current, label)
+            result = picked if label == pick else step(current, label, budget, select_fn)
+            run, succ, end, answer = result
             # Only SCHED-MSG takes locks, and the root holds none, so the
             # first state with overlapping lock sets on any path is a
             # SCHED-MSG successor.
@@ -411,18 +457,13 @@ def explore_all(
                         Violation("theorem1", problem, trace_to(key) + (label,))
                     )
                     return report
-            # A successor whose mover steps on safely is not stored: the
-            # run goes on from it, unless it faults or fails the proviso.
-            answer = None
-            if dist + 1 < depth:
-                after = object_step(succ, label.actor, label.obj, select_fn)
-                if after is None or not is_safe(succ, after):
-                    answer = (after, False, None)
-                else:
-                    made = run_on(key, (label,), succ, dist + 1, after)
-                    if made is None:
-                        continue
-                    answer = (after, True, made)
+            # A successor whose mover stepped on safely is not stored: the
+            # run's end is, unless the proviso fails; the successor is then
+            # stored, and its run taken again when it is expanded.
+            if len(run) > 1:
+                if ended(key, run, dist, dist + 1, end, answer):
+                    continue
+                answer = (run[1], True, None)
             succ_key = succ.canonical()
             if succ_key in parents:
                 continue

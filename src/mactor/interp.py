@@ -16,6 +16,14 @@ runs, so a step moves a frame to a point it already has and builds no
 statement tuple; a ``while`` body's last point goes back to the loop's own
 point, so iterations make no new points.
 
+The machine writes a state through one seam.  A local step (a rule of
+``_LOCAL_RULES``, which writes its own thread and nothing else) changes
+the object's frames in place, on copies a stretch of such steps owns
+(:class:`_Frames`), and the stretch writes its thread into a new state
+once; every other write, of a field, a future, a queue or a new object,
+goes through :meth:`Configuration.evolve`.  :func:`step` runs a stretch of
+one step, and the explorer runs a merged run's local steps as one stretch.
+
 Runtime errors in the interpreted program (calling a method on null, an
 asynchronous call on a plain object, a non-boolean guard) do not raise in
 the host; they produce a terminal configuration whose ``fault`` field holds
@@ -34,6 +42,7 @@ from .scheduler import (
     EMPTY_LOCKS,
     QueuedMessage,
     SyncEntry,
+    _new_tuple,
     lock_union,
     planned_sync_set,
     select as default_select,
@@ -227,7 +236,8 @@ def _points(stmts: tuple[Stmt, ...], after: Point) -> Point:
 
 class Closure:
     """A frame of a thread: an environment and the program point it runs
-    at.  Treat as immutable; steps build new ones."""
+    at.  Treat as immutable once a state holds it; only a stretch of local
+    steps changes the copies it owns (:class:`_Frames`)."""
 
     __slots__ = ("env", "point", "_id", "_access")
 
@@ -495,18 +505,19 @@ class ProgramIndex:
                 out.setdefault(m.sig.name, []).append(c.name)
         return {name: tuple(classes) for name, classes in out.items()}
 
-    def head_reads(self, head: Stmt, env: dict, cls: Optional[str]) -> Optional[frozenset[str]]:
-        """The fields that are not stable which ``head`` reads at the top of
-        a closure of environment ``env`` run by an object of class ``cls``;
-        None when its expressions hold anything but literals, names and
-        operators.  :func:`is_safe` keeps it per point: a point only runs
-        in frames of its own method, which all bind the same names, with
-        ``this`` of its own class."""
-        stable = self.stable_fields.get(cls, frozenset())
-        reads: set = set()
-        if all(_field_reads(e, env, stable, reads) for e in _head_exprs(head)):
-            return frozenset(reads)
-        return None
+    def head_reads(self, config: "Configuration", top: Closure) -> Optional[frozenset[str]]:
+        """The fields that are not stable which the head of ``top``'s point
+        reads, as :class:`_AccessWalk` records them with ``this`` unknown;
+        None when it evaluates an ``e?``.  :func:`is_safe` keeps it per
+        point: a point only runs in frames of its own method, which all
+        bind the same names, with ``this`` of its own class."""
+        walk = _AccessWalk(config)
+        cls = config.heap[top.env["this"].id].cls
+        for e in _head_exprs(top.point.head):
+            walk._expr(e, top.env, _UNKNOWN, cls)
+        if (None, _RESOLVED, False) in walk.found:
+            return None
+        return frozenset([name for _, name, _ in walk.found])
 
     # ---- program lookups
 
@@ -864,7 +875,7 @@ def _sched_label(
     msg = select_fn(supported, held, queue)
     if msg is None:
         return None
-    return StepLabel("SCHED-MSG", actor, obj, msg.method, msg.priority)
+    return _new_tuple(StepLabel, ("SCHED-MSG", actor, obj, msg.method, msg.priority))
 
 
 def _stmt_label(
@@ -875,15 +886,15 @@ def _stmt_label(
     if t is Assign:
         rhs = type(s.value)
         if rhs is SyncCall:
-            return StepLabel("SYNC-CALL", actor, obj, s.value.method)
+            return _new_tuple(StepLabel, ("SYNC-CALL", actor, obj, s.value.method, None))
         if rhs is AsyncCall:
-            return StepLabel("ASYNC-CALL", actor, obj, s.value.method)
+            return _new_tuple(StepLabel, ("ASYNC-CALL", actor, obj, s.value.method, None))
         if rhs is NewObject:
-            return StepLabel("NEW-ACTOB", actor, obj)
+            return _new_tuple(StepLabel, ("NEW-ACTOB", actor, obj, None, None))
         if rhs is NewActor:
-            return StepLabel("NEW-ACTOR", actor, obj)
+            return _new_tuple(StepLabel, ("NEW-ACTOR", actor, obj, None, None))
         rule = "ASSIGN-LOCAL" if s.target in top.env else "ASSIGN-FIELD"
-        return StepLabel(rule, actor, obj)
+        return _new_tuple(StepLabel, (rule, actor, obj, None, None))
     if t is GetStmt:
         # a bad expression or a non-future is enabled, and the step faults
         try:
@@ -892,15 +903,17 @@ def _stmt_label(
             v = None
         if isinstance(v, FutRef) and config.futures[v.id] is PENDING:
             return None  # blocked until the future resolves
-        return StepLabel("READ-FUT", actor, obj)
+        return _new_tuple(StepLabel, ("READ-FUT", actor, obj, None, None))
     if t is If or t is While:
         try:
             value = _eval_guard(config, top.env, s.cond)
         except _EvalFault:
             value = True  # the step faults
-        return StepLabel("COND-TRUE" if value else "COND-FALSE", actor, obj)
+        rule = "COND-TRUE" if value else "COND-FALSE"
+        return _new_tuple(StepLabel, (rule, actor, obj, None, None))
     if t is Return:
-        return StepLabel("SYNC-RETURN" if len(thread) > 1 else "ASYNC-RETURN", actor, obj)
+        rule = "SYNC-RETURN" if len(thread) > 1 else "ASYNC-RETURN"
+        return _new_tuple(StepLabel, (rule, actor, obj, None, None))
     raise TypeError(f"unhandled statement {s!r}")
 
 
@@ -914,7 +927,6 @@ _LOCAL_RULES = frozenset(
     {"ASSIGN-LOCAL", "COND-TRUE", "COND-FALSE", "READ-FUT", "SYNC-CALL", "SYNC-RETURN"}
 )
 _SAFE_RULES = _LOCAL_RULES | {"ASSIGN-FIELD", "ASYNC-CALL", "ASYNC-RETURN"}
-_CONSTANTS = (NullLit, BoolLit, IntLit, ValueLit, This)
 
 # Pseudo-fields of the accesses _AccessWalk records, named as no field can
 # be: a send writes the queue "!" of its target group and the next future
@@ -983,20 +995,28 @@ def is_safe(config: Configuration, label: StepLabel) -> bool:
 
     The step may still fault; the caller checks its successor.
     """
+    return label.rule in _SAFE_RULES and _safe_at(config, label, config.threads[label.obj.id][-1])
+
+
+def _safe_at(config: Configuration, label: StepLabel, top: Closure) -> bool:
+    """:func:`is_safe` for ``label``, a step of ``_SAFE_RULES`` taken by
+    the top frame ``top`` of its object.  Of ``config`` it reads the heap,
+    the queues and the other objects' threads, which a local step leaves
+    as they are, so a step of a stretch's frames (:class:`_Frames`) is
+    judged against the state the stretch started from."""
     rule = label.rule
-    if rule not in _SAFE_RULES:
-        return False
-    top = config.threads[label.obj.id][-1]
-    this = top.env["this"].id
     point = top.point
-    head = point.head
     reads = point.reads
     if reads is _UNSEEN:
-        reads = point.reads = config.index.head_reads(head, top.env, config.heap[this].cls)
+        reads = point.reads = config.index.head_reads(config, top)
     if reads is None:
         return False
-    if rule == "ASYNC-CALL":
+    if rule in _LOCAL_RULES:
+        if not reads:
+            return True
+    elif rule == "ASYNC-CALL":
         return not reads and not _reached_first(config, label, _SENDS)
+    this = top.env["this"].id
     if rule == "ASYNC-RETURN":
         held = config.heap[this].locks
         for msg in config.queues[label.actor]:
@@ -1005,11 +1025,9 @@ def is_safe(config: Configuration, label: StepLabel) -> bool:
         group = label.actor.id
         touched = {(group, _QUEUE, True), (None, _QUEUE, True), (None, _RESOLVED, False)}
     elif rule == "ASSIGN-FIELD":
-        touched = {(obj, head.target, wrote) for obj in (this, None) for wrote in (True, False)}
-    elif reads:
-        touched = set()
+        touched = {(obj, point.head.target, w) for obj in (this, None) for w in (True, False)}
     else:
-        return True
+        touched = set()
     touched.update([(obj, name, True) for obj in (this, None) for name in reads])
     return not _reached_first(config, label, touched)
 
@@ -1021,18 +1039,6 @@ def _head_exprs(s: Stmt) -> tuple:
     if isinstance(value, (SyncCall, AsyncCall)):
         return (value.target,) + value.args
     return (value,)
-
-
-def _field_reads(e: Expr, env: dict, stable: frozenset, out: set) -> bool:
-    """Add to ``out`` the fields ``e`` reads that are not in ``stable``;
-    False when ``e`` holds anything but literals, names and operators."""
-    if isinstance(e, Var):
-        if e.name not in env and e.name not in stable:
-            out.add(e.name)
-        return True
-    if isinstance(e, BinOp):
-        return _field_reads(e.left, env, stable, out) and _field_reads(e.right, env, stable, out)
-    return isinstance(e, _CONSTANTS)
 
 
 def _reached_first(config: Configuration, label: StepLabel, touched) -> bool:
@@ -1273,24 +1279,47 @@ def _apply(config: Configuration, label: StepLabel) -> Configuration:
     """:func:`step` without its check: for a label that
     :func:`object_step` or :func:`enabled_steps` has just given on
     ``config``, which the explorer and :func:`run` apply without deriving
-    it again.  A SCHED-MSG label names its message by priority, so no
-    rule needs the selection."""
-    thread = config.threads[label.obj.id]
-    top = thread[-1] if thread else None  # SCHED-MSG runs on an idle object
-    point = top.point if top else None
+    it again.  A local step runs its rule on the object's frames as a
+    stretch of one step (:class:`_Frames`).  A SCHED-MSG label names its
+    message by priority, so no rule needs the selection."""
+    rule = label.rule
     try:
-        return _RULES[label.rule](config, label, thread, top, point)
+        if rule in _LOCAL_RULES:
+            frames = _Frames(config, label.obj)
+            _RULES[rule](frames)
+            return frames.written()
+        thread = config.threads[label.obj.id]
+        top = thread[-1] if thread else None  # SCHED-MSG runs on an idle object
+        point = top.point if top else None
+        return _RULES[rule](config, label, thread, top, point)
     except _EvalFault as fault:
         return config.evolve(fault=fault.diagnostic)
 
 
-# ---- rule bodies
+class _Frames(list):
+    """The frames of object ``obj``'s thread in ``config`` while a stretch
+    of local steps (``_LOCAL_RULES``) runs on them in place.  Such a step
+    writes its own thread and nothing else, so ``config``'s heap, futures,
+    queues and other threads are those of every state the stretch passes.
+    The top frame is always the stretch's own copy, which a step changes;
+    a frame below it is not changed, and a SYNC-RETURN copies the frame it
+    resumes.  :meth:`written` is the state reached, written through
+    :meth:`Configuration.evolve` once."""
 
-def _with_top(config: Configuration, label: StepLabel, thread: Thread, point: Point):
-    """The top closure of ``thread`` going on at ``point``."""
-    top = Closure(thread[-1].env, point)
-    return config.evolve(thread=(label.obj, thread[:-1] + (top,)))
+    __slots__ = ("config", "obj")
 
+    def __init__(self, config: Configuration, obj: ObjRef):
+        list.__init__(self, config.threads[obj.id])
+        top = self[-1]
+        self[-1] = Closure(dict(top.env), top.point)
+        self.config, self.obj = config, obj
+
+    def written(self) -> Configuration:
+        return self.config.evolve(thread=(self.obj, tuple(self)))
+
+
+# ---- rule bodies: a rule of _LOCAL_RULES evaluates first, then changes
+# its frames; any other rule builds its successor
 
 def _assign(
     config: Configuration,
@@ -1322,29 +1351,41 @@ def _assign(
     return config.evolve(thread=(label.obj, thread), record=record, future=future, queues=queues)
 
 
-def _plain_assign(config, label, thread, top, point) -> Configuration:
-    s = point.head
-    v = _eval(config, top.env, s.value)
-    return _assign(config, label, thread, s.target, v, point.next)
+def _assign_local(frames: _Frames) -> None:
+    top = frames[-1]
+    head = top.point.head
+    top.env[head.target] = _eval(frames.config, top.env, head.value)
+    top.point = top.point.next
 
 
-def _cond(config, label, thread, top, point) -> Configuration:
+def _assign_field(config, label, thread, top, point) -> Configuration:
     s = point.head
-    taken = _eval_guard(config, top.env, s.cond)
+    return _assign(config, label, thread, s.target, _eval(config, top.env, s.value), point.next)
+
+
+def _cond(frames: _Frames) -> None:
+    top = frames[-1]
+    point = top.point
+    s = point.head
+    taken = _eval_guard(frames.config, top.env, s.cond)
     if type(s) is If:
         rest = point.then if taken else point.orelse
     else:
         rest = point.body if taken else point.next
-    return _with_top(config, label, thread, rest)
+    top.point = rest
 
 
-def _read_fut(config, label, thread, top, point) -> Configuration:
-    if not isinstance(_eval(config, top.env, point.head.value), FutRef):
+def _read_fut(frames: _Frames) -> None:
+    top = frames[-1]
+    if not isinstance(_eval(frames.config, top.env, top.point.head.value), FutRef):
         raise _EvalFault("'.get' applied to a non-future value")
-    return _with_top(config, label, thread, point.next)
+    top.point = top.point.next
 
 
-def _sync_call(config, label, thread, top, point) -> Configuration:
+def _sync_call(frames: _Frames) -> None:
+    config = frames.config
+    top = frames[-1]
+    point = top.point
     call: SyncCall = point.head.value
     callee = _eval(config, top.env, call.target)
     if callee is None:
@@ -1365,17 +1406,17 @@ def _sync_call(config, label, thread, top, point) -> Configuration:
         raise _EvalFault(f"'{call.method}' expects {mdef.sig.arity} argument(s)")
     args = [_eval(config, top.env, a) for a in call.args]
     callee_env = _method_frame(mdef, {"this": callee}, args)
-    waiting = Closure(top.env, point.waiting)
-    called = thread[:-1] + (waiting, Closure(callee_env, index.entry(mdef.body)))
-    return config.evolve(thread=(label.obj, called))
+    top.point = point.waiting
+    frames.append(Closure(callee_env, index.entry(mdef.body)))
 
 
-def _sync_return(config, label, thread, top, point) -> Configuration:
+def _sync_return(frames: _Frames) -> None:
     # the caller below waits at the waiting point of its call site
-    below = thread[-2]
-    v = _eval(config, top.env, point.head.value)
-    resumed = Closure(below.env, below.point.resume(v))
-    return config.evolve(thread=(label.obj, thread[:-2] + (resumed,)))
+    top = frames[-1]
+    value = _eval(frames.config, top.env, top.point.head.value)
+    frames.pop()
+    below = frames[-1]
+    frames[-1] = Closure(dict(below.env), below.point.resume(value))
 
 
 def _async_call(config, label, thread, top, point) -> Configuration:
@@ -1465,8 +1506,8 @@ def _sched_msg(config, label, *_) -> Configuration:
 
 
 _RULES = {
-    "ASSIGN-LOCAL": _plain_assign,
-    "ASSIGN-FIELD": _plain_assign,
+    "ASSIGN-LOCAL": _assign_local,
+    "ASSIGN-FIELD": _assign_field,
     "COND-TRUE": _cond,
     "COND-FALSE": _cond,
     "READ-FUT": _read_fut,

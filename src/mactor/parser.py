@@ -13,9 +13,13 @@ Operators bind, loosest first: ``&&`` (left-associative), the comparisons
 ``?``.  At most :data:`MAX_NESTING` brackets may be open around a token: the
 ``(`` of a parenthesized expression or of an argument or parameter list,
 the ``{`` of a block or a declaration body, the ``<`` of a ``Fut`` or
-``Actor`` type.  Every layer below the parser recurses on nesting, and at
-this depth each stays well inside Python's recursion limit.  (A chain such
-as ``1 + 1 + ...`` deepens the tree without brackets and is not limited.)
+``Actor`` type.  An expression counts, besides the brackets open around
+it, the parentheses :func:`mactor.syntax.pretty_print` writes inside it,
+one around each operand that is not a name or a literal, so the same
+limit bounds a chain such as ``1 + 1 + ...`` or ``f??``, and whatever
+parses prints and parses again.  Every layer below the parser recurses on
+nesting, and at this depth each stays well inside Python's recursion
+limit.
 
 :func:`tokenize` scans the source once with one regular expression into the
 token stream: the tokens' texts, as a text fixes its kind.  Tokens keep no
@@ -35,6 +39,7 @@ import itertools
 import re
 
 from .syntax import (
+    _ATOMS,
     ActorType,
     Assign,
     AsyncCall,
@@ -151,6 +156,8 @@ class _Parser:
         self.tokens = tokenize(source, filename)
         self.pos = 0
         self.depth = 0  # brackets open around the current token
+        # the parentheses pretty_print writes inside the expression just parsed
+        self.inner = 0
 
     # ---- token plumbing
 
@@ -190,6 +197,16 @@ class _Parser:
     def close(self, bracket: str) -> None:
         self.expect(bracket)
         self.depth -= 1
+
+    def nested(self, e: Expr, inner: int, at: int) -> Expr:
+        """``e``, built by the operator at token ``at``, with ``inner``
+        parentheses inside it when printed; a ParseError at that operator
+        if they and the brackets open around it pass the limit."""
+        if self.depth + inner > MAX_NESTING:
+            self.pos = at
+            raise self.error(f"expression nested more than {MAX_NESTING} deep")
+        self.inner = inner
+        return e
 
     # ---- declarations
 
@@ -356,7 +373,9 @@ class _Parser:
             return Assign(text, value)
         # Only e.get remains; an operand stops in front of ".get".
         value = self.expression()
-        if self.accept("."):
+        if self.tokens[self.pos] == ".":
+            value = self.nested(value, self.inner + (type(value) not in _ATOMS), self.pos)
+            self.pos += 1
             self.expect("get")
             self.expect(";")
             return GetStmt(value)
@@ -365,32 +384,41 @@ class _Parser:
     # ---- expressions, by precedence (see the module docstring)
 
     def expression(self) -> Expr:
-        tokens = self.tokens
-        left = None
-        while True:
-            e = self.sum()
-            op = tokens[self.pos]
-            if op in _COMPARISONS:
-                self.pos += 1
-                e = BinOp(op, e, self.sum())
-                op = tokens[self.pos]
-            left = e if left is None else BinOp("&&", left, e)
-            if op != "&&":
-                return left
-            self.pos += 1
+        left = self.comparison()
+        while self.tokens[self.pos] == "&&":
+            left = self.operator(left, self.comparison)
+        return left
+
+    def comparison(self) -> Expr:
+        left = self.sum()
+        if self.tokens[self.pos] in _COMPARISONS:
+            left = self.operator(left, self.sum)
+        return left
 
     def sum(self) -> Expr:
         left = self.operand()
         tokens = self.tokens
         while (op := tokens[self.pos]) == "+" or op == "-":
-            self.pos += 1
-            left = BinOp(op, left, self.operand())
+            left = self.operator(left, self.operand)
         return left
+
+    def operator(self, left: Expr, operand) -> BinOp:
+        """``left``, then the operator at the current token and the
+        operand after it, which ``operand`` parses.  pretty_print writes
+        an operand that is not atomic in parentheses."""
+        at = self.pos
+        inner = self.inner + (type(left) not in _ATOMS)
+        self.pos += 1
+        right = operand()
+        if type(right) not in _ATOMS and self.inner >= inner:
+            inner = self.inner + 1
+        return self.nested(BinOp(self.tokens[at], left, right), inner, at)
 
     def operand(self) -> Expr:
         """A primary expression, then its calls, sends and ``?`` tests."""
         tokens = self.tokens
         text = tokens[self.pos]
+        self.inner = 0
         if text == "new":
             self.pos += 1
             is_actor = self.accept("actor")
@@ -420,25 +448,33 @@ class _Parser:
             if text == "." or text == "!":
                 if text == "." and tokens[self.pos + 1] == "get" and tokens[self.pos + 2] != "(":
                     return e  # leave ".get" for the statement parser
+                at = self.pos
+                inner = self.inner + (type(e) not in _ATOMS)
                 self.pos += 1
                 method = self.expect_ident("method name")
                 args = self.call_args()
                 e = SyncCall(e, method, args) if text == "." else AsyncCall(e, method, args)
+                e = self.nested(e, inner if inner > self.inner else self.inner, at)
             elif text == "?":
+                e = self.nested(Resolved(e), self.inner + (type(e) not in _ATOMS), self.pos)
                 self.pos += 1
-                e = Resolved(e)
             else:
                 return e
 
     def call_args(self) -> tuple[Expr, ...]:
+        """The arguments; ``inner`` counts the list's parenthesis."""
         self.open("(")
         args: list[Expr] = []
+        inner = 0
         if self.tokens[self.pos] != ")":
             while True:
                 args.append(self.expression())
+                if self.inner >= inner:
+                    inner = self.inner + 1
                 if not self.accept(","):
                     break
         self.close(")")
+        self.inner = inner
         return tuple(args)
 
 

@@ -12,7 +12,7 @@ conflicting messages start in their enqueue order.
 
 A signature's :func:`sync_plan` (its arity and labelled positions) says
 which argument positions lock what; :func:`planned_sync_set` builds a
-message's entries from it, and :func:`sync_set_of` is the two in one call.
+message's entries from it.
 
 ``select`` is pure and operates on immutable snapshots; it is the one
 specification of which message may start, and costs a pass over the queue
@@ -90,16 +90,6 @@ def planned_sync_set(plan: SyncPlan, args: Sequence) -> frozenset[SyncEntry]:
     for i, label in positions:
         entries.append(_new_tuple(SyncEntry, (label, args[i])))
     return frozenset(entries)
-
-
-def sync_set_of(labels: Sequence[Optional[str]], args: Sequence) -> frozenset[SyncEntry]:
-    """Pair each labelled parameter position with its actual argument.
-
-    ``labels`` holds one entry per parameter, None where the parameter is
-    not synchronized.  Two labelled positions with the same label and equal
-    argument values collapse to a single entry (set semantics).
-    """
-    return planned_sync_set(sync_plan(labels), args)
 
 
 def select(

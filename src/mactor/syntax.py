@@ -284,7 +284,8 @@ class Program:
 # --------------------------------------------------------------------------
 # pretty printer
 
-_ATOMS = (NullLit, BoolLit, IntLit, Var, This)
+# written with no parentheses around them; expression classes are final
+_ATOMS = frozenset((NullLit, BoolLit, IntLit, Var, This))
 
 
 def _operand(e: Expr) -> str:
@@ -294,7 +295,7 @@ def _operand(e: Expr) -> str:
     whatever the nesting of operators.
     """
     text = format_expr(e)
-    if isinstance(e, _ATOMS):
+    if type(e) in _ATOMS:
         return text
     return f"({text})"
 

@@ -445,6 +445,18 @@ def test_maci_reports_deep_nesting_in_one_line(tmp_path, capsys):
     assert err == f"{deep}:2:{6 + MAX_NESTING}: brackets nested more than {MAX_NESTING} deep\n"
 
 
+def test_maci_reports_a_deep_sum_in_one_line(tmp_path, capsys):
+    # a sum of 1,001 terms deepens the tree with no bracket; it used to end
+    # in a RecursionError's traceback
+    deep = tmp_path / "sum.mac"
+    deep.write_text("{ Int x;\n  x = 1" + " + 1" * 1_000 + ";\n}\n")
+    with pytest.raises(SystemExit) as stop:
+        maci_main(["run", str(deep)])
+    assert stop.value.code == 1
+    err = capsys.readouterr().err
+    assert err == f"{deep}:2:{9 + 4 * MAX_NESTING}: expression nested more than {MAX_NESTING} deep\n"
+
+
 def test_macbench_cli(tmp_path, capsys):
     out_csv = tmp_path / "r.csv"
     stem = tmp_path / "audit"

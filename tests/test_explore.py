@@ -23,7 +23,7 @@ from mactor.interp import (
     stuck,
 )
 from mactor.scheduler import QueuedMessage, SyncEntry, select
-from mactor.syntax import Assign
+from mactor.syntax import Assign, While
 from progen import gen_program
 from test_bank import SAME_KEY_GET
 
@@ -1015,6 +1015,83 @@ def test_each_object_is_asked_for_its_step_once_per_state():
         total += len(keys)
         asked.clear()
     assert total > 1000
+
+
+# ---- merged runs taken in place, against stepping them one at a time
+
+
+def stepped_run(config, label, budget, select_fn):
+    """What ``explore.step`` gives, stepped one label at a time: each label
+    through ``_apply``, the next one asked of ``object_step`` and judged by
+    ``is_safe`` on the state the last one reached.  An object that is idle,
+    or has ended the main block, is not asked: its step is never safe."""
+    first = interp_module._apply(config, label)
+    run, end, answer = [label], first, None
+    while first.fault is None and len(run) < budget:
+        thread = end.threads[label.obj.id]
+        if not thread or thread[-1].point.head is None:
+            break
+        after = object_step(end, label.actor, label.obj, select_fn)
+        if after is None or not interp_module.is_safe(end, after):
+            answer = (after, False, None)
+            break
+        made = interp_module._apply(end, after)
+        if made.fault is not None:
+            answer = (after, True, made)
+            break
+        back = after.rule == "COND-TRUE" and type(end.threads[after.obj.id][-1].point.head) is While
+        run.append(after)
+        end = made
+        if back:
+            break
+    return tuple(run), first, end, answer
+
+
+def _run_record(result):
+    """A run's labels, the keys of its first successor and end, and its
+    answer with the faulted successor's key."""
+    run, first, end, answer = result
+    if answer is not None and answer[2] is not None:
+        answer = (*answer[:2], answer[2].canonical())
+    return run, first.canonical(), end.canonical(), answer
+
+
+def test_a_run_taken_in_place_is_the_run_stepped_one_label_at_a_time():
+    # In every state the reduced search expands, each run it takes, and in
+    # every state of the full search, the run each enabled step begins,
+    # with the budget the search would give it.
+    taken = explore_module.step
+    compared = merged = 0
+    for select_fn in (select, broken_select):
+        for name, program, depth in _differential_programs():
+            calls = []
+
+            def recorded(config, label, *rest):
+                result = taken(config, label, *rest)
+                calls.append((config, label, rest, result))
+                return result
+
+            with mock.patch.object(explore_module, "step", recorded):
+                explore_all(initial_config(program), depth, select_fn=select_fn)
+            if select_fn is select and not name.startswith("progen"):
+                root = initial_config(program)
+                seen = {root.canonical()}
+                frontier = deque([(root, 0)])
+                while frontier:
+                    current, dist = frontier.popleft()
+                    for label in enabled_steps(current, select_fn):
+                        rest = (depth - dist, select_fn)
+                        calls.append((current, label, rest, taken(current, label, *rest)))
+                        succ = step(current, label, select_fn)
+                        if dist + 1 < depth and succ.canonical() not in seen:
+                            seen.add(succ.canonical())
+                            frontier.append((succ, dist + 1))
+            for config, label, rest, result in calls:
+                want = stepped_run(config, label, *rest)
+                assert _run_record(result) == _run_record(want), (name, label)
+                merged += len(result[0]) - 1
+            compared += len(calls)
+    assert compared > 8_000 and merged > 15_000, (compared, merged)
 
 
 # ---- facts is_safe derives once per value, against a fresh walk

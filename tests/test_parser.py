@@ -232,6 +232,94 @@ def test_one_bracket_past_the_limit_is_a_parse_error(source, line, col):
     assert err.value.message == f"brackets nested more than {MAX_NESTING} deep"
 
 
+def _chain(ifs: int, terms: int, tail: str = " + 1") -> str:
+    """Main's block with ``ifs`` ifs nested one a line around
+    ``x = 1 + 1 + ...`` with ``terms`` operands, or ``f`` then
+    ``terms - 1`` times ``tail``: a tree that deepens with no bracket."""
+    head = "x = 1" if tail == " + 1" else "b = f"
+    return (
+        "{ Int x; Bool b; Fut<Int> f;\n"
+        + "if x == 0 {\n" * ifs
+        + head + tail * (terms - 1) + ";\n"
+        + "} else { }\n" * ifs
+        + "}\n"
+    )
+
+
+def test_an_operator_chain_is_nested_like_brackets():
+    # pretty_print writes each operand that is not atomic in parentheses,
+    # so a chain of n operators inside b brackets prints b + n - 1 deep:
+    # at the limit it works in every layer, and one more operator is an
+    # error at that operator
+    at_limit = parse_program(_chain(ifs=49, terms=MAX_NESTING - 48))
+    assert parse_program(pretty_print(at_limit)) == at_limit
+    final, _ = run(initial_config(at_limit))
+    assert final.main_env()["x"] == MAX_NESTING - 48
+    report = explore_all(initial_config(at_limit), 10_000)
+    assert report.ok and not report.faults and len(report.terminals) == 1
+    with pytest.raises(ParseError) as err:
+        parse_program(_chain(ifs=49, terms=MAX_NESTING - 47))
+    assert (err.value.line, err.value.col) == (51, 7 + 4 * (MAX_NESTING - 49))
+    assert err.value.message == f"expression nested more than {MAX_NESTING} deep"
+
+
+@pytest.mark.parametrize(
+    "source, col",
+    [
+        # the operator that deepens the sum one level too far
+        (_chain(ifs=0, terms=MAX_NESTING + 2), 7 + 4 * MAX_NESTING),
+        (_chain(ifs=0, terms=1_000), 7 + 4 * MAX_NESTING),
+        # the "?" that tests a test one level too deep
+        (_chain(ifs=0, terms=MAX_NESTING + 2, tail="?"), 6 + MAX_NESTING),
+        (_chain(ifs=0, terms=1_000, tail="?"), 6 + MAX_NESTING),
+    ],
+    ids=["sum", "long sum", "tests", "long tests"],
+)
+def test_one_level_past_the_limit_is_a_parse_error(source, col):
+    with pytest.raises(ParseError) as err:
+        parse_program(source)
+    assert (err.value.line, err.value.col) == (2, col)
+    assert err.value.message == f"expression nested more than {MAX_NESTING} deep"
+
+
+def test_whatever_parses_prints_and_parses_again():
+    # random expressions near the limit, inside nested ifs (a call may
+    # only be a whole right-hand side, so there is none): an accepted
+    # program's printed form parses to the same tree
+    rng = random.Random(5)
+
+    def expr(depth: int) -> str:
+        if depth <= 0 or rng.random() < 0.1:
+            return rng.choice(["1", "x", "true", "this", "null", "f"])
+        e, a = expr(depth - 1), rng.random() < 0.5
+        return rng.choice([
+            e + " + 1" if a else "1 - " + e,
+            "(" + e + ")",
+            e + "?",
+            e + " == 1" if a else "1 < (" + e + ")",
+            e + " && true" if a else "true && " + e,
+        ])
+
+    accepted = 0
+    for _ in range(1_000):
+        ifs = rng.randrange(MAX_NESTING)
+        statement = rng.choice(["y = {};", "if {} {{ }} else {{ }}", "({}).get;"])
+        source = (
+            "{ Int x; Int y; Fut<Int> f;\n"
+            + "if true {\n" * ifs
+            + statement.format(expr(rng.randrange(1, 140))) + "\n"
+            + "} else { }\n" * ifs
+            + "}\n"
+        )
+        try:
+            program = parse_program(source)
+        except (ParseError, ResolutionError):
+            continue
+        assert parse_program(pretty_print(program)) == program
+        accepted += 1
+    assert accepted > 150, accepted
+
+
 def test_new_actor_rejected_on_interface_accepted_on_class():
     with pytest.raises(ResolutionError, match="I"):
         parse_program(MINIMAL.replace("{ }", "{ Actor<I> a; a = new actor I(); }"))

@@ -41,7 +41,6 @@ PUBLIC = {
     "run",
     "select",
     "step",
-    "sync_set_of",
     "synced",
 }
 
@@ -57,7 +56,7 @@ PERFBENCH_IMPORTS = {
 
 
 def test_all_is_the_agreed_surface():
-    assert len(mactor.__all__) == len(set(mactor.__all__)) == 32
+    assert len(mactor.__all__) == len(set(mactor.__all__)) == 31
     assert set(mactor.__all__) == PUBLIC
 
 

@@ -23,10 +23,10 @@ from mactor import (
     FutureFailed,
     MacActor,
     SyncEntry,
-    sync_set_of,
     synced,
 )
 from mactor.bank import read_jsonl
+from mactor.scheduler import planned_sync_set, sync_plan
 
 
 def make_actor(*args, **kwargs):
@@ -601,8 +601,8 @@ class _Enqueued(EventLog):
 def test_send_queues_the_sync_set_of_its_labels(labels, args):
     """Whatever the labels (repeated, all None, none at all) and arguments
     (equal or not, of the wrong number), ``send`` queues exactly the entries
-    ``sync_set_of`` gives for the method's ``@synced`` labels, or raises
-    its ValueError and queues nothing."""
+    ``planned_sync_set`` builds from the ``sync_plan`` of the method's
+    ``@synced`` labels, or raises its ValueError and queues nothing."""
 
     class Labelled:
         @synced(*labels)
@@ -613,7 +613,7 @@ def test_send_queues_the_sync_set_of_its_labels(labels, args):
     actor = MacActor(Labelled, workers=1, event_log=log)
     try:
         try:
-            want = sync_set_of(labels, args)
+            want = planned_sync_set(sync_plan(labels), args)
         except ValueError:
             with pytest.raises(ValueError, match="arity mismatch"):
                 actor.send("call", args)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CountingSet
-from mactor import QueuedMessage, SyncEntry, select, sync_set_of
-from mactor.scheduler import EMPTY_LOCKS, LockTable, lock_union
+from mactor import QueuedMessage, SyncEntry, select
+from mactor.scheduler import EMPTY_LOCKS, LockTable, lock_union, planned_sync_set, sync_plan
 
 
 def entry(label, value):
@@ -28,27 +28,27 @@ def select_oracle(supported, held, queue):
     return select_oracle(supported, held | head.sync, rest)
 
 
-# ---- sync_set_of
+# ---- a signature's sync plan and a message's entries
 
 def test_sync_set_withdraw_like():
-    assert sync_set_of(("a", None), (7, 50)) == {entry("a", 7)}
+    assert planned_sync_set(sync_plan(("a", None)), (7, 50)) == {entry("a", 7)}
 
 
 def test_sync_set_transfer_like():
-    assert sync_set_of(("a", "a", None), (1, 2, 10)) == {entry("a", 1), entry("a", 2)}
+    assert planned_sync_set(sync_plan(("a", "a", None)), (1, 2, 10)) == {entry("a", 1), entry("a", 2)}
 
 
 def test_sync_set_no_labels():
-    assert sync_set_of((None, None), (1, 2)) == frozenset()
+    assert planned_sync_set(sync_plan((None, None)), (1, 2)) == frozenset()
 
 
 def test_sync_set_arity_mismatch():
     with pytest.raises(ValueError):
-        sync_set_of(("a",), (1, 2))
+        planned_sync_set(sync_plan(("a",)), (1, 2))
 
 
 def test_sync_set_collapses_equal_entries():
-    assert sync_set_of(("a", "a"), (5, 5)) == {entry("a", 5)}
+    assert planned_sync_set(sync_plan(("a", "a")), (5, 5)) == {entry("a", 5)}
 
 
 # ---- the worked five-message queue

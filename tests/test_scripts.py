@@ -60,10 +60,11 @@ def test_explore_layers_prints_a_row_per_program():
     out = run_script("explore_layers.py")
     rows = [line.split(" | ") for line in out.splitlines() if re.match(r"\| (explore|\d)", line)]
     # program, six shares, then keys, steps and states per exploration,
+    # and the merged runs that ended at a stored state with their steps,
     # which a change of representation leaves as they are
     assert [(row[0], *row[7:]) for row in rows] == [
-        ("| explore-bank", "48", "211", "28 |"),
-        ("| 4, (3,3), (1,2)", "300", "1214", "145 |"),
+        ("| explore-bank", "48", "211", "28", "11", "75 |"),
+        ("| 4, (3,3), (1,2)", "300", "1214", "145", "57", "384 |"),
     ]
     assert all(0 < float(share.rstrip("%")) < 100 for row in rows for share in row[1:7])
 
