@@ -7,10 +7,14 @@ on perfbench's explore-bank program (seed 211) and on the largest variant
 of ``scripts/explore_variants.py``.  For each it prints one markdown row:
 the cumulative share of the search's time spent in
 ``Configuration.canonical`` (keying states), ``explore.step`` (making
-successors and the merged runs of safe steps after them), the objects'
-labels (``_stmt_label`` and ``_sched_label``, which ``object_step`` and a
-run ask), judging steps safe (``_safe_at``, which ``is_safe`` and a run
-ask) and ``enabled_steps``, the share spent in the search's own code (the
+successors and the merged runs of safe steps after them), the busy
+objects' labels (``_stmt_step``, which ``object_step``, ``enabled_steps``
+and a run ask), judging steps safe (``_safe_at``, which ``is_safe`` and a
+run ask), ``enabled_steps``, the SCHED-MSG bookkeeping (``sched``: the
+idle objects' picks, ``_sched_step``, which builds a group's held set and
+asks ``scheduler.select``, the symmetry cut ``_one_per_interchangeable``
+and the two checks ``_check_dispatch_order`` and ``_check_started``), the
+share spent in the search's own code (the
 functions of ``mactor/explore.py`` not counting what they call, the loop
 of a run among them), and per exploration the keys made, the steps
 applied (calls of the rules of ``interp._RULES``), the states stored, and
@@ -18,8 +22,9 @@ the merged runs that ended at an already stored state, with the steps
 they took.  A merged run is what a ``step`` call takes after its first
 label; it ended at a stored state when its end's key had already been
 made.  The shares overlap where one layer calls another: ``step`` asks for
-labels and judges them, and so does ``enabled_steps``.  Exits 1 if a search
-truncates, faults, finds a violation or disagrees with the replay.
+labels and judges them, and so does ``enabled_steps``, which also picks.
+Exits 1 if a search truncates, faults, finds a violation or disagrees with
+the replay.
 """
 
 from __future__ import annotations
@@ -49,13 +54,22 @@ CASES = (
     ("explore-bank", WORKLOADS["explore-bank"], 211, 40),
     ("4, (3,3), (1,2)", ExploreSpec(tellers=4, withdrawals=(3, 3), checks=(1, 2)), 1, 10),
 )
-# cumulative layers: (column, file of the functions, function names)
+# cumulative layers: (column, (file, function name) of each function)
 LAYERS = (
-    ("canonical", "interp.py", ("canonical",)),
-    ("step", "explore.py", ("step",)),
-    ("labels", "interp.py", ("_stmt_label", "_sched_label")),
-    ("is_safe", "interp.py", ("_safe_at",)),
-    ("enabled_steps", "interp.py", ("enabled_steps",)),
+    ("canonical", (("interp.py", "canonical"),)),
+    ("step", (("explore.py", "step"),)),
+    ("labels", (("interp.py", "_stmt_step"),)),
+    ("is_safe", (("interp.py", "_safe_at"),)),
+    ("enabled_steps", (("interp.py", "enabled_steps"),)),
+    (
+        "sched",
+        (
+            ("interp.py", "_sched_step"),
+            ("explore.py", "_one_per_interchangeable"),
+            ("explore.py", "_check_dispatch_order"),
+            ("explore.py", "_check_started"),
+        ),
+    ),
 )
 RULES = {rule.__name__ for rule in _RULES.values()}
 
@@ -111,7 +125,7 @@ def profile(spec: ExploreSpec, seed: int, explorations: int) -> tuple:
 
     total = sum(v[3] for v in entries("explore.py", "explore_all"))
     cells = [
-        f"{sum(v[3] for n in names for v in entries(f, n)) / total:.1%}" for _, f, names in LAYERS
+        f"{sum(v[3] for f, n in names for v in entries(f, n)) / total:.1%}" for _, names in LAYERS
     ]
     own = os.path.join("mactor", "explore.py")
     search = sum(v[2] for (f, _, _), v in stats.items() if f.endswith(own))
@@ -127,7 +141,7 @@ def main() -> int:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     columns = [
         "program",
-        *(c for c, _, _ in LAYERS),
+        *(c for c, _ in LAYERS),
         "search",
         "keys",
         "steps",

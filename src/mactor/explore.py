@@ -147,17 +147,24 @@ non-faulted terminal state up to a renaming of interchangeable objects
 (exactly, where no two objects were interchangeable), every fault
 diagnostic and whether some state violates an invariant.  It drops
 interleavings, so a faulted terminal may be reached with less progress of
-the other objects, and the trace to a violation may differ.  Only
-SCHED-MSG takes locks, no run of safe steps contains one, and the initial
-state holds none, so lock disjointness is checked on the successors of
-SCHED-MSG steps, which are the first states with overlapping sets on any
-path, when they are made, since they need not be stored.
+the other objects, and the trace to a violation may differ.
+
+Lock disjointness holds by induction along each path: the initial state
+holds no locks, only SCHED-MSG takes any, no run of safe steps contains
+one, and the search stops at the first violation.  So a SCHED-MSG
+successor can only overlap where its object's new locks, the started
+message's sync set, meet another member's of its group; that is all the
+check compares, when the successor is made, since it need not be stored.
+The dispatch-order check reads only the state and the started message, so
+an expansion makes it once per group and priority.
 
 ``select_fn`` must be prefix-stable: when it picks a message from a queue,
 it picks the same message from that queue with more messages appended.
 ``scheduler.select`` is, and so is any rule that scans in queue order and
 looks only at the messages before the one it picks.  That is what makes
-a send commute with every SCHED-MSG.
+a send commute with every SCHED-MSG.  It must also be a function of its
+arguments: :func:`mactor.interp.enabled_steps` asks it once per worker
+class of a group and gives the pick to each idle object of the class.
 """
 
 from __future__ import annotations
@@ -167,8 +174,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .interp import Configuration, StepLabel, enabled_steps, is_safe, object_step, stuck
-from .interp import _LOCAL_RULES, _RULES, _EvalFault, _Frames, _apply, _safe_at, _stmt_label
-from .scheduler import lock_union, select as default_select
+from .interp import _LOCAL_RULES, _RULES, _EvalFault, _Frames, _apply, _safe_at, _stmt_step
+from .scheduler import select as default_select
 from .syntax import While
 
 @dataclass(frozen=True)
@@ -205,11 +212,14 @@ class ExploreReport:
         return sum(c.fault is None and bool(stuck(c)) for c in self.terminals)
 
 
-def _check_lock_disjointness(config: Configuration) -> Optional[str]:
-    for members in config.groups:
-        lock_sets = [config.heap[o.id].locks for o in members]
-        if len(lock_union(lock_sets)) != sum(map(len, lock_sets)):
-            return f"overlapping lock sets inside group {members[0]}"
+def _check_started(config: Configuration, label: StepLabel) -> Optional[str]:
+    # config is the SCHED-MSG's successor: its object holds the started
+    # message's sync set
+    heap, obj = config.heap, label.obj
+    taken = heap[obj[1]].locks
+    for o in next(m for m in config.groups if m[0] == label.actor):
+        if o != obj and not taken.isdisjoint(heap[o[1]].locks):
+            return f"overlapping lock sets inside group {label.actor}"
     return None
 
 
@@ -219,7 +229,7 @@ def _check_dispatch_order(config: Configuration, label: StepLabel) -> Optional[s
     if chosen is None:
         return None
     for earlier in queue:
-        if earlier.priority < chosen.priority and earlier.sync & chosen.sync:
+        if earlier.priority < chosen.priority and not earlier.sync.isdisjoint(chosen.sync):
             return (
                 f"message '{chosen.method}' (priority {chosen.priority}) dispatched "
                 f"before conflicting '{earlier.method}' (priority {earlier.priority})"
@@ -291,7 +301,7 @@ def step(
         top = thread[-1] if thread else None
         if top is None or top.point.head is None:  # no step, or a SCHED-MSG
             break
-        label = _stmt_label(state, actor, obj, thread, top)  # None: a get that waits
+        label, value = _stmt_step(state, actor, obj, thread, top)  # None: a get that waits
         local = label is not None and label.rule in _LOCAL_RULES
         if label is None or local and not _safe_at(state, label, top):
             answer = (label, False, None)
@@ -300,7 +310,7 @@ def step(
         if local:
             frames = frames or _Frames(state, obj)
             try:
-                _RULES[label.rule](frames)
+                _RULES[label.rule](frames, value)
             except _EvalFault as fault:
                 end = frames.written()
                 return tuple(run), first, end, (label, True, end.evolve(fault=fault.diagnostic))
@@ -331,7 +341,8 @@ def explore_all(
     depth bound cut anything off, and the first invariant violation found,
     if any, with its full trace.  ``faults`` and ``deadlocks`` count the
     distinct faulted and deadlocked terminals met, not those of the full
-    search.  ``select_fn`` must be prefix-stable.
+    search.  ``select_fn`` must be prefix-stable and a function of its
+    arguments.
 
     Each state asks the object that moved into it for its one step
     (:func:`mactor.interp.object_step`) first, unless the step that made
@@ -437,8 +448,11 @@ def explore_all(
                 labels = enabled_steps(current, select_fn, asked)
         if len(labels) > 1:
             labels = _one_per_interchangeable(current, labels)
+        ordered = set()  # (group, priority) of the messages checked for order
         for label in labels:
-            if label.rule == "SCHED-MSG":
+            sched = label.rule == "SCHED-MSG"
+            if sched and (label.actor, label.priority) not in ordered:
+                ordered.add((label.actor, label.priority))
                 problem = _check_dispatch_order(current, label)
                 if problem:
                     report.violations.append(
@@ -447,11 +461,8 @@ def explore_all(
                     return report
             result = picked if label == pick else step(current, label, budget, select_fn)
             run, succ, end, answer = result
-            # Only SCHED-MSG takes locks, and the root holds none, so the
-            # first state with overlapping lock sets on any path is a
-            # SCHED-MSG successor.
-            if label.rule == "SCHED-MSG":
-                problem = _check_lock_disjointness(succ)
+            if sched:
+                problem = _check_started(succ, label)
                 if problem:
                     report.violations.append(
                         Violation("theorem1", problem, trace_to(key) + (label,))

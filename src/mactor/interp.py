@@ -41,9 +41,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .scheduler import (
     EMPTY_LOCKS,
     QueuedMessage,
-    SyncEntry,
     _new_tuple,
-    lock_union,
     planned_sync_set,
     select as default_select,
     sync_plan,
@@ -361,11 +359,15 @@ class ProgramIndex:
         self.class_methods: dict[str, dict[str, MethodDef]] = {
             c.name: {m.sig.name: m for m in c.methods} for c in program.classes
         }
-        # Signatures an object of a class supports, for the select filter
-        # and for the signature of an event sent to its group.
-        self.class_supported: dict[str, frozenset[MethodSig]] = {
+        # A number per distinct signature a class implements: a queued
+        # message's signature, and what a class supports, so select hashes
+        # ints.  Signatures are equal by value, so interfaces share them.
+        self.signatures: dict[MethodSig, int] = {}
+        numbers = self.signatures
+        self.class_supported: dict[str, frozenset[int]] = {
             c.name: frozenset(
-                sig for iname in c.implements for sig in interfaces[iname].signatures
+                numbers.setdefault(sig, len(numbers))
+                for iname in c.implements for sig in interfaces[iname].signatures
             )
             for c in program.classes
         }
@@ -521,20 +523,22 @@ class ProgramIndex:
 
     # ---- program lookups
 
-    def event(self, cls: str, method: str, nargs: int) -> tuple[MethodSig, tuple]:
-        """Signature attached to an event sent to a group whose first object
-        is of class ``cls``, and its sync plan, found once per class,
-        method and arity.  Ambiguity across interfaces is a fault."""
+    def event(self, cls: str, method: str, nargs: int) -> tuple[int, tuple]:
+        """Signature number attached to an event sent to a group whose
+        first object is of class ``cls``, and its sync plan, found once per
+        class, method and arity.  Ambiguity across interfaces is a fault."""
         key = (cls, method, nargs)
         found = self._events.get(key)
         if found is None:
-            sigs = [s for s in self.class_supported[cls] if s.name == method and s.arity == nargs]
+            supported = self.class_supported[cls]
+            named = [s for s, n in self.signatures.items() if n in supported and s.name == method]
+            sigs = [s for s in named if s.arity == nargs]
             if not sigs:
                 found = f"actor does not accept '{method}' with {nargs} argument(s)"
             elif len(sigs) > 1:
                 found = f"ambiguous signature for '{method}' across interfaces"
             else:
-                found = (sigs[0], sync_plan(sigs[0].param_labels))
+                found = (self.signatures[sigs[0]], sync_plan(sigs[0].param_labels))
             self._events[key] = found
         if type(found) is str:
             raise _EvalFault(found)
@@ -718,9 +722,6 @@ class Configuration:
         thread = self.threads[0]
         return dict(thread[0].env) if thread else {}
 
-    def group_locks(self, actor: ObjRef) -> frozenset[SyncEntry]:
-        return lock_union([st.locks for st in self.heap if st.myactor == actor])
-
 
 ANONYMOUS = ObjRef(0)
 
@@ -825,7 +826,13 @@ def enabled_steps(
     known: Optional[tuple[ObjRef, Optional[StepLabel]]] = None,
 ) -> list[StepLabel]:
     """All rule instances whose premises hold, in deterministic order
-    (group id, then object id).  A faulted configuration has none.
+    (group id, then object id): the label :func:`object_step` gives each
+    object, where it gives one.  A faulted configuration has none.
+
+    ``select_fn``, which must be a function of its arguments, is asked once
+    per worker class among a group's idle members, for all of them: an
+    idle object holds no locks, so its pick depends only on its class's
+    supported set, its group's locks and the queue.
 
     ``known`` is ``(obj, label)``: the answer :func:`object_step` already
     gave on ``config`` for object ``obj``, a label or None, which is used
@@ -833,11 +840,26 @@ def enabled_steps(
     if config.fault is not None:
         return []
     mover, answer = known or (None, None)
+    heap, threads = config.heap, config.threads
+    # an idle mover's answer is the pick of its class
+    seeded = heap[mover[1]].myactor if mover is not None and not threads[mover[1]] else None
     labels: list[StepLabel] = []
     for members in config.groups:
         actor = members[0]
+        # class -> the SCHED-MSG of one of its idle members, or None
+        picks = {heap[mover[1]].cls: answer} if actor == seeded else {}
         for obj in members:
-            label = answer if obj == mover else object_step(config, actor, obj, select_fn)
+            if obj == mover:
+                label = answer
+            elif threads[obj[1]]:
+                label = object_step(config, actor, obj, select_fn)
+            else:
+                cls = heap[obj[1]].cls
+                label = picks.get(cls, _UNSEEN)
+                if label is _UNSEEN:
+                    label = picks[cls] = _sched_step(config, members, obj, select_fn)
+                elif label is not None:  # the same method and priority
+                    label = _new_tuple(StepLabel, ("SCHED-MSG", actor, obj, *label[3:]))
             if label is not None:
                 labels.append(label)
     return labels
@@ -856,64 +878,71 @@ def object_step(
     if config.fault is not None:
         return None
     thread = config.threads[obj.id]
-    if not thread:
-        return _sched_label(config, actor, obj, select_fn)
-    top = thread[-1]
-    if top.point.head is None:
-        return None  # the main closure after its last statement
-    return _stmt_label(config, actor, obj, thread, top)
+    if thread:
+        top = thread[-1]
+        if top.point.head is None:
+            return None  # the main closure after its last statement
+        return _stmt_step(config, actor, obj, thread, top)[0]
+    return _sched_step(config, next(m for m in config.groups if m[0] == actor), obj, select_fn)
 
 
-def _sched_label(
-    config: Configuration, actor: ObjRef, obj: ObjRef, select_fn: Callable
-) -> Optional[StepLabel]:
-    queue = config.queues.get(actor)
+def _sched_step(config: Configuration, members: tuple, obj: ObjRef, select_fn: Callable):
+    """The SCHED-MSG of ``obj``, an idle member of group ``members``, or
+    None.  The group holds its members' locks."""
+    actor, heap = members[0], config.heap
+    queue = config.queues.get(actor)  # the anonymous group has none
     if not queue:
         return None
-    held = config.group_locks(actor)
-    supported = config.index.class_supported[config.heap[obj.id].cls]
-    msg = select_fn(supported, held, queue)
+    held = EMPTY_LOCKS
+    for o in members:
+        locks = heap[o[1]].locks
+        if locks:
+            held = held | locks if held else locks
+    msg = select_fn(config.index.class_supported[heap[obj[1]].cls], held, queue)
     if msg is None:
         return None
     return _new_tuple(StepLabel, ("SCHED-MSG", actor, obj, msg.method, msg.priority))
 
 
-def _stmt_label(
-    config: Configuration, actor: ObjRef, obj: ObjRef, thread: Thread, top: Closure
-) -> Optional[StepLabel]:
+def _stmt_step(config: Configuration, actor: ObjRef, obj: ObjRef, thread: Thread, top: Closure):
+    """``(label, value)``: the step of the head of ``top`` (None for a
+    ``get`` that waits), and the guard or future naming it evaluated, for
+    the rule; ``_UNSEEN`` for any other step or where evaluating faulted."""
     s = top.point.head
     t = type(s)  # statement and expression classes are final
     if t is Assign:
         rhs = type(s.value)
         if rhs is SyncCall:
-            return _new_tuple(StepLabel, ("SYNC-CALL", actor, obj, s.value.method, None))
+            return _new_tuple(StepLabel, ("SYNC-CALL", actor, obj, s.value.method, None)), _UNSEEN
         if rhs is AsyncCall:
-            return _new_tuple(StepLabel, ("ASYNC-CALL", actor, obj, s.value.method, None))
+            return _new_tuple(StepLabel, ("ASYNC-CALL", actor, obj, s.value.method, None)), _UNSEEN
         if rhs is NewObject:
-            return _new_tuple(StepLabel, ("NEW-ACTOB", actor, obj, None, None))
+            return _new_tuple(StepLabel, ("NEW-ACTOB", actor, obj, None, None)), _UNSEEN
         if rhs is NewActor:
-            return _new_tuple(StepLabel, ("NEW-ACTOR", actor, obj, None, None))
+            return _new_tuple(StepLabel, ("NEW-ACTOR", actor, obj, None, None)), _UNSEEN
         rule = "ASSIGN-LOCAL" if s.target in top.env else "ASSIGN-FIELD"
-        return _new_tuple(StepLabel, (rule, actor, obj, None, None))
+        return _new_tuple(StepLabel, (rule, actor, obj, None, None)), _UNSEEN
     if t is GetStmt:
         # a bad expression or a non-future is enabled, and the step faults
         try:
             v = _eval(config, top.env, s.value)
         except _EvalFault:
             v = None
-        if isinstance(v, FutRef) and config.futures[v.id] is PENDING:
-            return None  # blocked until the future resolves
-        return _new_tuple(StepLabel, ("READ-FUT", actor, obj, None, None))
+        if type(v) is not FutRef:
+            v = _UNSEEN
+        elif config.futures[v[1]] is PENDING:
+            return None, _UNSEEN  # blocked until the future resolves
+        return _new_tuple(StepLabel, ("READ-FUT", actor, obj, None, None)), v
     if t is If or t is While:
         try:
             value = _eval_guard(config, top.env, s.cond)
         except _EvalFault:
-            value = True  # the step faults
+            return _new_tuple(StepLabel, ("COND-TRUE", actor, obj, None, None)), _UNSEEN
         rule = "COND-TRUE" if value else "COND-FALSE"
-        return _new_tuple(StepLabel, (rule, actor, obj, None, None))
+        return _new_tuple(StepLabel, (rule, actor, obj, None, None)), value
     if t is Return:
         rule = "SYNC-RETURN" if len(thread) > 1 else "ASYNC-RETURN"
-        return _new_tuple(StepLabel, (rule, actor, obj, None, None))
+        return _new_tuple(StepLabel, (rule, actor, obj, None, None)), _UNSEEN
     raise TypeError(f"unhandled statement {s!r}")
 
 
@@ -1286,7 +1315,7 @@ def _apply(config: Configuration, label: StepLabel) -> Configuration:
     try:
         if rule in _LOCAL_RULES:
             frames = _Frames(config, label.obj)
-            _RULES[rule](frames)
+            _RULES[rule](frames, _UNSEEN)
             return frames.written()
         thread = config.threads[label.obj.id]
         top = thread[-1] if thread else None  # SCHED-MSG runs on an idle object
@@ -1318,8 +1347,9 @@ class _Frames(list):
         return self.config.evolve(thread=(self.obj, tuple(self)))
 
 
-# ---- rule bodies: a rule of _LOCAL_RULES evaluates first, then changes
-# its frames; any other rule builds its successor
+# ---- rule bodies: a rule of _LOCAL_RULES, handed what _stmt_step
+# evaluated, evaluates first, then changes its frames; any other rule
+# builds its successor
 
 def _assign(
     config: Configuration,
@@ -1351,7 +1381,7 @@ def _assign(
     return config.evolve(thread=(label.obj, thread), record=record, future=future, queues=queues)
 
 
-def _assign_local(frames: _Frames) -> None:
+def _assign_local(frames: _Frames, _) -> None:
     top = frames[-1]
     head = top.point.head
     top.env[head.target] = _eval(frames.config, top.env, head.value)
@@ -1363,11 +1393,12 @@ def _assign_field(config, label, thread, top, point) -> Configuration:
     return _assign(config, label, thread, s.target, _eval(config, top.env, s.value), point.next)
 
 
-def _cond(frames: _Frames) -> None:
+def _cond(frames: _Frames, taken) -> None:
     top = frames[-1]
     point = top.point
     s = point.head
-    taken = _eval_guard(frames.config, top.env, s.cond)
+    if taken is _UNSEEN:
+        taken = _eval_guard(frames.config, top.env, s.cond)
     if type(s) is If:
         rest = point.then if taken else point.orelse
     else:
@@ -1375,14 +1406,14 @@ def _cond(frames: _Frames) -> None:
     top.point = rest
 
 
-def _read_fut(frames: _Frames) -> None:
+def _read_fut(frames: _Frames, fut) -> None:
     top = frames[-1]
-    if not isinstance(_eval(frames.config, top.env, top.point.head.value), FutRef):
+    if fut is _UNSEEN and type(_eval(frames.config, top.env, top.point.head.value)) is not FutRef:
         raise _EvalFault("'.get' applied to a non-future value")
     top.point = top.point.next
 
 
-def _sync_call(frames: _Frames) -> None:
+def _sync_call(frames: _Frames, _) -> None:
     config = frames.config
     top = frames[-1]
     point = top.point
@@ -1410,7 +1441,7 @@ def _sync_call(frames: _Frames) -> None:
     frames.append(Closure(callee_env, index.entry(mdef.body)))
 
 
-def _sync_return(frames: _Frames) -> None:
+def _sync_return(frames: _Frames, _) -> None:
     # the caller below waits at the waiting point of its call site
     top = frames[-1]
     value = _eval(frames.config, top.env, top.point.head.value)
@@ -1491,9 +1522,12 @@ def _new(config, label, thread, top, point) -> Configuration:
 def _sched_msg(config, label, *_) -> Configuration:
     actor, obj = label.actor, label.obj
     queue = config.queues[actor]
-    msg = next(m for m in queue if m.priority == label.priority)
+    i = 0
+    while queue[i].priority != label.priority:
+        i += 1
+    msg = queue[i]
     queues = dict(config.queues)
-    queues[actor] = tuple(m for m in queue if m is not msg)
+    queues[actor] = queue[:i] + queue[i + 1 :]
     state = config.heap[obj.id]
     index = config.index
     mdef = index.class_methods[state.cls][msg.method]

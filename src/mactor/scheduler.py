@@ -47,8 +47,8 @@ class QueuedMessage(NamedTuple):
     """One pending asynchronous invocation.
 
     ``signature`` is any hashable token the idle object's supported set can
-    be probed with (a parsed method signature in the interpreter, a method
-    name in the thread pool).  ``priority`` is the arrival counter: unique
+    be probed with (in the interpreter the number its ``ProgramIndex``
+    gives the parsed method signature, in the thread pool a method name).  ``priority`` is the arrival counter: unique
     per queue and strictly increasing with enqueue order.
     """
 

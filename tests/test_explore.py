@@ -11,7 +11,7 @@ from conftest import PROGRAMS, load_config, load_program
 from mactor import PENDING, FutRef, explore_all, initial_config, parse_program, run
 from mactor import explore as explore_module
 from mactor import interp as interp_module
-from mactor.explore import _check_dispatch_order, _check_lock_disjointness
+from mactor.explore import _check_dispatch_order, _check_started
 from mactor.interp import (
     ANONYMOUS,
     Configuration,
@@ -22,7 +22,7 @@ from mactor.interp import (
     step,
     stuck,
 )
-from mactor.scheduler import QueuedMessage, SyncEntry, select
+from mactor.scheduler import QueuedMessage, SyncEntry, lock_union, select
 from mactor.syntax import Assign, While
 from progen import gen_program
 from test_bank import SAME_KEY_GET
@@ -512,6 +512,17 @@ def shadowless_select(supported, held, queue, **_):
     return None
 
 
+def _check_lock_disjointness(config):
+    """The theorem1 check on a whole state: inside every group, no two
+    objects hold intersecting lock sets.  The explorer checks only the
+    group and object of each SCHED-MSG (``_check_started``)."""
+    for members in config.groups:
+        lock_sets = [config.heap[o.id].locks for o in members]
+        if len(lock_union(lock_sets)) != sum(map(len, lock_sets)):
+            return f"overlapping lock sets inside group {members[0]}"
+    return None
+
+
 def terminal_future_values(report):
     out = set()
     for cfg in report.terminals:
@@ -996,25 +1007,189 @@ def test_every_label_the_explorer_applies_is_enabled():
 def test_each_object_is_asked_for_its_step_once_per_state():
     # The object that moved into a state was asked for its next step at the
     # end of its run or when the state was popped; enabled_steps takes that
-    # answer instead of deriving it again.
-    ask = interp_module.object_step
+    # answer instead of deriving it again.  A busy object is asked for its
+    # statement's step, and an idle one for the message it starts, once
+    # per worker class of its group: the class's idle objects share it.
+    ask, pick = interp_module.object_step, interp_module._sched_step
     asked = []
 
     def counted(config, actor, obj, *rest):
         asked.append((config, obj))  # holds the state, so its id stays its own
         return ask(config, actor, obj, *rest)
 
+    def picked(config, members, obj, *rest):
+        asked.append((config, (members[0], config.heap[obj.id].cls)))
+        return pick(config, members, obj, *rest)
+
     total = 0
     for name, program, depth in _differential_programs():
         with mock.patch.object(interp_module, "object_step", counted), mock.patch.object(
             explore_module, "object_step", counted
-        ):
+        ), mock.patch.object(interp_module, "_sched_step", picked):
             explore_all(initial_config(program), depth)
-        keys = [(id(config), obj) for config, obj in asked]
+        keys = [(id(config), asker) for config, asker in asked]
         assert len(set(keys)) == len(keys), name
         total += len(keys)
         asked.clear()
     assert total > 1000
+
+
+# ---- selection once per worker class, against asking each object
+
+# IA and IB declare an equal op, which Lead and Side both implement, in
+# Lead's group; Loose's op has no sync label and Pair's takes two
+# arguments, so neither supports the op sent to Lead.  With size() queued
+# first, an idle Lead and an idle Side pick different messages.
+EQUAL_SIGNATURES = """
+interface IA { Int op(sync<k> Int x); Int size(); }
+interface IB { Int op(sync<k> Int x); Int grow(); }
+interface IC { Int op(Int x); }
+interface ID { Int op(Int x, Int y); }
+class Lead implements IA, IB {
+  Int n;
+  Int op(sync<k> Int x) { n = n + x; return n; }
+  Int size() { return n; }
+  Int grow() { IB s; IC c; ID d; s = new Side(); c = new Loose(); d = new Pair(); return 0; }
+}
+class Side implements IB {
+  Int op(sync<k> Int x) { return x; }
+  Int grow() { return 1; }
+}
+class Loose implements IC { Int op(Int x) { return x + 10; } }
+class Pair implements ID { Int op(Int x, Int y) { return x + y; } }
+{ Actor<IA> a; Actor<IC> c; Actor<ID> d;
+  Fut<Int> g; Fut<Int> s; Fut<Int> p; Fut<Int> q; Fut<Int> r; Fut<Int> t; Fut<Int> u;
+  a = new actor Lead(); c = new actor Loose(); d = new actor Pair();
+  g = a!grow(); g.get;
+  s = a!size(); p = a!op(1); q = a!op(1); r = a!op(2);
+  t = c!op(5); u = d!op(2, 3); }
+"""
+
+
+def _selection_programs():
+    yield from _differential_programs()
+    yield "equal signatures", parse_program(EQUAL_SIGNATURES), 400
+
+
+def searched_states(program, depth, select_fn):
+    """The states of the reduced search of ``program``, each state a step
+    was taken from or reached, then every state of its full search."""
+    states = [initial_config(program)]
+    taken = explore_module.step
+
+    def recorded(config, label, *rest):
+        result = taken(config, label, *rest)
+        states.extend((config, result[1], result[2]))
+        return result
+
+    with mock.patch.object(explore_module, "step", recorded):
+        explore_all(states[0], depth, select_fn=select_fn)
+    yield from states
+    root = initial_config(program)
+    seen = {root.canonical()}
+    frontier = deque([(root, 0)])
+    while frontier:
+        current, dist = frontier.popleft()
+        yield current
+        if dist < depth:
+            for label in enabled_steps(current, select_fn):
+                succ = step(current, label, select_fn)
+                if succ.canonical() not in seen:
+                    seen.add(succ.canonical())
+                    frontier.append((succ, dist + 1))
+
+
+def spec_pick(config, obj, select_fn):
+    """What ``select_fn`` picks for the idle ``obj``, asked as the
+    selection rule is stated: the group's held set is every lock of the
+    heap's objects of the group, and signatures are the parsed
+    ``MethodSig``s, a message's being the one its group's first object
+    declares for its method and arity."""
+    program = config.index.program
+    interfaces = {i.name: i for i in program.interfaces}
+
+    def signatures(cls):
+        implements = config.index.classes[cls].implements
+        return frozenset(sig for name in implements for sig in interfaces[name].signatures)
+
+    actor = config.heap[obj.id].myactor
+    first = signatures(config.heap[actor.id].cls)
+    queue = tuple(
+        m._replace(signature=next(s for s in first if (s.name, s.arity) == (m.method, len(m.args))))
+        for m in config.queues.get(actor, ())
+    )
+    held = lock_union([st.locks for st in config.heap if st.myactor == actor])
+    return select_fn(signatures(config.heap[obj.id].cls), held, queue)
+
+
+@pytest.mark.parametrize("select_fn", [select, broken_select, shadowless_select])
+def test_enabled_steps_are_the_steps_each_object_gives(select_fn):
+    # enabled_steps asks select_fn once per worker class of a group; in
+    # every state of the reduced and the full searches it must give the
+    # labels object_step gives each object, in the same order, and each
+    # idle object's pick must be the specification's
+    states = picks = differing = 0
+    for name, program, depth in _selection_programs():
+        for config in searched_states(program, depth, select_fn):
+            labels = [
+                object_step(config, members[0], obj, select_fn)
+                for members in config.groups
+                for obj in members
+            ]
+            assert enabled_steps(config, select_fn) == [l for l in labels if l is not None], name
+            states += 1
+            if config.fault is not None:
+                continue
+            for members in config.groups:
+                idle = {}  # class -> the priorities its idle members start
+                for obj, label in zip(members, labels):
+                    if not config.threads[obj.id] and config.queues.get(members[0]):
+                        want = spec_pick(config, obj, select_fn)
+                        assert (label and label.priority) == (want and want.priority), name
+                        idle.setdefault(config.heap[obj.id].cls, set()).add(label and label.priority)
+                        picks += 1
+                differing += len(set().union(*idle.values())) > 1
+                labels = labels[len(members) :]
+    assert states > 9_000 and picks > 4_000 and differing > 500, (states, picks, differing)
+
+
+def test_equal_signatures_pick_as_before():
+    # The picks, and so the search, do not depend on how signatures are
+    # represented: Side takes Lead's op but not its size, and neither
+    # Loose nor Pair takes anything queued at Lead.
+    report = explore_all(initial_config(parse_program(EQUAL_SIGNATURES)), 400)
+    assert report.ok and not report.truncated and report.faults == report.deadlocks == 0
+    assert report.states == 213
+    assert future_values(report, "s", "p", "q", "r", "t", "u") == {
+        (0, 1, 1, 2, 15, 5),
+        (0, 1, 1, 3, 15, 5),
+        (0, 1, 2, 2, 15, 5),
+        (0, 1, 2, 4, 15, 5),
+        (0, 1, 3, 2, 15, 5),
+    }
+
+
+@pytest.mark.parametrize("select_fn", [select, broken_select, shadowless_select])
+def test_the_started_message_check_is_the_whole_state_check(select_fn):
+    # The explorer checks a SCHED-MSG successor's locks only against the
+    # started message's sync set.  On every SCHED-MSG successor of a state
+    # whose lock sets are disjoint, in the reduced and the full searches,
+    # that gives the whole-state check's verdict and detail.
+    checked = overlapping = 0
+    for name, program, depth in _selection_programs():
+        for config in searched_states(program, depth, select_fn):
+            if _check_lock_disjointness(config):
+                continue
+            for label in enabled_steps(config, select_fn):
+                if label.rule == "SCHED-MSG":
+                    succ = step(config, label, select_fn)
+                    problem = _check_lock_disjointness(succ)
+                    assert _check_started(succ, label) == problem, (name, label)
+                    checked += 1
+                    overlapping += problem is not None
+    assert checked > 3_000, checked
+    if select_fn is broken_select:
+        assert overlapping > 500, overlapping
 
 
 # ---- merged runs taken in place, against stepping them one at a time
@@ -1092,6 +1267,31 @@ def test_a_run_taken_in_place_is_the_run_stepped_one_label_at_a_time():
                 merged += len(result[0]) - 1
             compared += len(calls)
     assert compared > 8_000 and merged > 15_000, (compared, merged)
+
+
+def test_a_guard_is_evaluated_once_per_step(bank_small):
+    # Naming a COND step evaluates its guard, and the rule is handed that
+    # value: in bank_small's search, whose every COND is taken in a run,
+    # each guard evaluated names a step (the rule evaluated it again before)
+    evaluated, named = [], []
+    guard, name = interp_module._eval_guard, interp_module._stmt_step
+
+    def counted_guard(*args):
+        evaluated.append(args)
+        return guard(*args)
+
+    def counted_step(*args):
+        label, value = name(*args)
+        if label is not None and label.rule.startswith("COND"):
+            named.append(value)
+        return label, value
+
+    with mock.patch.object(interp_module, "_eval_guard", counted_guard), mock.patch.object(
+        interp_module, "_stmt_step", counted_step
+    ), mock.patch.object(explore_module, "_stmt_step", counted_step):
+        report = explore_all(initial_config(bank_small), 500)
+    assert report.ok and len(named) == len(evaluated) > 40, (len(named), len(evaluated))
+    assert all(type(value) is bool for value in named)
 
 
 # ---- facts is_safe derives once per value, against a fresh walk

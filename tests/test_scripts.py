@@ -50,23 +50,31 @@ def test_explore_variants_prints_every_variant():
         ("| 3, (2,1), (2)", "29", "1"),
         ("| 2, (3,2), (1,2)", "104", "1"),
         ("| 3, (3,2), (1,2)", "105", "1"),
+        ("| 2, (3,3), (1,2)", "143", "1"),
         ("| 4, (3,3), (1,2)", "145", "1"),
         ("| 8, (3,3), (1,2)", "149", "1"),
         ("| 16, (3,3), (1,2)", "157", "1"),
     ]
+    # select is asked once per worker class of a group, so its calls per
+    # stored state do not grow with the idle tellers
+    selects = [float(row.split(" | ")[5].rstrip(" |")) for row in rows]
+    assert max(selects[4:]) <= 1.3 * selects[4], selects
 
 
 def test_explore_layers_prints_a_row_per_program():
     out = run_script("explore_layers.py")
+    header = out.splitlines()[0].split(" | ")
     rows = [line.split(" | ") for line in out.splitlines() if re.match(r"\| (explore|\d)", line)]
-    # program, six shares, then keys, steps and states per exploration,
-    # and the merged runs that ended at a stored state with their steps,
-    # which a change of representation leaves as they are
-    assert [(row[0], *row[7:]) for row in rows] == [
+    # program, seven shares (the sixth the SCHED-MSG bookkeeping), then
+    # keys, steps and states per exploration, and the merged runs that
+    # ended at a stored state with their steps, which a change of
+    # representation leaves as they are
+    assert header[1:8] == ["canonical", "step", "labels", "is_safe", "enabled_steps", "sched", "search"]
+    assert [(row[0], *row[8:]) for row in rows] == [
         ("| explore-bank", "48", "211", "28", "11", "75 |"),
         ("| 4, (3,3), (1,2)", "300", "1214", "145", "57", "384 |"),
     ]
-    assert all(0 < float(share.rstrip("%")) < 100 for row in rows for share in row[1:7])
+    assert all(0 < float(share.rstrip("%")) < 100 for row in rows for share in row[1:8])
 
 
 def test_runtime_calls_prints_a_row_per_bank_shape():
