@@ -71,7 +71,12 @@ LAYERS = (
         ),
     ),
 )
-RULES = {rule.__name__ for rule in _RULES.values()}
+# the profiler's key, (file, first line, name), of each rule's code, so
+# that no other function of the same name counts as a step
+RULES = {
+    (code.co_filename, code.co_firstlineno, code.co_name)
+    for code in (rule.__code__ for rule in _RULES.values())
+}
 
 
 def stored_runs(program) -> tuple:
@@ -131,7 +136,7 @@ def profile(spec: ExploreSpec, seed: int, explorations: int) -> tuple:
     search = sum(v[2] for (f, _, _), v in stats.items() if f.endswith(own))
     cells.append(f"{search / total:.1%}")
     keys = sum(v[1] for v in entries("interp.py", "canonical"))
-    steps = sum(v[1] for (f, _, n), v in stats.items() if f.endswith("interp.py") and n in RULES)
+    steps = sum(v[1] for key, v in stats.items() if key in RULES)
     cells += [f"{keys / explorations:.0f}", f"{steps / explorations:.0f}", f"{report.states}"]
     cells += map(str, stored_runs(program))
     return cells, problems

@@ -53,13 +53,14 @@ again.  A run ends at the first of these:
   edge, so no cycle lies inside a run;
 * the run has reached the depth bound; a distance counts every step.
 
-The states between are not built either.  A run's local steps (those that
-write only their own thread) are taken in place on the object's frames,
-and the run's state is written once, where it ends or before a step that
-writes a field, a future or a queue, which is taken through its rule
-(:func:`step`).  A local step reads nothing its stretch of local steps
-changed but its own frames, so it is judged against the state the stretch
-started from.
+The states between are not built either.  Every step of a run is taken
+by its rule in place on the object's frames
+(:class:`mactor.interp._Frames`), and a stretch of steps writes its state
+once: after a step that writes a field, a future or a queue, or where the
+run ends (:func:`step`).  The steps before that one are local: they write
+only their own thread, which is all of the state they change that a rule
+or ``is_safe`` reads, so every step is judged against the state its
+stretch started from, with the stretch's frames.
 
 Each step is derived, judged and applied once, but for a run that fails
 the proviso from a full expansion's successor (below), which is taken
@@ -260,7 +261,7 @@ def _one_per_interchangeable(config: Configuration, labels):
 
 
 def step(
-    config: Configuration, label: StepLabel, budget: int, select_fn: Callable
+    config: Configuration, label: StepLabel, budget: int
 ) -> tuple[tuple[StepLabel, ...], Configuration, Configuration, Optional[tuple]]:
     """Takes ``label``, a step of ``config``, and the run of safe steps its
     object takes after it, at most ``budget`` steps in all:
@@ -269,15 +270,13 @@ def step(
     makes every successor through this name, which perfbench's layers.py
     patches, and applies ``label`` unchecked (see the module docstring).
 
-    ``label`` is applied through its rule.  The run stops before a step
-    whose successor faults, and after the COND-TRUE of a ``while`` that
-    follows ``label``, so no cycle lies inside it.  Its local steps are
-    taken in place on the object's frames (:class:`mactor.interp._Frames`)
-    and judged against the state the stretch started from, whose other
-    threads, queues and heap they do not touch; the frames are written back
-    once, at the end, or before a step that writes a field, a future or a
-    queue, which ``is_safe`` then judges on the written state and its rule
-    takes.
+    The run stops before a step whose successor faults, and after the
+    COND-TRUE of a ``while`` that follows ``label``, so no cycle lies
+    inside it.  Each of its steps is judged against the state its stretch
+    started from, with the stretch's frames, and taken by its rule on
+    those frames (:class:`mactor.interp._Frames`); a stretch ends after a
+    step that is not local, which writes a field, a future or a queue, and
+    the frames are written back then, or where the run ends.
 
     When the run stopped at the object's next step, the answer is that
     step (or None), whether it is safe, and its faulted successor, if it
@@ -293,8 +292,8 @@ def step(
         return (label,), first, first, None
     run = [label]
     actor, obj = label.actor, label.obj
-    # the state the stretch of local steps started from, and its mover's
-    # frames once a step of the stretch changed them
+    # the state the stretch started from, and its mover's frames once a
+    # step of the stretch changed them
     state, frames, answer = first, None, None
     while len(run) < budget:
         thread = frames or state.threads[obj.id]
@@ -302,26 +301,19 @@ def step(
         if top is None or top.point.head is None:  # no step, or a SCHED-MSG
             break
         label, value = _stmt_step(state, actor, obj, thread, top)  # None: a get that waits
-        local = label is not None and label.rule in _LOCAL_RULES
-        if label is None or local and not _safe_at(state, label, top):
+        if label is None or not _safe_at(state, label, thread):
             answer = (label, False, None)
             break
         back = label.rule == "COND-TRUE" and type(top.point.head) is While
-        if local:
-            frames = frames or _Frames(state, obj)
-            try:
-                _RULES[label.rule](frames, value)
-            except _EvalFault as fault:
-                end = frames.written()
-                return tuple(run), first, end, (label, True, end.evolve(fault=fault.diagnostic))
-        else:
-            end = frames.written() if frames else state
-            if not is_safe(end, label):
-                return tuple(run), first, end, (label, False, None)
-            state, frames = _apply(end, label), None
-            if state.fault is not None:
-                return tuple(run), first, end, (label, True, state)
+        frames = frames or _Frames(state, obj)
+        try:
+            _RULES[label.rule](frames, value)
+        except _EvalFault as fault:
+            end = frames.written()
+            return tuple(run), first, end, (label, True, end.evolve(fault=fault.diagnostic))
         run.append(label)
+        if label.rule not in _LOCAL_RULES:
+            state, frames = frames.written(), None
         if back:
             break
     return tuple(run), first, frames.written() if frames else state, answer
@@ -435,7 +427,7 @@ def explore_all(
         # that its run was tried when this state was made, and failed so.
         if pick is not None:
             if picked is None:
-                picked = run, first, end, answer = step(current, pick, budget, select_fn)
+                picked = run, first, end, answer = step(current, pick, budget)
                 # step goes on after its first label even at a loop's back
                 # edge, where a run kept alone ends; a full expansion of
                 # this state takes the whole of it
@@ -459,7 +451,7 @@ def explore_all(
                         Violation("order", problem, trace_to(key) + (label,))
                     )
                     return report
-            result = picked if label == pick else step(current, label, budget, select_fn)
+            result = picked if label == pick else step(current, label, budget)
             run, succ, end, answer = result
             if sched:
                 problem = _check_started(succ, label)

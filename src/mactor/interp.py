@@ -16,13 +16,15 @@ runs, so a step moves a frame to a point it already has and builds no
 statement tuple; a ``while`` body's last point goes back to the loop's own
 point, so iterations make no new points.
 
-The machine writes a state through one seam.  A local step (a rule of
-``_LOCAL_RULES``, which writes its own thread and nothing else) changes
-the object's frames in place, on copies a stretch of such steps owns
-(:class:`_Frames`), and the stretch writes its thread into a new state
-once; every other write, of a field, a future, a queue or a new object,
-goes through :meth:`Configuration.evolve`.  :func:`step` runs a stretch of
-one step, and the explorer runs a merged run's local steps as one stretch.
+The machine writes a state through one seam.  Every rule but SCHED-MSG,
+whose object is idle, runs on the moving object's frames in place, on
+copies a stretch of its steps owns (:class:`_Frames`), which also hold
+the field record, future and queues the stretch's last step writes, and
+the stretch writes them into a new state with one
+:meth:`Configuration.evolve`.  A local step (a rule of ``_LOCAL_RULES``)
+writes its own thread and nothing else, so a stretch goes on after it
+and ends after any other step.  :func:`step` runs a stretch of one step,
+and the explorer runs a merged run as a chain of stretches.
 
 Runtime errors in the interpreted program (calling a method on null, an
 asynchronous call on a plain object, a non-boolean guard) do not raise in
@@ -234,8 +236,8 @@ def _points(stmts: tuple[Stmt, ...], after: Point) -> Point:
 
 class Closure:
     """A frame of a thread: an environment and the program point it runs
-    at.  Treat as immutable once a state holds it; only a stretch of local
-    steps changes the copies it owns (:class:`_Frames`)."""
+    at.  Treat as immutable once a state holds it; only a stretch of steps
+    changes the copies it owns (:class:`_Frames`)."""
 
     __slots__ = ("env", "point", "_id", "_access")
 
@@ -1024,16 +1026,19 @@ def is_safe(config: Configuration, label: StepLabel) -> bool:
 
     The step may still fault; the caller checks its successor.
     """
-    return label.rule in _SAFE_RULES and _safe_at(config, label, config.threads[label.obj.id][-1])
+    return _safe_at(config, label, config.threads[label.obj.id])
 
 
-def _safe_at(config: Configuration, label: StepLabel, top: Closure) -> bool:
-    """:func:`is_safe` for ``label``, a step of ``_SAFE_RULES`` taken by
-    the top frame ``top`` of its object.  Of ``config`` it reads the heap,
-    the queues and the other objects' threads, which a local step leaves
-    as they are, so a step of a stretch's frames (:class:`_Frames`) is
-    judged against the state the stretch started from."""
+def _safe_at(config: Configuration, label: StepLabel, thread: Thread) -> bool:
+    """:func:`is_safe` for ``label``, taken by the top frame of ``thread``,
+    its object's frames.  Of ``config`` it reads only the heap, the queues
+    and the other objects' threads, which no local step changes, so every
+    step of a stretch (:class:`_Frames`) is judged against the state the
+    stretch started from, with the stretch's frames."""
     rule = label.rule
+    if rule not in _SAFE_RULES:
+        return False
+    top = thread[-1]
     point = top.point
     reads = point.reads
     if reads is _UNSEEN:
@@ -1297,7 +1302,9 @@ def step(
     """
     obj = label.obj
     heap = config.heap
-    if not (type(obj) is ObjRef and obj.id < len(heap) and heap[obj.id].myactor == label.actor):
+    if not (
+        type(obj) is ObjRef and 0 <= obj.id < len(heap) and heap[obj.id].myactor == label.actor
+    ):
         raise StepNotEnabled(f"no process for {label.obj} in {label.actor}")
     if label != object_step(config, label.actor, label.obj, select_fn):
         raise StepNotEnabled(f"{label} is not enabled")
@@ -1308,89 +1315,81 @@ def _apply(config: Configuration, label: StepLabel) -> Configuration:
     """:func:`step` without its check: for a label that
     :func:`object_step` or :func:`enabled_steps` has just given on
     ``config``, which the explorer and :func:`run` apply without deriving
-    it again.  A local step runs its rule on the object's frames as a
-    stretch of one step (:class:`_Frames`).  A SCHED-MSG label names its
-    message by priority, so no rule needs the selection."""
-    rule = label.rule
+    it again.  The rule runs on the object's frames as a stretch of one
+    step (:class:`_Frames`), but for SCHED-MSG, whose object is idle.  A
+    SCHED-MSG label names its message by priority, so no rule needs the
+    selection."""
     try:
-        if rule in _LOCAL_RULES:
-            frames = _Frames(config, label.obj)
-            _RULES[rule](frames, _UNSEEN)
-            return frames.written()
-        thread = config.threads[label.obj.id]
-        top = thread[-1] if thread else None  # SCHED-MSG runs on an idle object
-        point = top.point if top else None
-        return _RULES[rule](config, label, thread, top, point)
+        if label.rule == "SCHED-MSG":
+            return _sched_msg(config, label)
+        frames = _Frames(config, label.obj)
+        _RULES[label.rule](frames, _UNSEEN)
+        return frames.written()
     except _EvalFault as fault:
         return config.evolve(fault=fault.diagnostic)
 
 
 class _Frames(list):
     """The frames of object ``obj``'s thread in ``config`` while a stretch
-    of local steps (``_LOCAL_RULES``) runs on them in place.  Such a step
-    writes its own thread and nothing else, so ``config``'s heap, futures,
-    queues and other threads are those of every state the stretch passes.
-    The top frame is always the stretch's own copy, which a step changes;
-    a frame below it is not changed, and a SYNC-RETURN copies the frame it
-    resumes.  :meth:`written` is the state reached, written through
-    :meth:`Configuration.evolve` once."""
+    of its steps runs on them in place, and what the stretch's last step
+    writes besides them: ``record`` ``(ref, ObjectState)``, ``future``
+    ``(fut, value)`` and ``queues``, as :meth:`Configuration.evolve`
+    takes them.  Every rule but SCHED-MSG runs on these.  A stretch is
+    local steps (``_LOCAL_RULES``), which write their own thread and
+    nothing else, ended by at most one other step, so ``config``'s heap,
+    futures, queues and other threads are those of every state the
+    stretch passes before that step; NEW adds its object to ``config``
+    itself.  The top frame is always the stretch's own copy, which a step
+    changes; a frame below it is not changed, and a SYNC-RETURN copies the
+    frame it resumes.  :meth:`written` is the state reached, written
+    through :meth:`Configuration.evolve` once."""
 
-    __slots__ = ("config", "obj")
+    __slots__ = ("config", "obj", "record", "future", "queues")
 
     def __init__(self, config: Configuration, obj: ObjRef):
         list.__init__(self, config.threads[obj.id])
         top = self[-1]
         self[-1] = Closure(dict(top.env), top.point)
         self.config, self.obj = config, obj
+        self.record = self.future = self.queues = None
 
     def written(self) -> Configuration:
-        return self.config.evolve(thread=(self.obj, tuple(self)))
+        return self.config.evolve(
+            thread=(self.obj, tuple(self)),
+            record=self.record,
+            future=self.future,
+            queues=self.queues,
+        )
 
 
-# ---- rule bodies: a rule of _LOCAL_RULES, handed what _stmt_step
-# evaluated, evaluates first, then changes its frames; any other rule
-# builds its successor
+# ---- rule bodies: a rule, handed what _stmt_step evaluated (or _UNSEEN),
+# evaluates first, then writes its frames, its target before anything else,
+# so a fault leaves the frames as they were; SCHED-MSG, which has no
+# frames, builds its successor
 
-def _assign(
-    config: Configuration,
-    label: StepLabel,
-    thread: Thread,
-    target: str,
-    value: Value,
-    rest: Point,
-    future: Optional[tuple] = None,
-    queues: Optional[dict] = None,
-) -> Configuration:
-    """Write ``target`` either in the local environment or, failing that, in
-    the fields of the closure's own object, then go on at ``rest``.
-    ``future`` and ``queues`` are the step's other writes."""
-    top = thread[-1]
-    env, record = top.env, None
+def _write(frames: _Frames, target: str, value: Value) -> None:
+    """Write ``target`` in the top frame's environment or, failing that, in
+    the fields of its object, then go on at the next point."""
+    top = frames[-1]
+    env = top.env
     if target in env:
-        env = dict(env)
         env[target] = value
     else:
         this = env["this"]
-        state = config.heap[this.id]
+        state = frames.config.heap[this.id]
         if target not in state.fields:
             raise _EvalFault(f"assignment to unknown field '{target}'")
         fields = dict(state.fields)
         fields[target] = value
-        record = (this, ObjectState(state.cls, state.myactor, state.locks, fields))
-    thread = thread[:-1] + (Closure(env, rest),)
-    return config.evolve(thread=(label.obj, thread), record=record, future=future, queues=queues)
-
-
-def _assign_local(frames: _Frames, _) -> None:
-    top = frames[-1]
-    head = top.point.head
-    top.env[head.target] = _eval(frames.config, top.env, head.value)
+        frames.record = (this, ObjectState(state.cls, state.myactor, state.locks, fields))
     top.point = top.point.next
 
 
-def _assign_field(config, label, thread, top, point) -> Configuration:
-    s = point.head
-    return _assign(config, label, thread, s.target, _eval(config, top.env, s.value), point.next)
+def _assign(frames: _Frames, _) -> None:
+    """ASSIGN-LOCAL and ASSIGN-FIELD."""
+    top = frames[-1]
+    head = top.point.head
+    _write(frames, head.target, _eval(frames.config, top.env, head.value))
 
 
 def _cond(frames: _Frames, taken) -> None:
@@ -1422,7 +1421,7 @@ def _sync_call(frames: _Frames, _) -> None:
     if callee is None:
         raise _EvalFault(f"synchronous call to '{call.method}' on null")
     if not isinstance(callee, ObjRef):
-        raise _EvalFault(f"synchronous call target is not an object")
+        raise _EvalFault("synchronous call target is not an object")
     caller_actor = config.heap[top.env["this"].id].myactor
     if config.heap[callee.id].myactor != caller_actor:
         raise _EvalFault(
@@ -1450,14 +1449,15 @@ def _sync_return(frames: _Frames, _) -> None:
     frames[-1] = Closure(dict(below.env), below.point.resume(value))
 
 
-def _async_call(config, label, thread, top, point) -> Configuration:
-    s = point.head
-    call: AsyncCall = s.value
+def _async_call(frames: _Frames, _) -> None:
+    config = frames.config
+    top = frames[-1]
+    call: AsyncCall = top.point.head.value
     target = _eval(config, top.env, call.target)
     if target is None:
         raise _EvalFault(f"asynchronous call to '{call.method}' on null")
     if not isinstance(target, ObjRef) or target not in config.queues:
-        raise _EvalFault(f"asynchronous call target is not an actor")
+        raise _EvalFault("asynchronous call target is not an actor")
     args = tuple(_eval(config, top.env, a) for a in call.args)
     sig, plan = config.index.event(config.heap[target.id].cls, call.method, len(args))
     fut = FutRef(len(config.futures))
@@ -1469,30 +1469,31 @@ def _async_call(config, label, thread, top, point) -> Configuration:
         signature=sig,
         priority=fut.id,
     )
+    _write(frames, top.point.head.target, fut)
     queues = dict(config.queues)
     queues[target] = queues[target] + (msg,)
-    return _assign(
-        config, label, thread, s.target, fut, point.next, future=(fut, PENDING), queues=queues
-    )
+    frames.future, frames.queues = (fut, PENDING), queues
 
 
-def _async_return(config, label, thread, top, point) -> Configuration:
+def _async_return(frames: _Frames, _) -> None:
+    config = frames.config
+    top = frames[-1]
     dest = top.env["dest"]  # the resolver keeps return out of the main block
-    v = _eval(config, top.env, point.head.value)
+    v = _eval(config, top.env, top.point.head.value)
     assert config.futures[dest.id] is PENDING, "future written twice"
-    obj = label.obj
+    obj = frames.obj
     state = config.heap[obj.id]
-    return config.evolve(
-        thread=(obj, ()),
-        record=(obj, ObjectState(state.cls, state.myactor, EMPTY_LOCKS, state.fields)),
-        future=(dest, v),
-    )
+    frames.clear()
+    frames.record = (obj, ObjectState(state.cls, state.myactor, EMPTY_LOCKS, state.fields))
+    frames.future = (dest, v)
 
 
-def _new(config, label, thread, top, point) -> Configuration:
+def _new(frames: _Frames, _) -> None:
     """NEW-ACTOB and NEW-ACTOR: ``new C(..)`` joins the caller's group, and
     ``new actor C(..)`` is the first object of a fresh group."""
-    new = point.head.value
+    config = frames.config
+    top = frames[-1]
+    new = top.point.head.value
     cls = config.index.classes.get(new.class_name)
     if cls is None:
         raise _EvalFault(f"unknown class '{new.class_name}'")
@@ -1502,13 +1503,14 @@ def _new(config, label, thread, top, point) -> Configuration:
     for d in cls.attributes:
         fields[d.name] = default_value(d.type)
     obj = ObjRef(len(config.heap))
-    is_actor = label.rule == "NEW-ACTOR"
+    is_actor = type(new) is NewActor
     owner = obj if is_actor else config.heap[top.env["this"].id].myactor
     if is_actor:
         groups = config.groups + ((obj,),)
     else:
         groups = tuple([m + (obj,) if m[0] == owner else m for m in config.groups])
-    made = config.evolve(
+    _write(frames, top.point.head.target, obj)
+    frames.config = config.evolve(
         record=(obj, ObjectState(cls=cls.name, myactor=owner, locks=EMPTY_LOCKS, fields=fields)),
         thread=(obj, ()),
         groups=groups,
@@ -1516,10 +1518,9 @@ def _new(config, label, thread, top, point) -> Configuration:
         # starts with its first object initialized, idle, and an empty queue.
         queues={**config.queues, obj: ()} if is_actor else None,
     )
-    return _assign(made, label, thread, point.head.target, obj, point.next)
 
 
-def _sched_msg(config, label, *_) -> Configuration:
+def _sched_msg(config: Configuration, label: StepLabel) -> Configuration:
     actor, obj = label.actor, label.obj
     queue = config.queues[actor]
     i = 0
@@ -1540,8 +1541,8 @@ def _sched_msg(config, label, *_) -> Configuration:
 
 
 _RULES = {
-    "ASSIGN-LOCAL": _assign_local,
-    "ASSIGN-FIELD": _assign_field,
+    "ASSIGN-LOCAL": _assign,
+    "ASSIGN-FIELD": _assign,
     "COND-TRUE": _cond,
     "COND-FALSE": _cond,
     "READ-FUT": _read_fut,
@@ -1577,8 +1578,10 @@ def run(
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    rng = random.Random(seed)
     script = iter(policy) if isinstance(policy, (list, tuple)) else None
+    if script is None and policy not in ("fifo", "random"):
+        raise ValueError(f"unknown policy {policy!r}")
+    rng = random.Random(seed)
     trace: list[StepLabel] = []
     current = config
     for _ in range(fuel):
@@ -1595,10 +1598,8 @@ def run(
             chosen = wanted
         elif policy == "fifo":
             chosen = labels[0]
-        elif policy == "random":
-            chosen = rng.choice(labels)
         else:
-            raise ValueError(f"unknown policy {policy!r}")
+            chosen = rng.choice(labels)
         current = _apply(current, chosen)
         trace.append(chosen)
     if enabled_steps(current, select_fn):

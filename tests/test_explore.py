@@ -1255,14 +1255,14 @@ def test_a_run_taken_in_place_is_the_run_stepped_one_label_at_a_time():
                 while frontier:
                     current, dist = frontier.popleft()
                     for label in enabled_steps(current, select_fn):
-                        rest = (depth - dist, select_fn)
+                        rest = (depth - dist,)
                         calls.append((current, label, rest, taken(current, label, *rest)))
                         succ = step(current, label, select_fn)
                         if dist + 1 < depth and succ.canonical() not in seen:
                             seen.add(succ.canonical())
                             frontier.append((succ, dist + 1))
             for config, label, rest, result in calls:
-                want = stepped_run(config, label, *rest)
+                want = stepped_run(config, label, *rest, select_fn)
                 assert _run_record(result) == _run_record(want), (name, label)
                 merged += len(result[0]) - 1
             compared += len(calls)
@@ -1390,13 +1390,16 @@ def explore_without_field_rule(config, depth, select_fn):
 
 
 def explore_without_return_rule(config, depth, select_fn):
-    """``explore_all`` with no ASYNC-RETURN taken alone."""
-    safe = interp_module.is_safe
+    """``explore_all`` with no ASYNC-RETURN taken alone: ``is_safe`` and a
+    merged run both judge through ``_safe_at``."""
+    safe = interp_module._safe_at
 
-    def is_safe(config, label):
-        return label.rule != "ASYNC-RETURN" and safe(config, label)
+    def safe_at(config, label, thread):
+        return label.rule != "ASYNC-RETURN" and safe(config, label, thread)
 
-    with mock.patch.object(explore_module, "is_safe", is_safe):
+    with mock.patch.object(interp_module, "_safe_at", safe_at), mock.patch.object(
+        explore_module, "_safe_at", safe_at
+    ):
         return explore_all(config, depth, select_fn=select_fn)
 
 

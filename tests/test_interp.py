@@ -349,6 +349,22 @@ def test_step_rejects_unenabled_label(employee_bank):
         step(c, bad)
 
 
+def test_step_rejects_a_negative_object_id():
+    # obj-1 must not index the heap and the threads from their end, which
+    # would apply the label as the step of the last object, the main one
+    c = initial_config(prog("{ Int r; r = 1; }"))
+    with pytest.raises(StepNotEnabled):
+        step(c, StepLabel("ASSIGN-LOCAL", ANONYMOUS, ObjRef(-1)))
+    assert enabled_steps(c) == [StepLabel("ASSIGN-LOCAL", ANONYMOUS, ANONYMOUS)]
+
+
+def test_run_rejects_an_unknown_policy_before_the_first_step():
+    # also where no step is enabled, so no policy is ever asked
+    for text in ("{ }", "{ Int r; r = 1; }"):
+        with pytest.raises(ValueError, match="unknown policy 'bogus'"):
+            run(initial_config(prog(text)), "bogus")
+
+
 RULES = (
     "ASSIGN-LOCAL",
     "ASSIGN-FIELD",
