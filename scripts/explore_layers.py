@@ -9,11 +9,11 @@ the cumulative share of the search's time spent in
 ``Configuration.canonical`` (keying states), ``explore.step`` (making
 successors and the merged runs of safe steps after them), the busy
 objects' labels (``_stmt_step``, which ``object_step``, ``enabled_steps``
-and a run ask), judging steps safe (``_safe_at``, which ``is_safe`` and a
-run ask), ``enabled_steps``, the SCHED-MSG bookkeeping (``sched``: the
-idle objects' picks, ``_sched_step``, which builds a group's held set and
-asks ``scheduler.select``, the symmetry cut ``_one_per_interchangeable``
-and the two checks ``_check_dispatch_order`` and ``_check_started``), the
+and a run ask), judging steps safe (``is_safe``), ``enabled_steps``, the
+SCHED-MSG bookkeeping (``sched``: the idle objects' picks,
+``_sched_step``, which builds a group's held set and asks
+``scheduler.select``, the symmetry cut ``_one_per_interchangeable`` and
+the two checks ``_check_dispatch_order`` and ``_check_started``), the
 share spent in the search's own code (the
 functions of ``mactor/explore.py`` not counting what they call, the loop
 of a run among them), and per exploration the keys made, the steps
@@ -59,7 +59,7 @@ LAYERS = (
     ("canonical", (("interp.py", "canonical"),)),
     ("step", (("explore.py", "step"),)),
     ("labels", (("interp.py", "_stmt_step"),)),
-    ("is_safe", (("interp.py", "_safe_at"),)),
+    ("is_safe", (("interp.py", "is_safe"),)),
     ("enabled_steps", (("interp.py", "enabled_steps"),)),
     (
         "sched",
@@ -89,7 +89,7 @@ def stored_runs(program) -> tuple:
 
     def step(config, label, *rest):
         result = real_step(config, label, *rest)
-        labels, _, end, _ = result
+        labels, _, end = result
         if len(labels) > 1:
             ends[id(end)] = (end, len(labels) - 1)
         return result

@@ -34,8 +34,9 @@ enabled step expanded.  Any safe step will do, and an object has at most
 one step, so the object that took the step into a state is asked for its
 step first (:func:`mactor.interp.object_step`), and
 :func:`mactor.interp.enabled_steps` runs only when that step is missing or
-not safe, or needs full expansion; it is handed that object's answer, so
-each object is asked once per state.
+not safe, or needs full expansion.  A label the search applies was just
+given by ``object_step`` or ``enabled_steps`` on the same state, so it is
+applied without the public ``step``'s check that it is enabled.
 
 A safe step kept alone does not stop there: the same object keeps
 stepping while its next step is safe, and only the state where that run
@@ -62,19 +63,6 @@ only their own thread, which is all of the state they change that a rule
 or ``is_safe`` reads, so every step is judged against the state its
 stretch started from, with the stretch's frames.
 
-Each step is derived, judged and applied once, but for a run that fails
-the proviso from a full expansion's successor (below), which is taken
-again when that successor is expanded.  A label the search applies was
-just given by ``object_step`` or ``enabled_steps`` on the same state, so
-it is applied without the public ``step``'s check that it is enabled.  A
-run that stops at its busy object's next step hands that step to the
-state where it ends, with whether it is safe and, when its successor
-faults, that successor; expanding the end state then asks neither
-``object_step`` nor ``is_safe`` again, and its scan of ``enabled_steps``
-for a safe step skips the one already judged unsafe.  A run whose object
-is idle at its end does not ask which message it would start: only an
-end that is stored needs that answer, and its expansion asks.
-
 The first step of a run gets full expansion instead when its successor
 faults, so that the other objects' faults are still reached, or when the
 run's end was already reached at a distance no greater than the current
@@ -84,7 +72,7 @@ a greater distance was already stored, and the run closes a diamond.  That
 is enough: a state's distance is fixed when it is first seen, so a run
 kept alone always ends at a strictly greater distance than it starts; no
 cycle goes to a greater distance on every edge, so every cycle keeps a
-fully expanded state.
+fully expanded state.  The full expansion takes that first step again.
 
 Only the states where the search branches are stored: the root, the ends
 of runs, and the successors of a full expansion whose mover has no safe
@@ -96,11 +84,11 @@ successor would have expanded that same run alone, so the skipped state
 adds nothing the run does not (the ample-set argument above).  It is
 stored as before in the two cases where it would have been fully expanded
 instead: the run's first step faults, or the run's end was already reached
-at a distance no greater than the successor's.  Its proviso is judged when
-it is made; the end's distance, fixed when the end was first seen, is the
-one the proviso would have read later, and a run still ends at a greater
-distance than the successor it starts from, so the argument above holds
-as it stands.
+at a distance no greater than the successor's; its expansion then takes
+that run again.  Its proviso is judged when it is made; the end's
+distance, fixed when the end was first seen, is the one the proviso would
+have read later, and a run still ends at a greater distance than the
+successor it starts from, so the argument above holds as it stands.
 
 The dependency relation knows fields, values and locks (the ample set's
 condition C1, Peled, CAV 1993).  A step that reads a field of ``this``
@@ -175,7 +163,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .interp import Configuration, StepLabel, enabled_steps, is_safe, object_step, stuck
-from .interp import _LOCAL_RULES, _RULES, _EvalFault, _Frames, _apply, _safe_at, _stmt_step
+from .interp import _LOCAL_RULES, _RULES, _EvalFault, _Frames, _apply, _stmt_step
 from .scheduler import select as default_select
 from .syntax import While
 
@@ -262,13 +250,14 @@ def _one_per_interchangeable(config: Configuration, labels):
 
 def step(
     config: Configuration, label: StepLabel, budget: int
-) -> tuple[tuple[StepLabel, ...], Configuration, Configuration, Optional[tuple]]:
+) -> tuple[tuple[StepLabel, ...], Configuration, Configuration]:
     """Takes ``label``, a step of ``config``, and the run of safe steps its
     object takes after it, at most ``budget`` steps in all:
-    ``(labels, successor, end, answer)``, where ``successor`` is the state
-    ``label`` reaches and ``end`` the state the run ends in.  The search
-    makes every successor through this name, which perfbench's layers.py
-    patches, and applies ``label`` unchecked (see the module docstring).
+    ``(labels, successor, end)``, where ``successor`` is the state
+    ``label`` reaches and ``end`` the state the run ends in, ``successor``
+    itself when the run is ``label`` alone.  The search makes every
+    successor through this name, which perfbench's layers.py patches, and
+    applies ``label`` unchecked (see the module docstring).
 
     The run stops before a step whose successor faults, and after the
     COND-TRUE of a ``while`` that follows ``label``, so no cycle lies
@@ -276,47 +265,37 @@ def step(
     started from, with the stretch's frames, and taken by its rule on
     those frames (:class:`mactor.interp._Frames`); a stretch ends after a
     step that is not local, which writes a field, a future or a queue, and
-    the frames are written back then, or where the run ends.
-
-    When the run stopped at the object's next step, the answer is that
-    step (or None), whether it is safe, and its faulted successor, if it
-    was taken: ``(label, safe, faulted)``.  The end state's expansion
-    starts from it and asks neither ``object_step`` nor ``is_safe`` again.
-    A run cut by the budget or at a loop's back edge did not ask, nor did
-    a ``label`` that faults, nor a run whose object is idle at its end or
-    has ended the main block: it has no step, or a SCHED-MSG, which is
-    never safe, and the end's expansion asks for it only if the end is
-    stored.  Their answer is None."""
+    the frames are written back then, or where the run ends."""
     first = _apply(config, label)
     if first.fault is not None:
-        return (label,), first, first, None
+        return (label,), first, first
     run = [label]
     actor, obj = label.actor, label.obj
     # the state the stretch started from, and its mover's frames once a
     # step of the stretch changed them
-    state, frames, answer = first, None, None
+    state, frames = first, None
     while len(run) < budget:
         thread = frames or state.threads[obj.id]
         top = thread[-1] if thread else None
         if top is None or top.point.head is None:  # no step, or a SCHED-MSG
             break
-        label, value = _stmt_step(state, actor, obj, thread, top)  # None: a get that waits
-        if label is None or not _safe_at(state, label, thread):
-            answer = (label, False, None)
+        label = _stmt_step(state, actor, obj, thread, top)  # None: a get that waits
+        if label is None or not is_safe(state, label, thread):
             break
         back = label.rule == "COND-TRUE" and type(top.point.head) is While
-        frames = frames or _Frames(state, obj)
+        stretch = frames or _Frames(state, obj)
         try:
-            _RULES[label.rule](frames, value)
-        except _EvalFault as fault:
-            end = frames.written()
-            return tuple(run), first, end, (label, True, end.evolve(fault=fault.diagnostic))
+            _RULES[label.rule](stretch)
+        except _EvalFault:  # a rule that faults leaves the frames as they were
+            break
         run.append(label)
-        if label.rule not in _LOCAL_RULES:
-            state, frames = frames.written(), None
+        if label.rule in _LOCAL_RULES:
+            frames = stretch
+        else:
+            state, frames = stretch.written(), None
         if back:
             break
-    return tuple(run), first, frames.written() if frames else state, answer
+    return tuple(run), first, frames.written() if frames else state
 
 
 def explore_all(
@@ -337,8 +316,7 @@ def explore_all(
     arguments.
 
     Each state asks the object that moved into it for its one step
-    (:func:`mactor.interp.object_step`) first, unless the step that made
-    it already asked and carries the answer.  If
+    (:func:`mactor.interp.object_step`) first.  If
     :func:`mactor.interp.is_safe` accepts that step, or else the first
     enabled step it accepts, that step and the run of safe steps its
     object takes after it (:func:`step`) are taken alone, and only the
@@ -352,13 +330,10 @@ def explore_all(
     every cycle keeps a fully expanded state.  A full expansion drops the
     SCHED-MSGs of interchangeable objects but the lowest-id one's, so the
     terminals are those of the full search up to renaming such objects.
-    Each of its successors asks its mover for the next step at once, and
-    when that step is safe the run goes on from the successor in the same
-    :func:`step` call.  The successor is stored only when the run's first
-    step faults or its end fails the proviso, and its run is then taken
-    again when it is expanded.  The labels the search applies
-    come from ``object_step`` or ``enabled_steps`` on the same state, so
-    they are not derived again to check them.
+    Each of its successors whose mover steps on safely is not stored: the
+    run goes on from it in the same :func:`step` call, and only the run's
+    end is stored, unless the run's first step faults or its end fails
+    the proviso.
     """
     if depth <= 0:
         raise ValueError("depth must be positive")
@@ -367,10 +342,8 @@ def explore_all(
     # key -> (parent key, the labels from the parent, distance); the root
     # has no parent
     parents: dict = {root_key: (None, (), 0)}
-    # (state, key, distance, the last label that produced it, what is known
-    # of its mover's next step, (label, safe, its faulted successor or
-    # None), or None)
-    frontier: deque = deque([(config, root_key, 0, None, None)])
+    # (state, key, distance, the last label that produced it)
+    frontier: deque = deque([(config, root_key, 0, None)])
 
     def trace_to(key) -> tuple[StepLabel, ...]:
         runs: list = []
@@ -379,7 +352,7 @@ def explore_all(
             runs.append(run)
         return tuple(label for run in reversed(runs) for label in run)
 
-    def ended(parent, run: tuple, dist: int, start: int, end, answer) -> bool:
+    def ended(parent, run: tuple, dist: int, start: int, end) -> bool:
         # Stores end, reached by the labels of run from parent at distance
         # dist, unless it was already seen.  False when it was seen at a
         # distance no greater than start, the distance of the state the run
@@ -390,54 +363,41 @@ def explore_all(
         if seen is not None:
             return seen[2] > start
         parents[end_key] = (parent, run, dist + len(run))
-        frontier.append((end, end_key, dist + len(run), run[-1], answer))
+        frontier.append((end, end_key, dist + len(run), run[-1]))
         return True
 
     while frontier:
-        current, key, dist, mover, known = frontier.popleft()
+        current, key, dist, mover = frontier.popleft()
         report.states += 1
-        labels = picked = None
-        if known is not None:
-            pick, safe, faulted = known
-            if faulted is not None:
-                picked = ((pick,), faulted, faulted, None)
-        elif mover is not None:
-            pick = object_step(current, mover.actor, mover.obj, select_fn)
-            safe = pick is not None and is_safe(current, pick)
-        else:
-            pick, safe = None, False
-        # the mover's step, which enabled_steps need not derive again
-        asked = None if mover is None else (mover.obj, pick)
-        if not safe:
-            labels = enabled_steps(current, select_fn, asked)
+        threads = current.threads
+        labels = None
+        pick = None if mover is None else object_step(current, mover.actor, mover.obj, select_fn)
+        if pick is None or not is_safe(current, pick, threads[pick.obj.id]):
+            labels = enabled_steps(current, select_fn)
             if not labels:
                 report.terminals.append(current)
                 continue
-            unsafe = pick
-            pick = next(
-                (label for label in labels if label != unsafe and is_safe(current, label)), None
-            )
+            unsafe, pick = pick, None
+            for label in labels:
+                if label != unsafe and is_safe(current, label, threads[label.obj.id]):
+                    pick = label
+                    break
         if dist >= depth:
             report.truncated = True
             continue
         budget = depth - dist
         # Ample set: a run of safe steps alone, unless its first successor
         # is faulted, a dead end that would hide the other objects' faults,
-        # or the proviso fails.  A known faulted successor of the pick means
-        # that its run was tried when this state was made, and failed so.
+        # or the proviso fails.  A run kept alone ends at a loop's back
+        # edge, where step goes on after its first label.
         if pick is not None:
-            if picked is None:
-                picked = run, first, end, answer = step(current, pick, budget)
-                # step goes on after its first label even at a loop's back
-                # edge, where a run kept alone ends; a full expansion of
-                # this state takes the whole of it
-                head = current.threads[pick.obj.id][-1].point.head
-                if pick.rule == "COND-TRUE" and type(head) is While:
-                    run, end, answer = run[:1], first, None
-                if first.fault is None and ended(key, run, dist, dist, end, answer):
-                    continue
+            head = threads[pick.obj.id][-1].point.head
+            back = pick.rule == "COND-TRUE" and type(head) is While
+            run, first, end = step(current, pick, 1 if back else budget)
+            if first.fault is None and ended(key, run, dist, dist, end):
+                continue
             if labels is None:
-                labels = enabled_steps(current, select_fn, asked)
+                labels = enabled_steps(current, select_fn)
         if len(labels) > 1:
             labels = _one_per_interchangeable(current, labels)
         ordered = set()  # (group, priority) of the messages checked for order
@@ -451,8 +411,7 @@ def explore_all(
                         Violation("order", problem, trace_to(key) + (label,))
                     )
                     return report
-            result = picked if label == pick else step(current, label, budget)
-            run, succ, end, answer = result
+            run, succ, end = step(current, label, budget)
             if sched:
                 problem = _check_started(succ, label)
                 if problem:
@@ -461,15 +420,12 @@ def explore_all(
                     )
                     return report
             # A successor whose mover stepped on safely is not stored: the
-            # run's end is, unless the proviso fails; the successor is then
-            # stored, and its run taken again when it is expanded.
-            if len(run) > 1:
-                if ended(key, run, dist, dist + 1, end, answer):
-                    continue
-                answer = (run[1], True, None)
+            # run's end is, unless the proviso fails.
+            if len(run) > 1 and ended(key, run, dist, dist + 1, end):
+                continue
             succ_key = succ.canonical()
             if succ_key in parents:
                 continue
             parents[succ_key] = (key, (label,), dist + 1)
-            frontier.append((succ, succ_key, dist + 1, label, answer))
+            frontier.append((succ, succ_key, dist + 1, label))
     return report

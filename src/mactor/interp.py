@@ -822,11 +822,7 @@ def _eval_guard(config: Configuration, env: dict, e: Expr) -> bool:
 # --------------------------------------------------------------------------
 # enabled-step enumeration
 
-def enabled_steps(
-    config: Configuration,
-    select_fn: Callable = default_select,
-    known: Optional[tuple[ObjRef, Optional[StepLabel]]] = None,
-) -> list[StepLabel]:
+def enabled_steps(config: Configuration, select_fn: Callable = default_select) -> list[StepLabel]:
     """All rule instances whose premises hold, in deterministic order
     (group id, then object id): the label :func:`object_step` gives each
     object, where it gives one.  A faulted configuration has none.
@@ -834,26 +830,17 @@ def enabled_steps(
     ``select_fn``, which must be a function of its arguments, is asked once
     per worker class among a group's idle members, for all of them: an
     idle object holds no locks, so its pick depends only on its class's
-    supported set, its group's locks and the queue.
-
-    ``known`` is ``(obj, label)``: the answer :func:`object_step` already
-    gave on ``config`` for object ``obj``, a label or None, which is used
-    instead of asking again."""
+    supported set, its group's locks and the queue."""
     if config.fault is not None:
         return []
-    mover, answer = known or (None, None)
     heap, threads = config.heap, config.threads
-    # an idle mover's answer is the pick of its class
-    seeded = heap[mover[1]].myactor if mover is not None and not threads[mover[1]] else None
     labels: list[StepLabel] = []
     for members in config.groups:
         actor = members[0]
         # class -> the SCHED-MSG of one of its idle members, or None
-        picks = {heap[mover[1]].cls: answer} if actor == seeded else {}
+        picks: dict = {}
         for obj in members:
-            if obj == mover:
-                label = answer
-            elif threads[obj[1]]:
+            if threads[obj[1]]:
                 label = object_step(config, actor, obj, select_fn)
             else:
                 cls = heap[obj[1]].cls
@@ -884,7 +871,7 @@ def object_step(
         top = thread[-1]
         if top.point.head is None:
             return None  # the main closure after its last statement
-        return _stmt_step(config, actor, obj, thread, top)[0]
+        return _stmt_step(config, actor, obj, thread, top)
     return _sched_step(config, next(m for m in config.groups if m[0] == actor), obj, select_fn)
 
 
@@ -907,44 +894,39 @@ def _sched_step(config: Configuration, members: tuple, obj: ObjRef, select_fn: C
 
 
 def _stmt_step(config: Configuration, actor: ObjRef, obj: ObjRef, thread: Thread, top: Closure):
-    """``(label, value)``: the step of the head of ``top`` (None for a
-    ``get`` that waits), and the guard or future naming it evaluated, for
-    the rule; ``_UNSEEN`` for any other step or where evaluating faulted."""
+    """The step of the head of ``top``, or None for a ``get`` that waits."""
     s = top.point.head
     t = type(s)  # statement and expression classes are final
     if t is Assign:
         rhs = type(s.value)
         if rhs is SyncCall:
-            return _new_tuple(StepLabel, ("SYNC-CALL", actor, obj, s.value.method, None)), _UNSEEN
+            return _new_tuple(StepLabel, ("SYNC-CALL", actor, obj, s.value.method, None))
         if rhs is AsyncCall:
-            return _new_tuple(StepLabel, ("ASYNC-CALL", actor, obj, s.value.method, None)), _UNSEEN
+            return _new_tuple(StepLabel, ("ASYNC-CALL", actor, obj, s.value.method, None))
         if rhs is NewObject:
-            return _new_tuple(StepLabel, ("NEW-ACTOB", actor, obj, None, None)), _UNSEEN
+            return _new_tuple(StepLabel, ("NEW-ACTOB", actor, obj, None, None))
         if rhs is NewActor:
-            return _new_tuple(StepLabel, ("NEW-ACTOR", actor, obj, None, None)), _UNSEEN
+            return _new_tuple(StepLabel, ("NEW-ACTOR", actor, obj, None, None))
         rule = "ASSIGN-LOCAL" if s.target in top.env else "ASSIGN-FIELD"
-        return _new_tuple(StepLabel, (rule, actor, obj, None, None)), _UNSEEN
+        return _new_tuple(StepLabel, (rule, actor, obj, None, None))
     if t is GetStmt:
         # a bad expression or a non-future is enabled, and the step faults
         try:
             v = _eval(config, top.env, s.value)
         except _EvalFault:
             v = None
-        if type(v) is not FutRef:
-            v = _UNSEEN
-        elif config.futures[v[1]] is PENDING:
-            return None, _UNSEEN  # blocked until the future resolves
-        return _new_tuple(StepLabel, ("READ-FUT", actor, obj, None, None)), v
+        if type(v) is FutRef and config.futures[v[1]] is PENDING:
+            return None  # blocked until the future resolves
+        return _new_tuple(StepLabel, ("READ-FUT", actor, obj, None, None))
     if t is If or t is While:
         try:
-            value = _eval_guard(config, top.env, s.cond)
+            rule = "COND-TRUE" if _eval_guard(config, top.env, s.cond) else "COND-FALSE"
         except _EvalFault:
-            return _new_tuple(StepLabel, ("COND-TRUE", actor, obj, None, None)), _UNSEEN
-        rule = "COND-TRUE" if value else "COND-FALSE"
-        return _new_tuple(StepLabel, (rule, actor, obj, None, None)), value
+            rule = "COND-TRUE"  # enabled, and the step faults
+        return _new_tuple(StepLabel, (rule, actor, obj, None, None))
     if t is Return:
         rule = "SYNC-RETURN" if len(thread) > 1 else "ASYNC-RETURN"
-        return _new_tuple(StepLabel, (rule, actor, obj, None, None)), _UNSEEN
+        return _new_tuple(StepLabel, (rule, actor, obj, None, None))
     raise TypeError(f"unhandled statement {s!r}")
 
 
@@ -967,11 +949,17 @@ _QUEUE, _NEXT_FUTURE, _RESOLVED = "!", "#", "?"
 _SENDS = frozenset([(None, _NEXT_FUTURE, True)])  # a send to any group
 
 
-def is_safe(config: Configuration, label: StepLabel) -> bool:
+def is_safe(config: Configuration, label: StepLabel, thread: Thread) -> bool:
     """Whether ``label``, a step enabled in ``config``, commutes with every
     step the other objects can take before it.  Such a step stays enabled
     until it is taken, and taking it first reaches every state, terminal
     and violation that taking it later would.
+
+    ``thread`` is the frames of ``label``'s object: ``config``'s, or a
+    stretch's copy of them (:class:`_Frames`).  Of ``config`` the judgment
+    reads only the heap, the queues and the other objects' threads, which
+    no local step changes, so every step of a stretch is judged against
+    the state the stretch started from, with the stretch's frames.
 
     The step's expressions may read only literals, ``this``, names in the
     top closure's environment and fields of ``this`` (never ``e?``, whose
@@ -1026,15 +1014,6 @@ def is_safe(config: Configuration, label: StepLabel) -> bool:
 
     The step may still fault; the caller checks its successor.
     """
-    return _safe_at(config, label, config.threads[label.obj.id])
-
-
-def _safe_at(config: Configuration, label: StepLabel, thread: Thread) -> bool:
-    """:func:`is_safe` for ``label``, taken by the top frame of ``thread``,
-    its object's frames.  Of ``config`` it reads only the heap, the queues
-    and the other objects' threads, which no local step changes, so every
-    step of a stretch (:class:`_Frames`) is judged against the state the
-    stretch started from, with the stretch's frames."""
     rule = label.rule
     if rule not in _SAFE_RULES:
         return False
@@ -1323,7 +1302,7 @@ def _apply(config: Configuration, label: StepLabel) -> Configuration:
         if label.rule == "SCHED-MSG":
             return _sched_msg(config, label)
         frames = _Frames(config, label.obj)
-        _RULES[label.rule](frames, _UNSEEN)
+        _RULES[label.rule](frames)
         return frames.written()
     except _EvalFault as fault:
         return config.evolve(fault=fault.diagnostic)
@@ -1362,10 +1341,9 @@ class _Frames(list):
         )
 
 
-# ---- rule bodies: a rule, handed what _stmt_step evaluated (or _UNSEEN),
-# evaluates first, then writes its frames, its target before anything else,
-# so a fault leaves the frames as they were; SCHED-MSG, which has no
-# frames, builds its successor
+# ---- rule bodies: a rule evaluates first, then writes its frames, its
+# target before anything else, so a fault leaves the frames as they were;
+# SCHED-MSG, which has no frames, builds its successor
 
 def _write(frames: _Frames, target: str, value: Value) -> None:
     """Write ``target`` in the top frame's environment or, failing that, in
@@ -1385,19 +1363,18 @@ def _write(frames: _Frames, target: str, value: Value) -> None:
     top.point = top.point.next
 
 
-def _assign(frames: _Frames, _) -> None:
+def _assign(frames: _Frames) -> None:
     """ASSIGN-LOCAL and ASSIGN-FIELD."""
     top = frames[-1]
     head = top.point.head
     _write(frames, head.target, _eval(frames.config, top.env, head.value))
 
 
-def _cond(frames: _Frames, taken) -> None:
+def _cond(frames: _Frames) -> None:
     top = frames[-1]
     point = top.point
     s = point.head
-    if taken is _UNSEEN:
-        taken = _eval_guard(frames.config, top.env, s.cond)
+    taken = _eval_guard(frames.config, top.env, s.cond)
     if type(s) is If:
         rest = point.then if taken else point.orelse
     else:
@@ -1405,14 +1382,14 @@ def _cond(frames: _Frames, taken) -> None:
     top.point = rest
 
 
-def _read_fut(frames: _Frames, fut) -> None:
+def _read_fut(frames: _Frames) -> None:
     top = frames[-1]
-    if fut is _UNSEEN and type(_eval(frames.config, top.env, top.point.head.value)) is not FutRef:
+    if type(_eval(frames.config, top.env, top.point.head.value)) is not FutRef:
         raise _EvalFault("'.get' applied to a non-future value")
     top.point = top.point.next
 
 
-def _sync_call(frames: _Frames, _) -> None:
+def _sync_call(frames: _Frames) -> None:
     config = frames.config
     top = frames[-1]
     point = top.point
@@ -1440,7 +1417,7 @@ def _sync_call(frames: _Frames, _) -> None:
     frames.append(Closure(callee_env, index.entry(mdef.body)))
 
 
-def _sync_return(frames: _Frames, _) -> None:
+def _sync_return(frames: _Frames) -> None:
     # the caller below waits at the waiting point of its call site
     top = frames[-1]
     value = _eval(frames.config, top.env, top.point.head.value)
@@ -1449,7 +1426,7 @@ def _sync_return(frames: _Frames, _) -> None:
     frames[-1] = Closure(dict(below.env), below.point.resume(value))
 
 
-def _async_call(frames: _Frames, _) -> None:
+def _async_call(frames: _Frames) -> None:
     config = frames.config
     top = frames[-1]
     call: AsyncCall = top.point.head.value
@@ -1475,7 +1452,7 @@ def _async_call(frames: _Frames, _) -> None:
     frames.future, frames.queues = (fut, PENDING), queues
 
 
-def _async_return(frames: _Frames, _) -> None:
+def _async_return(frames: _Frames) -> None:
     config = frames.config
     top = frames[-1]
     dest = top.env["dest"]  # the resolver keeps return out of the main block
@@ -1488,7 +1465,7 @@ def _async_return(frames: _Frames, _) -> None:
     frames.future = (dest, v)
 
 
-def _new(frames: _Frames, _) -> None:
+def _new(frames: _Frames) -> None:
     """NEW-ACTOB and NEW-ACTOR: ``new C(..)`` joins the caller's group, and
     ``new actor C(..)`` is the first object of a fresh group."""
     config = frames.config

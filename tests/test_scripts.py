@@ -94,3 +94,13 @@ def test_front_end_prints_a_row_per_program():
         ("| employee_bank", "994", "489"),
     ]
     assert all(int(us) > 0 for row in rows for us in row[3:])
+
+
+def test_code_size_prints_a_row_per_module_and_their_total():
+    out = run_script("code_size.py")
+    rows = dict(re.findall(r"^\| ([\w.]+) \| (\d+) \|$", out, re.M))
+    total = int(rows.pop("total"))
+    modules = SCRIPTS.parent / "src" / "mactor"
+    assert sorted(rows) == sorted(path.name for path in modules.glob("*.py"))
+    assert total == sum(map(int, rows.values())) and all(int(n) > 0 for n in rows.values())
+    assert re.search(r"^`mactor.__all__`: 31 names$", out, re.M)
