@@ -13,7 +13,7 @@ and a run ask), judging steps safe (``is_safe``), ``enabled_steps``, the
 SCHED-MSG bookkeeping (``sched``: the idle objects' picks,
 ``_sched_step``, which builds a group's held set and asks
 ``scheduler.select``, the symmetry cut ``_one_per_interchangeable`` and
-the two checks ``_check_dispatch_order`` and ``_check_started``), the
+the check of a started message ``_check_start``), the
 share spent in the search's own code (the
 functions of ``mactor/explore.py`` not counting what they call, the loop
 of a run among them), and per exploration the keys made, the steps
@@ -66,8 +66,7 @@ LAYERS = (
         (
             ("interp.py", "_sched_step"),
             ("explore.py", "_one_per_interchangeable"),
-            ("explore.py", "_check_dispatch_order"),
-            ("explore.py", "_check_started"),
+            ("explore.py", "_check_start"),
         ),
     ),
 )

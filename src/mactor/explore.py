@@ -32,11 +32,13 @@ state, a step that :func:`mactor.interp.is_safe` judges independent of
 every other object's steps is expanded alone, and only otherwise is every
 enabled step expanded.  Any safe step will do, and an object has at most
 one step, so the object that took the step into a state is asked for its
-step first (:func:`mactor.interp.object_step`), and
-:func:`mactor.interp.enabled_steps` runs only when that step is missing or
-not safe, or needs full expansion.  A label the search applies was just
-given by ``object_step`` or ``enabled_steps`` on the same state, so it is
-applied without the public ``step``'s check that it is enabled.
+step first when it is busy (:func:`mactor.interp.object_step`); an idle
+one's step is a SCHED-MSG, which is never safe.
+:func:`mactor.interp.enabled_steps` runs only when there is no such step
+or it is not safe, or the state needs full expansion.  A label the search
+applies was just given by ``object_step`` or ``enabled_steps`` on the
+same state, so it is applied without the public ``step``'s check that it
+is enabled.
 
 A safe step kept alone does not stop there: the same object keeps
 stepping while its next step is safe, and only the state where that run
@@ -140,12 +142,13 @@ the other objects, and the trace to a violation may differ.
 
 Lock disjointness holds by induction along each path: the initial state
 holds no locks, only SCHED-MSG takes any, no run of safe steps contains
-one, and the search stops at the first violation.  So a SCHED-MSG
-successor can only overlap where its object's new locks, the started
-message's sync set, meet another member's of its group; that is all the
-check compares, when the successor is made, since it need not be stored.
-The dispatch-order check reads only the state and the started message, so
-an expansion makes it once per group and priority.
+one, and the search stops at the first violation.  So a SCHED-MSG can
+only break it where the started message's sync set meets the locks
+another member of its group holds: its object is idle, so it holds none,
+and the step changes no other record.  That is all the check compares,
+on the state the step is taken in, beside the dispatch-order check.  Both
+read only that state and the started message, not the object, so an
+expansion makes them once per group and priority, before the step.
 
 ``select_fn`` must be prefix-stable: when it picks a message from a queue,
 it picks the same message from that queue with more messages appended.
@@ -201,28 +204,27 @@ class ExploreReport:
         return sum(c.fault is None and bool(stuck(c)) for c in self.terminals)
 
 
-def _check_started(config: Configuration, label: StepLabel) -> Optional[str]:
-    # config is the SCHED-MSG's successor: its object holds the started
-    # message's sync set
-    heap, obj = config.heap, label.obj
-    taken = heap[obj[1]].locks
-    for o in next(m for m in config.groups if m[0] == label.actor):
-        if o != obj and not taken.isdisjoint(heap[o[1]].locks):
-            return f"overlapping lock sets inside group {label.actor}"
-    return None
-
-
-def _check_dispatch_order(config: Configuration, label: StepLabel) -> Optional[str]:
-    queue = config.queues.get(label.actor, ())
-    chosen = next((m for m in queue if m.priority == label.priority), None)
-    if chosen is None:
-        return None
+def _check_start(config: Configuration, label: StepLabel) -> Optional[tuple[str, str]]:
+    """The invariant the SCHED-MSG ``label`` breaks, read on ``config``,
+    the state it is taken in, as ``(kind, detail)``, or None.  "order": an
+    earlier-queued message with an overlapping sync set still waits in the
+    queue.  "theorem1": the started message's sync set meets a lock
+    another member of its group holds; the started object is idle, so it
+    holds none, and the step changes no other record.  Neither half reads
+    the object, so one check serves every SCHED-MSG of a group and
+    priority."""
+    queue = config.queues[label.actor]
+    chosen = next(m for m in queue if m.priority == label.priority)
     for earlier in queue:
         if earlier.priority < chosen.priority and not earlier.sync.isdisjoint(chosen.sync):
-            return (
+            return "order", (
                 f"message '{chosen.method}' (priority {chosen.priority}) dispatched "
                 f"before conflicting '{earlier.method}' (priority {earlier.priority})"
             )
+    heap = config.heap
+    for o in next(m for m in config.groups if m[0] == label.actor):
+        if not chosen.sync.isdisjoint(heap[o[1]].locks):
+            return "theorem1", f"overlapping lock sets inside group {label.actor}"
     return None
 
 
@@ -231,7 +233,7 @@ def _one_per_interchangeable(config: Configuration, labels):
     with a lower id also takes (the module describes when two objects are
     interchangeable).  An object's interned record holds its group, and
     equal records pick the same message, so the kept label makes the same
-    order check as the dropped ones.  Which objects a state refers to is
+    check as the dropped ones.  Which objects a state refers to is
     asked only when two records are equal."""
     index = config.index
     heap = config.heap
@@ -315,8 +317,8 @@ def explore_all(
     search.  ``select_fn`` must be prefix-stable and a function of its
     arguments.
 
-    Each state asks the object that moved into it for its one step
-    (:func:`mactor.interp.object_step`) first.  If
+    Each state asks the object that moved into it, when that object is
+    busy, for its one step (:func:`mactor.interp.object_step`) first.  If
     :func:`mactor.interp.is_safe` accepts that step, or else the first
     enabled step it accepts, that step and the run of safe steps its
     object takes after it (:func:`step`) are taken alone, and only the
@@ -371,7 +373,9 @@ def explore_all(
         report.states += 1
         threads = current.threads
         labels = None
-        pick = None if mover is None else object_step(current, mover.actor, mover.obj, select_fn)
+        # an idle mover's step is a SCHED-MSG, which is never safe
+        busy = mover is not None and threads[mover.obj.id]
+        pick = object_step(current, mover.actor, mover.obj, select_fn) if busy else None
         if pick is None or not is_safe(current, pick, threads[pick.obj.id]):
             labels = enabled_steps(current, select_fn)
             if not labels:
@@ -400,32 +404,18 @@ def explore_all(
                 labels = enabled_steps(current, select_fn)
         if len(labels) > 1:
             labels = _one_per_interchangeable(current, labels)
-        ordered = set()  # (group, priority) of the messages checked for order
+        started = set()  # (group, priority) of the messages checked
         for label in labels:
-            sched = label.rule == "SCHED-MSG"
-            if sched and (label.actor, label.priority) not in ordered:
-                ordered.add((label.actor, label.priority))
-                problem = _check_dispatch_order(current, label)
+            if label.rule == "SCHED-MSG" and (label.actor, label.priority) not in started:
+                started.add((label.actor, label.priority))
+                problem = _check_start(current, label)
                 if problem:
-                    report.violations.append(
-                        Violation("order", problem, trace_to(key) + (label,))
-                    )
+                    report.violations.append(Violation(*problem, trace_to(key) + (label,)))
                     return report
             run, succ, end = step(current, label, budget)
-            if sched:
-                problem = _check_started(succ, label)
-                if problem:
-                    report.violations.append(
-                        Violation("theorem1", problem, trace_to(key) + (label,))
-                    )
-                    return report
             # A successor whose mover stepped on safely is not stored: the
-            # run's end is, unless the proviso fails.
-            if len(run) > 1 and ended(key, run, dist, dist + 1, end):
+            # run's end is, unless the proviso fails; then the successor is.
+            if ended(key, run, dist, dist + 1, end) or len(run) == 1:
                 continue
-            succ_key = succ.canonical()
-            if succ_key in parents:
-                continue
-            parents[succ_key] = (key, (label,), dist + 1)
-            frontier.append((succ, succ_key, dist + 1, label))
+            ended(key, (label,), dist, dist + 1, succ)
     return report

@@ -248,17 +248,6 @@ class Closure:
         # what the rest of the closure may access, set by _closure_access
         self._access = None
 
-    @property
-    def stmts(self) -> tuple[Stmt, ...]:
-        """The statements the frame has left to run: the heads from its
-        point to the end of the body."""
-        out = []
-        point = self.point
-        while point.head is not None:
-            out.append(point.head)
-            point = point.next
-        return tuple(out)
-
 
 Thread = tuple  # of Closure; empty tuple means idle
 
@@ -1119,7 +1108,7 @@ class _AccessWalk:
     walk once and give the accesses as a frozenset of those triples, or
     ``_ANY``.
 
-    One abstract pass over the statements.  Locals, arguments and stable
+    One abstract pass over the program points.  Locals, arguments and stable
     fields of a known ``this`` keep their values, so ``acc == 1`` and
     ``acc == 2`` take different branches; every other value is
     ``_UNKNOWN``.  A known guard takes one branch, an unknown one takes
@@ -1145,7 +1134,7 @@ class _AccessWalk:
         resumes with the returned value unknown: its head holds a Hole."""
         this = closure.env["this"]
         return self._summary(
-            self._stmts, closure.stmts, dict(closure.env), this, self.heap[this.id].cls
+            self._walk, closure.point, None, dict(closure.env), this, self.heap[this.id].cls
         )
 
     def message(self, msg: QueuedMessage):
@@ -1172,24 +1161,29 @@ class _AccessWalk:
         if key in self._active:
             raise _Unbounded
         self._active.add(key)
-        self._stmts(mdef.body, _method_frame(mdef, {"this": this}, args), this, cls)
+        entry = self.index.entry(mdef.body)
+        self._walk(entry, None, _method_frame(mdef, {"this": this}, args), this, cls)
         self._active.remove(key)
 
-    def _stmts(self, stmts: tuple, env: dict, this, cls: Optional[str]) -> None:
-        for s in stmts:
+    def _walk(self, point: Point, stop, env: dict, this, cls: Optional[str]) -> None:
+        """The statements from ``point`` up to the point ``stop``, or to
+        the end of the body: an ``if``'s branches go up to its next point,
+        and a ``while`` body back to the loop's own point."""
+        while point is not stop and point.head is not None:
+            s = point.head
             t = type(s)
             if t is Assign:
                 self._assign(s, env, this, cls)
             elif t is If:
                 taken = self._expr(s.cond, env, this, cls)
                 if taken is True:
-                    self._stmts(s.then, env, this, cls)
+                    self._walk(point.then, point.next, env, this, cls)
                 elif taken is False:
-                    self._stmts(s.orelse, env, this, cls)
+                    self._walk(point.orelse, point.next, env, this, cls)
                 else:
                     other = dict(env)
-                    self._stmts(s.then, env, this, cls)
-                    self._stmts(s.orelse, other, this, cls)
+                    self._walk(point.then, point.next, env, this, cls)
+                    self._walk(point.orelse, point.next, other, this, cls)
                     for name, v in other.items():
                         if env[name] is not v:
                             env[name] = _UNKNOWN
@@ -1202,11 +1196,12 @@ class _AccessWalk:
                     ]
                     for name in assigned:
                         env[name] = _UNKNOWN
-                    self._stmts(s.body, env, this, cls)
+                    self._walk(point.body, point, env, this, cls)
                     for name in assigned:
                         env[name] = _UNKNOWN
             else:  # GetStmt and Return
                 self._expr(s.value, env, this, cls)
+            point = point.next
 
     def _assign(self, s: Assign, env: dict, this, cls: Optional[str]) -> None:
         value = s.value

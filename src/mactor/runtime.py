@@ -355,7 +355,8 @@ class MacActor:
         self._name = name
         self._log = event_log
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)  # signals drain only
+        # signals drain, and the end of a shutdown call to those waiting on it
+        self._cond = threading.Condition(self._lock)
         self._table = LockTable()
         self._idle: deque[_Worker] = deque()
         self._busy: dict[int, _Worker] = {}
@@ -364,6 +365,7 @@ class MacActor:
         self._next_priority = 0
         self._next_worker_id = 0
         self._draining = False
+        self._closing = False  # a shutdown call is under way
         self._report: Optional[ShutdownReport] = None
         self._executed = 0
         self._failed = 0
@@ -435,6 +437,9 @@ class MacActor:
 
     def shutdown(self, drain: bool = True, timeout: Optional[float] = None) -> ShutdownReport:
         """Stop the actor.  Idempotent: repeated calls return the first report.
+        A call made while another is under way waits for that report, at
+        most ``timeout``, and raises TimeoutError after that; if the other
+        call is interrupted before its report, this one stops the actor.
 
         drain=True runs everything already queued that can run.  Once no
         message is running nothing left can ever start (sends and new
@@ -464,7 +469,22 @@ class MacActor:
             if self._report is not None:
                 return self._report
             timeout = _wait_limit(timeout)
-            self._draining = True
+            if not self._cond.wait_for(lambda: not self._closing, timeout):
+                raise TimeoutError(f"{self._name}: shutdown still under way after {timeout}s")
+            if self._report is not None:  # made by the call that was under way
+                return self._report
+            self._closing = self._draining = True
+        try:
+            return self._close(drain, timeout)
+        finally:
+            # a call waiting above takes the report, or closes the actor
+            # itself if this call was interrupted before making one
+            with self._lock:
+                self._closing = False
+                self._cond.notify_all()
+
+    def _close(self, drain: bool, timeout: Optional[float]) -> ShutdownReport:
+        with self._lock:
             if drain:
                 self._cond.wait_for(lambda: not self._busy, timeout)
                 gave_up = self._timed_out(timeout) if self._busy else None

@@ -19,6 +19,17 @@ def load_config(name: str):
     return initial_config(load_program(name))
 
 
+def remaining_stmts(closure) -> tuple:
+    """The statements a frame has left to run: the heads from its point to
+    the end of its body."""
+    out = []
+    point = closure.point
+    while point.head is not None:
+        out.append(point.head)
+        point = point.next
+    return tuple(out)
+
+
 class CountingSet(frozenset):
     """A supported set that counts the membership tests made against it."""
 

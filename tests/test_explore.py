@@ -7,11 +7,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import PROGRAMS, load_config, load_program
+from conftest import PROGRAMS, load_config, load_program, remaining_stmts
 from mactor import PENDING, FutRef, explore_all, initial_config, parse_program, run
 from mactor import explore as explore_module
 from mactor import interp as interp_module
-from mactor.explore import _check_dispatch_order, _check_started
+from mactor.explore import _check_start
 from mactor.interp import (
     ANONYMOUS,
     Configuration,
@@ -515,7 +515,8 @@ def shadowless_select(supported, held, queue, **_):
 def _check_lock_disjointness(config):
     """The theorem1 check on a whole state: inside every group, no two
     objects hold intersecting lock sets.  The explorer checks only the
-    group and object of each SCHED-MSG (``_check_started``)."""
+    started message's group, on the state each SCHED-MSG is taken in
+    (``_check_start``)."""
     for members in config.groups:
         lock_sets = [config.heap[o.id].locks for o in members]
         if len(lock_union(lock_sets)) != sum(map(len, lock_sets)):
@@ -663,7 +664,7 @@ def test_shadowless_select_reports_an_order_violation(worked_queue):
     trace = report.violations[0].trace
     assert trace[-1].rule == "SCHED-MSG"
     before, _ = run(initial_config(worked_queue), trace[:-1], select_fn=shadowless_select)
-    assert _check_dispatch_order(before, trace[-1]) == report.violations[0].detail
+    assert _check_start(before, trace[-1]) == ("order", report.violations[0].detail)
     assert _check_lock_disjointness(step(before, trace[-1], shadowless_select)) is None
     verdict = reference_explore(initial_config(worked_queue), 400, select_fn=shadowless_select)[4]
     assert verdict == "order"
@@ -815,7 +816,10 @@ def reference_key(c, rename=None):
         (
             a,
             tuple(
-                (o, tuple((items(cl.env), tuple(map(stmt, cl.stmts))) for cl in thread))
+                (
+                    o,
+                    tuple((items(cl.env), tuple(map(stmt, remaining_stmts(cl)))) for cl in thread),
+                )
                 for o, thread in by_obj(zip(members, map(c.threads.__getitem__, members)))
             ),
         )
@@ -868,7 +872,9 @@ def reference_explore(config, depth, key=reference_key, select_fn=select, termin
             continue
         for label in labels:
             if violation is None and label.rule == "SCHED-MSG":
-                if _check_dispatch_order(current, label):
+                # its order half; theorem1 is checked on whole states above
+                problem = _check_start(current, label)
+                if problem and problem[0] == "order":
                     violation = "order"
             succ = step(current, label, select_fn)
             succ_key = key(succ)
@@ -1149,10 +1155,11 @@ def test_equal_signatures_pick_as_before():
 
 @pytest.mark.parametrize("select_fn", [select, broken_select, shadowless_select])
 def test_the_started_message_check_is_the_whole_state_check(select_fn):
-    # The explorer checks a SCHED-MSG successor's locks only against the
-    # started message's sync set.  On every SCHED-MSG successor of a state
-    # whose lock sets are disjoint, in the reduced and the full searches,
-    # that gives the whole-state check's verdict and detail.
+    # The explorer checks the started message's sync set against its
+    # group's locks on the state a SCHED-MSG is taken in.  On every
+    # SCHED-MSG of a state whose lock sets are disjoint, in the reduced and
+    # the full searches, that gives the whole-state check's verdict and
+    # detail on the successor, wherever the order half finds nothing.
     checked = overlapping = 0
     for name, program, depth in _selection_programs():
         for config in searched_states(program, depth, select_fn):
@@ -1160,9 +1167,11 @@ def test_the_started_message_check_is_the_whole_state_check(select_fn):
                 continue
             for label in enabled_steps(config, select_fn):
                 if label.rule == "SCHED-MSG":
-                    succ = step(config, label, select_fn)
-                    problem = _check_lock_disjointness(succ)
-                    assert _check_started(succ, label) == problem, (name, label)
+                    found = _check_start(config, label)
+                    if found is not None and found[0] == "order":
+                        continue
+                    problem = _check_lock_disjointness(step(config, label, select_fn))
+                    assert found == (problem and ("theorem1", problem)), (name, label)
                     checked += 1
                     overlapping += problem is not None
     assert checked > 3_000, checked
@@ -1465,10 +1474,9 @@ def test_violation_traces_replay(select_fn):
             for label in violation.trace[:-1]:
                 before = step(before, label, select_fn)
             last = violation.trace[-1]
+            assert _check_start(before, last) == (violation.kind, violation.detail), name
             if violation.kind == "theorem1":
                 assert _check_lock_disjointness(step(before, last, select_fn)) == violation.detail, name
-            else:
-                assert _check_dispatch_order(before, last) == violation.detail, name
             replayed += 1
     assert replayed >= 1
 

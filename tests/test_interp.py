@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import load_config, load_program
+from conftest import load_config, load_program, remaining_stmts
 import mactor
 from mactor import (
     FuelExhausted,
@@ -89,7 +89,7 @@ def test_initial_config_single_anonymous_process(employee_bank):
     assert len(c.threads) == len(c.heap) == 1
     thread = c.threads[ANONYMOUS]
     assert len(thread) == 1
-    assert thread[0].stmts == employee_bank.main_body
+    assert remaining_stmts(thread[0]) == employee_bank.main_body
     assert c.queues == {} and c.futures == ()
     assert c.heap[ANONYMOUS].myactor == ANONYMOUS
 

@@ -5,6 +5,7 @@ import threading
 import time
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -504,6 +505,58 @@ def test_double_shutdown_returns_same_report(cleanup):
     first = actor.shutdown(drain=True)
     second = actor.shutdown(drain=False)
     assert first is second
+
+
+def _shutdown_under_way(drain):
+    """An actor whose one worker is held in the first of three messages on
+    one key, and a thread inside ``shutdown(drain=drain)`` waiting for it;
+    the gate lets the worker go."""
+    gate = threading.Event()
+    actor = MacActor(lambda: Recorder([], gate=gate), 1)
+    futures = [actor.send("locked", (1, i)) for i in range(3)]
+    reports = []
+    first = threading.Thread(target=lambda: reports.append(actor.shutdown(drain=drain)))
+    first.start()
+    deadline = time.time() + 5
+    while not actor._draining and time.time() < deadline:
+        time.sleep(0.002)
+    return actor, gate, futures, reports, first
+
+
+@pytest.mark.parametrize("drain", [True, False])
+def test_concurrent_shutdowns_return_one_report(drain):
+    actor, gate, futures, reports, first = _shutdown_under_way(drain)
+    second = threading.Thread(target=lambda: reports.append(actor.shutdown(drain=drain)))
+    second.start()
+    time.sleep(0.1)  # the second call finds the first under way
+    gate.set()
+    first.join(timeout=10)
+    second.join(timeout=10)
+    assert len(reports) == 2 and reports[0] is reports[1]
+    assert actor.shutdown() is reports[0]
+    assert reports[0].cancelled == (0 if drain else 2)
+    assert all(f.done() for f in futures)
+
+
+def test_a_shutdown_waiting_for_another_keeps_its_timeout():
+    actor, gate, _, reports, first = _shutdown_under_way(True)
+    try:
+        with pytest.raises(TimeoutError, match="under way"):
+            actor.shutdown(drain=False, timeout=0.05)
+    finally:
+        gate.set()
+        first.join(timeout=10)
+    assert actor.shutdown() is reports[0] and reports[0].drained
+
+
+def test_a_shutdown_after_an_interrupted_one_stops_the_actor():
+    actor = MacActor(lambda: Recorder([]), 1)
+    fut = actor.send("free", (1,))
+    with mock.patch.object(MacActor, "_close", side_effect=KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            actor.shutdown()
+    report = actor.shutdown(timeout=5)
+    assert report.drained and report.executed == 1 and fut.get(timeout=1) == 1
 
 
 def test_send_after_shutdown_rejected(cleanup):

@@ -61,6 +61,15 @@ def test_explore_variants_prints_every_variant():
     assert max(selects[4:]) <= 1.3 * selects[4], selects
 
 
+def test_a_popped_state_asks_no_idle_mover_for_a_step():
+    # An idle mover's step is a SCHED-MSG, which is never safe, so asking
+    # for it when its state is popped only asks select twice.
+    out = run_script("explore_variants.py")
+    rows = [line for line in out.splitlines() if re.match(r"\| \d+, \(", line)]
+    selects = [float(row.split(" | ")[5].rstrip(" |")) for row in rows]
+    assert len(selects) == 8 and max(selects) < 1.6, selects
+
+
 def test_explore_layers_prints_a_row_per_program():
     out = run_script("explore_layers.py")
     header = out.splitlines()[0].split(" | ")
