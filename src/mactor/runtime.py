@@ -3,9 +3,14 @@
 A :class:`MacActor` owns a pool of workers (each wrapping one user-supplied
 behavior object and one thread) and a queue of pending messages.  ``send``
 enqueues a message together with its (label, value) sync entries and returns
-a write-once :class:`Future` immediately.  The entries come from the method's
-sync plan (:func:`mactor.scheduler.sync_plan`), made once when the first
-worker of a behavior class joins.  The queue is a
+a write-once :class:`Future` immediately.  The two are one object: a message
+is a private ``Future`` subclass that also holds the method, its arguments,
+its sync set and its priority, so the lock table queues, a worker runs and
+the caller reads the same object.  Once the message's entries are released
+(or shutdown cancels it) its arguments and sync set are dropped: a settled
+future keeps only its outcome, method and priority.  The entries come from
+the method's sync plan (:func:`mactor.scheduler.sync_plan`), made once when
+the first worker of a behavior class joins.  The queue is a
 :class:`mactor.scheduler.LockTable`, which answers the selection rule of
 :func:`mactor.scheduler.select`: a message starts only when its sync entries
 are disjoint from everything currently executing and from every earlier
@@ -32,15 +37,16 @@ message's future is settled before its sync entries are released, so a
 conflicting successor always observes the completed effects.
 
 A future's fields are guarded by its claim lock: the actor lock for the
-futures ``send`` returns, and one module-wide lock for a ``Future()`` made
-by hand.  Settling (by the worker, by shutdown, or by a caller's
-``resolve``/``fail``) checks under the claim that the future is still
-pending and writes its fields, so of several racing settlers exactly one
-wins.  A reader that finds the future settled takes no lock at all.  One
-that finds it pending installs a latch under the claim, a plain lock held
-until the future settles, and blocks on it; later readers share it.  The
-winning settler releases the latch, if there is one, after leaving the
-claim.  A future that no reader blocks on never allocates a lock.
+messages ``send`` returns, and one module-wide lock for a ``Future()`` made
+by hand or the failed one a refused ``send`` returns.  Settling (by the
+worker, by shutdown, or by a caller's ``resolve``/``fail``) checks under
+the claim that the future is still pending and writes its fields, so of
+several racing settlers exactly one wins.  A reader that finds the future
+settled takes no lock at all.  One that finds it pending installs a latch
+under the claim, a plain lock held until the future settles, and blocks on
+it; later readers share it.  The winning settler releases the latch, if
+there is one, after leaving the claim.  A future that no reader blocks on
+never allocates a lock.
 
 Blocking on a future from a worker thread of the same actor that the awaited
 message needs is a deadlock, as with any pool; keep ``Future.get`` on
@@ -61,7 +67,6 @@ from typing import Callable, Iterable, Optional, Sequence
 from .scheduler import (
     EMPTY_LOCKS,
     LockTable,
-    QueuedMessage,
     SyncEntry,
     SyncPlan,
     lock_union,
@@ -109,7 +114,7 @@ class Future:
     __slots__ = ("_claim", "_latch", "_state", "_value", "_diagnostic", "_cause")
 
     def __init__(self):
-        self._claim = _claim  # send hands its futures the actor lock instead
+        self._claim = _claim  # a _Message has its actor's lock instead
         self._latch: Optional[threading.Lock] = None  # made by the first reader that blocks
         self._state = Future.PENDING
         self._value = None
@@ -189,6 +194,28 @@ class Future:
         latch = self._latch
         if latch is not None:
             latch.release()
+
+
+class _Message(Future):
+    """A call queued on an actor and the future ``send`` returns for it:
+    the lock table queues and orders it, a worker runs it, and its claim
+    is the actor lock.  ``args`` and ``sync`` are dropped once its entries
+    are released or shutdown cancels it."""
+
+    __slots__ = ("method", "args", "sync", "signature", "priority")
+
+    def __init__(
+        self, claim: threading.Lock, method: str, args: tuple, sync: frozenset, priority: int
+    ):
+        # Future.__init__'s fields, but with the actor lock as the claim
+        self._claim = claim
+        self._latch = None
+        self._state = Future.PENDING
+        self._value = self._diagnostic = self._cause = None
+        self.method = self.signature = method
+        self.args = args
+        self.sync = sync
+        self.priority = priority
 
 
 # --------------------------------------------------------------------------
@@ -330,7 +357,7 @@ class _Worker:
         self.supported = supported  # method names, the key of its class in the lock table
         self.inbox: queue.SimpleQueue = queue.SimpleQueue()
         self.thread: Optional[threading.Thread] = None
-        self.current: Optional[QueuedMessage] = None
+        self.current: Optional[_Message] = None
 
 
 class MacActor:
@@ -402,24 +429,21 @@ class MacActor:
         else:
             plan = self._plans.get(method)
             sync = EMPTY_LOCKS if plan is None else planned_sync_set(plan, args)
-        fut = Future()
-        fut._claim = lock = self._lock
+        lock = self._lock
         with lock:
-            rejected = self._draining
-            if rejected:
-                self._rejected += 1
-            else:
+            if not self._draining:
                 priority = self._next_priority
                 self._next_priority = priority + 1
-                # tuple.__new__ skips the NamedTuple's Python-level __new__
-                msg = tuple.__new__(QueuedMessage, (method, args, fut, sync, method, priority))
+                msg = _Message(lock, method, args, sync, priority)
                 ready = self._table.add(msg)
                 if self._log:
                     self._log.record("enqueue", method, priority, sync)
                 if ready and self._idle:
                     self._dispatch((msg,))
-        if rejected:
-            fut.fail("actor shut down; send rejected")
+                return msg
+            self._rejected += 1
+        fut = Future()
+        fut.fail("actor shut down; send rejected")
         return fut
 
     def add_worker(self, behavior) -> int:
@@ -493,7 +517,8 @@ class MacActor:
                 leftover = [(msg, "actor shut down") for msg in self._table.pending()]
             self._table.drop_pending()
         for msg, diagnostic in leftover:
-            msg.future._settle(Future.FAILED, None, diagnostic, None)
+            msg._settle(Future.FAILED, None, diagnostic, None)
+            msg.args = msg.sync = None  # out of the table, so read by no one
         with self._lock:
             if not drain:
                 self._cond.wait_for(lambda: not self._busy, timeout)
@@ -501,7 +526,7 @@ class MacActor:
             running = [w.current for w in stuck]
             gave_up = self._timed_out(timeout) if running else None
         for msg in running:
-            msg.future._settle(Future.FAILED, None, gave_up, None)
+            msg._settle(Future.FAILED, None, gave_up, None)
         for worker in self._workers:
             worker.inbox.put(None)
         for worker in self._workers:
@@ -583,7 +608,7 @@ class MacActor:
         worker.thread.start()
         return worker
 
-    def _dispatch(self, ready: Sequence[QueuedMessage]) -> None:
+    def _dispatch(self, ready: Sequence[_Message]) -> None:
         # Runs with the lock held, after a send or a completion made the
         # messages ``ready`` ready (after add_worker, with every pending
         # message).  Dispatch leaves no idle worker a message it could
@@ -616,7 +641,7 @@ class MacActor:
         )
         return f"{self._name}: shutdown gave up after {timeout}s with {running} still running"
 
-    def _why_stuck(self, msg: QueuedMessage) -> str:
+    def _why_stuck(self, msg: _Message) -> str:
         # Only called once nothing runs and nothing can start.
         if not any(msg.signature in w.supported for w in self._workers):
             return f"no worker supports {msg.method!r}"
@@ -651,29 +676,32 @@ class MacActor:
                 msg = next_msg()
 
     def _finish(
-        self, worker: _Worker, msg: QueuedMessage, result, error: Optional[BaseException]
-    ) -> Optional[QueuedMessage]:
-        """Settle ``msg``'s future, release its entries and return the next
-        message the worker runs itself, or None once it is idle.
+        self, worker: _Worker, msg: _Message, result, error: Optional[BaseException]
+    ) -> Optional[_Message]:
+        """Settle ``msg``, release its entries and return the next message
+        the worker runs itself, or None once it is idle.
 
         One critical section under the actor lock, which is also the
-        future's claim.  The outcome is written before the entries are
+        message's claim.  The outcome is written before the entries are
         released, so whoever runs next on this data can already read it; a
         caller or shutdown that settled the future first keeps its outcome,
-        and the entries are released all the same.  Continuing with local
-        work spares a wake-up and a thread switch per message when a
-        completion readies exactly one message, as on a hot key."""
+        and the entries are released all the same.  The caller may keep the
+        future, so its arguments and sync set are dropped with its entries.
+        Continuing with local work spares a wake-up and a thread switch per
+        message when a completion readies exactly one message, as on a hot
+        key."""
         if error is None:
             state, diagnostic = Future.RESOLVED, None
         else:
             state, diagnostic = Future.FAILED, f"{type(error).__name__}: {error}"
-        fut, table = msg.future, self._table
+        table = self._table
         with self._lock:
             assert self._busy.get(worker.id) is worker and worker.current is msg, (
                 "worker freed twice or with the wrong message"
             )
-            won = fut._write(state, result, diagnostic, error)
+            won = msg._write(state, result, diagnostic, error)
             readied = table.complete(msg)
+            msg.args = msg.sync = None
             if error is not None:
                 self._failed += 1
             self._executed += 1
@@ -688,5 +716,5 @@ class MacActor:
             if self._draining and not self._busy:
                 self._cond.notify_all()
         if won:
-            fut._wake()
+            msg._wake()
         return nxt

@@ -44,12 +44,15 @@ _new_tuple = tuple.__new__
 
 
 class QueuedMessage(NamedTuple):
-    """One pending asynchronous invocation.
+    """One pending asynchronous invocation, as the interpreter queues it
+    and :func:`select` reads it.
 
     ``signature`` is any hashable token the idle object's supported set can
     be probed with (in the interpreter the number its ``ProgramIndex``
-    gives the parsed method signature, in the thread pool a method name).  ``priority`` is the arrival counter: unique
-    per queue and strictly increasing with enqueue order.
+    gives the parsed method signature).  ``priority`` is the arrival
+    counter: unique per queue and strictly increasing with enqueue order.
+    The thread runtime queues its own message objects with the same
+    ``sync``, ``signature`` (the method name) and ``priority``.
     """
 
     method: str
@@ -125,6 +128,12 @@ def lock_union(lock_sets: Iterable[frozenset[SyncEntry]]) -> frozenset[SyncEntry
 class LockTable:
     """The pending queue of one group, kept so that :func:`select` is cheap.
 
+    The table reads only a message's ``sync``, ``signature`` and
+    ``priority``, so it queues any object that has them: the runtime
+    queues its own message objects, each also the future ``send``
+    returned, and the tests that pin the table to ``select`` queue
+    :class:`QueuedMessage` records.
+
     Under the strict rule a message may start exactly when it heads the FIFO
     of every one of its sync entries: an earlier message on the same entry,
     running or skipped, would otherwise be in the accumulated set.  So the
@@ -144,7 +153,8 @@ class LockTable:
     ``complete`` O(|sync| c log n), where c is the number of classes that
     support the message, and ``take`` O(log n) plus the messages it skips.
     ``supported`` is asked once per signature when a class first takes, and
-    once per class when a signature is first added; never per message.  Messages must be added in increasing priority order.
+    once per class when a signature is first added; never per message.
+    Messages must be added in increasing priority order.
     """
 
     __slots__ = ("_fifos", "_blocked", "_pending", "_classes", "_heaps")

@@ -1,8 +1,10 @@
+import gc
 import json
 import math
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 from itertools import combinations
 from unittest import mock
@@ -584,6 +586,109 @@ def test_get_times_out_on_stuck_user_code(cleanup):
     assert stuck.get(timeout=5) == 1
     timer.join(timeout=5)
     actor.shutdown(drain=True)
+
+
+def _reentrant(workers: int, locked: bool) -> MacActor:
+    """An actor whose ``outer`` sends ``inner`` to the actor itself and
+    waits 0.3 s for it on its worker thread; with ``locked`` both methods
+    lock one key."""
+    mark = synced("k") if locked else (lambda fn: fn)
+
+    class Reentrant:
+        @mark
+        def outer(self, key):
+            return actor.send("inner", (key,)).get(timeout=0.3)
+
+        @mark
+        def inner(self, key):
+            return 1
+
+    actor = MacActor(Reentrant, workers=workers)
+    return actor
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: a get that no worker of the actor can answer waits out its timeout",
+)
+@pytest.mark.parametrize(
+    "workers, locked",
+    [
+        pytest.param(1, True, id="one-synced-worker"),
+        pytest.param(2, True, id="two-synced-workers"),
+        pytest.param(1, False, id="one-unsynced-worker"),
+    ],
+)
+def test_a_get_on_its_own_actor_that_can_never_be_answered_fails_at_once(
+    cleanup, workers, locked
+):
+    actor = _reentrant(workers, locked)
+    cleanup(actor)
+    start = time.monotonic()
+    outer = actor.send("outer", (1,))
+    with pytest.raises(FutureFailed) as failed:
+        outer.get(timeout=5)
+    assert time.monotonic() - start < 0.1
+    assert failed.value.diagnostic != "TimeoutError: future not resolved within 0.3s"
+
+
+def test_a_get_on_its_own_actor_returns_when_another_worker_is_free(cleanup):
+    actor = _reentrant(2, False)
+    cleanup(actor)
+    assert actor.send("outer", (1,)).get(timeout=5) == 1
+
+
+class _Payload:
+    """An argument a weakref can follow."""
+
+
+class _Keeper:
+    def __init__(self, gate):
+        self._gate = gate
+
+    def hold(self):
+        self._gate.wait(timeout=10)
+
+    @synced("k", None)
+    def keep(self, key, payload):
+        return "kept"
+
+
+def test_a_settled_future_keeps_neither_its_arguments_nor_its_sync_set(cleanup):
+    actor = MacActor(lambda: _Keeper(None), workers=1)
+    cleanup(actor)
+    key, payload = _Payload(), _Payload()  # one in the sync set, one only in the arguments
+    refs = weakref.ref(key), weakref.ref(payload)
+    fut = actor.send("keep", (key, payload))
+    del key, payload
+    assert fut.get(timeout=5) == "kept"
+    actor.stats()  # takes the actor lock, so the completion has left its critical section
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert fut.done()
+
+
+def test_a_future_cancelled_by_shutdown_keeps_neither_its_arguments_nor_its_sync_set():
+    gate = threading.Event()
+    actor = MacActor(lambda: _Keeper(gate), workers=1)
+    held = actor.send("hold")
+    deadline = time.time() + 5
+    while actor.stats()["busy"] == 0 and time.time() < deadline:
+        time.sleep(0.002)  # wait for the one worker to start holding
+    key, payload = _Payload(), _Payload()
+    refs = weakref.ref(key), weakref.ref(payload)
+    fut = actor.send("keep", (key, payload))
+    del key, payload
+    try:
+        report = actor.shutdown(drain=False, timeout=0.05)
+    finally:
+        gate.set()
+    assert report.cancelled == 1
+    with pytest.raises(FutureFailed, match="actor shut down"):
+        fut.get(timeout=0)
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert held.done()
 
 
 def test_user_exception_fails_future_and_releases_locks(cleanup):
