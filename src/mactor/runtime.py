@@ -8,9 +8,11 @@ is a private ``Future`` subclass that also holds the method, its arguments,
 its sync set and its priority, so the lock table queues, a worker runs and
 the caller reads the same object.  Once the message's entries are released
 (or shutdown cancels it) its arguments and sync set are dropped: a settled
-future keeps only its outcome, method and priority.  The entries come from
-the method's sync plan (:func:`mactor.scheduler.sync_plan`), made once when
-the first worker of a behavior class joins.  The queue is a
+future keeps only its outcome, method and priority, though the exception a
+failed one keeps has a traceback whose frames may still hold arguments.
+The entries come from the method's sync plan
+(:func:`mactor.scheduler.sync_plan`), made once when the first worker of a
+behavior class joins.  The queue is a
 :class:`mactor.scheduler.LockTable`, which answers the selection rule of
 :func:`mactor.scheduler.select`: a message starts only when its sync entries
 are disjoint from everything currently executing and from every earlier
