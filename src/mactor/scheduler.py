@@ -51,8 +51,6 @@ class QueuedMessage(NamedTuple):
     be probed with (in the interpreter the number its ``ProgramIndex``
     gives the parsed method signature).  ``priority`` is the arrival
     counter: unique per queue and strictly increasing with enqueue order.
-    The thread runtime queues its own message objects with the same
-    ``sync``, ``signature`` (the method name) and ``priority``.
     """
 
     method: str
