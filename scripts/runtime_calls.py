@@ -11,8 +11,11 @@ and the teller bodies in ``mactor.bank``.  A count moves only when the code
 does, not with the machine's load, so it can show a change to the
 per-message path that a timing on a shared machine would blur; which thread
 runs a message can still vary, so expect the last digit to move.  Prints a
-markdown table of calls per message, split by module; exits 1 if a reply or
-the final balances differ from the benchmark's sequential replay.
+markdown table of calls per message, split by module, then one of calls per
+message by function (``module.qualified_name``; the calls of functions
+under 0.005 per message in every shape are summed as "other"), so the
+frames a message pays can be read without a profiler; exits 1 if a reply or the final
+balances differ from the benchmark's sequential replay.
 """
 
 from __future__ import annotations
@@ -44,8 +47,9 @@ PACKAGE = str(ROOT / "src" / "mactor") + os.sep
 
 
 def count_calls(workload: str) -> tuple[Counter, bool]:
-    """Calls per module of mactor while one stream of ``workload`` runs,
-    and whether every reply and the final book match the replay."""
+    """Calls per function of mactor, keyed ``module.qualified_name``, while
+    one stream of ``workload`` runs, and whether every reply and the final
+    book match the replay."""
     spec = WORKLOADS[workload]
     stream = make_requests(spec.accounts, REQUESTS, f"{SEED}/0")
     want_replies, want_book = replay(spec.accounts, stream)
@@ -54,9 +58,9 @@ def count_calls(workload: str) -> tuple[Counter, bool]:
 
     def profile(frame, event, arg):
         if event == "call":
-            path = frame.f_code.co_filename
-            if path.startswith(PACKAGE):
-                calls[path[len(PACKAGE) : -3]] += 1
+            code = frame.f_code
+            if code.co_filename.startswith(PACKAGE):
+                calls[code] += 1
 
     # the hook is read when a thread starts, so set it before the workers do
     threading.setprofile(profile)
@@ -69,7 +73,10 @@ def count_calls(workload: str) -> tuple[Counter, bool]:
         sys.setprofile(None)
         threading.setprofile(None)
     correct = all(map(same_reply, replies, want_replies)) and book == want_book
-    return calls, correct
+    by_name = Counter()
+    for code, n in calls.items():
+        by_name[f"{code.co_filename[len(PACKAGE) : -3]}.{code.co_qualname}"] += n
+    return by_name, correct
 
 
 def main() -> int:
@@ -79,13 +86,30 @@ def main() -> int:
     print("| workload | calls/msg | " + " | ".join(MODULES) + " |")
     print("|---|---|" + "---|" * len(MODULES))
     ok = True
+    counted = {}
     for workload in SHAPES:
-        calls, correct = count_calls(workload)
+        calls, correct = counted[workload] = count_calls(workload)
         ok = ok and correct
-        shares = " | ".join(f"{calls[m] / REQUESTS:.2f}" for m in MODULES)
+        per_module = Counter()
+        for name, n in calls.items():
+            per_module[name.partition(".")[0]] += n
+        shares = " | ".join(f"{per_module[m] / REQUESTS:.2f}" for m in MODULES)
         print(f"| {workload} | {sum(calls.values()) / REQUESTS:.2f} | {shares} |")
         if not correct:
             print(f"{workload}: replies or balances differ from the replay", file=sys.stderr)
+    print()
+    print("| function | " + " | ".join(SHAPES) + " |")
+    print("|---|" + "---|" * len(SHAPES))
+    # calls that round to 0.00 in every shape (set-up and shutdown) share a row
+    other = Counter()
+    names = set().union(*(calls for calls, _ in counted.values()))
+    for name in sorted(names, key=lambda n: (MODULES.index(n.partition(".")[0]), n)):
+        per_msg = [counted[w][0][name] / REQUESTS for w in SHAPES]
+        if max(per_msg) < 0.005:
+            other.update({w: counted[w][0][name] for w in SHAPES})
+            continue
+        print(f"| {name} | " + " | ".join(f"{n:.2f}" for n in per_msg) + " |")
+    print("| other | " + " | ".join(f"{other[w] / REQUESTS:.2f}" for w in SHAPES) + " |")
     return 0 if ok else 1
 
 

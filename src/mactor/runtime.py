@@ -12,7 +12,10 @@ future keeps only its outcome, method and priority, though the exception a
 failed one keeps has a traceback whose frames may still hold arguments.
 The entries come from the method's sync plan
 (:func:`mactor.scheduler.sync_plan`), made once when the first worker of a
-behavior class joins.  The queue is a
+behavior class joins and read under the actor lock.  A method's labels are
+fixed by whichever comes first: its first worker, or its first send
+without ``sync_data``, which fixes it unlabelled; a worker that labels it
+otherwise is refused.  The queue is a
 :class:`mactor.scheduler.LockTable`, which answers the selection rule of
 :func:`mactor.scheduler.select`: a message starts only when its sync entries
 are disjoint from everything currently executing and from every earlier
@@ -24,19 +27,21 @@ order of their idleness.
 Locking discipline: one mutex, the actor lock, guards the lock table, the
 worker sets and the fields of the actor's futures.  There is no dispatcher
 thread.  Each message event takes that lock once: ``send`` to queue the
-message, and the completion to settle the message's future, release its
-sync entries and take the worker's next message, all in one critical
-section.  Dispatch to idle workers runs inline in the same sections, at the
-end of every ``send``, every completion and every ``add_worker`` (the only
-events that can make a message startable).  Dispatch leaves nothing
-startable, so after a send or a completion only the messages it made ready
-can start.  The lock table keeps one heap of ready messages per worker class
-(per distinct supported set), so a ``take`` pops its class's heap whatever
-the number of methods, and a backlog no idle worker supports is never
-scanned.  So an actor runs exactly one thread per worker and nothing
-busy-waits.  User code runs on worker threads with no internal lock held.  A
-message's future is settled before its sync entries are released, so a
-conflicting successor always observes the completed effects.
+message, and the completion to settle the message's future, release its sync
+entries and take the worker's next message, all in one critical section that
+the worker loop runs inline, so a completed message costs no call of the
+runtime's own beyond the lock table's.  Dispatch to idle workers runs inline
+in the same sections, at the end of every ``send``, every completion and
+every ``add_worker`` (the only events that can make a message startable).
+Dispatch leaves nothing startable, so after a send or a completion only the
+messages it made ready can start.  The lock table keeps one heap of ready
+messages per worker class (per distinct supported set), so a ``take`` pops
+its class's heap whatever the number of methods, and a backlog no idle
+worker supports is never scanned.  So an actor runs exactly one thread per
+worker and nothing busy-waits.  User code runs on worker threads with no
+internal lock held.  A message's future is settled before its sync entries
+are released, so a conflicting successor always observes the completed
+effects.
 
 A future's fields are guarded by its claim lock: the actor lock for the
 messages ``send`` returns, and one module-wide lock for a ``Future()`` made
@@ -86,6 +91,12 @@ class FutureFailed(Exception):
         self.diagnostic = diagnostic
 
 
+# A future's states.  The class keeps them as Future.PENDING and so on; the
+# per-message paths read these module names, a plain global lookup.
+PENDING = "pending"
+RESOLVED = "resolved"
+FAILED = "failed"
+
 # The claim of every future made outside an actor.  Held only while a
 # settler checks and writes a future's fields or a reader installs its
 # latch, never while calling out, so one lock serves them all.
@@ -109,16 +120,16 @@ def _wait_limit(timeout: Optional[float]) -> Optional[float]:
 class Future:
     """Write-once result of an asynchronous send."""
 
-    PENDING = "pending"
-    RESOLVED = "resolved"
-    FAILED = "failed"
+    PENDING = PENDING
+    RESOLVED = RESOLVED
+    FAILED = FAILED
 
     __slots__ = ("_claim", "_latch", "_state", "_value", "_diagnostic", "_cause")
 
     def __init__(self):
         self._claim = _claim  # a _Message has its actor's lock instead
         self._latch: Optional[threading.Lock] = None  # made by the first reader that blocks
-        self._state = Future.PENDING
+        self._state = PENDING
         self._value = None
         self._diagnostic: Optional[str] = None
         self._cause: Optional[BaseException] = None
@@ -128,7 +139,7 @@ class Future:
         return self._state
 
     def done(self) -> bool:
-        return self._state != Future.PENDING
+        return self._state != PENDING
 
     def get(self, timeout: Optional[float] = None):
         """Block until resolved; every caller sees the same value.
@@ -138,24 +149,24 @@ class Future:
         Raises TimeoutError if the deadline passes first and FutureFailed
         (with the original exception chained) if the message failed.
         """
-        if self._state == Future.PENDING:
+        if self._state == PENDING:
             self._wait(timeout)
-        if self._state == Future.FAILED:
+        if self._state == FAILED:
             raise FutureFailed(self._diagnostic) from self._cause
         return self._value
 
     def resolve(self, value) -> None:
-        if not self._settle(Future.RESOLVED, value, None, None):
+        if not self._settle(RESOLVED, value, None, None):
             raise RuntimeError("future already settled")
 
     def fail(self, diagnostic: str, cause: Optional[BaseException] = None) -> None:
-        if not self._settle(Future.FAILED, None, diagnostic, cause):
+        if not self._settle(FAILED, None, diagnostic, cause):
             raise RuntimeError("future already settled")
 
     def _wait(self, timeout: Optional[float]) -> None:
         limit = _wait_limit(timeout)
         with self._claim:
-            if self._state != Future.PENDING:
+            if self._state != PENDING:
                 return
             latch = self._latch
             if latch is None:
@@ -169,19 +180,22 @@ class Future:
 
     def _settle(self, state: str, value, diagnostic, cause) -> bool:
         """Settle unless already settled; True if this call settled.
-        Shutdown settles through here, because a caller may have settled
-        the future first."""
+        Callers and shutdown settle through here, because another may have
+        settled the future first.  (A worker settles the message it ran in
+        its completion's critical section, the same way.)"""
         with self._claim:
             won = self._write(state, value, diagnostic, cause)
-        if won:
-            self._wake()
+        # Readers install a latch only under the claim and while the future
+        # is pending, so once it is settled _latch no longer changes.
+        if won and self._latch is not None:
+            self._latch.release()
         return won
 
     def _write(self, state: str, value, diagnostic, cause) -> bool:
         """The settle itself, with the claim lock held: write the outcome
         unless already settled, and say whether this call did.  The winner
-        calls :meth:`_wake` once it has left the claim."""
-        if self._state != Future.PENDING:
+        releases the latch once it has left the claim."""
+        if self._state != PENDING:
             return False
         self._value = value
         self._diagnostic = diagnostic
@@ -190,34 +204,19 @@ class Future:
         self._state = state
         return True
 
-    def _wake(self) -> None:
-        # Readers install a latch only under the claim and while the future
-        # is pending, so once it is settled _latch no longer changes.
-        latch = self._latch
-        if latch is not None:
-            latch.release()
-
 
 class _Message(Future):
     """A call queued on an actor and the future ``send`` returns for it:
     the lock table queues and orders it, a worker runs it, and its claim
-    is the actor lock.  ``args`` and ``sync`` are dropped once its entries
-    are released or shutdown cancels it."""
+    is the actor lock.  ``send`` makes it with ``object.__new__`` and sets
+    every field itself, ``Future.__init__``'s with the actor lock as the
+    claim, so no ``__init__`` runs.  ``args`` and ``sync`` are dropped once
+    its entries are released or shutdown cancels it."""
 
     __slots__ = ("method", "args", "sync", "signature", "priority")
 
-    def __init__(
-        self, claim: threading.Lock, method: str, args: tuple, sync: frozenset, priority: int
-    ):
-        # Future.__init__'s fields, but with the actor lock as the claim
-        self._claim = claim
-        self._latch = None
-        self._state = Future.PENDING
-        self._value = self._diagnostic = self._cause = None
-        self.method = self.signature = method
-        self.args = args
-        self.sync = sync
-        self.priority = priority
+
+_new_object = object.__new__
 
 
 # --------------------------------------------------------------------------
@@ -426,17 +425,25 @@ class MacActor:
         future is already failed.
         """
         args = tuple(args)
-        if sync_data is not None:
-            sync = _given_sync(sync_data)
-        else:
-            plan = self._plans.get(method)
-            sync = EMPTY_LOCKS if plan is None else planned_sync_set(plan, args)
+        sync = None if sync_data is None else _given_sync(sync_data)
         lock = self._lock
+        msg = _new_object(_Message)
+        msg._claim = lock
+        msg._latch = msg._value = msg._diagnostic = msg._cause = None
+        msg._state = PENDING
+        msg.method = msg.signature = method
+        msg.args = args
         with lock:
             if not self._draining:
-                priority = self._next_priority
+                if sync is None:
+                    # Read under the lock hold that queues the message, so
+                    # no worker joins in between.  A method no worker has
+                    # yet is fixed unlabelled here (see _spawn_worker).
+                    plan = self._plans.setdefault(method, None)
+                    sync = EMPTY_LOCKS if plan is None else planned_sync_set(plan, args)
+                msg.sync = sync
+                priority = msg.priority = self._next_priority
                 self._next_priority = priority + 1
-                msg = _Message(lock, method, args, sync, priority)
                 ready = self._table.add(msg)
                 if self._log:
                     self._log.record("enqueue", method, priority, sync)
@@ -452,7 +459,9 @@ class MacActor:
         """Grow the pool by one idle worker; pending messages are re-examined.
 
         Raises ValueError if the behavior's ``@synced`` labels on a method
-        differ from those of a worker already in the pool.
+        differ from those of a worker already in the pool, or label a
+        method that was sent, with no ``sync_data``, before any worker had
+        it: that message was queued with no sync entries.
         """
         with self._lock:
             if self._draining:
@@ -519,7 +528,7 @@ class MacActor:
                 leftover = [(msg, "actor shut down") for msg in self._table.pending()]
             self._table.drop_pending()
         for msg, diagnostic in leftover:
-            msg._settle(Future.FAILED, None, diagnostic, None)
+            msg._settle(FAILED, None, diagnostic, None)
             msg.args = msg.sync = None  # out of the table, so read by no one
         with self._lock:
             if not drain:
@@ -528,7 +537,7 @@ class MacActor:
             running = [w.current for w in stuck]
             gave_up = self._timed_out(timeout) if running else None
         for msg in running:
-            msg._settle(Future.FAILED, None, gave_up, None)
+            msg._settle(FAILED, None, gave_up, None)
         for worker in self._workers:
             worker.inbox.put(None)
         for worker in self._workers:
@@ -587,13 +596,14 @@ class MacActor:
         else:
             labels = _methods(type(behavior))
             # send derives sync sets from these plans whichever worker runs
-            # the message, so workers that share a method must label it alike
+            # the message, so workers that share a method must label it
+            # alike, and alike with the sends made before any worker had it
             plans = {m: l if l is None else sync_plan(l) for m, l in labels.items()}
             clash = sorted(m for m, plan in plans.items() if self._plans.get(m, plan) != plan)
             if clash:
                 raise ValueError(
                     f"@synced labels of {', '.join(map(repr, clash))} differ from "
-                    "those of the actor's other workers"
+                    "those of the actor's other workers or earlier sends"
                 )
             self._plans.update(plans)
             supported = frozenset(labels)
@@ -621,7 +631,7 @@ class MacActor:
         # pops its class's heap of ready messages, so asking a worker that
         # supports none of them costs no scan of the backlog.
         # A finishing worker has already taken its own next message, if any
-        # (see _finish).
+        # (see _worker_loop).
         table, idle = self._table, self._idle
         for _ in ready:  # each start takes one of them
             for worker in idle:
@@ -654,69 +664,72 @@ class MacActor:
         )
 
     def _worker_loop(self, worker: _Worker) -> None:
-        log, behavior, finish = self._log, worker.behavior, self._finish
+        """Run the messages given to ``worker`` until shutdown's None.
+
+        A completion is one critical section under the actor lock, which is
+        also the message's claim.  It settles the future (``_write`` done in
+        place: a caller or shutdown that settled it first keeps its
+        outcome), releases the message's entries, drops its arguments and
+        sync set (the caller may keep the future), takes the worker's next
+        message and dispatches what the release readied to idle workers.
+        The outcome is written before the entries are released, so whoever
+        runs next on this data can already read it.  A reader's latch is
+        released after leaving the lock.  Going on with the worker's own
+        next message spares a wake-up and a thread switch per message when
+        a completion readies exactly one, as on a hot key."""
+        log, behavior, table = self._log, worker.behavior, self._table
+        busy, idle, supported = self._busy, self._idle, worker.supported
         next_msg = worker.inbox.get
         msg = next_msg()
         while msg is not None:
             if log:
                 log.record("dispatch", msg.method, msg.priority, msg.sync, worker.id)
-            error: Optional[BaseException] = None
-            result = None
             try:
                 result = getattr(behavior, msg.method)(*msg.args)
+                error = None
             except BaseException as exc:
                 # Not re-raised: a worker thread receives no interrupts, and a
                 # SystemExit here would only end this thread with the
                 # message's entries held.  The future carries it instead.
-                error = exc
+                result, error = None, exc
+                diagnostic = f"{type(exc).__name__}: {exc}"
             if log:
                 log.record(
                     "complete", msg.method, msg.priority, msg.sync, worker.id, error is not None
                 )
-            msg = finish(worker, msg, result, error)
+            with self._lock:  # read per message, so a lock swapped in later is used
+                assert busy.get(worker.id) is worker and worker.current is msg, (
+                    "worker freed twice or with the wrong message"
+                )
+                latch = None
+                if msg._state == PENDING:
+                    if error is None:
+                        msg._value = result
+                        msg._state = RESOLVED
+                    else:
+                        msg._diagnostic = diagnostic
+                        msg._cause = error
+                        msg._state = FAILED
+                    latch = msg._latch
+                readied = table.complete(msg)
+                msg.args = msg.sync = None
+                if error is not None:
+                    self._failed += 1
+                self._executed += 1
+                msg = worker.current = table.take(supported)
+                if msg is None:
+                    del busy[worker.id]
+                    idle.append(worker)
+                elif msg in readied:
+                    readied.remove(msg)
+                if readied and idle:
+                    self._dispatch(readied)
+                if self._draining and not busy:
+                    self._cond.notify_all()
+            if latch is not None:
+                latch.release()
             if msg is None:
+                # An idle worker keeps nothing of its last message: a failed
+                # one's traceback holds the behavior's frame and arguments.
+                result = error = readied = None
                 msg = next_msg()
-
-    def _finish(
-        self, worker: _Worker, msg: _Message, result, error: Optional[BaseException]
-    ) -> Optional[_Message]:
-        """Settle ``msg``, release its entries and return the next message
-        the worker runs itself, or None once it is idle.
-
-        One critical section under the actor lock, which is also the
-        message's claim.  The outcome is written before the entries are
-        released, so whoever runs next on this data can already read it; a
-        caller or shutdown that settled the future first keeps its outcome,
-        and the entries are released all the same.  The caller may keep the
-        future, so its arguments and sync set are dropped with its entries.
-        Continuing with local work spares a wake-up and a thread switch per
-        message when a completion readies exactly one message, as on a hot
-        key."""
-        if error is None:
-            state, diagnostic = Future.RESOLVED, None
-        else:
-            state, diagnostic = Future.FAILED, f"{type(error).__name__}: {error}"
-        table = self._table
-        with self._lock:
-            assert self._busy.get(worker.id) is worker and worker.current is msg, (
-                "worker freed twice or with the wrong message"
-            )
-            won = msg._write(state, result, diagnostic, error)
-            readied = table.complete(msg)
-            msg.args = msg.sync = None
-            if error is not None:
-                self._failed += 1
-            self._executed += 1
-            nxt = worker.current = table.take(worker.supported)
-            if nxt is None:
-                del self._busy[worker.id]
-                self._idle.append(worker)
-            elif nxt in readied:
-                readied.remove(nxt)
-            if readied and self._idle:
-                self._dispatch(readied)
-            if self._draining and not self._busy:
-                self._cond.notify_all()
-        if won:
-            msg._wake()
-        return nxt

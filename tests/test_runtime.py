@@ -653,6 +653,9 @@ class _Keeper:
     def keep(self, key, payload):
         return "kept"
 
+    def spill(self, payload):
+        raise RuntimeError("spilled")
+
 
 def test_a_settled_future_keeps_neither_its_arguments_nor_its_sync_set(cleanup):
     actor = MacActor(lambda: _Keeper(None), workers=1)
@@ -666,6 +669,33 @@ def test_a_settled_future_keeps_neither_its_arguments_nor_its_sync_set(cleanup):
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
     assert fut.done()
+
+
+def test_an_idle_worker_keeps_nothing_of_its_last_failed_message(cleanup):
+    """The exception's traceback holds the behavior's frame and with it the
+    arguments; once the caller drops the future, the worker that ran the
+    message must not keep them alive while it waits for the next one."""
+    actor = MacActor(lambda: _Keeper(None), workers=1)
+    cleanup(actor)
+    payload = _Payload()
+    ref = weakref.ref(payload)
+    fut = actor.send("spill", (payload,))
+    del payload
+    try:
+        fut.get(timeout=5)
+    except FutureFailed as exc:
+        assert exc.diagnostic == "RuntimeError: spilled"
+    else:
+        pytest.fail("the raising method resolved its future")
+    del fut
+    # the worker lets go of the message after releasing the future's readers
+    deadline = time.time() + 2
+    gc.collect()
+    while ref() is not None and time.time() < deadline:
+        time.sleep(0.002)
+        gc.collect()
+    assert ref() is None
+    assert actor.stats()["busy"] == 0
 
 
 def test_a_future_cancelled_by_shutdown_keeps_neither_its_arguments_nor_its_sync_set():
@@ -1058,6 +1088,50 @@ def test_worker_with_different_sync_labels_rejected(cleanup):
     with pytest.raises(ValueError, match="'bump'"):
         MacActor(lambda: next(kinds)(), workers=2, name="mixed")
     assert not [t for t in threading.enumerate() if t.name.startswith("mixed-")]
+
+
+def test_a_send_before_any_worker_has_the_method_fixes_it_unlabelled(cleanup):
+    """A message sent while no worker supports its method is queued with an
+    empty sync set, so a worker that joins later and labels the method
+    would let it overlap a later message on the same data: the join is
+    refused instead.  A worker that leaves the method unlabelled may join
+    and runs it.  A send with explicit ``sync_data`` fixes no labels."""
+
+    class Other:
+        def audit(self):
+            return "ok"
+
+    class ByAccount:
+        @synced("a", None)
+        def m(self, account, n):
+            return n
+
+        @synced("a")
+        def given(self, account):
+            return account
+
+    class Unlabelled:
+        def m(self, account, n):
+            return n
+
+    actor = MacActor(Other, workers=1)
+    cleanup(actor)
+    first = actor.send("m", (5, 1))
+    explicit = actor.send("given", (7,), sync_data=[("a", 7)])
+    with pytest.raises(ValueError, match="'m'"):
+        actor.add_worker(ByAccount())
+    assert actor.stats()["workers"] == 1
+    second = actor.send("m", (5, 2))
+    actor.add_worker(Unlabelled())
+    assert (first.get(timeout=5), second.get(timeout=5)) == (1, 2)
+
+    class Given:
+        @synced("a")
+        def given(self, account):
+            return account
+
+    actor.add_worker(Given())
+    assert explicit.get(timeout=5) == 7
 
 
 def test_shutdown_timeout_is_checked_before_the_actor_changes(cleanup):

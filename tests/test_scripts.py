@@ -97,6 +97,14 @@ def test_runtime_calls_prints_a_row_per_bank_shape():
         r"It reads\s+([\d.]+),\s+([\d.]+)\s+and\s+([\d.]+)\s+calls\s+per\s+message", readme
     ).groups()
     assert all(float(calls) <= float(figure) + 0.1 for (_, calls), figure in zip(rows, figures))
+    # the rows by function split each shape's total; each row is rounded
+    by_function = re.findall(r"^\| ([\w.<>]+|other) \| ([\d.]+) \| ([\d.]+) \| ([\d.]+) \|$", out, re.M)
+    names = [name for name, *_ in by_function]
+    assert "runtime.MacActor.send" in names and names[-1] == "other"
+    assert len(set(names)) == len(names)
+    for column, (_, calls) in enumerate(rows, start=1):
+        split = sum(float(row[column]) for row in by_function)
+        assert abs(split - float(calls)) <= 0.005 * (len(by_function) + 1), (column, split, calls)
 
 
 def test_front_end_prints_a_row_per_program():
