@@ -6,8 +6,8 @@ account creation serializes under label "c"), so conflicting requests run
 one at a time and in send order while independent accounts proceed in
 parallel.  The harness generates seeded workloads, drives them through the
 actor from one closed-loop client, replays them sequentially as a
-ground-truth oracle, and audits the runtime event log for interval
-disjointness and priority order.
+ground-truth oracle for every reply and the final balances, and audits the
+runtime event log for interval disjointness and priority order.
 """
 
 from __future__ import annotations
@@ -142,44 +142,33 @@ class BankTeller:
 # --------------------------------------------------------------------------
 # workload
 
-@dataclass(frozen=True)
-class Mix:
-    withdraw: float = 0.4
-    deposit: float = 0.4
-    transfer: float = 0.1
-    check: float = 0.1
-
-    def __post_init__(self):
-        shares = (self.withdraw, self.deposit, self.transfer, self.check)
-        if min(shares) < 0:
-            raise ValueError(f"mix shares must not be negative: {shares}")
-        if abs(sum(shares) - 1) > 1e-9:
-            raise ValueError(f"mix shares must sum to 1, not {sum(shares)}")
-
-
-DEFAULT_MIX = Mix()
-
 Request = tuple  # (method name, args tuple)
+
+# Every workload cycles over its accounts in bursts of BATCH consecutive
+# requests per account, so same-account requests are forced to respect
+# their temporal order without the whole stream serializing on one account.
+BATCH = 10
+# Cumulative cut points of the request mix: 40% withdraw, 40% deposit, 10%
+# transfer and 10% check.
+CUTS = (0.4, 0.8, 0.9)
+INITIAL_BALANCE = 10_000  # of every account
+
+# Requests a client of run_scenario keeps in flight, as perfbench's drive
+# does.  Bounding how far the sender gets ahead of the workers makes the
+# measured throughput that of the service, not of the sender.
+WINDOW = 64
 
 
 @dataclass(frozen=True)
 class Workload:
-    """A seeded request stream over a fixed set of accounts.
-
-    Requests cycle over the accounts in bursts of ``batch`` consecutive
-    calls per account, so same-account requests are forced to respect their
-    temporal order without the whole stream serializing on one account.
-    """
+    """A seeded request stream over a fixed set of accounts."""
 
     accounts: int
     requests: int
-    batch: int = 10
-    mix: Mix = DEFAULT_MIX
     seed: int = 0
-    initial_balance: int = 10_000
 
     def __post_init__(self):
-        for name in ("accounts", "requests", "batch"):
+        for name in ("accounts", "requests"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, not {getattr(self, name)}")
         if self.requests < self.accounts:
@@ -190,23 +179,18 @@ class Workload:
 
 def iter_requests(w: Workload) -> Iterator[Request]:
     rng = random.Random(w.seed)
-    cuts = (
-        w.mix.withdraw,
-        w.mix.withdraw + w.mix.deposit,
-        w.mix.withdraw + w.mix.deposit + w.mix.transfer,
-    )
     issued = 0
     account = 0
     while issued < w.requests:
         account = account % w.accounts + 1
-        for _ in range(min(w.batch, w.requests - issued)):
+        for _ in range(min(BATCH, w.requests - issued)):
             amount = rng.randint(1, 100)
             roll = rng.random()
-            if roll < cuts[0]:
+            if roll < CUTS[0]:
                 yield ("withdraw", (account, amount))
-            elif roll < cuts[1]:
+            elif roll < CUTS[1]:
                 yield ("deposit", (account, amount))
-            elif roll < cuts[2]:
+            elif roll < CUTS[2]:
                 other = account
                 if w.accounts > 1:
                     while other == account:
@@ -217,28 +201,35 @@ def iter_requests(w: Workload) -> Iterator[Request]:
             issued += 1
 
 
-def replay_oracle(w: Workload) -> dict:
-    """Final balances after running the request stream sequentially in send
-    order.  Deliberately independent of the concurrent implementation."""
-    balances = {acc: w.initial_balance for acc in range(1, w.accounts + 1)}
+def replay_oracle(w: Workload) -> tuple[list, dict]:
+    """The reply to every request and the final balances, running the
+    request stream sequentially in send order.  Deliberately independent of
+    the concurrent implementation."""
+    balances = {acc: INITIAL_BALANCE for acc in range(1, w.accounts + 1)}
+    replies = []
     for method, args in iter_requests(w):
         if method == "withdraw":
             account, amount = args
-            if amount <= balances[account]:
+            ok = amount <= balances[account]
+            if ok:
                 balances[account] -= amount
+            replies.append(ok)
         elif method == "deposit":
             account, amount = args
             balances[account] += amount
+            replies.append(balances[account])
         elif method == "transfer":
             src, dst, amount = args
-            if amount <= balances[src]:
+            ok = amount <= balances[src]
+            if ok:
                 balances[src] -= amount
                 balances[dst] += amount
+            replies.append(ok)
         elif method == "check":
-            pass
+            replies.append(balances[args[0]])
         else:
             raise ValueError(f"unknown request {method!r}")
-    return balances
+    return replies, balances
 
 
 # --------------------------------------------------------------------------
@@ -300,12 +291,6 @@ def audit_events(events: Iterable[dict]) -> OrderingAudit:
 # --------------------------------------------------------------------------
 # benchmark runs
 
-# Requests a client of run_scenario keeps in flight, as perfbench's drive
-# does.  Bounding how far the sender gets ahead of the workers makes the
-# measured throughput that of the service, not of the sender.
-WINDOW = 64
-
-
 @dataclass
 class BenchReport:
     volume: int
@@ -328,11 +313,12 @@ def run_scenario(
 
     One client keeps at most ``WINDOW`` requests in flight: it waits for
     the oldest future, then sends the next request.  Every future must
-    resolve, final balances must equal the sequential replay oracle, and
-    (when an event log is attached) the ordering audit must be clean.  Any
-    mismatch raises AuditError.
+    resolve to the reply the sequential replay oracle gives its request,
+    final balances must equal the oracle's, and (when an event log is
+    attached) the ordering audit must be clean.  Any mismatch raises
+    AuditError.
     """
-    accounts = {acc: w.initial_balance for acc in range(1, w.accounts + 1)}
+    accounts = {acc: INITIAL_BALANCE for acc in range(1, w.accounts + 1)}
     actor = MacActor(
         lambda: BankTeller(accounts, work_us=work_us, canary=canary),
         workers=workers,
@@ -347,11 +333,18 @@ def run_scenario(
         futures.append(actor.send(method, args))
     shutdown = actor.shutdown(drain=True)
     wall = time.perf_counter() - started
-    for fut in futures:
+    replies, expected = replay_oracle(w)
+    for i, (fut, want) in enumerate(zip(futures, replies)):
         if not fut.done():
             raise AuditError("a future was left unresolved after drain")
-        fut.get(timeout=0.001)
-    expected = replay_oracle(w)
+        got = fut.get(timeout=0.001)
+        # True == 1 in Python; a withdrawal that replies 1 is still wrong
+        if type(got) is not type(want) or got != want:
+            method, args = requests[i]
+            raise AuditError(
+                f"request {i}, {method}{args}, replied {got!r} where the "
+                f"sequential replay replies {want!r}"
+            )
     if accounts != expected:
         diff = {
             acc: (accounts.get(acc), expected[acc])

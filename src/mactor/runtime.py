@@ -184,24 +184,17 @@ class Future:
         settled the future first.  (A worker settles the message it ran in
         its completion's critical section, the same way.)"""
         with self._claim:
-            won = self._write(state, value, diagnostic, cause)
+            if self._state != PENDING:
+                return False
+            self._value = value
+            self._diagnostic = diagnostic
+            self._cause = cause
+            # written last: a reader that sees a settled state sees the fields
+            self._state = state
         # Readers install a latch only under the claim and while the future
         # is pending, so once it is settled _latch no longer changes.
-        if won and self._latch is not None:
+        if self._latch is not None:
             self._latch.release()
-        return won
-
-    def _write(self, state: str, value, diagnostic, cause) -> bool:
-        """The settle itself, with the claim lock held: write the outcome
-        unless already settled, and say whether this call did.  The winner
-        releases the latch once it has left the claim."""
-        if self._state != PENDING:
-            return False
-        self._value = value
-        self._diagnostic = diagnostic
-        self._cause = cause
-        # written last: a reader that sees a settled state sees the fields
-        self._state = state
         return True
 
 
@@ -391,7 +384,6 @@ class MacActor:
         self._workers: list[_Worker] = []
         self._plans: dict[str, Optional[SyncPlan]] = {}  # method -> plan of its @synced labels
         self._next_priority = 0
-        self._next_worker_id = 0
         self._draining = False
         self._closing = False  # a shutdown call is under way
         self._report: Optional[ShutdownReport] = None
@@ -607,8 +599,7 @@ class MacActor:
                 )
             self._plans.update(plans)
             supported = frozenset(labels)
-        worker = _Worker(self._next_worker_id, behavior, supported)
-        self._next_worker_id += 1
+        worker = _Worker(len(self._workers), behavior, supported)
         worker.thread = threading.Thread(
             target=self._worker_loop,
             args=(worker,),
@@ -667,8 +658,8 @@ class MacActor:
         """Run the messages given to ``worker`` until shutdown's None.
 
         A completion is one critical section under the actor lock, which is
-        also the message's claim.  It settles the future (``_write`` done in
-        place: a caller or shutdown that settled it first keeps its
+        also the message's claim.  It settles the future (``_settle`` done
+        in place: a caller or shutdown that settled it first keeps its
         outcome), releases the message's entries, drops its arguments and
         sync set (the caller may keep the future), takes the worker's next
         message and dispatches what the release readied to idle workers.
@@ -692,7 +683,10 @@ class MacActor:
                 # SystemExit here would only end this thread with the
                 # message's entries held.  The future carries it instead.
                 result, error = None, exc
-                diagnostic = f"{type(exc).__name__}: {exc}"
+                try:
+                    diagnostic = f"{type(exc).__name__}: {exc}"
+                except BaseException:  # the exception's own __str__ raised
+                    diagnostic = type(exc).__name__
             if log:
                 log.record(
                     "complete", msg.method, msg.priority, msg.sync, worker.id, error is not None

@@ -30,7 +30,7 @@ from mactor.bank import Workload, audit_events, read_jsonl, run_scenario
 
 SEED_COUNT = 20
 LIN_WORKLOADS = [
-    Workload(accounts=10, requests=10_000, batch=10, seed=seed) for seed in range(SEED_COUNT)
+    Workload(accounts=10, requests=10_000, seed=seed) for seed in range(SEED_COUNT)
 ]
 
 
@@ -235,13 +235,13 @@ def test_c6_scaling_trend_and_linearity():
     throughput = {}
     wall = {}
     for workers in (1, 2, 4):
-        w = Workload(accounts=64, requests=100_000, batch=10, seed=42)
+        w = Workload(accounts=64, requests=100_000, seed=42)
         result = run_scenario(w, workers=workers, work_us=100)
         throughput[workers] = result.throughput_mps
         if workers == 4:
             wall[100_000] = result.wall_ms
     for volume in (10_000, 50_000):
-        w = Workload(accounts=64, requests=volume, batch=10, seed=42)
+        w = Workload(accounts=64, requests=volume, seed=42)
         wall[volume] = run_scenario(w, workers=4, work_us=100).wall_ms
     elapsed = time.perf_counter() - started
 

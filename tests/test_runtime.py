@@ -698,6 +698,37 @@ def test_an_idle_worker_keeps_nothing_of_its_last_failed_message(cleanup):
     assert actor.stats()["busy"] == 0
 
 
+class _Unprintable(Exception):
+    def __str__(self):
+        raise RuntimeError("no text for this exception")
+
+
+class _Raiser:
+    def boom(self):
+        raise _Unprintable()
+
+    def ok(self):
+        return 1
+
+
+def test_an_exception_whose_str_raises_fails_only_its_own_message():
+    """The worker formats a failed message's diagnostic itself; when the
+    exception cannot say what it is, its type name stands in, and the
+    worker goes on to its next message instead of dying with the first
+    one's entries held."""
+    actor = MacActor(_Raiser, workers=1)
+    f = actor.send("boom")
+    g = actor.send("ok")
+    try:
+        with pytest.raises(FutureFailed) as failed:
+            f.get(timeout=5)
+        assert failed.value.diagnostic == "_Unprintable"
+        assert g.get(timeout=5) == 1
+    finally:
+        report = actor.shutdown(timeout=5)
+    assert report.drained and report.executed == 2 and report.failed == 1
+
+
 def test_a_future_cancelled_by_shutdown_keeps_neither_its_arguments_nor_its_sync_set():
     gate = threading.Event()
     actor = MacActor(lambda: _Keeper(gate), workers=1)
