@@ -3,13 +3,13 @@
 A :class:`MacActor` owns a pool of workers (each wrapping one user-supplied
 behavior object and one thread) and a queue of pending messages.  ``send``
 enqueues a message together with its (label, value) sync entries and returns
-a write-once :class:`Future` immediately.  The two are one object: a message
-is a private ``Future`` subclass that also holds the method, its arguments,
-its sync set and its priority, so the lock table queues, a worker runs and
-the caller reads the same object.  Once the message's entries are released
-(or shutdown cancels it) its arguments and sync set are dropped: a settled
-future keeps only its outcome, method and priority, though the exception a
-failed one keeps has a traceback whose frames may still hold arguments.
+a write-once :class:`Future` immediately.  The two are one object: a
+``Future`` also holds the method, its arguments, its sync set and its
+priority, so the lock table queues, a worker runs and the caller reads the
+same object.  Once the message's entries are released (or shutdown cancels
+it) its arguments and sync set are dropped: a settled future keeps only its
+outcome, method and priority, though the exception a failed one keeps has a
+traceback whose frames may still hold arguments.
 The entries come from the method's sync plan
 (:func:`mactor.scheduler.sync_plan`), made once when the first worker of a
 behavior class joins and read under the actor lock.  A method's labels are
@@ -43,17 +43,17 @@ internal lock held.  A message's future is settled before its sync entries
 are released, so a conflicting successor always observes the completed
 effects.
 
-A future's fields are guarded by its claim lock: the actor lock for the
-messages ``send`` returns, and one module-wide lock for a ``Future()`` made
-by hand or the failed one a refused ``send`` returns.  Settling (by the
-worker, by shutdown, or by a caller's ``resolve``/``fail``) checks under
-the claim that the future is still pending and writes its fields, so of
-several racing settlers exactly one wins.  A reader that finds the future
-settled takes no lock at all.  One that finds it pending installs a latch
-under the claim, a plain lock held until the future settles, and blocks on
-it; later readers share it.  The winning settler releases the latch, if
-there is one, after leaving the claim.  A future that no reader blocks on
-never allocates a lock.
+A future is written once, by the completion of its message or by shutdown
+failing it, and is otherwise read-only: ``get`` and ``done`` are all a
+caller can do with it.  Its fields are guarded by its claim, the actor
+lock.  Settling checks under the claim that the future is still pending
+and writes its fields, so of a completion and a ``shutdown(timeout=...)``
+that gives up on the running message exactly one wins.  A reader that
+finds the future settled takes no lock at all.  One that finds it pending
+installs a latch under the claim, a plain lock held until the future
+settles, and blocks on it; later readers share it.  The settler releases
+the latch, if there is one, after leaving the claim.  A future that no
+reader blocks on never allocates a lock.
 
 Blocking on a future from a worker thread of the same actor that the awaited
 message needs is a deadlock, as with any pool; keep ``Future.get`` on
@@ -76,7 +76,6 @@ from .scheduler import (
     LockTable,
     SyncEntry,
     SyncPlan,
-    lock_union,
     planned_sync_set,
     select,
     sync_plan,
@@ -91,16 +90,10 @@ class FutureFailed(Exception):
         self.diagnostic = diagnostic
 
 
-# A future's states.  The class keeps them as Future.PENDING and so on; the
-# per-message paths read these module names, a plain global lookup.
-PENDING = "pending"
-RESOLVED = "resolved"
-FAILED = "failed"
-
-# The claim of every future made outside an actor.  Held only while a
-# settler checks and writes a future's fields or a reader installs its
-# latch, never while calling out, so one lock serves them all.
-_claim = threading.Lock()
+# A future's states, read on the per-message paths as plain globals.
+_PENDING = "pending"
+_RESOLVED = "resolved"
+_FAILED = "failed"
 
 
 def _wait_limit(timeout: Optional[float]) -> Optional[float]:
@@ -118,28 +111,23 @@ def _wait_limit(timeout: Optional[float]) -> Optional[float]:
 
 
 class Future:
-    """Write-once result of an asynchronous send."""
+    """Write-once result of an asynchronous send, and the message it
+    belongs to: the lock table queues and orders it, a worker runs it and
+    the caller reads it.  Only ``MacActor.send`` makes one, with
+    ``object.__new__``, setting every field itself; its claim is the actor
+    lock.  ``args`` and ``sync`` are dropped once its entries are released
+    or shutdown cancels it."""
 
-    PENDING = PENDING
-    RESOLVED = RESOLVED
-    FAILED = FAILED
-
-    __slots__ = ("_claim", "_latch", "_state", "_value", "_diagnostic", "_cause")
+    __slots__ = (
+        "_claim", "_latch", "_state", "_value", "_diagnostic", "_cause",
+        "method", "args", "sync", "signature", "priority",
+    )
 
     def __init__(self):
-        self._claim = _claim  # a _Message has its actor's lock instead
-        self._latch: Optional[threading.Lock] = None  # made by the first reader that blocks
-        self._state = PENDING
-        self._value = None
-        self._diagnostic: Optional[str] = None
-        self._cause: Optional[BaseException] = None
-
-    @property
-    def state(self) -> str:
-        return self._state
+        raise TypeError("futures are made by MacActor.send")
 
     def done(self) -> bool:
-        return self._state != PENDING
+        return self._state != _PENDING
 
     def get(self, timeout: Optional[float] = None):
         """Block until resolved; every caller sees the same value.
@@ -149,24 +137,16 @@ class Future:
         Raises TimeoutError if the deadline passes first and FutureFailed
         (with the original exception chained) if the message failed.
         """
-        if self._state == PENDING:
+        if self._state == _PENDING:
             self._wait(timeout)
-        if self._state == FAILED:
+        if self._state == _FAILED:
             raise FutureFailed(self._diagnostic) from self._cause
         return self._value
-
-    def resolve(self, value) -> None:
-        if not self._settle(RESOLVED, value, None, None):
-            raise RuntimeError("future already settled")
-
-    def fail(self, diagnostic: str, cause: Optional[BaseException] = None) -> None:
-        if not self._settle(FAILED, None, diagnostic, cause):
-            raise RuntimeError("future already settled")
 
     def _wait(self, timeout: Optional[float]) -> None:
         limit = _wait_limit(timeout)
         with self._claim:
-            if self._state != PENDING:
+            if self._state != _PENDING:
                 return
             latch = self._latch
             if latch is None:
@@ -178,35 +158,21 @@ class Future:
             raise TimeoutError(f"future not resolved within {timeout}s")
         latch.release()
 
-    def _settle(self, state: str, value, diagnostic, cause) -> bool:
-        """Settle unless already settled; True if this call settled.
-        Callers and shutdown settle through here, because another may have
-        settled the future first.  (A worker settles the message it ran in
-        its completion's critical section, the same way.)"""
+    def _settle(self, diagnostic: str) -> None:
+        """Fail the future unless it is already settled: shutdown cancels
+        a queued message or gives up on a running one, whose worker may
+        complete it first.  (A worker settles the message it ran in its
+        completion's critical section, the same way.)"""
         with self._claim:
-            if self._state != PENDING:
-                return False
-            self._value = value
+            if self._state != _PENDING:
+                return
             self._diagnostic = diagnostic
-            self._cause = cause
             # written last: a reader that sees a settled state sees the fields
-            self._state = state
+            self._state = _FAILED
         # Readers install a latch only under the claim and while the future
         # is pending, so once it is settled _latch no longer changes.
         if self._latch is not None:
             self._latch.release()
-        return True
-
-
-class _Message(Future):
-    """A call queued on an actor and the future ``send`` returns for it:
-    the lock table queues and orders it, a worker runs it, and its claim
-    is the actor lock.  ``send`` makes it with ``object.__new__`` and sets
-    every field itself, ``Future.__init__``'s with the actor lock as the
-    claim, so no ``__init__`` runs.  ``args`` and ``sync`` are dropped once
-    its entries are released or shutdown cancels it."""
-
-    __slots__ = ("method", "args", "sync", "signature", "priority")
 
 
 _new_object = object.__new__
@@ -351,7 +317,7 @@ class _Worker:
         self.supported = supported  # method names, the key of its class in the lock table
         self.inbox: queue.SimpleQueue = queue.SimpleQueue()
         self.thread: Optional[threading.Thread] = None
-        self.current: Optional[_Message] = None
+        self.current: Optional[Future] = None
 
 
 class MacActor:
@@ -419,10 +385,10 @@ class MacActor:
         args = tuple(args)
         sync = None if sync_data is None else _given_sync(sync_data)
         lock = self._lock
-        msg = _new_object(_Message)
+        msg = _new_object(Future)
         msg._claim = lock
         msg._latch = msg._value = msg._diagnostic = msg._cause = None
-        msg._state = PENDING
+        msg._state = _PENDING
         msg.method = msg.signature = method
         msg.args = args
         with lock:
@@ -443,9 +409,10 @@ class MacActor:
                     self._dispatch((msg,))
                 return msg
             self._rejected += 1
-        fut = Future()
-        fut.fail("actor shut down; send rejected")
-        return fut
+            msg.args = msg.sync = None
+            msg._diagnostic = "actor shut down; send rejected"
+            msg._state = _FAILED
+        return msg
 
     def add_worker(self, behavior) -> int:
         """Grow the pool by one idle worker; pending messages are re-examined.
@@ -520,7 +487,7 @@ class MacActor:
                 leftover = [(msg, "actor shut down") for msg in self._table.pending()]
             self._table.drop_pending()
         for msg, diagnostic in leftover:
-            msg._settle(FAILED, None, diagnostic, None)
+            msg._settle(diagnostic)
             msg.args = msg.sync = None  # out of the table, so read by no one
         with self._lock:
             if not drain:
@@ -529,7 +496,7 @@ class MacActor:
             running = [w.current for w in stuck]
             gave_up = self._timed_out(timeout) if running else None
         for msg in running:
-            msg._settle(FAILED, None, gave_up, None)
+            msg._settle(gave_up)
         for worker in self._workers:
             worker.inbox.put(None)
         for worker in self._workers:
@@ -561,7 +528,7 @@ class MacActor:
                 for w in self._idle
                 if (msg := select(w.supported, busy, pending)) is not None
             )
-        union = lock_union(running)
+        union = frozenset().union(*running)
         ok = union == busy and len(union) == sum(map(len, running)) and not startable
         return AuditSnapshot(busy_data=busy, running=running, startable=startable, ok=ok)
 
@@ -611,7 +578,7 @@ class MacActor:
         worker.thread.start()
         return worker
 
-    def _dispatch(self, ready: Sequence[_Message]) -> None:
+    def _dispatch(self, ready: Sequence[Future]) -> None:
         # Runs with the lock held, after a send or a completion made the
         # messages ``ready`` ready (after add_worker, with every pending
         # message).  Dispatch leaves no idle worker a message it could
@@ -644,7 +611,7 @@ class MacActor:
         )
         return f"{self._name}: shutdown gave up after {timeout}s with {running} still running"
 
-    def _why_stuck(self, msg: _Message) -> str:
+    def _why_stuck(self, msg: Future) -> str:
         # Only called once nothing runs and nothing can start.
         if not any(msg.signature in w.supported for w in self._workers):
             return f"no worker supports {msg.method!r}"
@@ -658,9 +625,9 @@ class MacActor:
         """Run the messages given to ``worker`` until shutdown's None.
 
         A completion is one critical section under the actor lock, which is
-        also the message's claim.  It settles the future (``_settle`` done
-        in place: a caller or shutdown that settled it first keeps its
-        outcome), releases the message's entries, drops its arguments and
+        also the message's claim.  It settles the future (unless a
+        ``shutdown(timeout=...)`` that gave up on the message failed it
+        first), releases the message's entries, drops its arguments and
         sync set (the caller may keep the future), takes the worker's next
         message and dispatches what the release readied to idle workers.
         The outcome is written before the entries are released, so whoever
@@ -696,14 +663,14 @@ class MacActor:
                     "worker freed twice or with the wrong message"
                 )
                 latch = None
-                if msg._state == PENDING:
+                if msg._state == _PENDING:
                     if error is None:
                         msg._value = result
-                        msg._state = RESOLVED
+                        msg._state = _RESOLVED
                     else:
                         msg._diagnostic = diagnostic
                         msg._cause = error
-                        msg._state = FAILED
+                        msg._state = _FAILED
                     latch = msg._latch
                 readied = table.complete(msg)
                 msg.args = msg.sync = None

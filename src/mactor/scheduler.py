@@ -115,14 +115,6 @@ def select(
     return None
 
 
-def lock_union(lock_sets: Iterable[frozenset[SyncEntry]]) -> frozenset[SyncEntry]:
-    """Union of per-object lock sets: everything a group currently holds."""
-    out: set[SyncEntry] = set()
-    for entries in lock_sets:
-        out |= entries
-    return frozenset(out)
-
-
 class LockTable:
     """The pending queue of one group, kept so that :func:`select` is cheap.
 

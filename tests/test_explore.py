@@ -22,7 +22,7 @@ from mactor.interp import (
     step,
     stuck,
 )
-from mactor.scheduler import QueuedMessage, SyncEntry, lock_union, select
+from mactor.scheduler import QueuedMessage, SyncEntry, select
 from mactor.syntax import Assign, While
 from progen import gen_program
 from test_bank import SAME_KEY_GET
@@ -519,7 +519,7 @@ def _check_lock_disjointness(config):
     (``_check_start``)."""
     for members in config.groups:
         lock_sets = [config.heap[o.id].locks for o in members]
-        if len(lock_union(lock_sets)) != sum(map(len, lock_sets)):
+        if len(frozenset().union(*lock_sets)) != sum(map(len, lock_sets)):
             return f"overlapping lock sets inside group {members[0]}"
     return None
 
@@ -1102,7 +1102,7 @@ def spec_pick(config, obj, select_fn):
         m._replace(signature=next(s for s in first if (s.name, s.arity) == (m.method, len(m.args))))
         for m in config.queues.get(actor, ())
     )
-    held = lock_union([st.locks for st in config.heap if st.myactor == actor])
+    held = frozenset().union(*(st.locks for st in config.heap if st.myactor == actor))
     return select_fn(signatures(config.heap[obj.id].cls), held, queue)
 
 

@@ -47,60 +47,68 @@ def cleanup():
 
 # ---- Future
 
-def test_future_resolve_then_get():
-    f = Future()
-    f.resolve(123)
-    assert f.get() == 123
-    assert f.get(timeout=0) == 123  # same value on every read
+class _Gated:
+    def __init__(self, gate):
+        self._gate = gate
+
+    def echo(self, value):
+        self._gate.wait(10)
+        if isinstance(value, BaseException):
+            raise value
+        return value
 
 
-def test_future_settles_once():
-    f = Future()
-    f.resolve(1)
-    with pytest.raises(RuntimeError):
-        f.resolve(2)
-    with pytest.raises(RuntimeError):
-        f.fail("late")
-    assert f.get() == 1
+@pytest.fixture
+def gated():
+    """A one-worker actor whose ``echo`` returns its argument, or raises
+    it if it is an exception, once the test sets the gate."""
+    gate = threading.Event()
+    actor = MacActor(lambda: _Gated(gate), workers=1)
+    yield actor, gate
+    gate.set()
+    actor.shutdown(drain=False)
 
 
-def test_future_failure_propagates_cause():
-    f = Future()
+def test_a_future_is_read_only_and_only_send_makes_one():
+    import mactor.runtime as runtime
+
+    with pytest.raises(TypeError, match="made by MacActor.send"):
+        Future()
+    public = [n for n in dir(Future) if not n.startswith("_") and callable(getattr(Future, n))]
+    assert public == ["done", "get"]
+    assert not [n for n in ("resolve", "fail", "state") if hasattr(Future, n)]
+    assert not [n for n in ("PENDING", "RESOLVED", "FAILED") if hasattr(runtime, n)]
+    actor = MacActor(lambda: _Gated(None), workers=1)
+    actor.shutdown()
+    refused = actor.send("echo", (_Payload(),))
+    assert type(refused) is Future and refused.done()
+    with pytest.raises(FutureFailed, match="send rejected"):
+        refused.get(timeout=0)
+    assert refused.args is None and refused.sync is None and refused._latch is None
+
+
+def test_future_resolve_then_get(gated):
+    actor, gate = gated
+    f = actor.send("echo", (123,))
+    gate.set()
+    assert f.get(timeout=5) == 123
+    assert f.get() == f.get(timeout=0) == 123
+
+
+def test_future_failure_propagates_cause(gated):
+    actor, gate = gated
     boom = ValueError("boom")
-    f.fail("ValueError: boom", cause=boom)
+    f = actor.send("echo", (boom,))
+    gate.set()
     with pytest.raises(FutureFailed) as err:
-        f.get()
+        f.get(timeout=5)
     assert err.value.__cause__ is boom
-    assert "boom" in err.value.diagnostic
+    assert err.value.diagnostic == "ValueError: boom"
 
 
-def test_future_timeout():
-    f = Future()
-    with pytest.raises(TimeoutError):
-        f.get(timeout=0.05)
-
-
-@pytest.mark.parametrize("timeout", [math.inf, threading.TIMEOUT_MAX * 2])
-def test_future_get_timeout_past_the_platform_limit_waits_like_none(timeout):
-    f = Future()
-    timer = threading.Timer(0.05, f.resolve, args=("late",))
-    timer.start()
-    try:
-        assert f.get(timeout=timeout) == "late"
-    finally:
-        timer.join(timeout=5)
-
-
-def test_future_get_nan_timeout_raises_naming_the_argument():
-    f = Future()
-    with pytest.raises(ValueError, match="timeout"):
-        f.get(timeout=math.nan)
-    f.resolve(1)
-    assert f.get(timeout=math.nan) == 1  # a settled future waits for nothing
-
-
-def test_future_same_value_across_threads():
-    f = Future()
+def test_future_same_value_across_threads(gated):
+    actor, gate = gated
+    f = actor.send("echo", ("answer",))
     seen = []
     lock = threading.Lock()
 
@@ -112,46 +120,42 @@ def test_future_same_value_across_threads():
     threads = [threading.Thread(target=reader) for _ in range(8)]
     for t in threads:
         t.start()
-    f.resolve("answer")
+    gate.set()
     for t in threads:
         t.join()
     assert seen == ["answer"] * 8
 
 
-def test_racing_settlers_exactly_one_wins():
-    """Eight threads released at once each try to settle one future: one
-    claim succeeds, the other seven raise, and every thread reads the
-    winner's outcome."""
-    for _ in range(200):
-        f = Future()
-        barrier = threading.Barrier(8)
-        won, lost, seen = [], [], [None] * 8
+def test_future_timeout(gated):
+    actor, _ = gated
+    f = actor.send("echo", (1,))
+    for timeout in (0.05, 0, -1):  # a negative one waits not at all
+        with pytest.raises(TimeoutError):
+            f.get(timeout=timeout)
+    assert not f.done()
 
-        def settle(i):
-            barrier.wait(timeout=10)
-            try:
-                if i % 2:
-                    f.fail(f"settler {i}", cause=ValueError(i))
-                else:
-                    f.resolve(i)
-                won.append(i)
-            except RuntimeError:
-                lost.append(i)
-            try:
-                seen[i] = ("resolved", f.get(timeout=5))
-            except FutureFailed as err:
-                seen[i] = ("failed", err.diagnostic, err.__cause__.args)
 
-        threads = [threading.Thread(target=settle, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert not any(t.is_alive() for t in threads)
-        assert len(won) == 1 and sorted(won + lost) == list(range(8))
-        (i,) = won
-        outcome = ("failed", f"settler {i}", (i,)) if i % 2 else ("resolved", i)
-        assert seen == [outcome] * 8
+@pytest.mark.parametrize("timeout", [math.inf, threading.TIMEOUT_MAX * 2])
+def test_future_get_timeout_past_the_platform_limit_waits_like_none(gated, timeout):
+    actor, gate = gated
+    f = actor.send("echo", ("late",))
+    timer = threading.Timer(0.05, gate.set)
+    timer.start()
+    try:
+        assert f.get(timeout=timeout) == "late"
+    finally:
+        timer.join(timeout=5)
+
+
+def test_future_get_nan_timeout_raises_naming_the_argument(gated):
+    actor, gate = gated
+    f = actor.send("echo", (1,))
+    with pytest.raises(ValueError, match="timeout"):
+        f.get(timeout=math.nan)
+    assert f._latch is None  # raised before waiting
+    gate.set()
+    assert f.get(timeout=5) == 1
+    assert f.get(timeout=math.nan) == 1  # a settled future waits for nothing
 
 
 # ---- behaviors used below
@@ -986,54 +990,7 @@ def test_inline_dispatch_from_many_threads_loses_no_update(cleanup):
     assert actor.audit().ok
 
 
-# ---- futures the caller settles, shutdown from a worker, mismatched labels
-
-def test_caller_settling_a_running_future_keeps_the_worker(cleanup):
-    started = threading.Event()
-    release = threading.Event()
-
-    class Slow:
-        @synced("k")
-        def work(self, key):
-            started.set()
-            release.wait(5)
-            return key
-
-    actor = MacActor(Slow, workers=1)
-    cleanup(actor)
-    first = actor.send("work", (1,))
-    second = actor.send("work", (1,))  # waits on the same key
-    assert started.wait(5)
-    first.fail("caller gave up")
-    release.set()
-    assert second.get(timeout=2) == 1
-    with pytest.raises(FutureFailed, match="caller gave up"):
-        first.get(timeout=0)
-    assert actor.shutdown(drain=True).executed == 2
-
-
-def test_shutdown_passes_over_leftovers_the_caller_settled(cleanup):
-    release = threading.Event()
-
-    class Slow:
-        @synced("k")
-        def work(self, key):
-            release.wait(5)
-            return key
-
-    actor = MacActor(Slow, workers=1)
-    cleanup(actor)
-    running = actor.send("work", (1,))
-    queued = actor.send("work", (1,))
-    queued.resolve("mine")
-    timer = threading.Timer(0.2, release.set)
-    timer.start()
-    report = actor.shutdown(drain=False)
-    timer.join()
-    assert report.cancelled == 1
-    assert queued.get(timeout=0) == "mine"
-    assert running.get(timeout=0) == 1
-
+# ---- shutdown with a timeout or from a worker, mismatched labels
 
 @pytest.mark.parametrize("drain", [True, False])
 def test_shutdown_timeout_gives_up_on_stuck_user_code(drain):
@@ -1075,6 +1032,9 @@ def test_shutdown_timeout_gives_up_on_stuck_user_code(drain):
         time.sleep(0.002)
     stats = actor.stats()
     assert stats["executed"] == 1 and stats["busy"] == 0
+    # and leaves the outcome shutdown gave its future
+    with pytest.raises(FutureFailed, match="gave up"):
+        running.get(timeout=0)
 
 
 @pytest.mark.parametrize("drain", [True, False])
@@ -1248,14 +1208,11 @@ class _CountingLock:
         self._lock.release()
 
 
-def test_a_completion_takes_the_actor_lock_once_and_no_other(cleanup, monkeypatch):
-    """Per completed message a worker acquires the actor lock exactly once
-    and the module-wide claim never; no future nobody blocked on gets a
-    latch.  (No event log is attached, so its lock is not in play.)"""
-    import mactor.runtime as runtime
-
-    claim = _CountingLock(runtime._claim)
-    monkeypatch.setattr(runtime, "_claim", claim)
+def test_a_completion_takes_the_actor_lock_once_and_no_other(cleanup):
+    """Per completed message a worker acquires the actor lock exactly once,
+    and that lock is every future's claim; no future nobody blocked on
+    gets a latch.  (No event log is attached, so its lock is not in
+    play.)"""
     actor = MacActor(lambda: Recorder([]), workers=2, name="counted")
     cleanup(actor)
     lock = actor._lock = _CountingLock(actor._lock)
@@ -1265,7 +1222,6 @@ def test_a_completion_takes_the_actor_lock_once_and_no_other(cleanup, monkeypatc
     assert report.executed == 120
     on_workers = {n: c for n, c in lock.taken.items() if n.startswith("counted-w")}
     assert sum(on_workers.values()) == 120, on_workers
-    assert not [n for n in claim.taken if n.startswith("counted-w")]
     assert all(f._claim is lock for f in futures)  # the actor lock is their claim
     assert all(f._latch is None for f in futures)
     for f in futures:
@@ -1274,10 +1230,6 @@ def test_a_completion_takes_the_actor_lock_once_and_no_other(cleanup, monkeypatc
 
 
 def test_readers_of_a_settled_future_never_build_a_latch(cleanup):
-    f = Future()
-    f.resolve(7)
-    assert f.get() == 7 and f.get(timeout=1) == 7
-    assert f._latch is None
     actor = MacActor(lambda: Recorder([]), workers=1)
     cleanup(actor)
     fut = actor.send("free", (1,))
@@ -1308,37 +1260,6 @@ def test_many_readers_blocked_on_one_actor_future_all_see_the_value(cleanup):
         t.join(timeout=10)
     assert not any(t.is_alive() for t in readers)
     assert seen == [1] * 6
-
-
-def test_caller_resolve_races_the_completion(cleanup):
-    """The caller resolves a future while its worker completes it: one of
-    them wins and every reader sees its outcome, the worker frees the
-    message's entries either way, and the message counts as executed."""
-    meet = threading.Barrier(2, timeout=10)
-
-    class Racer:
-        @synced("k")
-        def work(self, key):
-            meet.wait()
-            return "worker"
-
-    actor = MacActor(Racer, workers=2)
-    cleanup(actor)
-    rounds = 200
-    for _ in range(rounds):
-        fut = actor.send("work", (1,))
-        meet.wait()
-        try:
-            fut.resolve("caller")
-            assert fut.get(timeout=5) == "caller"
-        except RuntimeError:
-            assert fut.get(timeout=5) == "worker"
-    last = actor.send("work", (1,))  # the key was freed whoever won
-    meet.wait()
-    assert last.get(timeout=5) == "worker"
-    report = actor.shutdown(drain=True)
-    assert report.executed == rounds + 1 and report.failed == 0
-    assert actor.audit().ok
 
 
 def test_audit_holds_after_each_event_on_a_hot_key_with_an_idle_worker(cleanup):
@@ -1405,14 +1326,14 @@ def test_a_backlog_no_idle_worker_supports_is_not_scanned(cleanup):
     assert supported.tests <= 4  # two takes, each of at most "a" and "b"
 
 
-# ---- stateful: the guarantees after every send, completion, failure,
-# caller settlement and new worker, then at shutdown
+# ---- stateful: the guarantees after every send, completion, failure and
+# new worker, then at shutdown
 
 KEYS = [SyncEntry("k", i) for i in range(3)]
 
 
 class _Sent:
-    __slots__ = ("mid", "keys", "future", "release", "outcome", "caller", "ran")
+    __slots__ = ("mid", "keys", "future", "release", "outcome", "ran")
 
     def __init__(self, mid, keys):
         self.mid = mid  # also its priority: every send is accepted until shutdown
@@ -1420,7 +1341,6 @@ class _Sent:
         self.future = None
         self.release = threading.Event()  # the test decides when it completes
         self.outcome = "return"  # or "raise", "exit"
-        self.caller = None  # "resolve" or "fail" when the test settled the future
         self.ran = False
 
 
@@ -1519,14 +1439,6 @@ class RuntimeMachine(RuleBasedStateMachine):
         sent.release.set()
         self.settle()
 
-    @precondition(lambda self: any(not self.msgs[m].future.done() for m in self.inside))
-    @rule(data=st.data(), how=st.sampled_from(["resolve", "fail"]))
-    def caller_settles(self, data, how):
-        mids = sorted(m for m in self.inside if not self.msgs[m].future.done())
-        sent = self.msgs[data.draw(st.sampled_from(mids))]
-        getattr(sent.future, how)("by the caller")
-        sent.caller = how
-
     @precondition(lambda self: self.workers < 4)
     @rule(kind=st.sampled_from([_WorkOnly, _SideOnly, _Both]))
     def add_worker(self, kind):
@@ -1545,11 +1457,9 @@ class RuntimeMachine(RuleBasedStateMachine):
         for sent in self.msgs:
             if not sent.ran:
                 continue
-            if sent.caller == "resolve":
-                assert sent.future.get(timeout=0) == "by the caller"
-            elif sent.caller == "fail" or sent.outcome != "return":
-                kind = {"fail": "by the caller", "raise": "ValueError", "exit": "SystemExit"}
-                with pytest.raises(FutureFailed, match=kind[sent.caller or sent.outcome]):
+            if sent.outcome != "return":
+                kind = {"raise": "ValueError", "exit": "SystemExit"}
+                with pytest.raises(FutureFailed, match=kind[sent.outcome]):
                     sent.future.get(timeout=0)
             else:
                 assert sent.future.get(timeout=0) == sent.mid

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import CountingSet
 from mactor import QueuedMessage, SyncEntry, select
-from mactor.scheduler import EMPTY_LOCKS, LockTable, lock_union, planned_sync_set, sync_plan
+from mactor.scheduler import EMPTY_LOCKS, LockTable, planned_sync_set, sync_plan
 
 
 def entry(label, value):
@@ -106,21 +106,6 @@ def test_relaxation_keeps_lock_shadows():
     assert select({"s"}, {entry(L, 1)}, q) is None
 
 
-# ---- lock_union
-
-def test_lock_union_basic():
-    assert lock_union([{entry("a", 1)}, {entry("a", 2)}]) == {entry("a", 1), entry("a", 2)}
-
-
-def test_lock_union_empty():
-    assert lock_union([frozenset(), frozenset()]) == frozenset()
-
-
-def test_lock_union_disjoint_parts_sum():
-    parts = [frozenset({entry("a", 1)}), frozenset({entry("a", 2), entry("b", 1)})]
-    assert len(lock_union(parts)) == sum(len(p) for p in parts)
-
-
 # ---- properties against the oracle
 
 entries_st = st.builds(
@@ -215,7 +200,7 @@ def test_lock_table_matches_select(workers, ops):
             pending.append(message)
         elif op[0] == "start":
             supported = workers[op[1] % len(workers)]
-            chosen = select(supported, lock_union(m.sync for m in running), pending)
+            chosen = select(supported, frozenset().union(*(m.sync for m in running)), pending)
             assert table.take(supported) is chosen
             if chosen is not None:
                 pending.remove(chosen)
@@ -224,7 +209,7 @@ def test_lock_table_matches_select(workers, ops):
             table.complete(running.pop(op[1] % len(running)))
         elif op[0] == "add_worker":
             workers.append(op[1])
-        held = lock_union(m.sync for m in running)
+        held = frozenset().union(*(m.sync for m in running))
         assert table.held() == held
         assert table.pending() == pending and len(table) == len(pending)
         for supported in workers:
@@ -272,7 +257,7 @@ def test_lock_table_names_the_messages_that_become_ready(ops):
                 ready.remove(chosen.priority)
         elif op[0] == "complete" and running:
             ready.update(m.priority for m in table.complete(running.pop(op[1] % len(running))))
-        held = lock_union(m.sync for m in running)
+        held = frozenset().union(*(m.sync for m in running))
         # the priority as signature: a worker that supports one message
         alone = [m._replace(signature=m.priority) for m in pending]
         assert ready == {m.priority for m in pending if select({m.priority}, held, alone)}

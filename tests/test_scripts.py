@@ -127,3 +127,7 @@ def test_code_size_prints_a_row_per_module_and_their_total():
     assert sorted(rows) == sorted(path.name for path in modules.glob("*.py"))
     assert total == sum(map(int, rows.values())) and all(int(n) > 0 for n in rows.values())
     assert re.search(r"^`mactor.__all__`: 31 names$", out, re.M)
+    # README's figure is the script's, so a change of size says so there
+    readme = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
+    figure = re.search(r"\(([\d,]+) in all\)", readme).group(1)
+    assert int(figure.replace(",", "")) == total
