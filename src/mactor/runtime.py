@@ -50,10 +50,19 @@ lock.  Settling checks under the claim that the future is still pending
 and writes its fields, so of a completion and a ``shutdown(timeout=...)``
 that gives up on the running message exactly one wins.  A reader that
 finds the future settled takes no lock at all.  One that finds it pending
+yields, then parks.  It first checks its timeout, then yields the CPU once
+(``os.sched_yield``, which also lets go of the GIL) and reads the state
+again: the worker that ``send`` woke is then waiting for the GIL, and can
+finish the message and block on its inbox before the reader is back.
+Parking at once instead lets the settler's release wake the reader while
+the settler still holds the GIL, which costs two more thread switches per
+round trip on one CPU.  A reader that still finds the future pending
 installs a latch under the claim, a plain lock held until the future
 settles, and blocks on it; later readers share it.  The settler releases
 the latch, if there is one, after leaving the claim.  A future that no
-reader blocks on never allocates a lock.
+reader blocks on never allocates a lock.  Where ``os`` has no
+``sched_yield`` (Windows), a reader parks at once.  The reader never runs
+a message itself, so a timed ``get`` never waits on user code.
 
 Blocking on a future from a worker thread of the same actor that the awaited
 message needs is a deadlock, as with any pool; keep ``Future.get`` on
@@ -64,6 +73,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import queue
 import threading
 import time
@@ -110,6 +120,11 @@ def _wait_limit(timeout: Optional[float]) -> Optional[float]:
     return 0
 
 
+# Gives up the CPU, and the GIL, once before a pending get parks (see the
+# module docstring); where the OS has no such call a get parks at once.
+_yield_cpu = getattr(os, "sched_yield", lambda: None)
+
+
 class Future:
     """Write-once result of an asynchronous send, and the message it
     belongs to: the lock table queues and orders it, a worker runs it and
@@ -138,13 +153,15 @@ class Future:
         (with the original exception chained) if the message failed.
         """
         if self._state == _PENDING:
-            self._wait(timeout)
+            limit = _wait_limit(timeout)
+            _yield_cpu()
+            if self._state == _PENDING:
+                self._park(limit, timeout)
         if self._state == _FAILED:
             raise FutureFailed(self._diagnostic) from self._cause
         return self._value
 
-    def _wait(self, timeout: Optional[float]) -> None:
-        limit = _wait_limit(timeout)
+    def _park(self, limit: Optional[float], timeout: Optional[float]) -> None:
         with self._claim:
             if self._state != _PENDING:
                 return
@@ -677,7 +694,9 @@ class MacActor:
                 if error is not None:
                     self._failed += 1
                 self._executed += 1
-                msg = worker.current = table.take(supported)
+                # with nothing pending (always, on a lone round trip) there
+                # is nothing to take
+                msg = worker.current = table.take(supported) if table._pending else None
                 if msg is None:
                     del busy[worker.id]
                     idle.append(worker)

@@ -150,12 +150,46 @@ def test_future_get_timeout_past_the_platform_limit_waits_like_none(gated, timeo
 def test_future_get_nan_timeout_raises_naming_the_argument(gated):
     actor, gate = gated
     f = actor.send("echo", (1,))
-    with pytest.raises(ValueError, match="timeout"):
-        f.get(timeout=math.nan)
-    assert f._latch is None  # raised before waiting
+    yielded = []
+    with mock.patch("mactor.runtime._yield_cpu", lambda: yielded.append(1)):
+        with pytest.raises(ValueError, match="timeout"):
+            f.get(timeout=math.nan)
+    assert f._latch is None and not yielded  # raised before yielding or waiting
     gate.set()
     assert f.get(timeout=5) == 1
     assert f.get(timeout=math.nan) == 1  # a settled future waits for nothing
+
+
+# ---- a pending get yields the CPU once, then parks
+
+def test_a_pending_get_that_finds_its_message_done_after_the_yield_builds_no_latch(gated):
+    actor, gate = gated
+    f = actor.send("echo", ("value",))
+    seen = []
+
+    def worker_runs_meanwhile():
+        # what the yield is for: the woken worker finishes the message
+        # while the caller is off the CPU
+        seen.append(f.done())
+        gate.set()
+        deadline = time.time() + 5
+        while not f.done() and time.time() < deadline:
+            time.sleep(0.002)
+
+    with mock.patch("mactor.runtime._yield_cpu", worker_runs_meanwhile):
+        assert f.get(timeout=1) == "value"
+    assert seen == [False]  # yielded once, while the message was pending
+    assert f._latch is None
+
+
+def test_a_timed_get_on_a_message_that_never_runs_parks_after_the_yield(gated):
+    actor, _ = gated
+    f = actor.send("echo", (1,))
+    yielded = []
+    with mock.patch("mactor.runtime._yield_cpu", lambda: yielded.append(f.done())):
+        with pytest.raises(TimeoutError):
+            f.get(timeout=0.05)
+    assert yielded == [False] and f._latch is not None and not f.done()
 
 
 # ---- behaviors used below

@@ -1,13 +1,17 @@
 """Runs the scripts the way a reader would, as programs: the digest that a
 refactor of the machine must leave unchanged, the state counts of the
 scaled bank variants, the explorer's profile by layer, the runtime's calls
-per message, and the front end's token and node counts."""
+per message, the front end's token and node counts, the code size and
+the before/after driver."""
 
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # What the machine does on the test programs; a change of the machine that
@@ -91,6 +95,10 @@ def test_runtime_calls_prints_a_row_per_bank_shape():
     rows = re.findall(r"^\| (bank-\w+) \| (\d+\.\d\d) \|", out, re.M)
     assert [name for name, _ in rows] == ["bank-uniform", "bank-hotkey", "bank-rpc"]
     assert all(float(calls) > 0 for _, calls in rows)
+    # the last column is the context switches per message; it moves with
+    # the machine's load, so it is read but not bounded
+    switched = re.findall(r"^\| bank-\w+ \| [\d.| ]+ \| (\d+\.\d\d) \|$", out, re.M)
+    assert len(switched) == 3 and re.search(r"^\| workload .* \| switches/msg \|$", out, re.M)
     # a longer per-message path fails here until README's figures say so
     readme = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
     figures = re.search(
@@ -131,3 +139,35 @@ def test_code_size_prints_a_row_per_module_and_their_total():
     readme = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
     figure = re.search(r"\(([\d,]+) in all\)", readme).group(1)
     assert int(figure.replace(",", "")) == total
+
+
+@pytest.mark.skipif(
+    subprocess.run(["git", "-C", str(SCRIPTS), "rev-parse"], capture_output=True).returncode != 0,
+    reason="ab.py compares git revisions, and this checkout is not a git work tree",
+)
+def test_ab_compares_head_with_itself_and_prints_a_bench_entry():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "ab.py"), "HEAD", "HEAD", "--workload", "bank-rpc",
+         "--pairs", "2", "--seconds", "0.05", "--json"],
+        capture_output=True, text=True, timeout=120,
+    )  # fmt: skip
+    assert done.returncode == 0, done.stderr
+    # the table goes to stderr with --json: a row per end-to-end metric,
+    # each with both medians, their quartiles, the ratio and the pairs won
+    rows = re.findall(
+        r"^\| bank-rpc \| (\w+) \| [\d.,]+ \([\d.,]+–[\d.,]+\) \| [\d.,]+ \([\d.,]+–[\d.,]+\) "
+        r"\| \d+\.\d{3} \| [0-2]/2 \|$",
+        done.stderr,
+        re.M,
+    )
+    names = ["throughput_mps", "latency_p50_us", "latency_p90_us", "wall_s", "setup_s", "peak_rss_mb"]
+    assert rows == names
+    entry = json.loads(done.stdout)
+    assert entry["commit"] == entry["parent"] and entry["run_seconds"] == 0.05
+    result = entry["workloads"]["bank-rpc"]
+    assert result["pairs"] == 2 and result["correct"] and result["failed"] == 0
+    assert list(result["metrics"]) == names
+    for m in result["metrics"].values():
+        assert len(m["parent_runs"]) == len(m["change_runs"]) == 2
+        assert len(m["parent_quartiles"]) == len(m["change_quartiles"]) == 2
+        assert 0 <= m["change_better_pairs"] <= 2
