@@ -1,7 +1,9 @@
-"""Before/after comparison of two revisions on perfbench's workloads.
+"""Before/after comparison of two revisions on perfbench's workloads, or
+on the CPU time of one command.
 
     python3 scripts/ab.py PARENT CHANGE
     python3 scripts/ab.py PARENT CHANGE --workload bank-rpc --pairs 10 --json
+    python3 scripts/ab.py PARENT CHANGE --command "maci explore --depth 400 scripts/pipeline.mac"
 
 Exports both revisions with ``git archive`` into sibling directories named
 ``parent`` and ``change``, so their paths have the same length (``setup_s``
@@ -20,6 +22,16 @@ the change/parent ratio of the medians and the pairs in which the change
 was better (ties count for neither).  With ``--json`` that table goes to
 stderr and stdout gets one ``BENCH_perfbench.json`` entry holding every
 run.  Exits 1 if any run failed or read incorrect results.
+
+With ``--command``, each run is that command instead, split as a shell
+would split it and run in the tree's root with the tree's ``src`` as
+``PYTHONPATH``, pinned to the same CPU.  A leading name from the tree's
+``[project.scripts]`` (``maci``, ``macbench``) calls that entry point
+with this interpreter.  The metrics are the child's CPU time (user plus
+system, from ``RUSAGE_CHILDREN``) and its wall time.  Its output is
+discarded.  A run that overstays its deadline fails, and the runs are
+correct when every one of them exits with the status of the parent's
+first.
 """
 
 from __future__ import annotations
@@ -28,17 +40,23 @@ import argparse
 import json
 import os
 import platform
+import resource
 import shlex
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 # as perfbench/run.py sets them for its children
 CHILD_ENV = {**os.environ, "PYTHONHASHSEED": "0"}
 FAILED_RUN = {"correct": False, "failed": 1, "metrics": {}}
+# what --command compares, with the better direction of each
+COMMAND_METRICS = [("cpu_s", "lower"), ("wall_s", "lower")]
+COMMAND_DEADLINE_S = 600.0
 
 
 def deadline_s(seconds: float) -> float:
@@ -88,6 +106,46 @@ def measure(bench: Path, tree: Path, workload: str, seed: int, seconds: float) -
     }
 
 
+def command_argv(tree: Path, command: str) -> list:
+    """``command`` as the argument list that runs it in ``tree``."""
+    import tomllib  # Python 3.11 on; perfbench mode does without it
+
+    argv = shlex.split(command)
+    pyproject = tomllib.loads((tree / "pyproject.toml").read_text(encoding="utf-8"))
+    scripts = pyproject["project"].get("scripts", {})
+    if argv[0] in scripts:
+        module, func = scripts[argv[0]].split(":")
+        call = f"import sys; from {module} import {func}; sys.exit({func}())"
+        return [sys.executable, "-c", call, *argv[1:]]
+    return argv
+
+
+def time_command(tree: Path, command: str) -> dict:
+    """One run of ``command`` in ``tree``: its CPU and wall time, and its
+    exit status."""
+    cpu = min(os.sched_getaffinity(0))  # the CPU perfbench/measure.py pins to
+    env = {**CHILD_ENV, "PYTHONPATH": str(tree / "src")}
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    started = time.perf_counter()
+    try:
+        proc = subprocess.run(
+            command_argv(tree, command), cwd=tree, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            preexec_fn=lambda: os.sched_setaffinity(0, {cpu}), timeout=COMMAND_DEADLINE_S,
+        )  # fmt: skip
+    except subprocess.TimeoutExpired:
+        return FAILED_RUN
+    wall = time.perf_counter() - started
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    used = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return {
+        "correct": True,
+        "failed": 0,
+        "status": proc.returncode,
+        "metrics": {"cpu_s": used, "wall_s": wall},
+    }
+
+
 def quartiles(values: list) -> list:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return [q1, q3]
@@ -130,9 +188,12 @@ def number(x: float) -> str:
 
 
 def table(entry: dict) -> str:
+    if "timed" in entry:
+        what = f"`{entry['timed']}`"
+    else:
+        what = f"seed {entry['seed']}, {entry['run_seconds']:g} s runs"
     lines = [
-        f"parent {entry['parent']}, change {entry['commit']}: seed {entry['seed']}, "
-        f"{entry['run_seconds']:g} s runs, {entry['machine']}",
+        f"parent {entry['parent']}, change {entry['commit']}: {what}, {entry['machine']}",
         "",
         "| workload | metric | parent (quartiles) | change (quartiles) | change/parent | change better |",
         "|---|---|---|---|---|---|",
@@ -152,20 +213,19 @@ def table(entry: dict) -> str:
     return "\n".join(lines)
 
 
-def alternate(trees: dict, workload: str, pairs: int, seed: int, seconds: float) -> list:
-    """``pairs`` (parent, change) runs of ``workload``, the parent first in
-    odd-numbered pairs; both sides run the change's benchmark code."""
-    bench = trees["change"] / "perfbench"
+def alternate(trees: dict, name: str, pairs: int, run: Callable, metric: str) -> list:
+    """``pairs`` (parent, change) results of ``run(tree)``, the parent first
+    in odd-numbered pairs; each pair's ``metric`` is printed as it ends."""
     runs = []
     for pair in range(1, pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
-        got = {side: measure(bench, trees[side], workload, seed, seconds) for side in order}
+        got = {side: run(trees[side]) for side in order}
         runs.append((got["parent"], got["change"]))
-        rates = " ".join(
-            f"{side} {number(got[side]['metrics'].get('throughput_mps', float('nan')))}"
+        values = " ".join(
+            f"{side} {number(got[side]['metrics'].get(metric, float('nan')))}"
             for side in ("parent", "change")
         )
-        print(f"{workload} pair {pair}/{pairs}: throughput_mps {rates}", file=sys.stderr, flush=True)
+        print(f"{name} pair {pair}/{pairs}: {metric} {values}", file=sys.stderr, flush=True)
     return runs
 
 
@@ -175,9 +235,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument("parent", help="revision to compare against")
     parser.add_argument("change", help="revision that claims the change")
-    parser.add_argument(
+    what = parser.add_mutually_exclusive_group()
+    what.add_argument(
         "--workload", action="append", help="repeatable; all of BENCHMARK.json's if left out"
     )
+    what.add_argument("--command", help="time this command in both trees instead")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, help="run length; BENCHMARK.json's if left out")
     parser.add_argument("--seed", type=int, default=1)
@@ -203,19 +265,33 @@ def main(argv=None) -> int:
             "command": shlex.join(
                 ["python3", "scripts/ab.py", *(sys.argv[1:] if argv is None else argv)]
             ),
-            "run_seconds": seconds,
-            "seed": args.seed,
+            **({"timed": args.command} if args.command else {"run_seconds": seconds, "seed": args.seed}),
             "machine": (
                 f"{os.cpu_count()} CPUs, {platform.python_implementation()} "
                 f"{platform.python_version()}, each run pinned to one CPU"
             ),
             "workloads": {},
         }
-        for workload in args.workload or [w["name"] for w in bench["workloads"]]:
-            runs = alternate(trees, workload, args.pairs, args.seed, seconds)
-            entry["workloads"][workload] = {
-                "seeds": [args.seed], "run_seconds": seconds, **summarize(runs, end_to_end)
-            }  # fmt: skip
+        if args.command:
+            runs = alternate(
+                trees, args.command, args.pairs,
+                lambda tree: time_command(tree, args.command), "cpu_s",
+            )  # fmt: skip
+            status = runs[0][0].get("status")
+            for run in (run for pair in runs for run in pair if not run["failed"]):
+                run["correct"] = run["status"] == status
+            entry["workloads"][args.command] = {"status": status, **summarize(runs, COMMAND_METRICS)}
+        else:
+            bench_code = trees["change"] / "perfbench"  # the same on both sides
+            for workload in args.workload or [w["name"] for w in bench["workloads"]]:
+                runs = alternate(
+                    trees, workload, args.pairs,
+                    lambda tree: measure(bench_code, tree, workload, args.seed, seconds),
+                    "throughput_mps",
+                )  # fmt: skip
+                entry["workloads"][workload] = {
+                    "seeds": [args.seed], "run_seconds": seconds, **summarize(runs, end_to_end)
+                }  # fmt: skip
     print(table(entry), file=sys.stderr if args.json else sys.stdout)
     if args.json:
         print(json.dumps(entry, indent=1))

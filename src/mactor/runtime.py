@@ -13,9 +13,10 @@ traceback whose frames may still hold arguments.
 The entries come from the method's sync plan
 (:func:`mactor.scheduler.sync_plan`), made once when the first worker of a
 behavior class joins and read under the actor lock.  A method's labels are
-fixed by whichever comes first: its first worker, or its first send
-without ``sync_data``, which fixes it unlabelled; a worker that labels it
-otherwise is refused.  The queue is a
+fixed by whichever comes first: its first worker, or its first send, which
+fixes it unlabelled; a worker that labels it otherwise is refused.  So
+every sync entry comes from the labels of a worker, and as workers never
+leave, a message no worker supports has none.  The queue is a
 :class:`mactor.scheduler.LockTable`, which answers the selection rule of
 :func:`mactor.scheduler.select`: a message starts only when its sync entries
 are disjoint from everything currently executing and from every earlier
@@ -79,7 +80,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .scheduler import (
     EMPTY_LOCKS,
@@ -264,8 +265,7 @@ def synced(*labels: Optional[str]) -> Callable:
 
     ``@synced("a", None)`` locks label "a" on the first argument and leaves
     the second free, mirroring a ``sync<a>`` annotation in source programs.
-    ``send`` derives the message's sync set from these labels when no
-    explicit set is given.
+    ``send`` derives every message's sync set from these labels.
     """
 
     def mark(fn):
@@ -277,19 +277,6 @@ def synced(*labels: Optional[str]) -> Callable:
 
 # --------------------------------------------------------------------------
 # the actor
-
-def _given_sync(sync_data: Iterable) -> frozenset[SyncEntry]:
-    """The sync set given to ``send``: each item made a SyncEntry, and
-    TypeError for one that is not a (label, value) pair."""
-    entries = []
-    for pair in sync_data:
-        if type(pair) is not SyncEntry:
-            if not isinstance(pair, tuple) or len(pair) != 2:
-                raise TypeError(f"sync_data item {pair!r} is not a (label, value) pair")
-            pair = SyncEntry(*pair)
-        entries.append(pair)
-    return frozenset(entries)
-
 
 @dataclass(frozen=True)
 class ShutdownReport:
@@ -383,24 +370,16 @@ class MacActor:
 
     # ---- public surface
 
-    def send(
-        self,
-        method: str,
-        args: Sequence = (),
-        sync_data: Optional[Iterable[SyncEntry]] = None,
-    ) -> Future:
+    def send(self, method: str, args: Sequence = ()) -> Future:
         """Queue an invocation and return its future immediately.
 
-        The sync set is taken from ``sync_data`` when given, each item a
-        :class:`SyncEntry` or a plain ``(label, value)`` pair, otherwise
-        derived from the behavior's ``@synced`` annotation (empty if none).
-        Raises TypeError for an item that is not a pair and ValueError when
-        ``args`` does not fit the annotation, before queueing anything.
-        Sending never blocks on execution.  After shutdown the returned
-        future is already failed.
+        The sync set is derived from the method's ``@synced`` labels (empty
+        if it has none, or if no worker has the method yet).  Raises
+        ValueError when ``args`` does not fit the labels, before queueing
+        anything.  Sending never blocks on execution.  After shutdown the
+        returned future is already failed.
         """
         args = tuple(args)
-        sync = None if sync_data is None else _given_sync(sync_data)
         lock = self._lock
         msg = _new_object(Future)
         msg._claim = lock
@@ -410,13 +389,11 @@ class MacActor:
         msg.args = args
         with lock:
             if not self._draining:
-                if sync is None:
-                    # Read under the lock hold that queues the message, so
-                    # no worker joins in between.  A method no worker has
-                    # yet is fixed unlabelled here (see _spawn_worker).
-                    plan = self._plans.setdefault(method, None)
-                    sync = EMPTY_LOCKS if plan is None else planned_sync_set(plan, args)
-                msg.sync = sync
+                # Read under the lock hold that queues the message, so no
+                # worker joins in between.  A method no worker has yet is
+                # fixed unlabelled here (see _spawn_worker).
+                plan = self._plans.setdefault(method, None)
+                sync = msg.sync = EMPTY_LOCKS if plan is None else planned_sync_set(plan, args)
                 priority = msg.priority = self._next_priority
                 self._next_priority = priority + 1
                 ready = self._table.add(msg)
@@ -436,8 +413,9 @@ class MacActor:
 
         Raises ValueError if the behavior's ``@synced`` labels on a method
         differ from those of a worker already in the pool, or label a
-        method that was sent, with no ``sync_data``, before any worker had
-        it: that message was queued with no sync entries.
+        method that was sent before any worker had it: that message was
+        queued with no sync entries.  Raises RuntimeError, and adds nothing,
+        when the worker's thread cannot be started.
         """
         with self._lock:
             if self._draining:
@@ -454,10 +432,10 @@ class MacActor:
 
         drain=True runs everything already queued that can run.  Once no
         message is running nothing left can ever start (sends and new
-        workers are refused from here on), so each leftover future fails
-        with the reason: no worker supports its method, or an earlier
-        message that heads one of its keys can never start.  drain=False
-        fails every pending future at once; running messages finish.
+        workers are refused from here on), so each leftover future fails:
+        no worker supports its method.  Such a message has no sync
+        entries, so it holds back no other.  drain=False fails every
+        pending future at once; running messages finish.
 
         With a ``timeout`` (seconds), messages still running when it passes
         are given up: their futures and those of every message still queued
@@ -499,7 +477,12 @@ class MacActor:
             if drain:
                 self._cond.wait_for(lambda: not self._busy, timeout)
                 gave_up = self._timed_out(timeout) if self._busy else None
-                leftover = [(msg, gave_up or self._why_stuck(msg)) for msg in self._table.pending()]
+                # With every worker idle and nothing startable, what is left
+                # is what no worker supports (see the module docstring).
+                leftover = [
+                    (msg, gave_up or f"no worker supports {msg.method!r}")
+                    for msg in self._table.pending()
+                ]
             else:
                 leftover = [(msg, "actor shut down") for msg in self._table.pending()]
             self._table.drop_pending()
@@ -581,7 +564,6 @@ class MacActor:
                     f"@synced labels of {', '.join(map(repr, clash))} differ from "
                     "those of the actor's other workers or earlier sends"
                 )
-            self._plans.update(plans)
             supported = frozenset(labels)
         worker = _Worker(len(self._workers), behavior, supported)
         worker.thread = threading.Thread(
@@ -590,9 +572,14 @@ class MacActor:
             name=f"{self._name}-w{worker.id}",
             daemon=True,
         )
+        # Started before it is registered: a thread that fails to start
+        # leaves no worker that messages would be dispatched to, and fixes
+        # no labels.  The new thread only waits on its inbox.
+        worker.thread.start()
+        if kin is None:
+            self._plans.update(plans)
         self._workers.append(worker)
         self._idle.append(worker)
-        worker.thread.start()
         return worker
 
     def _dispatch(self, ready: Sequence[Future]) -> None:
@@ -627,16 +614,6 @@ class MacActor:
             f"{w.current.method!r} (priority {w.current.priority})" for w in self._busy.values()
         )
         return f"{self._name}: shutdown gave up after {timeout}s with {running} still running"
-
-    def _why_stuck(self, msg: Future) -> str:
-        # Only called once nothing runs and nothing can start.
-        if not any(msg.signature in w.supported for w in self._workers):
-            return f"no worker supports {msg.method!r}"
-        key, head = self._table.blocker(msg)
-        return (
-            f"shadowed by priority {head.priority} ({head.method!r}) "
-            f"on key ({key.label!r}, {key.value!r}), which can never start"
-        )
 
     def _worker_loop(self, worker: _Worker) -> None:
         """Run the messages given to ``worker`` until shutdown's None.

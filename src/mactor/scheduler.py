@@ -267,15 +267,6 @@ class LockTable:
                 readied.append(fifo[0])
         return readied
 
-    def blocker(self, msg: QueuedMessage) -> Optional[tuple[SyncEntry, QueuedMessage]]:
-        """The first entry on which a pending ``msg`` is not at the head, with
-        the message that heads it; None when ``msg`` is ready."""
-        for key in sorted(msg.sync, key=repr):
-            head = self._fifos[key][0]
-            if head is not msg:
-                return key, head
-        return None
-
     def drop_pending(self) -> None:
         """Remove every message not yet started; running messages keep
         their entries until they complete."""

@@ -1,7 +1,9 @@
 """Pins ``mactor.__all__``, so the top-level surface grows only on purpose,
-and the names perfbench imports and patches."""
+``MacActor.send``'s parameters, and the names perfbench imports and
+patches."""
 
 import importlib
+import inspect
 from collections import Counter
 from unittest import mock
 
@@ -58,6 +60,11 @@ PERFBENCH_IMPORTS = {
 def test_all_is_the_agreed_surface():
     assert len(mactor.__all__) == len(set(mactor.__all__)) == 31
     assert set(mactor.__all__) == PUBLIC
+
+
+def test_send_takes_only_a_method_and_its_arguments():
+    # what a message locks comes from its method's @synced labels alone
+    assert list(inspect.signature(mactor.MacActor.send).parameters) == ["self", "method", "args"]
 
 
 def test_every_public_name_resolves():

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import queue
 import sys
 import threading
 import time
@@ -267,9 +268,9 @@ def test_unrelated_message_overtakes_blocked_data(cleanup):
     gate = threading.Event()
     actor = MacActor(lambda: Recorder(log, gate=gate), 2)
     cleanup(actor)
-    stuck = actor.send("locked", (1, "hold"), sync_data=[SyncEntry("a", 1)])
-    blocked = actor.send("locked", (1, "wait"), sync_data=[SyncEntry("a", 1)])
-    free = actor.send("free", ("now",), sync_data=[])
+    stuck = actor.send("locked", (1, "hold"))
+    blocked = actor.send("locked", (1, "wait"))
+    free = actor.send("free", ("now",))
     assert free.get(timeout=5) is not None  # ran while the data was locked
     assert not blocked.done()
     gate.set()
@@ -304,6 +305,47 @@ def test_add_worker_while_idle_is_quiet(cleanup):
     assert stats["busy"] == 0 and stats["executed"] == 0
 
 
+def _failing_start(name):
+    """``threading.Thread.start`` that cannot start the thread ``name``."""
+    real_start = threading.Thread.start
+
+    def start(thread):
+        if thread.name == name:
+            raise RuntimeError("can't start new thread")
+        return real_start(thread)
+
+    return mock.patch.object(threading.Thread, "start", start)
+
+
+def test_a_worker_whose_thread_fails_to_start_is_not_added(cleanup):
+    """``add_worker`` raises the thread's error and adds nothing: a message
+    sent later waits for the worker that exists, not for one that never
+    ran, and shutdown needs no timeout.  The constructor raises the same
+    error, having stopped the workers it did start."""
+    log = []
+    gate = threading.Event()
+    actor = MacActor(lambda: Recorder(log, gate=gate), 1, name="spawn")
+    cleanup(actor)
+    hold = actor.send("locked", (1, "hold"))  # keeps the one worker busy
+    with _failing_start("spawn-w1"):
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            actor.add_worker(Recorder(log, gate=gate))
+    assert actor.stats()["workers"] == 1
+    later = actor.send("free", ("later",))
+    gate.set()
+    assert hold.get(timeout=5) and later.get(timeout=5)
+    assert actor.add_worker(Recorder(log)) == 1
+    assert actor.shutdown(timeout=5).drained
+
+    with _failing_start("broken-w1"):
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            MacActor(lambda: Recorder([]), 3, name="broken")
+    deadline = time.time() + 5
+    while [t for t in threading.enumerate() if t.name.startswith("broken-")]:
+        assert time.time() < deadline, "a started worker was left running"
+        time.sleep(0.002)
+
+
 def test_n_independent_tasks_run_concurrently(cleanup):
     n = 4
     barrier = threading.Barrier(n + 1, timeout=10)
@@ -315,7 +357,7 @@ def test_n_independent_tasks_run_concurrently(cleanup):
 
     actor = MacActor(Meet, workers=n)
     cleanup(actor)
-    futures = [actor.send("meet", sync_data=[]) for _ in range(n)]
+    futures = [actor.send("meet") for _ in range(n)]
     barrier.wait()  # releases only once all n workers are inside
     actor.shutdown(drain=True)
     assert all(f.get(timeout=1) for f in futures)
@@ -421,69 +463,59 @@ def test_audit_holds_under_load(cleanup):
 
 
 def test_unsupported_method_shadows_conflicting_messages(cleanup):
+    """The only worker that supports ``ghost`` is busy, so a ghost on
+    account 1 waits although its key is free.  The idle Recorders skip it
+    for signature reasons alone, and it still holds back a later message
+    on account 1, while a message on another account overtakes both."""
     log = []
-    actor = MacActor(lambda: Recorder(log), 2)
-    cleanup(actor)
-    ghost = actor.send("ghost", (0,), sync_data=[SyncEntry("a", 1)])
-    real = actor.send("locked", (1, "after"))
-    time.sleep(0.15)
-    assert not real.done()  # strict rule: the skipped message casts a shadow
+    busy = threading.Event()
 
     class Ghost:
-        def ghost(self, x):
+        def hold(self):
+            busy.wait(10)
+            return "held"
+
+        @synced("a")
+        def ghost(self, key):
             return "ghost ran"
 
+    actor = MacActor(lambda: Recorder(log), 2)
+    cleanup(actor)
     actor.add_worker(Ghost())
+    hold = actor.send("hold")
+    ghost = actor.send("ghost", (1,))
+    real = actor.send("locked", (1, "after"))
+    other = actor.send("locked", (2, "overtakes"))
+    assert other.get(timeout=5) is not None
+    time.sleep(0.1)
+    assert not ghost.done() and not real.done()  # strict rule: the skipped ghost casts a shadow
+    assert actor.audit().ok
+    busy.set()
+    assert hold.get(timeout=5) == "held"
     assert ghost.get(timeout=5) == "ghost ran"
     assert real.get(timeout=5) is not None
     actor.shutdown(drain=True)
+    assert [args for (_, args, _, _, _) in log] == [(2, "overtakes"), (1, "after")]
 
 
 def test_drain_fails_messages_no_worker_can_start(cleanup):
+    """A message no worker supports has no sync entries, so it holds back
+    nothing, and a draining shutdown fails it with the reason."""
     log = []
     actor = MacActor(lambda: Recorder(log), 2)
     cleanup(actor)
-    ghost = actor.send("ghost", (0,), sync_data=[SyncEntry("a", 1)])
-    shadowed = actor.send("locked", (1, "after"))
+    ghost = actor.send("ghost", (1,))
+    after = actor.send("locked", (1, "after"))
     free = actor.send("free", ("runs",))
     closer = threading.Thread(target=actor.shutdown, daemon=True)
     closer.start()
     closer.join(timeout=2)
     assert not closer.is_alive(), "shutdown(drain=True) hung on an unstartable message"
-    assert free.get(timeout=1) is not None
+    assert free.get(timeout=1) is not None and after.get(timeout=1) is not None
     with pytest.raises(FutureFailed, match="no worker supports 'ghost'"):
         ghost.get(timeout=1)
-    with pytest.raises(FutureFailed, match=r"shadowed by priority 0 .*'a', 1"):
-        shadowed.get(timeout=1)
     report = actor.shutdown()
-    assert report.executed == 1 and report.cancelled == 2
-
-
-def test_plain_pairs_in_sync_data_lock_like_sync_entries(cleanup):
-    """``sync_data`` may hold plain (label, value) pairs: they are queued as
-    SyncEntry, so the log reads back and a draining shutdown names the key
-    that shadows a stuck message.  Anything else is refused before it is
-    queued."""
-    log, events = [], EventLog()
-    actor = MacActor(lambda: Recorder(log), 1, event_log=events)
-    cleanup(actor)
-    ghost = actor.send("ghost", (0,), sync_data=[("a", 1)])
-    shadowed = actor.send("locked", (1, "after"), sync_data=[("a", 1)])
-    assert [e["sync"] for e in events.events()] == [[["a", 1]], [["a", 1]]]
-    for bad in ([("a", 1, 2)], ["a1"], [1]):
-        with pytest.raises(TypeError, match=r"not a \(label, value\) pair"):
-            actor.send("locked", (1, "x"), sync_data=bad)
-    assert actor.stats()["pending"] == 2
-    closer = threading.Thread(target=actor.shutdown, daemon=True)
-    closer.start()
-    closer.join(timeout=5)
-    assert not closer.is_alive(), "shutdown(drain=True) hung"
-    with pytest.raises(FutureFailed, match="no worker supports 'ghost'"):
-        ghost.get(timeout=1)
-    with pytest.raises(FutureFailed, match=r"shadowed by priority 0 .*'a', 1"):
-        shadowed.get(timeout=1)
-    report = actor.shutdown(timeout=5)
-    assert report.drained and report.cancelled == 2
+    assert report.executed == 2 and report.cancelled == 1
 
 
 def test_system_exit_in_user_code_fails_future_and_keeps_worker(cleanup):
@@ -1120,7 +1152,7 @@ def test_a_send_before_any_worker_has_the_method_fixes_it_unlabelled(cleanup):
     empty sync set, so a worker that joins later and labels the method
     would let it overlap a later message on the same data: the join is
     refused instead.  A worker that leaves the method unlabelled may join
-    and runs it.  A send with explicit ``sync_data`` fixes no labels."""
+    and runs it."""
 
     class Other:
         def audit(self):
@@ -1131,10 +1163,6 @@ def test_a_send_before_any_worker_has_the_method_fixes_it_unlabelled(cleanup):
         def m(self, account, n):
             return n
 
-        @synced("a")
-        def given(self, account):
-            return account
-
     class Unlabelled:
         def m(self, account, n):
             return n
@@ -1142,21 +1170,12 @@ def test_a_send_before_any_worker_has_the_method_fixes_it_unlabelled(cleanup):
     actor = MacActor(Other, workers=1)
     cleanup(actor)
     first = actor.send("m", (5, 1))
-    explicit = actor.send("given", (7,), sync_data=[("a", 7)])
     with pytest.raises(ValueError, match="'m'"):
         actor.add_worker(ByAccount())
     assert actor.stats()["workers"] == 1
     second = actor.send("m", (5, 2))
     actor.add_worker(Unlabelled())
     assert (first.get(timeout=5), second.get(timeout=5)) == (1, 2)
-
-    class Given:
-        @synced("a")
-        def given(self, account):
-            return account
-
-    actor.add_worker(Given())
-    assert explicit.get(timeout=5) == 7
 
 
 def test_shutdown_timeout_is_checked_before_the_actor_changes(cleanup):
@@ -1303,8 +1322,8 @@ def test_audit_holds_after_each_event_on_a_hot_key_with_an_idle_worker(cleanup):
     gates = [threading.Event() for _ in range(6)]
 
     class Hot:
-        @synced("k")
-        def hot(self, i):
+        @synced("k", None)
+        def hot(self, key, i):
             gates[i].wait(10)
             return i
 
@@ -1313,10 +1332,9 @@ def test_audit_holds_after_each_event_on_a_hot_key_with_an_idle_worker(cleanup):
 
     actor = MacActor(Hot, workers=2)
     cleanup(actor)
-    sync = [SyncEntry("k", 0)]
     futures = []
     for i in range(len(gates)):
-        futures.append(actor.send("hot", (i,), sync_data=sync))
+        futures.append(actor.send("hot", (0, i)))
         audit = actor.audit()
         assert audit.ok and len(audit.running) == 1, audit
     assert actor.send("free", ("now",)).get(timeout=5) == "now"
@@ -1363,9 +1381,6 @@ def test_a_backlog_no_idle_worker_supports_is_not_scanned(cleanup):
 # ---- stateful: the guarantees after every send, completion, failure and
 # new worker, then at shutdown
 
-KEYS = [SyncEntry("k", i) for i in range(3)]
-
-
 class _Sent:
     __slots__ = ("mid", "keys", "future", "release", "outcome", "ran")
 
@@ -1383,25 +1398,56 @@ class _Probe:
         self._machine = machine
 
 
-class _WorkOnly(_Probe):
-    def work(self, mid):
+def _runs(keys):
+    """A probe method that locks ``keys`` values under the label "k"."""
+
+    @synced(None, *["k"] * keys)
+    def run(self, mid, *values):
         return self._machine.run(mid)
+
+    return run
+
+
+class _WorkOnly(_Probe):
+    work0, work1, work2 = map(_runs, range(3))
 
 
 class _SideOnly(_Probe):
-    def side(self, mid):
-        return self._machine.run(mid)
+    side0, side1, side2 = map(_runs, range(3))
 
 
 class _Both(_WorkOnly, _SideOnly):
     pass
 
 
+class _SlowHandoff(queue.SimpleQueue):
+    """A worker inbox whose ``put`` lets go of the GIL for a while after it
+    hands the message over, as the dispatcher still holds the actor lock.
+    The receiving worker may then start the message before that critical
+    section ends, so a completion that releases a message's entries before
+    it settles the message's future is seen by the successor's check."""
+
+    def put(self, item, block=True, timeout=None):
+        super().put(item)
+        time.sleep(0.0005)
+
+
+def _slow_handoffs():
+    """Workers made in this context get a :class:`_SlowHandoff` inbox."""
+    return mock.patch.object(queue, "SimpleQueue", _SlowHandoff)
+
+
 class RuntimeMachine(RuleBasedStateMachine):
     """Every message waits on its own event, so the test decides when each
     one completes and how; after each step the runtime is left to settle
     and the guarantees are checked.  ``drain`` is drawn first and used by
-    the shutdown that ends every run."""
+    the shutdown that ends every run.
+
+    The actor starts with one worker of the work methods and one of the
+    side methods, so a side message that finds the side worker busy is
+    skipped for signature reasons alone, and still holds back later
+    messages on its keys.  No worker ever has ``ghost``: it locks nothing
+    and never starts."""
 
     def __init__(self):
         super().__init__()
@@ -1414,7 +1460,9 @@ class RuntimeMachine(RuleBasedStateMachine):
         self.errors: list[str] = []
         self.workers = 2
         self.drain = False
-        self.actor = MacActor(lambda: _WorkOnly(self), workers=2, name="stateful")
+        kinds = iter([_WorkOnly, _SideOnly])
+        with _slow_handoffs():
+            self.actor = MacActor(lambda: next(kinds)(self), workers=2, name="stateful")
         self.interval = sys.getswitchinterval()  # restored by teardown
         sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
 
@@ -1456,12 +1504,21 @@ class RuntimeMachine(RuleBasedStateMachine):
     def choose_shutdown(self, drain):
         self.drain = drain
 
-    @rule(method=st.sampled_from(["work", "side"]), keys=st.sets(st.sampled_from(KEYS), max_size=2))
+    @rule(
+        method=st.sampled_from(["work", "side", "ghost"]),
+        keys=st.sets(st.sampled_from(range(3)), max_size=2),
+    )
     def send(self, method, keys):
-        sent = _Sent(len(self.msgs), frozenset(keys))
+        values = tuple(sorted(keys))
+        if method == "ghost":
+            values = ()
+        else:
+            method = f"{method}{len(values)}"  # the probe method that locks them
+        sent = _Sent(len(self.msgs), frozenset(SyncEntry("k", v) for v in values))
         with self.lock:
             self.msgs.append(sent)
-        sent.future = self.actor.send(method, (sent.mid,), sync_data=keys)
+        sent.future = self.actor.send(method, (sent.mid, *values))
+        assert sent.future.sync == sent.keys  # it cannot complete before its release
         self.settle()
 
     @precondition(lambda self: self.inside)
@@ -1476,7 +1533,8 @@ class RuntimeMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.workers < 4)
     @rule(kind=st.sampled_from([_WorkOnly, _SideOnly, _Both]))
     def add_worker(self, kind):
-        self.actor.add_worker(kind(self))
+        with _slow_handoffs():
+            self.actor.add_worker(kind(self))
         self.workers += 1
         self.settle()
 
@@ -1514,13 +1572,13 @@ class RuntimeMachine(RuleBasedStateMachine):
         report = self.actor.shutdown()
         assert report.executed == len(self.starts)
         assert report.executed + report.cancelled == len(self.msgs)
-        cancelled = "no worker supports|shadowed by" if self.drain else "actor shut down"
+        cancelled = "no worker supports 'ghost'" if self.drain else "actor shut down"
         for sent in self.msgs:
             if not sent.ran:
                 with pytest.raises(FutureFailed, match=cancelled):
                     sent.future.get(timeout=0)
         with pytest.raises(FutureFailed, match="rejected"):
-            self.actor.send("work", (-1,)).get(timeout=0)
+            self.actor.send("work0", (-1,)).get(timeout=0)
 
 
 RuntimeMachine.TestCase.settings = settings(

@@ -219,7 +219,7 @@ def test_lock_table_matches_select(workers, ops):
             assert priority(offered) == priority(select(supported, held, pending))
 
 
-def test_lock_table_blocker_and_drop_pending():
+def test_lock_table_drop_pending():
     table = LockTable()
     running = msg(0, {entry(L, 1)})
     ghost = msg(1, {entry(L, 2)}, signature="ghost")
@@ -227,8 +227,6 @@ def test_lock_table_blocker_and_drop_pending():
     for m in (running, ghost, transfer):
         table.add(m)
     assert table.take(frozenset({"s"})) is running
-    assert table.blocker(ghost) is None
-    assert table.blocker(transfer) == (entry(L, 1), running)
     assert table.pending() == [ghost, transfer]
     table.drop_pending()
     assert table.held() == {entry(L, 1)} and len(table) == 0

@@ -2,7 +2,7 @@
 refactor of the machine must leave unchanged, the state counts of the
 scaled bank variants, the explorer's profile by layer, the runtime's calls
 per message, the front end's token and node counts, the code size and
-the before/after driver."""
+the before/after driver in both its modes."""
 
 import json
 import os
@@ -171,3 +171,34 @@ def test_ab_compares_head_with_itself_and_prints_a_bench_entry():
         assert len(m["parent_runs"]) == len(m["change_runs"]) == 2
         assert len(m["parent_quartiles"]) == len(m["change_quartiles"]) == 2
         assert 0 <= m["change_better_pairs"] <= 2
+
+
+@pytest.mark.skipif(
+    subprocess.run(["git", "-C", str(SCRIPTS), "rev-parse"], capture_output=True).returncode != 0,
+    reason="ab.py compares git revisions, and this checkout is not a git work tree",
+)
+def test_ab_times_a_command_in_both_trees_by_its_cpu_time():
+    command = "maci explore tests/programs/bank_small.mac"
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "ab.py"), "HEAD", "HEAD", "--command", command,
+         "--pairs", "2", "--json"],
+        capture_output=True, text=True, timeout=120,
+    )  # fmt: skip
+    assert done.returncode == 0, done.stderr
+    rows = re.findall(
+        rf"^\| {re.escape(command)} \| (\w+) \| [\d.,]+ \([\d.,]+–[\d.,]+\) "
+        r"\| [\d.,]+ \([\d.,]+–[\d.,]+\) \| \d+\.\d{3} \| [0-2]/2 \|$",
+        done.stderr,
+        re.M,
+    )
+    assert rows == ["cpu_s", "wall_s"]
+    entry = json.loads(done.stdout)
+    assert entry["commit"] == entry["parent"] and entry["timed"] == command
+    assert "seed" not in entry and "run_seconds" not in entry
+    result = entry["workloads"][command]
+    assert result["pairs"] == 2 and result["correct"] and result["failed"] == 0
+    assert result["status"] == 0  # maci explore's exit status on a safe program
+    assert list(result["metrics"]) == ["cpu_s", "wall_s"]
+    for m in result["metrics"].values():
+        assert len(m["parent_runs"]) == len(m["change_runs"]) == 2
+        assert all(run > 0 for run in m["parent_runs"] + m["change_runs"])
